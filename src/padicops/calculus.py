@@ -33,17 +33,9 @@ class ContractionCertificate:
         return self.structural or n <= self.depth
 
 
-def _shift_nf(prime: int, value: Padic) -> NormalForm:
-    return NormalForm(prime, value, None, {})
-
-
-def _identity_nf(prime: int, precision: int = DEFAULT_PRECISION) -> NormalForm:
-    return _shift_nf(prime, Padic.one(prime, precision))
-
-
 def _falling_step(nf_a: NormalForm, product: NormalForm, j: int) -> NormalForm:
     """product * (A - j)."""
-    step = nf_a.add(_shift_nf(nf_a.prime, Padic.from_int(-j, nf_a.prime)))
+    step = nf_a.add(NormalForm.constant(nf_a.prime, Padic.from_int(-j, nf_a.prime)))
     return product.mul(step)
 
 
@@ -55,7 +47,7 @@ def certify_normal_contraction(a: Operator, depth: int) -> ContractionCertificat
     structural = isinstance(a, Diagonal) and all(
         v.is_integral for v in a.entries.values())
     nf = normalize(a)
-    product = _identity_nf(a.prime)
+    product = NormalForm.constant(a.prime, Padic.one(a.prime))
     checked: list[tuple[int, ValuationBound]] = []
     for n in range(1, depth + 1):
         product = _falling_step(nf, product, n - 1)
@@ -78,7 +70,7 @@ def binom_operator(a: Operator, n: int, cert: ContractionCertificate) -> Operato
 
 
 def _binom_nf(nf_a: NormalForm, n: int) -> NormalForm:
-    out = _identity_nf(nf_a.prime)
+    out = NormalForm.constant(nf_a.prime, Padic.one(nf_a.prime))
     for j in range(n):
         out = _falling_step(nf_a, out, j)
         out = out.divide_entries(Padic.from_int(j + 1, nf_a.prime))
@@ -96,8 +88,8 @@ def functional_calculus(a: Operator, fn: MahlerFunction,
         raise PreconditionFailed(
             f"certificate depth {cert.depth} below series length {len(fn.coefficients)}")
     nf_a = normalize(a)
-    term = _identity_nf(a.prime)
-    acc = NormalForm(a.prime, Padic.zero(a.prime), None, {})
+    term = NormalForm.constant(a.prime, Padic.one(a.prime))
+    acc = NormalForm.constant(a.prime, Padic.zero(a.prime))
     for n, t in enumerate(fn.coefficients):
         if n > 0:
             term = _falling_step(nf_a, term, n - 1)
@@ -123,7 +115,7 @@ def binomial_series(a: Operator, z: Padic, cert: ContractionCertificate,
     shifted = a - Identity(p)
     certify_normal_contraction(shifted, depth)
     nf = normalize(shifted)
-    term = _identity_nf(p)
+    term = NormalForm.constant(p, Padic.one(p))
     acc = term
     zpow = Padic.one(p)
     for n in range(1, depth + 1):
@@ -179,10 +171,10 @@ def teichmuller_idempotent(a: Operator, cert: ContractionCertificate,
     for k in range(budget):
         current = nf_polynomial(b, poly.coeffs)
         if prev is not None:
-            diff = current.add(prev.scale(Padic.from_int(-1, p)))
+            diff = current.sub(prev)
             trace.append([k, exponent_str(diff.norm())])
             if diff.vanishes_to(target):
-                idem_gap = current.mul(current).add(current.scale(Padic.from_int(-1, p)))
+                idem_gap = current.mul(current).sub(current)
                 if not idem_gap.vanishes_to(target):
                     raise NoConvergence(k, "stabilized value is not idempotent at target depth")
                 return current.to_operator(), trace

@@ -23,7 +23,7 @@ from .errors import (CertificationFailed, DependentBasis, DivisionByZero,
 from .idempotents import (idempotent_equivalence, idempotent_lift,
                           idempotent_refine, idempotent_split, infinite_sum,
                           k0_trivialize)
-from .io import (exponent_str, mahler_from_obj, mahler_to_obj,
+from .io import (exponent_str, file_header, mahler_from_obj, mahler_to_obj,
                  operator_from_obj, operator_to_obj, scalar_from_text,
                  scalar_to_text, tsv_table)
 from .mahler import mahler_eval, mahler_expand
@@ -61,12 +61,6 @@ def _read_json(path: str) -> Any:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _file_header(obj: Any) -> tuple[int, int]:
-    if not isinstance(obj, dict) or "p" not in obj or "precision" not in obj:
-        raise ParseError("input file needs integer 'p' and 'precision' fields")
-    return int(obj["p"]), int(obj["precision"])
-
-
 def _emit(obj: Any) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -76,10 +70,9 @@ def _emit(obj: Any) -> None:
 
 def _cmd_mahler_expand(args, cfg: ExperimentConfig) -> int:
     obj = _read_json(args.infile)
-    p, prec = _file_header(obj)
+    p, prec, tail = file_header(obj)
     samples = [scalar_from_text(t, p, prec) for t in obj.get("samples", [])]
-    tail = obj.get("tail_exponent")
-    bound = None if tail is None else ValuationBound(int(tail))
+    bound = None if tail is None else ValuationBound(tail)
     fn = mahler_expand(samples, bound, prime=p)
     _emit(mahler_to_obj(fn, p, prec))
     return 0
@@ -87,7 +80,7 @@ def _cmd_mahler_expand(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_mahler_eval(args, cfg: ExperimentConfig) -> int:
     obj = _read_json(args.infile)
-    p, prec = _file_header(obj)
+    p, prec, _ = file_header(obj)
     fn = mahler_from_obj(obj)
     x = scalar_from_text(args.x, p, prec)
     print(scalar_to_text(mahler_eval(fn, x)))
@@ -99,7 +92,7 @@ def _cmd_mahler_eval(args, cfg: ExperimentConfig) -> int:
 
 def _read_operator(path: str):
     obj = _read_json(path)
-    p, prec = _file_header(obj)
+    p, prec, _ = file_header(obj)
     return operator_from_obj(obj), p, prec
 
 

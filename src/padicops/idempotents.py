@@ -16,28 +16,13 @@ from typing import Callable
 from .errors import (CertificationFailed, DependentBasis, NoConvergence,
                      PreconditionFailed, SearchExhausted)
 from .io import exponent_str
+from .linalg import reduce_columns
 from .operators import (FiniteMatrix, IndexMap, NormalForm, Operator,
                         Product, Sum, is_compact, nf_polynomial, normalize,
                         op_apply, op_norm)
 from .polynomials import IntPolynomial
 from .scalars import Padic, ValuationBound
 from .vectors import PadicVector
-
-
-def _minus(prime: int) -> Padic:
-    return Padic.from_int(-1, prime)
-
-
-def _nf_sub(a: NormalForm, b: NormalForm) -> NormalForm:
-    return a.add(b.scale(_minus(a.prime)))
-
-
-def _identity_nf(prime: int) -> NormalForm:
-    return NormalForm(prime, Padic.one(prime), None, {})
-
-
-def _zero_nf(prime: int) -> NormalForm:
-    return NormalForm(prime, Padic.zero(prime), None, {})
 
 
 # -- refinement polynomials ---------------------------------------------
@@ -85,7 +70,7 @@ def idempotent_refine(a: Operator, target: int = 30, budget: int = 8) -> Operato
     if norm_a < ValuationBound.one():
         # covers a = 0: anything of norm < 1 refines to the zero idempotent
         return FiniteMatrix(p, {})
-    gap = _nf_sub(nf.mul(nf), nf).norm()
+    gap = nf.mul(nf).sub(nf).norm()
     limit = ValuationBound(-2 * norm_a.exponent)
     if not gap < limit:
         raise PreconditionFailed(
@@ -97,9 +82,9 @@ def idempotent_refine(a: Operator, target: int = 30, budget: int = 8) -> Operato
         coeffs = [Padic.from_int(c, p) for c in refinement_polynomial(m).coeffs]
         current = nf_polynomial(nf, coeffs)
         if prev is not None:
-            diff = _nf_sub(current, prev)
+            diff = current.sub(prev)
             if diff.vanishes_to(target):
-                idem_gap = _nf_sub(current.mul(current), current)
+                idem_gap = current.mul(current).sub(current)
                 if idem_gap.vanishes_to(target):
                     _check_refinement_distance(nf, current, norm_a)
                     return current.to_operator()
@@ -110,7 +95,7 @@ def idempotent_refine(a: Operator, target: int = 30, budget: int = 8) -> Operato
 
 def _check_refinement_distance(nf_a: NormalForm, nf_e: NormalForm,
                                norm_a: ValuationBound) -> None:
-    dist = _nf_sub(nf_a, nf_e).norm()
+    dist = nf_a.sub(nf_e).norm()
     # min(1/||a||, 1) with ||a|| >= 1 on this path
     if not dist < ValuationBound(-norm_a.exponent):
         raise CertificationFailed(
@@ -139,24 +124,25 @@ def idempotent_equivalence(e: Operator, f: Operator,
     if norm_e.is_zero:
         raise PreconditionFailed("e must be a nonzero idempotent")
     for name, nf in (("e", nfe), ("f", nff)):
-        if not _nf_sub(nf.mul(nf), nf).vanishes_to(target):
+        if not nf.mul(nf).sub(nf).vanishes_to(target):
             raise PreconditionFailed(f"{name} is not idempotent at the target depth")
-    dist = _nf_sub(nfe, nff).norm()
+    dist = nfe.sub(nff).norm()
     if not dist < ValuationBound(-norm_e.exponent):
         raise PreconditionFailed(
             f"distance exponent {exponent_str(dist)} must exceed {-norm_e.exponent}")
     two = Padic.from_int(2, p)
     fe = nff.mul(nfe)
-    nfu = _identity_nf(p).add(nff.scale(_minus(p))).add(nfe.scale(_minus(p))).add(fe.scale(two))
-    w = _nf_sub(_identity_nf(p), nfu)
+    one = NormalForm.constant(p, Padic.one(p))
+    nfu = one.sub(nff).sub(nfe).add(fe.scale(two))
+    w = one.sub(nfu)
     if not w.norm() < ValuationBound.one():
         raise PreconditionFailed("1 - u fails to be a contraction; inputs are not close enough")
     inv = _geometric_inverse(w, target)
     for left, right in ((nfu, inv), (inv, nfu)):
-        if not _nf_sub(left.mul(right), _identity_nf(p)).vanishes_to(target):
+        if not left.mul(right).sub(one).vanishes_to(target):
             raise CertificationFailed(target, "inverse verification failed")
     conj = nfu.mul(nfe).mul(inv)
-    if not _nf_sub(conj, nff).vanishes_to(target):
+    if not conj.sub(nff).vanishes_to(target):
         raise CertificationFailed(target, "conjugation does not carry e to f at the target depth")
     return EquivalenceWitness(nfu.to_operator(), inv.to_operator(), e, f)
 
@@ -164,9 +150,7 @@ def idempotent_equivalence(e: Operator, f: Operator,
 def _geometric_inverse(w: NormalForm, target: int) -> NormalForm:
     """(1 - w)^-1 = sum of w^k, truncated once the terms drop below
     p^(-target)."""
-    p = w.prime
-    acc = _identity_nf(p)
-    term = _identity_nf(p)
+    acc = term = NormalForm.constant(w.prime, Padic.one(w.prime))
     for _ in range(target + 8):
         term = term.mul(w)
         if term.norm() <= ValuationBound(target):
@@ -183,7 +167,7 @@ def near_idempotent_equivalence(e: Operator, a: Operator,
     norm_e = nfe.norm()
     if norm_e.is_zero:
         raise PreconditionFailed("e must be a nonzero idempotent")
-    dist = _nf_sub(nfe, normalize(a)).norm()
+    dist = nfe.sub(normalize(a)).norm()
     if not dist < ValuationBound(-3 * norm_e.exponent):
         raise PreconditionFailed(
             f"distance exponent {exponent_str(dist)} must exceed {-3 * norm_e.exponent}")
@@ -192,14 +176,6 @@ def near_idempotent_equivalence(e: Operator, a: Operator,
 
 
 # -- column projections and splitting ------------------------------------
-
-
-def _max_norm_row(entries: dict[int, Padic]) -> int:
-    best = ValuationBound.zero()
-    for v in entries.values():
-        if v.norm > best:
-            best = v.norm
-    return min(i for i, v in entries.items() if v.norm == best)
 
 
 def column_projection(basis: list[PadicVector], ambient_idempotent: Operator,
@@ -216,30 +192,11 @@ def column_projection(basis: list[PadicVector], ambient_idempotent: Operator,
         image_gap = op_apply(ambient_idempotent, v) - v
         if not all(x.vanishes_to(target) for x in image_gap.entries.values()):
             raise PreconditionFailed("basis vector is not fixed by the ambient idempotent")
-    cols = [dict(v.entries) for v in basis]
-    pivots: list[int] = []
-    for k in range(len(cols)):
-        col = {i: v for i, v in cols[k].items() if not v.is_zero}
-        if not col:
+    reduced = reduce_columns([v.entries for v in basis])
+    for k, col in enumerate(reduced):
+        if col is None:
             raise DependentBasis(f"column {k} reduced to zero")
-        row = _max_norm_row(col)
-        pivot = col[row]
-        cols[k] = {i: v / pivot for i, v in col.items()}
-        pivots.append(row)
-        for j in range(len(cols)):
-            if j == k or row not in cols[j]:
-                continue
-            factor = cols[j][row]
-            for i, v in cols[k].items():
-                cur = cols[j].get(i, Padic.zero(p)) - factor * v
-                if cur.is_zero:
-                    cols[j].pop(i, None)
-                else:
-                    cols[j][i] = cur
-    entries: dict[tuple[int, int], Padic] = {}
-    for k, row in enumerate(pivots):
-        for i, v in cols[k].items():
-            entries[(i, row)] = v
+    entries = {(i, row): v for row, col in reduced for i, v in col.items()}
     return FiniteMatrix(p, entries)
 
 
@@ -254,53 +211,35 @@ def idempotent_split(e: Operator, target: int = 30) -> SplitResult:
     the non-integral columns and g a contractive idempotent, fg = gf = 0."""
     p = e.prime
     nfe = normalize(e)
-    if not _nf_sub(nfe.mul(nfe), nfe).vanishes_to(target):
+    if not nfe.mul(nfe).sub(nfe).vanishes_to(target):
         raise PreconditionFailed("input is not idempotent at the target depth")
     exceptional = [j for (_, j), v in nfe.head.items() if not v.is_integral]
     if not exceptional:
-        return _verified_split(nfe, _zero_nf(p), nfe, target)
+        return _verified_split(nfe, NormalForm.constant(p, Padic.zero(p)), nfe, target)
     n = max(exceptional)
     basis = _independent_prefix([nfe.column(j) for j in range(n + 1)])
     if not basis:
-        return _verified_split(nfe, _zero_nf(p), nfe, target)
+        return _verified_split(nfe, NormalForm.constant(p, Padic.zero(p)), nfe, target)
     f_tilde = column_projection(basis, e, target)
     nff = normalize(f_tilde).mul(nfe)
-    nfg = _nf_sub(nfe, nff)
+    nfg = nfe.sub(nff)
     return _verified_split(nfe, nff, nfg, target)
 
 
 def _independent_prefix(columns: list[PadicVector]) -> list[PadicVector]:
-    kept: list[PadicVector] = []
-    reduced: list[tuple[int, dict[int, Padic]]] = []
-    for v in columns:
-        cur = {i: x for i, x in v.entries.items() if not x.is_zero}
-        for row, vec in reduced:
-            if row in cur:
-                factor = cur[row]
-                for i, x in vec.items():
-                    nxt = cur.get(i, Padic.zero(v.prime)) - factor * x
-                    if nxt.is_zero:
-                        cur.pop(i, None)
-                    else:
-                        cur[i] = nxt
-        if not cur:
-            continue
-        row = _max_norm_row(cur)
-        pivot = cur[row]
-        reduced.append((row, {i: x / pivot for i, x in cur.items()}))
-        kept.append(v)
-    return kept
+    reduced = reduce_columns([v.entries for v in columns])
+    return [v for v, col in zip(columns, reduced) if col is not None]
 
 
 def _verified_split(nfe: NormalForm, nff: NormalForm, nfg: NormalForm,
                     target: int) -> SplitResult:
     checks = {
-        "f idempotent": _nf_sub(nff.mul(nff), nff),
-        "g idempotent": _nf_sub(nfg.mul(nfg), nfg),
+        "f idempotent": nff.mul(nff).sub(nff),
+        "g idempotent": nfg.mul(nfg).sub(nfg),
         "fg zero": nff.mul(nfg),
         "gf zero": nfg.mul(nff),
-        "ef = f": _nf_sub(nfe.mul(nff), nff),
-        "fe = f": _nf_sub(nff.mul(nfe), nff),
+        "ef = f": nfe.mul(nff).sub(nff),
+        "fe = f": nff.mul(nfe).sub(nff),
     }
     for name, diff in checks.items():
         if not diff.vanishes_to(target):
@@ -317,27 +256,9 @@ def matrix_rank(entries: dict[tuple[int, int], Padic]) -> int:
     """Rank over Q_p by exact column reduction with max-norm pivoting."""
     cols: dict[int, dict[int, Padic]] = {}
     for (i, j), v in entries.items():
-        if not v.is_zero:
-            cols.setdefault(j, {})[i] = v
-    reduced: list[tuple[int, dict[int, Padic]]] = []
-    for j in sorted(cols):
-        cur = dict(cols[j])
-        prime = next(iter(cur.values())).prime
-        for row, vec in reduced:
-            if row in cur:
-                factor = cur[row]
-                for i, x in vec.items():
-                    nxt = cur.get(i, Padic.zero(prime)) - factor * x
-                    if nxt.is_zero:
-                        cur.pop(i, None)
-                    else:
-                        cur[i] = nxt
-        if not cur:
-            continue
-        row = _max_norm_row(cur)
-        pivot = cur[row]
-        reduced.append((row, {i: x / pivot for i, x in cur.items()}))
-    return len(reduced)
+        cols.setdefault(j, {})[i] = v
+    reduced = reduce_columns([cols[j] for j in sorted(cols)])
+    return sum(col is not None for col in reduced)
 
 
 def finite_rank_reduce(f: Operator, target: int = 30) -> int:
@@ -534,7 +455,7 @@ def idempotent_lift(a: Operator, compact_defect: Operator | None = None,
     if not is_compact(defect):
         raise PreconditionFailed("defect a^2 - a is not certified compact")
     nf = normalize(a)
-    powers: list[NormalForm] = [_identity_nf(p), nf]
+    powers: list[NormalForm] = [NormalForm.constant(p, Padic.one(p)), nf]
 
     def power(k: int) -> NormalForm:
         while len(powers) <= k:
@@ -544,7 +465,7 @@ def idempotent_lift(a: Operator, compact_defect: Operator | None = None,
     for gap in range(1, budget):
         for n in range(1, budget + 1 - gap):
             m = n + gap
-            if not _nf_sub(power(m), power(n)).norm() < ValuationBound.one():
+            if not power(m).sub(power(n)).norm() < ValuationBound.one():
                 continue
             k = n // gap + 1
             e = idempotent_refine(power(k * gap).to_operator(), target)

@@ -148,16 +148,24 @@ def _obj_to_node(obj: dict[str, Any], prime: int, precision: int):
     raise ParseError(f"unknown operator kind {kind!r}")
 
 
-def operator_from_obj(obj: dict[str, Any]):
+def file_header(obj: Any) -> tuple[int, int, int | None]:
+    """The p, precision and optional tail_exponent fields of an input file."""
     if not isinstance(obj, dict):
-        raise ParseError("operator file must hold a JSON object")
+        raise ParseError("input file must hold a JSON object")
     try:
         prime = int(obj["p"])
         precision = int(obj["precision"])
+        tail = obj.get("tail_exponent")
+        tail = None if tail is None else int(tail)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed p/precision header: {exc}") from exc
+        raise ParseError(f"missing or malformed p/precision/tail_exponent header: {exc}") from exc
     if precision <= 0:
         raise ParseError("precision must be positive")
+    return prime, precision, tail
+
+
+def operator_from_obj(obj: dict[str, Any]):
+    prime, precision, _ = file_header(obj)
     return _obj_to_node(obj, prime, precision)
 
 
@@ -186,15 +194,12 @@ def mahler_from_obj(obj: dict[str, Any]):
     from .mahler import MahlerFunction
     from .scalars import ValuationBound
 
+    prime, precision, tail = file_header(obj)
     try:
-        prime = int(obj["p"])
-        precision = int(obj["precision"])
         coeffs = tuple(scalar_from_text(t, prime, precision) for t in obj["coefficients"])
-        tail = obj.get("tail_exponent")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed mahler object: {exc}") from exc
-    bound = ValuationBound(None if tail is None else int(tail))
-    return MahlerFunction(prime, coeffs, bound)
+    return MahlerFunction(prime, coeffs, ValuationBound(tail))
 
 
 # -- tables ------------------------------------------------------------

@@ -1,0 +1,90 @@
+"""Exact elimination over Q_p: the only place that chooses pivots.
+
+Two routines, one per pivot rule.  Both pick the entry of least
+valuation, which over Z_p is the stable choice: every multiplier is then
+integral, so no step enlarges the entries it touches.
+
+- ``reduce_columns`` is Gauss-Jordan reduction taking the columns in
+  order; each pivot is the least-valuation entry of its own column.
+  Column projections, independent prefixes and ranks read off it.
+- ``eliminate_full_pivot`` searches the whole remaining block for the
+  pivot.  Its pivot valuations are the Smith invariants, and their
+  signed product is the determinant.
+"""
+
+from __future__ import annotations
+
+from .scalars import Padic
+
+Column = dict[int, Padic]
+
+
+def reduce_columns(columns: list[Column]) -> list[tuple[int, Column] | None]:
+    """Gauss-Jordan reduction of sparse columns, taken in order.
+
+    Entry k of the result is None when column k depends on the columns
+    before it.  Otherwise it is (a_k, v_k): v_k has a 1 in its pivot
+    row a_k, and every other returned column is 0 in row a_k.
+    """
+    cols = [{i: v for i, v in c.items() if not v.is_zero} for c in columns]
+    out: list[tuple[int, Column] | None] = [None] * len(cols)
+    for k, col in enumerate(cols):
+        if not col:
+            continue
+        row = min(col, key=lambda i: (col[i].valuation, i))  # ties: lowest row
+        pivot = col[row]
+        zero = Padic.zero(pivot.prime)
+        cols[k] = {i: v / pivot for i, v in col.items()}
+        out[k] = (row, cols[k])
+        for j in range(len(cols)):
+            if j == k or row not in cols[j]:
+                continue
+            factor = cols[j][row]
+            for i, v in cols[k].items():
+                cur = cols[j].get(i, zero) - factor * v
+                if cur.is_zero:
+                    cols[j].pop(i, None)
+                else:
+                    cols[j][i] = cur
+    return out
+
+
+def eliminate_full_pivot(rows: list[list[Padic]], prime: int) -> tuple[list[int], Padic]:
+    """Elimination with the pivot of least valuation in the whole
+    remaining block (ties: lowest row, then lowest column).
+
+    Returns the pivot valuations, which are the valuations of the Smith
+    invariants in nondecreasing order (as many as the rank), and the
+    determinant.
+    """
+    work = [row[:] for row in rows]
+    n = len(work)
+    det = Padic.one(prime)
+    valuations: list[int] = []
+    for k in range(n):
+        best = None
+        for i in range(k, n):
+            for j in range(k, n):
+                v = work[i][j]
+                if not v.is_zero and (best is None or v.valuation < best[0]):
+                    best = (v.valuation, i, j)
+        if best is None:
+            return valuations, Padic.zero(prime)
+        _, pi, pj = best
+        if pi != k:
+            work[k], work[pi] = work[pi], work[k]
+            det = -det
+        if pj != k:
+            for row in work[k:]:
+                row[k], row[pj] = row[pj], row[k]
+            det = -det
+        pivot = work[k][k]
+        valuations.append(pivot.valuation)
+        det = det * pivot
+        for i in range(k + 1, n):
+            if work[i][k].is_zero:
+                continue
+            factor = work[i][k] / pivot
+            for j in range(k + 1, n):
+                work[i][j] = work[i][j] - factor * work[k][j]
+    return valuations, det

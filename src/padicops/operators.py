@@ -102,6 +102,11 @@ class NormalForm:
     tail: _Tail | None
     head: dict[tuple[int, int], Padic]
 
+    @classmethod
+    def constant(cls, prime: int, value: Padic) -> "NormalForm":
+        """The form of value * I."""
+        return cls(prime, value, None, {})
+
     # entries ----------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Padic:
@@ -143,9 +148,12 @@ class NormalForm:
         return NormalForm(self.prime, self.shift + other.shift,
                           self.tail or other.tail, head)
 
+    def sub(self, other: "NormalForm") -> "NormalForm":
+        return self.add(other.scale(Padic.from_int(-1, self.prime)))
+
     def scale(self, c: Padic) -> "NormalForm":
         if c.is_zero:
-            return NormalForm(self.prime, Padic.zero(self.prime), None, {})
+            return NormalForm.constant(self.prime, Padic.zero(self.prime))
         head = {}
         for key, v in self.head.items():
             _insert(head, key, v * c)
@@ -450,7 +458,7 @@ def normalize(op: Operator) -> NormalForm:
             _insert(head, (i, i), v - op.default)
         return NormalForm(p, op.default, None, head)
     if isinstance(op, Identity):
-        return NormalForm(p, Padic.one(p, op.precision), None, {})
+        return NormalForm.constant(p, Padic.one(p, op.precision))
     if isinstance(op, IndexMap):
         if callable(op.dest):
             tail = _Tail(op.dest, op.inv, dict(op.coeff), op.default_coeff, op.infinite_domain)
@@ -599,7 +607,7 @@ def truncate(op: Operator, size: int) -> FiniteMatrix:
 
 def op_agree(a: Operator, b: Operator, depth: int) -> bool:
     """True when every entry of a - b is certified zero mod p^depth."""
-    diff = normalize(a).add(normalize(b).scale(Padic.from_int(-1, a.prime)))
+    diff = normalize(a).sub(normalize(b))
     return diff.vanishes_to(depth)
 
 
@@ -610,9 +618,9 @@ def to_dense(op: Operator, size: int) -> list[list[Padic]]:
 
 def nf_polynomial(nf: NormalForm, coeffs) -> NormalForm:
     """Horner evaluation of a polynomial (constant term first) at the form."""
-    acc = NormalForm(nf.prime, coeffs[-1], None, {})
+    acc = NormalForm.constant(nf.prime, coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc.mul(nf).add(NormalForm(nf.prime, c, None, {}))
+        acc = acc.mul(nf).add(NormalForm.constant(nf.prime, c))
     return acc
 
 

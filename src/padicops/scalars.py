@@ -300,19 +300,6 @@ class Padic:
         return scalar_to_text(self)
 
 
-def padic_arith(x: Padic, y: Padic, op: str) -> Padic:
-    """Dispatcher over the four field operations, by name."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # -- combinatorial helpers --------------------------------------------
 
 

@@ -1,21 +1,18 @@
 """Willis scale of finite p-adic matrices, plus a truncation probe.
 
-The scale is the largest norm of any square minor, floored at 1.
-Determinants are exact: cofactor expansion for very small blocks,
-max-norm-pivot elimination above.  Enumeration is exhaustive over all
-C(n,k)^2 minors, so anything beyond 8x8 is refused instead of
-approximated.
+The scale is the largest norm of any square minor, floored at 1.  It is
+read off the Smith invariants, which full-pivot elimination yields in
+one O(n^3) pass, so windows of any size are answered exactly.
+Determinants come from the same elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
+from .linalg import eliminate_full_pivot
 from .operators import FiniteMatrix, Operator, op_adjoint, truncate
-from .scalars import Padic, ValuationBound
-
-_MAX_DIM = 8
+from .scalars import Padic
 
 
 @dataclass(frozen=True)
@@ -40,70 +37,18 @@ def _dense(a: FiniteMatrix, dim: int) -> list[list[Padic]]:
     return rows
 
 
-def _det_cofactor(rows: list[list[Padic]], prime: int) -> Padic:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Padic.zero(prime)
-    for j in range(n):
-        if rows[0][j].is_zero:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det_cofactor(minor, prime)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
-def _det_eliminate(rows: list[list[Padic]], prime: int) -> Padic:
-    work = [row[:] for row in rows]
-    n = len(work)
-    det = Padic.one(prime)
-    for k in range(n):
-        pivot_row = None
-        best = ValuationBound.zero()
-        for i in range(k, n):
-            norm = work[i][k].norm
-            if norm > best:
-                best = norm
-                pivot_row = i
-        if pivot_row is None:
-            return Padic.zero(prime)
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            det = -det
-        pivot = work[k][k]
-        det = det * pivot
-        for i in range(k + 1, n):
-            if work[i][k].is_zero:
-                continue
-            factor = work[i][k] / pivot
-            for j in range(k, n):
-                work[i][j] = work[i][j] - factor * work[k][j]
-    return det
-
-
 def determinant(rows: list[list[Padic]], prime: int) -> Padic:
-    if not rows:
-        return Padic.one(prime)
-    if len(rows) <= 4:
-        return _det_cofactor(rows, prime)
-    return _det_eliminate(rows, prime)
+    return eliminate_full_pivot(rows, prime)[1]
 
 
 def willis_scale_finite(a: FiniteMatrix, dim: int) -> ScaleValue:
-    """Largest minor norm over all square minors, floored at 1."""
-    if dim > _MAX_DIM:
-        raise ValueError(f"exhaustive minor enumeration is limited to {_MAX_DIM}x{_MAX_DIM}")
-    rows = _dense(a, dim)
-    exponent = 0
-    for k in range(1, dim + 1):
-        for rsel in combinations(range(dim), k):
-            for csel in combinations(range(dim), k):
-                block = [[rows[i][j] for j in csel] for i in rsel]
-                det = determinant(block, a.prime)
-                if not det.is_zero and -det.valuation > exponent:
-                    exponent = -det.valuation
-    return ScaleValue(exponent)
+    """Largest minor norm over all square minors, floored at 1.
+
+    The largest k x k minor norm is p^-(v_1 + ... + v_k) for the Smith
+    invariants v_1 <= v_2 <= ..., so the scale exponent is the sum of
+    the negative invariants, negated."""
+    valuations, _ = eliminate_full_pivot(_dense(a, dim), a.prime)
+    return ScaleValue(-sum(min(0, v) for v in valuations))
 
 
 def scale_transpose_check(a: FiniteMatrix, dim: int | None = None) -> bool:

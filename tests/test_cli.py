@@ -58,10 +58,11 @@ def test_scale_probe_tsv(capsys, opfile):
 
 
 def test_scale_finite_needs_small_window(capsys, opfile):
+    # an 11x11 window is answered, not refused
     path = opfile(FiniteMatrix(3, {(10, 10): Padic.one(3)}))
-    code, _, err = run(capsys, "scale", "finite", "--in", path)
-    assert code == 2
-    assert json.loads(err)["error"] == "ValueError"
+    code, out, _ = run(capsys, "scale", "finite", "--in", path)
+    assert code == 0
+    assert out == "p^0\n"
     path = opfile(Identity(3))
     code, _, err = run(capsys, "scale", "finite", "--in", path)
     assert code == 2
@@ -238,6 +239,20 @@ def test_parse_failures_exit_4(capsys, tmp_path, opfile):
     assert code == 4
     code, _, err = run(capsys, "scale", "warp", "--in", opfile(Identity(3)))
     assert code == 4
+    # malformed headers are parse errors, whichever leaf reads them
+    header = tmp_path / "header.json"
+    for p in ("three", [3], None):
+        header.write_text(json.dumps({"p": p, "precision": 40, "kind": "identity"}))
+        code, _, err = run(capsys, "scale", "finite", "--in", str(header))
+        assert code == 4
+        assert json.loads(err)["error"] == "ParseError"
+    header.write_text(json.dumps({"p": 3, "precision": 40, "tail_exponent": "x",
+                                  "samples": ["0"], "coefficients": ["0"]}))
+    for argv in (("mahler", "eval", "--in", str(header), "--x", "0"),
+                 ("mahler", "expand", "--in", str(header))):
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert json.loads(err)["error"] == "ParseError"
 
 
 def test_config_file_pickup(capsys, opfile, tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ import pytest
 
 from padicops.errors import (DependentBasis, NoConvergence, PreconditionFailed,
                              SearchExhausted)
-from padicops.idempotents import (BlockScheme, cantor_pair, cantor_unpair,
+from padicops.idempotents import (BlockScheme, _independent_prefix,
+                                  cantor_pair, cantor_unpair,
                                   column_projection, finite_rank_reduce,
                                   idempotent_equivalence, idempotent_lift,
                                   idempotent_refine, idempotent_split,
@@ -170,6 +171,17 @@ def test_column_projection_failures():
         column_projection([v, v], fm(p, {(0, 0): 1}))
     with pytest.raises(PreconditionFailed):
         column_projection([v], FiniteMatrix(p, {}))
+
+
+def test_independent_prefix_skips_a_dependent_middle_column():
+    p = 3
+    v1 = PadicVector(p, {0: Padic.one(p), 1: Padic.from_fraction(Fraction(1, 3), p)})
+    v2 = PadicVector(p, {0: Padic.from_int(9, p), 1: Padic.from_int(3, p)})  # 9 * v1
+    v3 = PadicVector(p, {0: Padic.one(p), 2: Padic.one(p)})
+    kept = _independent_prefix([v1, v2, v3])
+    assert len(kept) == 2 and kept[0] is v1 and kept[1] is v3
+    entries = {(i, j): x for j, v in enumerate([v1, v2, v3]) for i, x in v.entries.items()}
+    assert matrix_rank(entries) == 2
 
 
 def test_split_integral_idempotent_has_no_finite_part():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -75,8 +76,8 @@ def test_scale_sees_non_principal_minors():
 
 
 def test_scale_refuses_large_windows():
-    with pytest.raises(ValueError):
-        willis_scale_finite(FiniteMatrix(3, {}), 9)
+    # windows above 8x8 are answered; only entries outside the window are refused
+    assert willis_scale_finite(FiniteMatrix(3, {}), 9) == ScaleValue(0)
     with pytest.raises(ValueError):
         willis_scale_finite(fm(3, {(5, 5): 1}), 2)
     with pytest.raises(ValueError):
@@ -101,3 +102,104 @@ def test_minor_probe_on_structural_operators():
     d = Diagonal(3, {0: Padic.one(3) / Padic.from_int(3, 3)})
     probe = scale_minor_probe(d, [1, 3])
     assert probe == [(1, ScaleValue(1)), (3, ScaleValue(1))]
+
+
+# -- oracles that do not use padicops ------------------------------------------
+
+
+def _vp(q, p):
+    """Valuation of a nonzero rational."""
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _fraction_det(rows):
+    work = [r[:] for r in rows]
+    n = len(work)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if work[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
+            det = -det
+        det *= work[k][k]
+        for i in range(k + 1, n):
+            f = work[i][k] / work[k][k]
+            if f:
+                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
+    return det
+
+
+def _minor_scale(rows, p):
+    """Scale exponent as the largest |det| over all C(n,k)^2 square minors."""
+    n = len(rows)
+    best = 0
+    for k in range(1, n + 1):
+        for rsel in combinations(range(n), k):
+            for csel in combinations(range(n), k):
+                det = _fraction_det([[rows[i][j] for j in csel] for i in rsel])
+                if det:
+                    best = max(best, -_vp(det, p))
+    return best
+
+
+def _random_rows(rng, p, n, kind):
+    def entry():
+        return Fraction(rng.randrange(-p**3, p**3 + 1)) * Fraction(p) ** rng.randint(-3, 3)
+
+    if kind == "sparse":
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for _ in range(rng.randint(1, n + 1)):
+            rows[rng.randrange(n)][rng.randrange(n)] = entry()
+        return rows
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == "integral":
+        rows = [[Fraction(rng.randrange(-p**3, p**3 + 1)) for _ in range(n)] for _ in range(n)]
+    if kind == "singular" and n > 1:
+        # last row: a rational combination of two others
+        a, b = rng.randrange(n - 1), rng.randrange(n - 1)
+        c = Fraction(rng.randrange(1, p**2)) * Fraction(p) ** rng.randint(-2, 2)
+        rows[-1] = [c * x + y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+def test_scale_matches_minor_enumeration(rng):
+    checked = 0
+    for p in (2, 3, 5):
+        for kind in ("dense", "sparse", "singular", "integral"):
+            for trial in range(18):
+                n = 1 + trial % 6
+                rows = _random_rows(rng, p, n, kind)
+                a = fm(p, {(i, j): v for i, row in enumerate(rows)
+                           for j, v in enumerate(row) if v})
+                assert willis_scale_finite(a, n) == ScaleValue(_minor_scale(rows, p)), (p, kind, rows)
+                checked += 1
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("n", [9, 16, 40])
+def test_scale_of_large_conjugated_windows(rng, n):
+    # u D u^-1 with u unimodular over Z: the scale is the product of the
+    # eigenvalue norms above 1.  Conjugating by one elementary move at a
+    # time keeps the arithmetic exact without forming u^-1.
+    p = 3
+    exps = [rng.randint(-3, 2) for _ in range(n)]
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, e in enumerate(exps):
+        rows[i][i] = Fraction(rng.choice([1, 2, 4, 5, 7, 8])) * Fraction(p) ** e
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]  # E * A
+        for row in rows:  # A * E^-1
+            row[j] -= c * row[i]
+    a = fm(p, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+    assert willis_scale_finite(a, n) == ScaleValue(sum(max(0, -e) for e in exps))

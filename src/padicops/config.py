@@ -23,14 +23,44 @@ DEFAULT_BUDGETS = {
 }
 
 
+# Miller-Rabin with the thirteen prime bases 2..41 decides primality
+# exactly below this bound (Sorenson and Webster, Math. Comp. 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def require_prime(n: int) -> None:
+    """Raise ParseError unless n is prime.
+
+    Deterministic Miller-Rabin, so a prime near 10^18 is checked at
+    once; n beyond the bound where the bases are proven exact is
+    refused rather than guessed."""
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        raise ParseError(f"{n} is too large: primality is certified only below "
+                         f"{_MILLER_RABIN_EXACT_BELOW}")
+    if not _is_prime(n):
+        raise ParseError(f"{n} is not prime")
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -43,8 +73,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_prime(self.prime):
-            raise ParseError(f"{self.prime} is not prime")
+        require_prime(self.prime)
         if self.precision < 8:
             raise ParseError("precision must be at least 8")
         if self.precision < self.target_valuation:

@@ -18,8 +18,8 @@ from .errors import (CertificationFailed, DependentBasis, NoConvergence,
 from .io import exponent_str
 from .linalg import reduce_columns
 from .operators import (FiniteMatrix, IndexMap, NormalForm, Operator,
-                        Product, Sum, is_compact, nf_polynomial, normalize,
-                        op_apply, op_norm)
+                        Product, Sum, is_compact, normalize, op_apply,
+                        op_norm)
 from .polynomials import IntPolynomial
 from .scalars import Padic, ValuationBound
 from .vectors import PadicVector
@@ -59,10 +59,12 @@ def refinement_polynomial(m: int) -> IntPolynomial:
 def idempotent_refine(a: Operator, target: int = 30, budget: int = 8) -> Operator:
     """Nearest idempotent to an almost-idempotent a.
 
-    Requires ||a^2 - a|| < 1 / ||a||^2.  Iterates the refinement
-    polynomials with doubling order until two successive values agree
-    below p^(-target); the output e is checked to satisfy e^2 = e at the
-    target depth and ||a - e|| < min(1/||a||, 1).
+    Requires ||a^2 - a|| < 1 / ||a||^2.  Iterates refinement_polynomial(2),
+    e <- 3e^2 - 2e^3 = e + d(1 - 2e) with d = e^2 - e: two products a
+    step, and the defect squares, so k steps (``budget`` counts them)
+    reach the order of refinement_polynomial(2^k).  Stops once the step
+    and the new defect vanish below p^(-target); the output e is checked
+    to satisfy ||a - e|| < min(1/||a||, 1).
     """
     p = a.prime
     nf = normalize(a)
@@ -70,27 +72,23 @@ def idempotent_refine(a: Operator, target: int = 30, budget: int = 8) -> Operato
     if norm_a < ValuationBound.one():
         # covers a = 0: anything of norm < 1 refines to the zero idempotent
         return FiniteMatrix(p, {})
-    gap = nf.mul(nf).sub(nf).norm()
+    defect = nf.mul(nf).sub(nf)
+    gap = defect.norm()
     limit = ValuationBound(-2 * norm_a.exponent)
     if not gap < limit:
         raise PreconditionFailed(
             f"defect norm exponent {exponent_str(gap)} must exceed "
             f"{limit.exponent} (norm of a: exponent {norm_a.exponent})")
-    prev: NormalForm | None = None
-    m = 1
+    two = Padic.from_int(2, p)
+    e = nf
     for _ in range(budget):
-        coeffs = [Padic.from_int(c, p) for c in refinement_polynomial(m).coeffs]
-        current = nf_polynomial(nf, coeffs)
-        if prev is not None:
-            diff = current.sub(prev)
-            if diff.vanishes_to(target):
-                idem_gap = current.mul(current).sub(current)
-                if idem_gap.vanishes_to(target):
-                    _check_refinement_distance(nf, current, norm_a)
-                    return current.to_operator()
-        prev = current
-        m *= 2
-    raise NoConvergence(budget, "refinement iterates never met the target depth")
+        step = defect.sub(defect.mul(e).scale(two))
+        e = e.add(step)
+        defect = e.mul(e).sub(e)
+        if step.vanishes_to(target) and defect.vanishes_to(target):
+            _check_refinement_distance(nf, e, norm_a)
+            return e.to_operator()
+    raise NoConvergence(budget, "refinement steps never met the target depth")
 
 
 def _check_refinement_distance(nf_a: NormalForm, nf_e: NormalForm,
@@ -116,8 +114,9 @@ class EquivalenceWitness:
 def idempotent_equivalence(e: Operator, f: Operator,
                            target: int = 30) -> EquivalenceWitness:
     """Invertible u with u e u^-1 = f, for idempotents at distance
-    below 1/||e||.  u = 1 - f - e + 2fe; its inverse comes from the
-    geometric series in 1 - u, which the distance bound makes converge."""
+    below 1/||e||.  u = 1 - f - e + 2fe; its inverse comes from a
+    Newton-Schulz iteration, which converges because the distance bound
+    makes 1 - u a contraction."""
     p = e.prime
     nfe, nff = normalize(e), normalize(f)
     norm_e = nfe.norm()
@@ -134,12 +133,11 @@ def idempotent_equivalence(e: Operator, f: Operator,
     fe = nff.mul(nfe)
     one = NormalForm.constant(p, Padic.one(p))
     nfu = one.sub(nff).sub(nfe).add(fe.scale(two))
-    w = one.sub(nfu)
-    if not w.norm() < ValuationBound.one():
+    if not one.sub(nfu).norm() < ValuationBound.one():
         raise PreconditionFailed("1 - u fails to be a contraction; inputs are not close enough")
-    inv = _geometric_inverse(w, target)
-    for left, right in ((nfu, inv), (inv, nfu)):
-        if not left.mul(right).sub(one).vanishes_to(target):
+    inv, residual = _newton_schulz_inverse(nfu, target)
+    for gap in (residual, inv.mul(nfu).sub(one)):
+        if not gap.vanishes_to(target):
             raise CertificationFailed(target, "inverse verification failed")
     conj = nfu.mul(nfe).mul(inv)
     if not conj.sub(nff).vanishes_to(target):
@@ -147,16 +145,18 @@ def idempotent_equivalence(e: Operator, f: Operator,
     return EquivalenceWitness(nfu.to_operator(), inv.to_operator(), e, f)
 
 
-def _geometric_inverse(w: NormalForm, target: int) -> NormalForm:
-    """(1 - w)^-1 = sum of w^k, truncated once the terms drop below
-    p^(-target)."""
-    acc = term = NormalForm.constant(w.prime, Padic.one(w.prime))
-    for _ in range(target + 8):
-        term = term.mul(w)
-        if term.norm() <= ValuationBound(target):
-            return acc
-        acc = acc.add(term)
-    raise NoConvergence(target + 8, "geometric series did not reach the target depth")
+def _newton_schulz_inverse(u: NormalForm, target: int) -> tuple[NormalForm, NormalForm]:
+    """Right inverse x of u, for ||1 - u|| < 1, and its residual 1 - u x.
+    x <- x + x(1 - u x) from x = 1 squares the residual at each step, so
+    bit_length(target) steps reach p^(-target) unless precision runs out."""
+    one = NormalForm.constant(u.prime, Padic.one(u.prime))
+    x, residual = one, one.sub(u)
+    for _ in range(target.bit_length()):
+        if residual.vanishes_to(target):
+            break
+        x = x.add(x.mul(residual))
+        residual = one.sub(u.mul(x))
+    return x, residual
 
 
 def near_idempotent_equivalence(e: Operator, a: Operator,

@@ -13,6 +13,7 @@ import json
 import re
 from typing import Any
 
+from .config import require_prime
 from .errors import ParseError
 from .scalars import DEFAULT_PRECISION, Padic
 
@@ -161,6 +162,7 @@ def file_header(obj: Any) -> tuple[int, int, int | None]:
         raise ParseError(f"missing or malformed p/precision/tail_exponent header: {exc}") from exc
     if precision <= 0:
         raise ParseError("precision must be positive")
+    require_prime(prime)
     return prime, precision, tail
 
 

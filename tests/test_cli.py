@@ -246,6 +246,13 @@ def test_parse_failures_exit_4(capsys, tmp_path, opfile):
         code, _, err = run(capsys, "scale", "finite", "--in", str(header))
         assert code == 4
         assert json.loads(err)["error"] == "ParseError"
+    # a composite p in a file is refused as --p 4 is: 4 and 10^18 + 7
+    for p in (4, 10**18 + 7):
+        header.write_text(json.dumps({"p": p, "precision": 40, "kind": "finite",
+                                      "entries": [[0, 0, f"{p}^-1*1"]]}))
+        code, _, err = run(capsys, "scale", "finite", "--in", str(header), "--dim", "1")
+        assert code == 4
+        assert json.loads(err)["error"] == "ParseError"
     header.write_text(json.dumps({"p": 3, "precision": 40, "tail_exponent": "x",
                                   "samples": ["0"], "coefficients": ["0"]}))
     for argv in (("mahler", "eval", "--in", str(header), "--x", "0"),

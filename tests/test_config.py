@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from padicops.config import ENV_VAR, ExperimentConfig, load_config
+from padicops.config import (ENV_VAR, ExperimentConfig, _is_prime, load_config,
+                             require_prime)
 from padicops.errors import ParseError
+from padicops.io import file_header
 
 
 def test_defaults():
@@ -51,3 +53,26 @@ def test_file_errors(tmp_path, monkeypatch):
     unknown.write_text(json.dumps({"primes": 3}))
     with pytest.raises(ParseError):
         load_config(str(unknown))
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(-3, 20000))
+    # strong pseudoprimes to the first k prime bases, k = 1, 4, 7, 9, 12
+    for n in (2047, 3215031751, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n)
+
+
+def test_large_primes_are_checked_at_once():
+    # trial division would need about 10^9 steps on this prime
+    require_prime(10**18 + 3)
+    assert file_header({"p": 10**18 + 3, "precision": 40})[0] == 10**18 + 3
+    assert ExperimentConfig(prime=10**18 + 3).prime == 10**18 + 3
+    with pytest.raises(ParseError):
+        require_prime(10**18 + 7)
+    # the Mersenne prime 2^89 - 1 lies beyond the proven range of the bases
+    with pytest.raises(ParseError):
+        require_prime(2**89 - 1)

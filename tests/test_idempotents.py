@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,16 +6,17 @@ import pytest
 from padicops.errors import (DependentBasis, NoConvergence, PreconditionFailed,
                              SearchExhausted)
 from padicops.idempotents import (BlockScheme, _independent_prefix,
-                                  cantor_pair, cantor_unpair,
+                                  _newton_schulz_inverse, cantor_pair, cantor_unpair,
                                   column_projection, finite_rank_reduce,
                                   idempotent_equivalence, idempotent_lift,
                                   idempotent_refine, idempotent_split,
                                   infinite_sum, k0_trivialize, matrix_rank,
                                   near_idempotent_equivalence,
                                   refinement_polynomial, sum_ring_generators)
-from padicops.operators import (Diagonal, FiniteMatrix, Identity, Product,
-                                ScalarMul, Sum, is_compact, normalize,
-                                op_agree, op_apply, op_norm)
+from padicops.operators import (Diagonal, FiniteMatrix, Identity,
+                                NormalForm, Product, ScalarMul, Sum,
+                                is_compact, normalize, op_agree, op_apply,
+                                op_norm)
 from padicops.polynomials import IntPolynomial
 from padicops.scalars import Padic, ValuationBound, teichmuller
 from padicops.vectors import PadicVector
@@ -104,6 +106,155 @@ def test_refine_off_diagonal_defect(rng):
         e = idempotent_refine(a)
         assert op_agree(Product([e, e]), e, 30)
         assert op_norm(a - e) < ValuationBound.one()
+
+
+# -- refinement against integer oracles --------------------------------------
+
+
+def _int_matmul(x, y, mod=None):
+    n = len(x)
+    out = [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return out if mod is None else [[v % mod for v in row] for row in out]
+
+
+def _unimodular(rng, n):
+    """u and u^-1 over Z, from random elementary column operations."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        for r in range(n):  # u <- u (1 + c E_ij)
+            u[r][j] += c * u[r][i]
+        for k in range(n):  # u^-1 <- (1 - c E_ij) u^-1
+            u_inv[i][k] -= c * u_inv[j][k]
+    assert _int_matmul(u, u_inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    return u, u_inv
+
+
+def _near_idempotent(rng, n, s, p=3):
+    """u diag(1..1, 0..0) u^-1 + p^s * noise, as an integer matrix."""
+    u, u_inv = _unimodular(rng, n)
+    r = rng.randint(1, n - 1)
+    d = [[int(i == j and i < r) for j in range(n)] for i in range(n)]
+    a = _int_matmul(_int_matmul(u, d), u_inv)
+    for _ in range(n + 2):
+        i, j = rng.randrange(n), rng.randrange(n)
+        a[i][j] += rng.choice([1, 2, 4, 5, 7, 8]) * p**s
+    return a
+
+
+def _int_operator(a, p=3):
+    return FiniteMatrix(p, {(i, j): Padic.from_int(v, p)
+                            for i, row in enumerate(a) for j, v in enumerate(row) if v})
+
+
+def _residues(op, n, depth, p=3):
+    """Entries of op mod p^depth as ints, read from the stored digits."""
+    nf = normalize(op)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            x = nf.entry(i, j)
+            if x.is_zero:
+                assert x.precision is None or x.precision >= depth
+                row.append(0)
+            else:
+                assert x.valuation >= 0 and x.valuation + x.precision >= depth
+                row.append(x.unit * p**x.valuation % p**depth)
+        out.append(row)
+    return out
+
+
+def test_refine_matches_integer_horner_oracle():
+    """P_64(a) mod 3^40 by Horner in plain ints is the idempotent near a
+    mod 3^40, since (a^2 - a)^64 divides P_64(a) - e."""
+    p, mod, depth = 3, 3**40, 30
+    coeffs = refinement_polynomial(64).coeffs
+    rng = random.Random(2024)
+    cases = [(5, s) for s in (1, 2, 3) for _ in range(6)] + [(8, s) for s in (1, 2, 3) for _ in range(4)]
+    for n, s in cases:
+        a = _near_idempotent(rng, n, s, p)
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        oracle = [[coeffs[-1] * v for v in row] for row in ident]
+        for c in reversed(coeffs[:-1]):
+            oracle = _int_matmul(oracle, a)
+            oracle = [[(v + c * ident[i][j]) % mod for j, v in enumerate(row)]
+                      for i, row in enumerate(oracle)]
+        e = _residues(idempotent_refine(_int_operator(a, p), depth), n, depth, p)
+        assert e == [[v % p**depth for v in row] for row in oracle], (n, s)
+        assert _int_matmul(e, a, p**depth) == _int_matmul(a, e, p**depth), (n, s)
+
+
+def test_refine_operator_products(monkeypatch):
+    """Iterating 3e^2 - 2e^3 takes two products a step; evaluating
+    P_1, P_2, ..., P_64 from scratch by Horner took 122 here."""
+    calls = []
+    original = NormalForm.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    a = _int_operator(_near_idempotent(random.Random(7), 5, 3))
+    monkeypatch.setattr(NormalForm, "mul", counted)
+    e = idempotent_refine(a)
+    monkeypatch.undo()
+    assert op_agree(Product([e, e]), e, 30)
+    assert len(calls) <= 16
+
+
+def _fraction_inverse(m):
+    n = len(m)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _vp_fraction(q, p):
+    if q == 0:
+        return None
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+@pytest.mark.parametrize("target", [1, 16, 30, 32])
+def test_newton_schulz_inverse_at_the_contraction_edge(target):
+    """||1 - u|| = p^-1 is the largest norm the equivalence allows and
+    the slowest start for the residual, which squares at each step."""
+    p, n = 3, 4
+    rng = random.Random(target)
+    m = [[rng.randrange(p**3) for _ in range(n)] for _ in range(n)]
+    m[0][0] = 1
+    w = normalize(_int_operator([[p * v for v in row] for row in m], p))
+    assert w.norm() == ValuationBound(1)
+    u = NormalForm.constant(p, Padic.one(p)).sub(w)
+    x, residual = _newton_schulz_inverse(u, target)
+    assert residual.vanishes_to(target)
+    exact_u = [[Fraction(int(i == j) - p * m[i][j]) for j in range(n)] for i in range(n)]
+    exact_inv = _fraction_inverse(exact_u)
+    x_mat = [[Fraction(v) for v in row] for row in _residues(x.to_operator(), n, target, p)]
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for prod in (_int_matmul(exact_u, x_mat), _int_matmul(x_mat, exact_u)):
+        for i in range(n):
+            for j in range(n):
+                v = _vp_fraction(prod[i][j] - ident[i][j], p)
+                assert v is None or v >= target
+    for i in range(n):
+        for j in range(n):
+            v = _vp_fraction(x_mat[i][j] - exact_inv[i][j], p)
+            assert v is None or v >= target
 
 
 # -- equivalence -----------------------------------------------------------

@@ -151,17 +151,16 @@ def zero_indicator_polynomial(prime: int, precision: int = DEFAULT_PRECISION) ->
 
 
 def teichmuller_idempotent(a: Operator, cert: ContractionCertificate,
-                           target: int = 30, budget: int | None = None,
+                           target: int = 30, budget: int = 40,
                            ) -> tuple[Operator, list[list]]:
     """Limit of P(A^{p^k}) where P is the zero-indicator polynomial.
 
-    Iterates until two successive values agree below p^(-target) and the
-    result is idempotent to the same depth.  Returns the idempotent and
-    a per-iteration trace [k, difference norm exponent].
+    Iterates, at most ``budget`` times, until two successive values agree
+    below p^(-target) and the result is idempotent to the same depth.
+    Returns the idempotent and a per-iteration trace [k, difference norm
+    exponent].
     """
     p = a.prime
-    if budget is None:
-        budget = DEFAULT_PRECISION
     if not cert.covers(1):
         raise PreconditionFailed("a contraction certificate is required")
     poly = zero_indicator_polynomial(p)

@@ -15,7 +15,7 @@ from typing import Any
 
 from .calculus import (binomial_series, certify_normal_contraction,
                        functional_calculus, teichmuller_idempotent)
-from .config import ExperimentConfig, load_config
+from .config import load_config
 from .errors import (CertificationFailed, DependentBasis, DivisionByZero,
                      NoConvergence, NonIntegral, ParseError,
                      PrecisionExhausted, PreconditionFailed, SearchExhausted,
@@ -68,7 +68,7 @@ def _emit(obj: Any) -> None:
 # -- mahler --------------------------------------------------------------
 
 
-def _cmd_mahler_expand(args, cfg: ExperimentConfig) -> int:
+def _cmd_mahler_expand(args) -> int:
     obj = _read_json(args.infile)
     p, prec, tail = file_header(obj)
     samples = [scalar_from_text(t, p, prec) for t in obj.get("samples", [])]
@@ -78,7 +78,7 @@ def _cmd_mahler_expand(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_mahler_eval(args, cfg: ExperimentConfig) -> int:
+def _cmd_mahler_eval(args) -> int:
     obj = _read_json(args.infile)
     p, prec, _ = file_header(obj)
     fn = mahler_from_obj(obj)
@@ -90,22 +90,36 @@ def _cmd_mahler_eval(args, cfg: ExperimentConfig) -> int:
 # -- calculus ------------------------------------------------------------
 
 
-def _read_operator(path: str):
+def _read_operator(path: str, target: int | None = None):
+    """The operator in a file and the file's precision, which must
+    cover the target of a certified check when one is given."""
     obj = _read_json(path)
-    p, prec, _ = file_header(obj)
-    return operator_from_obj(obj), p, prec
+    _, prec, _ = file_header(obj)
+    if target is not None and prec < target:
+        raise ParseError(f"{path}: precision {prec} is below the target valuation {target}")
+    return operator_from_obj(obj), prec
 
 
-def _cmd_calculus_certify(args, cfg: ExperimentConfig) -> int:
-    a, _, _ = _read_operator(args.infile)
+def _target(args) -> int:
+    """--target, else the config file's target_valuation, else the default."""
+    return load_config(args.config, target_valuation=args.target).target_valuation
+
+
+def _budget(args) -> dict[str, int]:
+    """--budget as a keyword argument; without it the library default holds."""
+    return {} if args.budget is None else {"budget": args.budget}
+
+
+def _cmd_calculus_certify(args) -> int:
+    a, _ = _read_operator(args.infile)
     cert = certify_normal_contraction(a, args.depth)
     rows = [[n, exponent_str(bound)] for n, bound in cert.checked]
     sys.stdout.write(tsv_table(["n", "norm_exponent"], rows))
     return 0
 
 
-def _cmd_calculus_apply(args, cfg: ExperimentConfig) -> int:
-    a, p, prec = _read_operator(args.infile)
+def _cmd_calculus_apply(args) -> int:
+    a, prec = _read_operator(args.infile)
     fn = mahler_from_obj(_read_json(args.fn))
     depth = args.depth if args.depth is not None else len(fn.coefficients)
     cert = certify_normal_contraction(a, depth)
@@ -115,12 +129,11 @@ def _cmd_calculus_apply(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_calculus_teich(args, cfg: ExperimentConfig) -> int:
-    a, p, prec = _read_operator(args.infile)
+def _cmd_calculus_teich(args) -> int:
+    target = _target(args)
+    a, prec = _read_operator(args.infile, target)
     cert = certify_normal_contraction(a, args.depth)
-    target = cfg.target_valuation
-    budget = args.budget if args.budget is not None else cfg.budget("teich")
-    e, trace = teichmuller_idempotent(a, cert, target=target, budget=budget)
+    e, trace = teichmuller_idempotent(a, cert, target=target, **_budget(args))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(tsv_table(["k", "gap_exponent"], trace))
@@ -128,12 +141,11 @@ def _cmd_calculus_teich(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_calculus_fz(args, cfg: ExperimentConfig) -> int:
-    a, p, prec = _read_operator(args.infile)
-    z = scalar_from_text(args.z, p, prec)
-    depth = args.depth if args.depth is not None else cfg.budget("series_depth")
-    cert = certify_normal_contraction(a, depth)
-    result, error = binomial_series(a, z, cert, depth)
+def _cmd_calculus_fz(args) -> int:
+    a, prec = _read_operator(args.infile)
+    z = scalar_from_text(args.z, a.prime, prec)
+    cert = certify_normal_contraction(a, args.depth)
+    result, error = binomial_series(a, z, cert, args.depth)
     _emit({"result": operator_to_obj(result, prec),
            "error_exponent": exponent_str(error)})
     return 0
@@ -142,54 +154,52 @@ def _cmd_calculus_fz(args, cfg: ExperimentConfig) -> int:
 # -- idempotents ---------------------------------------------------------
 
 
-def _cmd_idem_refine(args, cfg: ExperimentConfig) -> int:
-    a, p, prec = _read_operator(args.infile)
-    target = cfg.target_valuation
-    budget = args.budget if args.budget is not None else cfg.budget("refine")
-    e = idempotent_refine(a, target, budget)
+def _cmd_idem_refine(args) -> int:
+    target = _target(args)
+    a, prec = _read_operator(args.infile, target)
+    e = idempotent_refine(a, target, **_budget(args))
     distance = op_norm(a - e)
     _emit({"e": operator_to_obj(e, prec),
            "distance_exponent": exponent_str(distance)})
     return 0
 
 
-def _cmd_idem_equiv(args, cfg: ExperimentConfig) -> int:
-    e, p, prec = _read_operator(args.infile)
-    f, _, _ = _read_operator(args.in2)
-    target = cfg.target_valuation
+def _cmd_idem_equiv(args) -> int:
+    target = _target(args)
+    e, prec = _read_operator(args.infile, target)
+    f, _ = _read_operator(args.in2, target)
     witness = idempotent_equivalence(e, f, target)
     _emit({"u": operator_to_obj(witness.u, prec),
            "u_inv": operator_to_obj(witness.u_inv, prec)})
     return 0
 
 
-def _cmd_idem_split(args, cfg: ExperimentConfig) -> int:
-    e, p, prec = _read_operator(args.infile)
-    target = cfg.target_valuation
+def _cmd_idem_split(args) -> int:
+    target = _target(args)
+    e, prec = _read_operator(args.infile, target)
     split = idempotent_split(e, target)
     _emit({"f": operator_to_obj(split.f, prec),
            "g": operator_to_obj(split.g, prec)})
     return 0
 
 
-def _cmd_idem_lift(args, cfg: ExperimentConfig) -> int:
-    a, p, prec = _read_operator(args.infile)
-    target = cfg.target_valuation
-    budget = args.budget if args.budget is not None else cfg.budget("lift")
-    e = idempotent_lift(a, target=target, budget=budget)
+def _cmd_idem_lift(args) -> int:
+    target = _target(args)
+    a, prec = _read_operator(args.infile, target)
+    e = idempotent_lift(a, target=target, **_budget(args))
     _emit({"e": operator_to_obj(e, prec)})
     return 0
 
 
-def _cmd_idem_trivialize(args, cfg: ExperimentConfig) -> int:
-    e, p, prec = _read_operator(args.infile)
-    target = cfg.target_valuation
+def _cmd_idem_trivialize(args) -> int:
+    target = _target(args)
+    e, _ = _read_operator(args.infile, target)
     _emit(k0_trivialize(e, target, args.prefix))
     return 0
 
 
-def _cmd_idem_sumring(args, cfg: ExperimentConfig) -> int:
-    a, p, prec = _read_operator(args.infile)
+def _cmd_idem_sumring(args) -> int:
+    a, prec = _read_operator(args.infile)
     spread = infinite_sum(a, args.depth)
     _emit(operator_to_obj(spread, prec))
     return 0
@@ -208,15 +218,15 @@ def _finite_dim(a) -> int:
     return max(top, 1)
 
 
-def _cmd_scale_finite(args, cfg: ExperimentConfig) -> int:
-    a, p, prec = _read_operator(args.infile)
+def _cmd_scale_finite(args) -> int:
+    a, _ = _read_operator(args.infile)
     dim = args.dim if args.dim is not None else _finite_dim(a)
     print(willis_scale_finite(truncate(a, dim), dim))
     return 0
 
 
-def _cmd_scale_probe(args, cfg: ExperimentConfig) -> int:
-    a, p, prec = _read_operator(args.infile)
+def _cmd_scale_probe(args) -> int:
+    a, _ = _read_operator(args.infile)
     try:
         bounds = [int(part) for part in args.bounds.split(",") if part]
     except ValueError as exc:
@@ -229,7 +239,9 @@ def _cmd_scale_probe(args, cfg: ExperimentConfig) -> int:
 # -- verify --------------------------------------------------------------
 
 
-def _cmd_verify_all(args, cfg: ExperimentConfig) -> int:
+def _cmd_verify_all(args) -> int:
+    cfg = load_config(args.config, prime=args.p, precision=args.precision,
+                      target_valuation=args.target, seed=args.seed)
     results = run_all(cfg)
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} criteria passed")
@@ -240,89 +252,79 @@ def _cmd_verify_all(args, cfg: ExperimentConfig) -> int:
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--p", type=int, default=None, help="prime")
-    common.add_argument("--precision", type=int, default=None)
-    common.add_argument("--target", type=int, default=None,
-                        help="target valuation for certified checks")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--config", default=None, help="JSON config file")
+    # Input files declare their own p and precision, so only the leaves
+    # that make certified checks take a target, and only verify all
+    # takes p, precision and seed.
+    reads_file = _Parser(add_help=False)
+    reads_file.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    targeted = _Parser(add_help=False)
+    targeted.add_argument("--target", type=int, default=None,
+                          help="target valuation for certified checks")
+    targeted.add_argument("--config", default=None, help="JSON config file")
+    certifies = [reads_file, targeted]
 
     parser = _Parser(prog="padicops")
     groups = parser.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name, handler, options=None):
-        sub = group.add_parser(name, parents=[common])
+    def leaf(group, name, handler, parents, options=None):
+        # no abbreviations: --p must not silently mean trivialize's --prefix
+        sub = group.add_parser(name, parents=parents, allow_abbrev=False)
         sub.set_defaults(handler=handler)
         for flag, kwargs in (options or {}).items():
             sub.add_argument(flag, **kwargs)
         return sub
 
     mahler = groups.add_parser("mahler").add_subparsers(dest="action", required=True)
-    leaf(mahler, "expand", _cmd_mahler_expand,
-         {"--in": dict(dest="infile", required=True, metavar="FILE")})
-    leaf(mahler, "eval", _cmd_mahler_eval,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--x": dict(required=True, help="scalar text, e.g. 3^0*12")})
+    leaf(mahler, "expand", _cmd_mahler_expand, [reads_file])
+    leaf(mahler, "eval", _cmd_mahler_eval, [reads_file],
+         {"--x": dict(required=True, help="scalar text, e.g. 3^0*12")})
 
     calculus = groups.add_parser("calculus").add_subparsers(dest="action", required=True)
-    leaf(calculus, "certify", _cmd_calculus_certify,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--depth": dict(type=int, required=True)})
-    leaf(calculus, "apply", _cmd_calculus_apply,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--fn": dict(required=True, metavar="FILE"),
+    leaf(calculus, "certify", _cmd_calculus_certify, [reads_file],
+         {"--depth": dict(type=int, required=True)})
+    leaf(calculus, "apply", _cmd_calculus_apply, [reads_file],
+         {"--fn": dict(required=True, metavar="FILE"),
             "--depth": dict(type=int, default=None)})
-    leaf(calculus, "teich-idem", _cmd_calculus_teich,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--depth": dict(type=int, default=1),
+    leaf(calculus, "teich-idem", _cmd_calculus_teich, certifies,
+         {"--depth": dict(type=int, default=1),
             "--budget": dict(type=int, default=None),
             "--trace": dict(default=None, metavar="FILE", help="write TSV trace")})
-    leaf(calculus, "fz", _cmd_calculus_fz,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--z": dict(required=True, help="scalar text for the base point"),
-            "--depth": dict(type=int, default=None)})
+    leaf(calculus, "fz", _cmd_calculus_fz, [reads_file],
+         {"--z": dict(required=True, help="scalar text for the base point"),
+            "--depth": dict(type=int, default=12)})
 
     idem = groups.add_parser("idem").add_subparsers(dest="action", required=True)
-    leaf(idem, "refine", _cmd_idem_refine,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--budget": dict(type=int, default=None)})
-    leaf(idem, "equiv", _cmd_idem_equiv,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--in2": dict(dest="in2", required=True, metavar="FILE")})
-    leaf(idem, "split", _cmd_idem_split,
-         {"--in": dict(dest="infile", required=True, metavar="FILE")})
-    leaf(idem, "lift", _cmd_idem_lift,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--budget": dict(type=int, default=None)})
-    leaf(idem, "trivialize", _cmd_idem_trivialize,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--prefix": dict(type=int, default=16)})
-    leaf(idem, "sumring", _cmd_idem_sumring,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--depth": dict(type=int, required=True)})
+    leaf(idem, "refine", _cmd_idem_refine, certifies,
+         {"--budget": dict(type=int, default=None)})
+    leaf(idem, "equiv", _cmd_idem_equiv, certifies,
+         {"--in2": dict(dest="in2", required=True, metavar="FILE")})
+    leaf(idem, "split", _cmd_idem_split, certifies)
+    leaf(idem, "lift", _cmd_idem_lift, certifies,
+         {"--budget": dict(type=int, default=None)})
+    leaf(idem, "trivialize", _cmd_idem_trivialize, certifies,
+         {"--prefix": dict(type=int, default=16)})
+    leaf(idem, "sumring", _cmd_idem_sumring, [reads_file],
+         {"--depth": dict(type=int, required=True)})
 
     scale = groups.add_parser("scale").add_subparsers(dest="action", required=True)
-    leaf(scale, "finite", _cmd_scale_finite,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--dim": dict(type=int, default=None)})
-    leaf(scale, "probe", _cmd_scale_probe,
-         {"--in": dict(dest="infile", required=True, metavar="FILE"),
-            "--bounds": dict(required=True, help="comma-separated sizes")})
+    leaf(scale, "finite", _cmd_scale_finite, [reads_file],
+         {"--dim": dict(type=int, default=None)})
+    leaf(scale, "probe", _cmd_scale_probe, [reads_file],
+         {"--bounds": dict(required=True, help="comma-separated sizes")})
 
     verify = groups.add_parser("verify").add_subparsers(dest="action", required=True)
-    leaf(verify, "all", _cmd_verify_all)
+    leaf(verify, "all", _cmd_verify_all, [targeted],
+         {"--p": dict(type=int, default=None, help="prime"),
+            "--precision": dict(type=int, default=None),
+            "--seed": dict(type=int, default=None)})
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = load_config(args.config, prime=args.p, precision=args.precision,
-                          target_valuation=args.target, seed=args.seed)
-        return args.handler(args, cfg)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except ParseError as exc:
         _report(exc)
         return 4

@@ -1,6 +1,6 @@
 """Experiment configuration shared by the CLI and the acceptance suite.
 
-Precedence: explicit flags, then the JSON file named by
+Precedence: explicit flags, then the JSON file named by --config or
 PADIC_OPALG_CONFIG, then the defaults below.
 """
 
@@ -8,19 +8,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ParseError
 
 ENV_VAR = "PADIC_OPALG_CONFIG"
-
-DEFAULT_BUDGETS = {
-    "refine": 8,
-    "lift": 64,
-    "teich": 40,
-    "series_depth": 12,
-}
 
 
 # Miller-Rabin with the thirteen prime bases 2..41 decides primality
@@ -40,6 +33,12 @@ def require_prime(n: int) -> None:
                          f"{_MILLER_RABIN_EXACT_BELOW}")
     if not _is_prime(n):
         raise ParseError(f"{n} is not prime")
+
+
+def require_int(name: str, value) -> None:
+    """Raise ParseError unless value is an int; a bool is refused too."""
+    if type(value) is not int:
+        raise ParseError(f"{name} must be an integer, not {value!r}")
 
 
 def _is_prime(n: int) -> bool:
@@ -69,18 +68,16 @@ class ExperimentConfig:
     prime: int = 3
     precision: int = 40
     target_valuation: int = 30
-    budgets: dict = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            require_int(f.name, getattr(self, f.name))
         require_prime(self.prime)
         if self.precision < 8:
             raise ParseError("precision must be at least 8")
         if self.precision < self.target_valuation:
             raise ParseError("precision must cover the target valuation")
-
-    def budget(self, name: str) -> int:
-        return self.budgets.get(name, DEFAULT_BUDGETS[name])
 
 
 def load_config(path: str | None = None, **overrides) -> ExperimentConfig:
@@ -98,8 +95,7 @@ def load_config(path: str | None = None, **overrides) -> ExperimentConfig:
             raise ParseError(f"config file {path}: expected a JSON object")
         data.update(raw)
     data.update({k: v for k, v in overrides.items() if v is not None})
-    known = {"prime", "precision", "target_valuation", "budgets", "seed"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ParseError(f"unknown config keys: {sorted(unknown)}")
     return ExperimentConfig(**data)

@@ -13,7 +13,7 @@ import json
 import re
 from typing import Any
 
-from .config import require_prime
+from .config import require_int, require_prime
 from .errors import ParseError
 from .scalars import DEFAULT_PRECISION, Padic
 
@@ -153,13 +153,11 @@ def file_header(obj: Any) -> tuple[int, int, int | None]:
     """The p, precision and optional tail_exponent fields of an input file."""
     if not isinstance(obj, dict):
         raise ParseError("input file must hold a JSON object")
-    try:
-        prime = int(obj["p"])
-        precision = int(obj["precision"])
-        tail = obj.get("tail_exponent")
-        tail = None if tail is None else int(tail)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed p/precision/tail_exponent header: {exc}") from exc
+    prime, precision, tail = obj.get("p"), obj.get("precision"), obj.get("tail_exponent")
+    require_int("header p", prime)
+    require_int("header precision", precision)
+    if tail is not None:
+        require_int("header tail_exponent", tail)
     if precision <= 0:
         raise ParseError("precision must be positive")
     require_prime(prime)

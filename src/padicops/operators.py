@@ -41,9 +41,10 @@ class _Tail:
     def coeff_at(self, j: int) -> Padic:
         return self.coeff.get(j, self.default)
 
-    def scale(self, c: Padic) -> "_Tail":
-        return _Tail(self.dest, self.inv, {j: v * c for j, v in self.coeff.items()},
-                     self.default * c, self.infinite_domain)
+    def map(self, f: Callable[[Padic], Padic]) -> "_Tail":
+        """The same index map with f applied to every coefficient."""
+        return _Tail(self.dest, self.inv, {j: f(v) for j, v in self.coeff.items()},
+                     f(self.default), self.infinite_domain)
 
     def preimage(self, i: int) -> int | None:
         if self.inv is None:
@@ -86,7 +87,8 @@ def _compose_tails(a: _Tail, b: _Tail) -> _Tail:
     return _Tail(dest, inv, overrides, a.default * b.default, False)
 
 
-def _insert(head: dict, key: tuple[int, int], value: Padic) -> None:
+def _insert(head: dict, key, value: Padic) -> None:
+    """Add value at key, dropping the entry when the sum is zero."""
     if key in head:
         value = head[key] + value
     if value.is_zero:
@@ -123,18 +125,18 @@ class NormalForm:
             if jj == j:
                 out[i] = v
         if not self.shift.is_zero:
-            _merge(out, j, self.shift)
+            _insert(out, j, self.shift)
         if self.tail is not None:
             d = self.tail.dest(j)
             if d is not None:
-                _merge(out, d, self.tail.coeff_at(j))
+                _insert(out, d, self.tail.coeff_at(j))
         return PadicVector(self.prime, out)
 
     def apply(self, vec: PadicVector) -> PadicVector:
         acc: dict[int, Padic] = {}
         for j, x in vec.entries.items():
             for i, v in self.column(j).entries.items():
-                _merge(acc, i, v * x)
+                _insert(acc, i, v * x)
         return PadicVector(self.prime, acc)
 
     # algebra ----------------------------------------------------------
@@ -149,7 +151,13 @@ class NormalForm:
                           self.tail or other.tail, head)
 
     def sub(self, other: "NormalForm") -> "NormalForm":
-        return self.add(other.scale(Padic.from_int(-1, self.prime)))
+        if self.tail is not None and other.tail is not None:
+            raise StructureError("difference of two structured tails has no normal form")
+        head = dict(self.head)
+        for key, v in other.head.items():
+            _insert(head, key, -v)
+        tail = other.tail.map(Padic.__neg__) if other.tail is not None else None
+        return NormalForm(self.prime, self.shift - other.shift, self.tail or tail, head)
 
     def scale(self, c: Padic) -> "NormalForm":
         if c.is_zero:
@@ -157,7 +165,7 @@ class NormalForm:
         head = {}
         for key, v in self.head.items():
             _insert(head, key, v * c)
-        tail = self.tail.scale(c) if self.tail is not None else None
+        tail = self.tail.map(lambda v: v * c) if self.tail is not None else None
         return NormalForm(self.prime, self.shift * c, tail, head)
 
     def mul(self, other: "NormalForm") -> "NormalForm":
@@ -169,9 +177,9 @@ class NormalForm:
                 raise StructureError("product of two shifted tailed forms has no normal form")
             tail = _compose_tails(a.tail, b.tail)
         elif b.tail is not None and not a.shift.is_zero:
-            tail = b.tail.scale(a.shift)
+            tail = b.tail.map(lambda v: v * a.shift)
         elif a.tail is not None and not b.shift.is_zero:
-            tail = a.tail.scale(b.shift)
+            tail = a.tail.map(lambda v: v * b.shift)
         head: dict[tuple[int, int], Padic] = {}
         acols: dict[int, list[tuple[int, Padic]]] = {}
         for (i, k), v in a.head.items():
@@ -224,11 +232,7 @@ class NormalForm:
         head = {}
         for key, v in self.head.items():
             _insert(head, key, v / c)
-        tail = None
-        if self.tail is not None:
-            tail = _Tail(self.tail.dest, self.tail.inv,
-                         {j: v / c for j, v in self.tail.coeff.items()},
-                         self.tail.default / c, self.tail.infinite_domain)
+        tail = self.tail.map(lambda v: v / c) if self.tail is not None else None
         return NormalForm(self.prime, self.shift / c, tail, head)
 
     # exact queries ------------------------------------------------------
@@ -295,14 +299,6 @@ class NormalForm:
                     positions.add((dd, j))
         return all(self.entry(i, j).vanishes_to(depth) for i, j in positions)
 
-    def truncate_entries(self, size: int) -> dict[tuple[int, int], Padic]:
-        out: dict[tuple[int, int], Padic] = {}
-        for j in range(size):
-            for i, v in self.column(j).entries.items():
-                if i < size:
-                    out[(i, j)] = v
-        return out
-
     def to_operator(self) -> "Operator":
         if self.tail is not None:
             raise StructureError("callable-backed tails have no closed public form")
@@ -313,15 +309,6 @@ class NormalForm:
             return Diagonal(self.prime, entries, self.shift)
         return Sum([FiniteMatrix(self.prime, dict(self.head)),
                     Diagonal(self.prime, {}, self.shift)])
-
-
-def _merge(acc: dict[int, Padic], i: int, v: Padic) -> None:
-    if i in acc:
-        v = acc[i] + v
-    if v.is_zero:
-        acc.pop(i, None)
-    else:
-        acc[i] = v
 
 
 # -- public expression classes -----------------------------------------

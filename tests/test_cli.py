@@ -43,11 +43,46 @@ def test_scale_finite_prints_plain_exponent(capsys, opfile):
     assert out == "p^1\n"
 
 
+def near_idempotent(precision):
+    """Diagonal(3, {0: 1 + 3^3, 1: 3^3}) at the given precision."""
+    return Diagonal(3, {0: Padic.from_int(28, 3, precision),
+                        1: Padic.from_int(27, 3, precision)})
+
+
+# every leaf that takes an input file, with its required flags
+FILE_LEAVES = {
+    ("mahler", "expand"): (), ("mahler", "eval"): ("--x", "0"),
+    ("calculus", "certify"): ("--depth", "1"), ("calculus", "apply"): ("--fn", "f.json"),
+    ("calculus", "teich-idem"): (), ("calculus", "fz"): ("--z", "0"),
+    ("idem", "refine"): (), ("idem", "equiv"): ("--in2", "f.json"),
+    ("idem", "split"): (), ("idem", "lift"): (), ("idem", "trivialize"): (),
+    ("idem", "sumring"): ("--depth", "1"),
+    ("scale", "finite"): (), ("scale", "probe"): ("--bounds", "1"),
+}
+TARGET_LEAVES = {("calculus", "teich-idem"), ("idem", "refine"), ("idem", "equiv"),
+                 ("idem", "split"), ("idem", "lift"), ("idem", "trivialize")}
+
+
 def test_scale_finite_global_flags_after_action(capsys, opfile):
-    path = opfile(FiniteMatrix(3, {(0, 0): Padic.one(3)}))
-    code, out, _ = run(capsys, "scale", "finite", "--in", path,
-                       "--p", "3", "--precision", "40")
-    assert code == 0 and out == "p^0\n"
+    # --target given after the action reaches the leaf: the default target
+    # 30 is beyond this precision-20 file, target 20 is not
+    path = opfile(near_idempotent(20), 20)
+    code, _, err = run(capsys, "idem", "refine", "--in", path)
+    assert code == 4 and json.loads(err)["error"] == "ParseError"
+    code, out, _ = run(capsys, "idem", "refine", "--in", path, "--target", "20")
+    assert code == 0
+    assert op_agree(operator_from_obj(json.loads(out)["e"]),
+                    FiniteMatrix(3, {(0, 0): Padic.one(3)}), 20)
+    # input files declare p and precision, so no file leaf takes them,
+    # and only the leaves that certify to a target take --target/--config
+    for leaf, required in FILE_LEAVES.items():
+        refused = ["--p", "--precision", "--seed"]
+        if leaf not in TARGET_LEAVES:
+            refused += ["--target", "--config"]
+        for flag in refused:
+            code, _, err = run(capsys, *leaf, "--in", path, *required, flag, "3")
+            assert code == 4, (leaf, flag)
+            assert f"unrecognized arguments: {flag} 3" in json.loads(err)["message"]
 
 
 def test_scale_probe_tsv(capsys, opfile):
@@ -241,8 +276,9 @@ def test_parse_failures_exit_4(capsys, tmp_path, opfile):
     assert code == 4
     # malformed headers are parse errors, whichever leaf reads them
     header = tmp_path / "header.json"
-    for p in ("three", [3], None):
-        header.write_text(json.dumps({"p": p, "precision": 40, "kind": "identity"}))
+    for p, precision in (("three", 40), ([3], 40), (None, 40), (3.7, 40), (3.0, 40),
+                         (True, 40), (3, 40.9), (3, True), (3, "40")):
+        header.write_text(json.dumps({"p": p, "precision": precision, "kind": "identity"}))
         code, _, err = run(capsys, "scale", "finite", "--in", str(header))
         assert code == 4
         assert json.loads(err)["error"] == "ParseError"
@@ -253,28 +289,53 @@ def test_parse_failures_exit_4(capsys, tmp_path, opfile):
         code, _, err = run(capsys, "scale", "finite", "--in", str(header), "--dim", "1")
         assert code == 4
         assert json.loads(err)["error"] == "ParseError"
-    header.write_text(json.dumps({"p": 3, "precision": 40, "tail_exponent": "x",
-                                  "samples": ["0"], "coefficients": ["0"]}))
-    for argv in (("mahler", "eval", "--in", str(header), "--x", "0"),
-                 ("mahler", "expand", "--in", str(header))):
-        code, _, err = run(capsys, *argv)
-        assert code == 4
-        assert json.loads(err)["error"] == "ParseError"
+    for tail in ("x", 1.5, True):
+        header.write_text(json.dumps({"p": 3, "precision": 40, "tail_exponent": tail,
+                                      "samples": ["0"], "coefficients": ["0"]}))
+        for argv in (("mahler", "eval", "--in", str(header), "--x", "0"),
+                     ("mahler", "expand", "--in", str(header))):
+            code, _, err = run(capsys, *argv)
+            assert code == 4
+            assert json.loads(err)["error"] == "ParseError"
 
 
 def test_config_file_pickup(capsys, opfile, tmp_path, monkeypatch):
     badcfg = tmp_path / "cfg.json"
-    badcfg.write_text(json.dumps({"prime": 4}))
-    path = opfile(Identity(3))
-    code, _, err = run(capsys, "scale", "probe", "--in", path, "--bounds", "1",
-                       "--config", str(badcfg))
-    assert code == 4
+    path = opfile(near_idempotent(40))
+    # a composite prime, and values of the wrong type, are parse errors
+    for bad in ({"prime": 4}, {"prime": "3"}, {"precision": "40"}):
+        badcfg.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "idem", "refine", "--in", path, "--config", str(badcfg))
+        assert code == 4
+        assert json.loads(err)["error"] == "ParseError"
     monkeypatch.setenv(ENV_VAR, str(badcfg))
-    code, _, _ = run(capsys, "scale", "probe", "--in", path, "--bounds", "1")
+    code, _, _ = run(capsys, "idem", "refine", "--in", path)
     assert code == 4
     monkeypatch.delenv(ENV_VAR)
-    code, _, _ = run(capsys, "scale", "probe", "--in", path, "--bounds", "1")
+    code, _, _ = run(capsys, "idem", "refine", "--in", path)
     assert code == 0
+    # the config file's target reaches the leaf
+    goodcfg = tmp_path / "target.json"
+    goodcfg.write_text(json.dumps({"precision": 60, "target_valuation": 50}))
+    code, _, err = run(capsys, "idem", "refine", "--in", path, "--config", str(goodcfg))
+    assert code == 4
+    assert "below the target valuation 50" in json.loads(err)["message"]
+
+
+def test_file_precision_must_cover_the_target(capsys, opfile):
+    # a precision-20 file cannot back a certificate at the default target 30
+    low = opfile(near_idempotent(20), 20)
+    e = opfile(FiniteMatrix(3, {(0, 0): Padic.one(3)}))
+    for argv in (("idem", "refine", "--in", low),
+                 ("idem", "lift", "--in", low),
+                 ("idem", "split", "--in", low),
+                 ("idem", "trivialize", "--in", low),
+                 ("calculus", "teich-idem", "--in", low),
+                 ("idem", "equiv", "--in", low, "--in2", e),
+                 ("idem", "equiv", "--in", e, "--in2", low)):
+        code, _, err = run(capsys, *argv)
+        assert code == 4, argv
+        assert json.loads(err)["error"] == "ParseError"
 
 
 def test_module_invocation_smoke(tmp_path):

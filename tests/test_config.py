@@ -10,9 +10,7 @@ from padicops.io import file_header
 
 def test_defaults():
     cfg = load_config()
-    assert (cfg.prime, cfg.precision, cfg.target_valuation) == (3, 40, 30)
-    assert cfg.budget("refine") == 8
-    assert cfg.budget("lift") == 64
+    assert (cfg.prime, cfg.precision, cfg.target_valuation, cfg.seed) == (3, 40, 30, 0)
 
 
 def test_validation():
@@ -24,6 +22,11 @@ def test_validation():
         ExperimentConfig(precision=20, target_valuation=25)
     with pytest.raises(ParseError):
         load_config(prime=1)
+    # values must be ints: no strings, floats or bools
+    for bad in ({"prime": "3"}, {"precision": "40"}, {"precision": 40.0},
+                {"target_valuation": True}, {"seed": None}, {"prime": 3.0}):
+        with pytest.raises(ParseError):
+            ExperimentConfig(**bad)
 
 
 def test_file_and_flag_precedence(tmp_path, monkeypatch):
@@ -53,6 +56,15 @@ def test_file_errors(tmp_path, monkeypatch):
     unknown.write_text(json.dumps({"primes": 3}))
     with pytest.raises(ParseError):
         load_config(str(unknown))
+    # budgets are set by --budget alone, so the old key is unknown now
+    unknown.write_text(json.dumps({"budgets": {"refine": 8}}))
+    with pytest.raises(ParseError):
+        load_config(str(unknown))
+    mistyped = tmp_path / "mistyped.json"
+    for bad in ({"prime": "3"}, {"precision": "40"}, {"precision": False}):
+        mistyped.write_text(json.dumps(bad))
+        with pytest.raises(ParseError):
+            load_config(str(mistyped))
 
 
 def test_primality_matches_trial_division():

@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padicops.errors import ParseError
-from padicops.io import (exponent_str, mahler_from_obj, mahler_to_obj,
-                         operator_from_json, operator_to_json, scalar_from_text,
-                         scalar_to_text, tsv_table)
+from padicops.io import (exponent_str, file_header, mahler_from_obj,
+                         mahler_to_obj, operator_from_json, operator_to_json,
+                         scalar_from_text, scalar_to_text, tsv_table)
 from padicops.mahler import mahler_expand
 from padicops.operators import (Adjoint, Diagonal, FiniteMatrix, Identity,
                                 IndexMap, Product, ScalarMul, Sum, op_agree)
@@ -77,6 +77,20 @@ def test_operator_json_header_and_errors():
         operator_from_json(json.dumps({"p": 3, "precision": 40, "kind": "mystery"}))
     with pytest.raises(ParseError):
         operator_from_json(json.dumps({"p": 3, "precision": 40, "kind": "sum"}))
+
+
+def test_file_header_takes_only_json_integers():
+    assert file_header({"p": 3, "precision": 40}) == (3, 40, None)
+    assert file_header({"p": 3, "precision": 40, "tail_exponent": -2}) == (3, 40, -2)
+    for bad in ({"p": 3.7, "precision": 40}, {"p": 3, "precision": 40.9},
+                {"p": 3.0, "precision": 40}, {"p": 3, "precision": True},
+                {"p": True, "precision": 40}, {"p": "3", "precision": 40},
+                {"p": 3, "precision": "40"}, {"p": 3},
+                {"p": 3, "precision": 40, "tail_exponent": 1.5},
+                {"p": 3, "precision": 40, "tail_exponent": True},
+                {"p": 3, "precision": 40, "tail_exponent": "4"}):
+        with pytest.raises(ParseError):
+            file_header(bad)
 
 
 def test_callable_index_map_has_no_file_form():

@@ -221,6 +221,32 @@ def test_op_agree_depth_sensitivity():
     assert not op_agree(a, b, 36)
 
 
+def test_nf_sub_keeps_operand_precision():
+    # negation is exact, so precision-80 operands give a precision-80
+    # difference (a product with a precision-40 -1 once cut it to 40)
+    p, prec = 3, 80
+
+    def x(n):
+        return Padic.from_int(n, p, prec)
+
+    a = normalize(Diagonal(p, {0: x(5), 1: x(7)}, x(2)))
+    b = normalize(FiniteMatrix(p, {(0, 0): x(1), (0, 1): x(4)}))
+    tail = normalize(IndexMap(p, lambda j: j + 1, {0: x(2)}, x(-1),
+                              inv=lambda i: i - 1 if i > 0 else None,
+                              infinite_domain=True))
+    for d in (a.sub(b), b.sub(a), a.sub(tail), tail.sub(b)):
+        values = [d.shift, *d.head.values()]
+        if d.tail is not None:
+            values += [d.tail.default, *d.tail.coeff.values()]
+        assert all(v.absolute_precision == prec for v in values if not v.is_zero)
+    assert a.sub(b).entry(0, 1) == x(-4) and a.sub(b).entry(0, 0) == x(4)
+    assert tail.sub(b).entry(1, 0) == x(2) and tail.sub(b).entry(2, 1) == x(-1)
+    assert a.sub(tail).entry(1, 0) == x(-2) and a.sub(tail).shift == x(2)
+    assert a.sub(a).vanishes_to(prec) and not a.sub(b).vanishes_to(1)
+    with pytest.raises(StructureError):
+        tail.sub(tail)
+
+
 def test_nf_polynomial_matches_explicit_sum():
     p = 3
     a = weighted_shift_matrix(p, 4)

@@ -35,7 +35,8 @@ from .scale import (ScaleValue, determinant, scale_minor_probe,
                     scale_transpose_check, willis_scale_finite)
 from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound,
                       binomial_padic, digit_sum, factorial_valuation,
-                      norm_max, teichmuller, vandermonde_coefficients)
+                      norm_max, precision_of, teichmuller,
+                      vandermonde_coefficients)
 from .vectors import PadicVector, PairingValue, fractional_part, pairing
 from .verify import CriterionResult, run_all
 

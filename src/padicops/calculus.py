@@ -19,7 +19,7 @@ from .operators import (Diagonal, Identity, NormalForm, Operator,
                         nf_polynomial, normalize)
 from .polynomials import PadicPolynomial
 from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound,
-                      factorial_valuation, teichmuller)
+                      factorial_valuation, precision_of, teichmuller)
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ class ContractionCertificate:
         return self.structural or n <= self.depth
 
 
-def _falling_step(nf_a: NormalForm, product: NormalForm, j: int) -> NormalForm:
-    """product * (A - j)."""
-    step = nf_a.add(NormalForm.constant(nf_a.prime, Padic.from_int(-j, nf_a.prime)))
+def _falling_step(nf_a: NormalForm, product: NormalForm, j: int, prec: int) -> NormalForm:
+    """product * (A - j), with j written at the working precision."""
+    step = nf_a.add(NormalForm.constant(nf_a.prime, Padic.from_int(-j, nf_a.prime, prec)))
     return product.mul(step)
 
 
@@ -47,10 +47,11 @@ def certify_normal_contraction(a: Operator, depth: int) -> ContractionCertificat
     structural = isinstance(a, Diagonal) and all(
         v.is_integral for v in a.entries.values())
     nf = normalize(a)
-    product = NormalForm.constant(a.prime, Padic.one(a.prime))
+    prec = precision_of(nf)
+    product = NormalForm.constant(a.prime, Padic.one(a.prime, prec))
     checked: list[tuple[int, ValuationBound]] = []
     for n in range(1, depth + 1):
-        product = _falling_step(nf, product, n - 1)
+        product = _falling_step(nf, product, n - 1, prec)
         achieved = product.norm()
         required = ValuationBound(factorial_valuation(n, a.prime))
         if achieved > required:
@@ -70,10 +71,11 @@ def binom_operator(a: Operator, n: int, cert: ContractionCertificate) -> Operato
 
 
 def _binom_nf(nf_a: NormalForm, n: int) -> NormalForm:
-    out = NormalForm.constant(nf_a.prime, Padic.one(nf_a.prime))
+    prec = precision_of(nf_a)
+    out = NormalForm.constant(nf_a.prime, Padic.one(nf_a.prime, prec))
     for j in range(n):
-        out = _falling_step(nf_a, out, j)
-        out = out.divide_entries(Padic.from_int(j + 1, nf_a.prime))
+        out = _falling_step(nf_a, out, j, prec)
+        out = out.divide_entries(Padic.from_int(j + 1, nf_a.prime, prec))
     return out
 
 
@@ -88,12 +90,13 @@ def functional_calculus(a: Operator, fn: MahlerFunction,
         raise PreconditionFailed(
             f"certificate depth {cert.depth} below series length {len(fn.coefficients)}")
     nf_a = normalize(a)
-    term = NormalForm.constant(a.prime, Padic.one(a.prime))
+    prec = precision_of(nf_a, fn)
+    term = NormalForm.constant(a.prime, Padic.one(a.prime, prec))
     acc = NormalForm.constant(a.prime, Padic.zero(a.prime))
     for n, t in enumerate(fn.coefficients):
         if n > 0:
-            term = _falling_step(nf_a, term, n - 1)
-            term = term.divide_entries(Padic.from_int(n, a.prime))
+            term = _falling_step(nf_a, term, n - 1, prec)
+            term = term.divide_entries(Padic.from_int(n, a.prime, prec))
         if not t.is_zero:
             acc = acc.add(term.scale(t))
     return acc.to_operator(), fn.tail_bound
@@ -112,15 +115,16 @@ def binomial_series(a: Operator, z: Padic, cert: ContractionCertificate,
     if not cert.covers(depth):
         raise PreconditionFailed(f"certificate depth {cert.depth} below requested depth {depth}")
     p = a.prime
-    shifted = a - Identity(p)
+    prec = precision_of(a, z)
+    shifted = a - Identity(p, prec)
     certify_normal_contraction(shifted, depth)
     nf = normalize(shifted)
-    term = NormalForm.constant(p, Padic.one(p))
+    term = NormalForm.constant(p, Padic.one(p, prec))
     acc = term
-    zpow = Padic.one(p)
+    zpow = Padic.one(p, prec)
     for n in range(1, depth + 1):
-        term = _falling_step(nf, term, n - 1)
-        term = term.divide_entries(Padic.from_int(n, p))
+        term = _falling_step(nf, term, n - 1, prec)
+        term = term.divide_entries(Padic.from_int(n, p, prec))
         zpow = zpow * z
         if zpow.is_zero:
             break
@@ -163,8 +167,8 @@ def teichmuller_idempotent(a: Operator, cert: ContractionCertificate,
     p = a.prime
     if not cert.covers(1):
         raise PreconditionFailed("a contraction certificate is required")
-    poly = zero_indicator_polynomial(p)
     b = normalize(a)
+    poly = zero_indicator_polynomial(p, precision_of(b))
     prev: NormalForm | None = None
     trace: list[list] = []
     for k in range(budget):

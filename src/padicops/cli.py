@@ -29,12 +29,12 @@ from .io import (exponent_str, file_header, mahler_from_obj, mahler_to_obj,
 from .mahler import mahler_eval, mahler_expand
 from .operators import normalize, op_norm, truncate
 from .scale import scale_minor_probe, willis_scale_finite
-from .scalars import ValuationBound
+from .scalars import ValuationBound, precision_of
 from .verify import run_all
 
 _PRECONDITION_ERRORS = (PreconditionFailed, CertificationFailed, NonIntegral,
                         DependentBasis, DivisionByZero, Undecidable,
-                        StructureError, ValueError)
+                        StructureError)
 _BUDGET_ERRORS = (NoConvergence, SearchExhausted, PrecisionExhausted)
 
 
@@ -74,7 +74,7 @@ def _cmd_mahler_expand(args) -> int:
     samples = [scalar_from_text(t, p, prec) for t in obj.get("samples", [])]
     bound = None if tail is None else ValuationBound(tail)
     fn = mahler_expand(samples, bound, prime=p)
-    _emit(mahler_to_obj(fn, p, prec))
+    _emit(mahler_to_obj(fn, p))
     return 0
 
 
@@ -91,13 +91,19 @@ def _cmd_mahler_eval(args) -> int:
 
 
 def _read_operator(path: str, target: int | None = None):
-    """The operator in a file and the file's precision, which must
-    cover the target of a certified check when one is given."""
+    """The operator in a file whose precision must cover the target of
+    a certified check when one is given."""
     obj = _read_json(path)
     _, prec, _ = file_header(obj)
     if target is not None and prec < target:
         raise ParseError(f"{path}: precision {prec} is below the target valuation {target}")
-    return operator_from_obj(obj), prec
+    return operator_from_obj(obj)
+
+
+def _same_prime(first, second) -> None:
+    """Raise ParseError unless two inputs share their prime."""
+    if first.prime != second.prime:
+        raise ParseError(f"inputs disagree on p: {first.prime} and {second.prime}")
 
 
 def _target(args) -> int:
@@ -111,7 +117,7 @@ def _budget(args) -> dict[str, int]:
 
 
 def _cmd_calculus_certify(args) -> int:
-    a, _ = _read_operator(args.infile)
+    a = _read_operator(args.infile)
     cert = certify_normal_contraction(a, args.depth)
     rows = [[n, exponent_str(bound)] for n, bound in cert.checked]
     sys.stdout.write(tsv_table(["n", "norm_exponent"], rows))
@@ -119,34 +125,35 @@ def _cmd_calculus_certify(args) -> int:
 
 
 def _cmd_calculus_apply(args) -> int:
-    a, prec = _read_operator(args.infile)
+    a = _read_operator(args.infile)
     fn = mahler_from_obj(_read_json(args.fn))
+    _same_prime(a, fn)
     depth = args.depth if args.depth is not None else len(fn.coefficients)
     cert = certify_normal_contraction(a, depth)
     result, error = functional_calculus(a, fn, cert)
-    _emit({"result": operator_to_obj(result, prec),
+    _emit({"result": operator_to_obj(result),
            "error_exponent": exponent_str(error)})
     return 0
 
 
 def _cmd_calculus_teich(args) -> int:
     target = _target(args)
-    a, prec = _read_operator(args.infile, target)
+    a = _read_operator(args.infile, target)
     cert = certify_normal_contraction(a, args.depth)
     e, trace = teichmuller_idempotent(a, cert, target=target, **_budget(args))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(tsv_table(["k", "gap_exponent"], trace))
-    _emit({"e": operator_to_obj(e, prec), "iterations": len(trace) + 1})
+    _emit({"e": operator_to_obj(e), "iterations": len(trace) + 1})
     return 0
 
 
 def _cmd_calculus_fz(args) -> int:
-    a, prec = _read_operator(args.infile)
-    z = scalar_from_text(args.z, a.prime, prec)
+    a = _read_operator(args.infile)
+    z = scalar_from_text(args.z, a.prime, precision_of(a))
     cert = certify_normal_contraction(a, args.depth)
     result, error = binomial_series(a, z, cert, args.depth)
-    _emit({"result": operator_to_obj(result, prec),
+    _emit({"result": operator_to_obj(result),
            "error_exponent": exponent_str(error)})
     return 0
 
@@ -156,52 +163,57 @@ def _cmd_calculus_fz(args) -> int:
 
 def _cmd_idem_refine(args) -> int:
     target = _target(args)
-    a, prec = _read_operator(args.infile, target)
+    a = _read_operator(args.infile, target)
     e = idempotent_refine(a, target, **_budget(args))
     distance = op_norm(a - e)
-    _emit({"e": operator_to_obj(e, prec),
+    _emit({"e": operator_to_obj(e),
            "distance_exponent": exponent_str(distance)})
     return 0
 
 
 def _cmd_idem_equiv(args) -> int:
     target = _target(args)
-    e, prec = _read_operator(args.infile, target)
-    f, _ = _read_operator(args.in2, target)
+    e = _read_operator(args.infile, target)
+    f = _read_operator(args.in2, target)
+    _same_prime(e, f)
     witness = idempotent_equivalence(e, f, target)
-    _emit({"u": operator_to_obj(witness.u, prec),
-           "u_inv": operator_to_obj(witness.u_inv, prec)})
+    _emit({"u": operator_to_obj(witness.u),
+           "u_inv": operator_to_obj(witness.u_inv)})
     return 0
 
 
 def _cmd_idem_split(args) -> int:
     target = _target(args)
-    e, prec = _read_operator(args.infile, target)
+    e = _read_operator(args.infile, target)
     split = idempotent_split(e, target)
-    _emit({"f": operator_to_obj(split.f, prec),
-           "g": operator_to_obj(split.g, prec)})
+    _emit({"f": operator_to_obj(split.f),
+           "g": operator_to_obj(split.g)})
     return 0
 
 
 def _cmd_idem_lift(args) -> int:
     target = _target(args)
-    a, prec = _read_operator(args.infile, target)
+    a = _read_operator(args.infile, target)
     e = idempotent_lift(a, target=target, **_budget(args))
-    _emit({"e": operator_to_obj(e, prec)})
+    _emit({"e": operator_to_obj(e)})
     return 0
 
 
 def _cmd_idem_trivialize(args) -> int:
     target = _target(args)
-    e, _ = _read_operator(args.infile, target)
+    if args.prefix < 1:
+        raise ParseError(f"--prefix must be at least 1, not {args.prefix}")
+    e = _read_operator(args.infile, target)
     _emit(k0_trivialize(e, target, args.prefix))
     return 0
 
 
 def _cmd_idem_sumring(args) -> int:
-    a, prec = _read_operator(args.infile)
+    if args.depth < 0:
+        raise ParseError(f"--depth must be at least 0, not {args.depth}")
+    a = _read_operator(args.infile)
     spread = infinite_sum(a, args.depth)
-    _emit(operator_to_obj(spread, prec))
+    _emit(operator_to_obj(spread))
     return 0
 
 
@@ -219,14 +231,14 @@ def _finite_dim(a) -> int:
 
 
 def _cmd_scale_finite(args) -> int:
-    a, _ = _read_operator(args.infile)
+    a = _read_operator(args.infile)
     dim = args.dim if args.dim is not None else _finite_dim(a)
     print(willis_scale_finite(truncate(a, dim), dim))
     return 0
 
 
 def _cmd_scale_probe(args) -> int:
-    a, _ = _read_operator(args.infile)
+    a = _read_operator(args.infile)
     try:
         bounds = [int(part) for part in args.bounds.split(",") if part]
     except ValueError as exc:
@@ -242,6 +254,9 @@ def _cmd_scale_probe(args) -> int:
 def _cmd_verify_all(args) -> int:
     cfg = load_config(args.config, prime=args.p, precision=args.precision,
                       target_valuation=args.target, seed=args.seed)
+    # its instances are built at cfg.precision and certified to the target
+    if cfg.precision < cfg.target_valuation:
+        raise ParseError("precision must cover the target valuation")
     results = run_all(cfg)
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} criteria passed")

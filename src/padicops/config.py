@@ -76,8 +76,6 @@ class ExperimentConfig:
         require_prime(self.prime)
         if self.precision < 8:
             raise ParseError("precision must be at least 8")
-        if self.precision < self.target_valuation:
-            raise ParseError("precision must cover the target valuation")
 
 
 def load_config(path: str | None = None, **overrides) -> ExperimentConfig:

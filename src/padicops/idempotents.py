@@ -21,7 +21,7 @@ from .operators import (FiniteMatrix, IndexMap, NormalForm, Operator,
                         Product, Sum, is_compact, normalize, op_apply,
                         op_norm)
 from .polynomials import IntPolynomial
-from .scalars import Padic, ValuationBound
+from .scalars import Padic, ValuationBound, precision_of
 from .vectors import PadicVector
 
 
@@ -79,7 +79,7 @@ def idempotent_refine(a: Operator, target: int = 30, budget: int = 8) -> Operato
         raise PreconditionFailed(
             f"defect norm exponent {exponent_str(gap)} must exceed "
             f"{limit.exponent} (norm of a: exponent {norm_a.exponent})")
-    two = Padic.from_int(2, p)
+    two = Padic.from_int(2, p, precision_of(nf))
     e = nf
     for _ in range(budget):
         step = defect.sub(defect.mul(e).scale(two))
@@ -129,9 +129,10 @@ def idempotent_equivalence(e: Operator, f: Operator,
     if not dist < ValuationBound(-norm_e.exponent):
         raise PreconditionFailed(
             f"distance exponent {exponent_str(dist)} must exceed {-norm_e.exponent}")
-    two = Padic.from_int(2, p)
+    prec = precision_of(nfe, nff)
+    two = Padic.from_int(2, p, prec)
     fe = nff.mul(nfe)
-    one = NormalForm.constant(p, Padic.one(p))
+    one = NormalForm.constant(p, Padic.one(p, prec))
     nfu = one.sub(nff).sub(nfe).add(fe.scale(two))
     if not one.sub(nfu).norm() < ValuationBound.one():
         raise PreconditionFailed("1 - u fails to be a contraction; inputs are not close enough")
@@ -149,7 +150,7 @@ def _newton_schulz_inverse(u: NormalForm, target: int) -> tuple[NormalForm, Norm
     """Right inverse x of u, for ||1 - u|| < 1, and its residual 1 - u x.
     x <- x + x(1 - u x) from x = 1 squares the residual at each step, so
     bit_length(target) steps reach p^(-target) unless precision runs out."""
-    one = NormalForm.constant(u.prime, Padic.one(u.prime))
+    one = NormalForm.constant(u.prime, Padic.one(u.prime, precision_of(u)))
     x, residual = one, one.sub(u)
     for _ in range(target.bit_length()):
         if residual.vanishes_to(target):
@@ -425,10 +426,11 @@ def _relation_checks(gens: SumRingGenerators, prefix: int) -> dict[str, bool]:
 
 def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
                         prefix: int, depth: int, target: int) -> bool:
+    prec = precision_of(g)
     for x in range(prefix):
         if gens.scheme.block_of(x) >= depth:
             continue
-        delta = PadicVector.basis(g.prime, x)
+        delta = PadicVector.basis(g.prime, x, prec)
         lhs = (op_apply(gens.all_to_first, op_apply(g, op_apply(gens.first_to_all, delta)))
                + op_apply(gens.up, op_apply(g_inf, op_apply(gens.down, delta))))
         rhs = op_apply(g_inf, delta)
@@ -446,7 +448,6 @@ def idempotent_lift(a: Operator, compact_defect: Operator | None = None,
     """Idempotent e with e - a compact, for a contraction a whose defect
     a^2 - a is compact.  Searches powers for ||a^m - a^n|| < 1 (gap-first
     breadth order), then refines a suitable power."""
-    p = a.prime
     if not op_norm(a) <= ValuationBound.one():
         raise PreconditionFailed("lift input must be a contraction")
     defect = compact_defect
@@ -455,12 +456,12 @@ def idempotent_lift(a: Operator, compact_defect: Operator | None = None,
     if not is_compact(defect):
         raise PreconditionFailed("defect a^2 - a is not certified compact")
     nf = normalize(a)
-    powers: list[NormalForm] = [NormalForm.constant(p, Padic.one(p)), nf]
+    powers = [nf]  # a^1, a^2, ...
 
     def power(k: int) -> NormalForm:
-        while len(powers) <= k:
+        while len(powers) < k:
             powers.append(powers[-1].mul(nf))
-        return powers[k]
+        return powers[k - 1]
 
     for gap in range(1, budget):
         for n in range(1, budget + 1 - gap):

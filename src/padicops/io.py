@@ -15,7 +15,7 @@ from typing import Any
 
 from .config import require_int, require_prime
 from .errors import ParseError
-from .scalars import DEFAULT_PRECISION, Padic
+from .scalars import DEFAULT_PRECISION, Padic, precision_of
 
 _SCALAR_RE = re.compile(r"^(\d+)\^(-?\d+)\*([0-9.]+)$")
 
@@ -53,7 +53,10 @@ def scalar_from_text(text: str, prime: int, precision: int = DEFAULT_PRECISION) 
             raise ParseError(f"dot-separated digits need p >= 10: {text!r}")
         digits = [int(ch) for ch in body]
     else:
-        digits = [int(part) for part in body.split(".")]
+        parts = body.split(".")
+        if not all(parts):
+            raise ParseError(f"empty digit between dots: {text!r}")
+        digits = [int(part) for part in parts]
     if any(d >= p for d in digits):
         raise ParseError(f"digit out of range for base {p}: {text!r}")
     unit = 0
@@ -104,7 +107,9 @@ def _node_to_obj(op) -> dict[str, Any]:
 
 
 def operator_to_obj(op, precision: int | None = None) -> dict[str, Any]:
-    obj = {"p": op.prime, "precision": precision if precision is not None else DEFAULT_PRECISION}
+    """The file form of op.  The header precision defaults to the
+    precision op carries."""
+    obj = {"p": op.prime, "precision": precision if precision is not None else precision_of(op)}
     obj.update(_node_to_obj(op))
     return obj
 
@@ -181,9 +186,11 @@ def operator_from_json(text: str):
 
 
 def mahler_to_obj(fn, prime: int, precision: int | None = None) -> dict[str, Any]:
+    """The file form of fn.  The header precision defaults to the
+    precision fn carries."""
     return {
         "p": prime,
-        "precision": precision if precision is not None else DEFAULT_PRECISION,
+        "precision": precision if precision is not None else precision_of(fn),
         "kind": "mahler",
         "coefficients": [scalar_to_text(c) for c in fn.coefficients],
         "tail_exponent": fn.tail_bound.exponent,

@@ -14,7 +14,7 @@ integral, so no step enlarges the entries it touches.
 
 from __future__ import annotations
 
-from .scalars import Padic
+from .scalars import Padic, precision_of
 
 Column = dict[int, Padic]
 
@@ -59,7 +59,8 @@ def eliminate_full_pivot(rows: list[list[Padic]], prime: int) -> tuple[list[int]
     """
     work = [row[:] for row in rows]
     n = len(work)
-    det = Padic.one(prime)
+    det: Padic | None = None  # the product of the pivots so far
+    sign = 1
     valuations: list[int] = []
     for k in range(n):
         best = None
@@ -73,18 +74,20 @@ def eliminate_full_pivot(rows: list[list[Padic]], prime: int) -> tuple[list[int]
         _, pi, pj = best
         if pi != k:
             work[k], work[pi] = work[pi], work[k]
-            det = -det
+            sign = -sign
         if pj != k:
             for row in work[k:]:
                 row[k], row[pj] = row[pj], row[k]
-            det = -det
+            sign = -sign
         pivot = work[k][k]
         valuations.append(pivot.valuation)
-        det = det * pivot
+        det = pivot if det is None else det * pivot
         for i in range(k + 1, n):
             if work[i][k].is_zero:
                 continue
             factor = work[i][k] / pivot
             for j in range(k + 1, n):
                 work[i][j] = work[i][j] - factor * work[k][j]
-    return valuations, det
+    if det is None:  # the empty matrix
+        return valuations, Padic.one(prime, precision_of(rows))
+    return valuations, det if sign > 0 else -det

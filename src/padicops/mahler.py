@@ -62,7 +62,8 @@ def mahler_eval(fn: MahlerFunction, x: Padic) -> Padic:
     for n, t in enumerate(fn.coefficients):
         if t.is_zero:
             continue
-        total = total + t * binomial_padic(x, n)
+        # binom(x, 0) is 1 exactly, whatever the precision of x
+        total = total + (t if n == 0 else t * binomial_padic(x, n))
     if not fn.tail_bound.is_zero:
         # unseen coefficients contribute at most the tail bound
         total = total.cap_absolute(fn.tail_bound.exponent)

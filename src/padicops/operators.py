@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import NonIntegral, ParseError, StructureError, Undecidable
-from .scalars import DEFAULT_PRECISION, Padic, ValuationBound, norm_max
+from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound, norm_max,
+                      precision_of)
 from .vectors import PadicVector
 
 Dest = Callable[[int], "int | None"]
@@ -321,13 +322,13 @@ class Operator:
         return Sum([self, other])
 
     def __sub__(self, other: "Operator") -> "Operator":
-        return Sum([self, ScalarMul(Padic.from_int(-1, self.prime), other)])
+        return Sum([self, -other])
 
     def __mul__(self, other: "Operator") -> "Operator":
         return Product([self, other])
 
     def __neg__(self) -> "Operator":
-        return ScalarMul(Padic.from_int(-1, self.prime), self)
+        return ScalarMul(Padic.from_int(-1, self.prime, precision_of(self)), self)
 
 
 @dataclass
@@ -498,8 +499,8 @@ def _apply_tree(op: Operator, vec: PadicVector) -> PadicVector:
     return normalize(op).apply(vec)
 
 
-def op_column(op: Operator, j: int, precision: int = DEFAULT_PRECISION) -> PadicVector:
-    return op_apply(op, PadicVector.basis(op.prime, j, precision))
+def op_column(op: Operator, j: int) -> PadicVector:
+    return op_apply(op, PadicVector.basis(op.prime, j, precision_of(op)))
 
 
 def op_norm(op: Operator) -> ValuationBound:

@@ -19,6 +19,40 @@ from .errors import DivisionByZero, NonIntegral, PrecisionExhausted
 DEFAULT_PRECISION = 40
 
 
+def precision_of(*operands) -> int:
+    """The working precision of a computation on the operands.
+
+    This is the largest relative precision of a nonzero scalar among
+    them.  Operands are scalars, or containers of scalars: operators,
+    normal forms, vectors and Mahler functions (dataclasses, walked
+    field by field), dicts, lists and tuples.  An ``Identity`` holds no
+    scalar but a ``precision`` field, and stands for 1 at it.  Operands
+    holding only exact zeros are exact data and get
+    ``DEFAULT_PRECISION``.
+
+    A sum, product or quotient of such scalars carries at most this many
+    relative digits, so multiplying it by a constant written at this
+    precision loses none of them.
+    """
+    best = 0
+    stack = list(operands)
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Padic):
+            if x.valuation is not None:
+                best = max(best, x.precision)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif hasattr(x, "__dataclass_fields__"):
+            if "precision" in x.__dataclass_fields__:  # an Identity's 1s
+                best = max(best, x.precision)
+            else:
+                stack.extend(getattr(x, name) for name in x.__dataclass_fields__)
+    return best or DEFAULT_PRECISION
+
+
 def _vp(n: int, p: int) -> int:
     """Valuation of a nonzero integer."""
     if n == 0:
@@ -267,7 +301,7 @@ class Padic:
         return Padic.from_unit(p, self.valuation - other.valuation, unit, prec)
 
     def __pow__(self, k: int) -> "Padic":
-        width = DEFAULT_PRECISION if self.precision is None else self.precision
+        width = precision_of(self)
         if k < 0:
             return Padic.one(self.prime, width) / self ** (-k)
         out = Padic.one(self.prime, width)
@@ -280,8 +314,7 @@ class Padic:
         return out
 
     def scale_int(self, n: int) -> "Padic":
-        width = DEFAULT_PRECISION if self.precision is None else self.precision
-        return self * Padic.from_int(n, self.prime, width)
+        return self * Padic.from_int(n, self.prime, precision_of(self))
 
     def cap_absolute(self, depth: int) -> "Padic":
         """Forget digits past absolute depth (used to fold in error bounds)."""
@@ -334,7 +367,7 @@ def binomial_padic(x: Padic, k: int) -> Padic:
     if not x.is_integral:
         raise NonIntegral("binomial_padic needs |x| <= 1")
     p = x.prime
-    width = DEFAULT_PRECISION if x.precision is None else x.precision
+    width = precision_of(x)
     acc = Padic.one(p, width)
     for j in range(k):
         acc = acc * (x - Padic.from_int(j, p, width))

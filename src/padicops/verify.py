@@ -301,7 +301,7 @@ def _c05_falling_product_rows(cfg: ExperimentConfig) -> tuple[bool, str]:
     product = nf
     for k in range(6):
         if k > 0:
-            step = NormalForm(p, Padic.from_int(-k, p), None, {})
+            step = NormalForm(p, Padic.from_int(-k, p, prec), None, {})
             product = product.mul(nf.add(step))
         for row in range(6):
             for col in range(6):

@@ -15,10 +15,18 @@ def cfg():
     return ExperimentConfig()
 
 
-@pytest.mark.parametrize("number,name,fn", _CRITERIA,
-                         ids=[f"{n:02d}-{name.replace(' ', '-')}" for n, name, _ in _CRITERIA])
-def test_criterion(number, name, fn, cfg):
-    passed, detail = fn(cfg)
+# every criterion at the default config and at precision 80 / target 60;
+# the default cases keep their plain ids
+CONFIGS = {"": ExperimentConfig(),
+           "-precision-80-target-60": ExperimentConfig(precision=80, target_valuation=60)}
+
+
+@pytest.mark.parametrize("number,name,fn,config",
+                         [(n, name, fn, c) for c in CONFIGS.values() for n, name, fn in _CRITERIA],
+                         ids=[f"{n:02d}-{name.replace(' ', '-')}{suffix}"
+                              for suffix in CONFIGS for n, name, _ in _CRITERIA])
+def test_criterion(number, name, fn, config):
+    passed, detail = fn(config)
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] criterion {number:2d} {name}: {detail}")
     assert passed, f"criterion {number} ({name}): {detail}"

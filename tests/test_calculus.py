@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from padicops.calculus import (ContractionCertificate, binom_operator,
@@ -181,3 +183,19 @@ def test_teichmuller_idempotent_needs_certificate():
     cert = ContractionCertificate(a, 0, ())
     with pytest.raises(PreconditionFailed):
         teichmuller_idempotent(a, cert)
+
+
+def test_calculus_keeps_operand_precision():
+    # the 1s, the -j and the divisors are written at the operands'
+    # precision, so a precision-80 input keeps 80 digits (40 once)
+    p, prec = 3, 80
+    half = Padic.from_fraction(Fraction(1, 2), p, prec)
+    a = Diagonal(p, {0: half, 1: Padic.from_int(5, p, prec)})
+    cert = certify_normal_contraction(a, 4)
+    identity_fn = mahler_expand([Padic.zero(p), Padic.one(p, prec)])
+    result, _ = functional_calculus(a, identity_fn, cert)
+    nf = normalize(result)
+    assert nf.entry(0, 0) == half and nf.entry(1, 1) == Padic.from_int(5, p, prec)
+    # z = 0 leaves the constant term 1 of the binomial series
+    one, _ = binomial_series(a, Padic.zero(p), cert, 3)
+    assert normalize(one).entry(7, 7) == Padic.one(p, prec)

@@ -297,6 +297,20 @@ def test_parse_failures_exit_4(capsys, tmp_path, opfile):
             code, _, err = run(capsys, *argv)
             assert code == 4
             assert json.loads(err)["error"] == "ParseError"
+    # inputs that disagree with each other or with the leaf's flags
+    fn5 = tmp_path / "fn5.json"
+    fn5.write_text(json.dumps({"p": 5, "precision": 40, "coefficients": ["0"],
+                               "tail_exponent": None}))
+    e3 = opfile(FiniteMatrix(3, {(0, 0): Padic.one(3)}))
+    e5 = opfile(FiniteMatrix(5, {(0, 0): Padic.one(5)}))
+    for argv in (("idem", "equiv", "--in", e3, "--in2", e5),
+                 ("calculus", "apply", "--in", e3, "--fn", str(fn5)),
+                 ("idem", "trivialize", "--in", e3, "--prefix", "0"),
+                 ("idem", "sumring", "--in", opfile(Identity(3)), "--depth", "-1"),
+                 ("calculus", "fz", "--in", opfile(Identity(11)), "--z", "11^0*1..2")):
+        code, _, err = run(capsys, *argv)
+        assert code == 4, argv
+        assert json.loads(err)["error"] == "ParseError"
 
 
 def test_config_file_pickup(capsys, opfile, tmp_path, monkeypatch):
@@ -347,3 +361,29 @@ def test_module_invocation_smoke(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "p^0\n"
+
+
+def test_precision_80_files_keep_80_digits(capsys, opfile, tmp_path):
+    # a target above 40 needs no config, only a file that covers it
+    path = opfile(near_idempotent(80), 80)
+    code, out, _ = run(capsys, "idem", "refine", "--in", path, "--target", "60")
+    assert code == 0
+    obj = json.loads(out)["e"]
+    assert obj["precision"] == 80
+    assert op_agree(operator_from_obj(obj), FiniteMatrix(3, {(0, 0): Padic.one(3, 80)}), 80)
+    # the output header states the precision the entries carry
+    half = Padic.from_fraction(Fraction(1, 2), 3, 80)
+    fnfile = tmp_path / "identity_fn.json"
+    fnfile.write_text(json.dumps({"p": 3, "precision": 80, "coefficients": ["0", "3^0*1"],
+                                  "tail_exponent": None}))
+    code, out, _ = run(capsys, "calculus", "apply", "--in", opfile(Diagonal(3, {0: half}), 80),
+                       "--fn", str(fnfile))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["precision"] == 80
+    assert result["entries"] == [[0, 0, scalar_to_text(half)]]
+    assert len(scalar_to_text(half).split("*")[1]) == 80
+    # verify all builds its instances at --precision, so that must cover --target
+    code, _, err = run(capsys, "verify", "all", "--precision", "20", "--target", "30")
+    assert code == 4
+    assert json.loads(err)["message"] == "precision must cover the target valuation"

@@ -515,3 +515,18 @@ def test_lift_preconditions_and_budget():
     with pytest.raises(SearchExhausted) as info:
         idempotent_lift(Diagonal(5, {0: t}), budget=2)
     assert info.value.budget == 2
+
+
+def test_refine_and_equivalence_at_target_60():
+    # a target above 40 is met on precision-80 inputs: no constant of
+    # the iterations is written at 40
+    p, prec, target = 3, 80, 60
+    a = Diagonal(p, {0: Padic.from_int(28, p, prec), 1: Padic.from_int(27, p, prec)})
+    e = idempotent_refine(a, target)
+    assert normalize(e).entry(0, 0) == Padic.one(p, prec)
+    assert op_agree(Product([e, e]), e, target)
+    e = FiniteMatrix(p, {(0, 0): Padic.one(p, prec)})
+    f = FiniteMatrix(p, {(0, 0): Padic.one(p, prec), (0, 1): Padic.from_int(-9, p, prec)})
+    witness = idempotent_equivalence(e, f, target)
+    assert op_agree(Product([witness.u, e, witness.u_inv]), f, target)
+    assert op_agree(Product([witness.u, witness.u_inv]), Identity(p, prec), target)

@@ -84,3 +84,10 @@ def test_empty_expansion_is_zero_function():
     assert fn.coefficients == ()
     assert mahler_eval(fn, Padic.from_int(3, 7)).is_zero
     assert mahler_sup_norm(fn).is_zero
+
+
+def test_eval_at_zero_keeps_coefficient_precision():
+    # binom(0, 0) = 1 exactly: T_0 is returned with all its digits
+    t0 = Padic.from_int(7, 3, 80)
+    fn = MahlerFunction(3, (t0, Padic.from_int(2, 3, 80)), ValuationBound.zero())
+    assert mahler_eval(fn, Padic.zero(3)) == t0

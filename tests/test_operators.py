@@ -10,7 +10,9 @@ from padicops.operators import (Adjoint, AdmissibilityReport, Diagonal,
                                 normalize, op_adjoint, op_agree, op_apply,
                                 op_column, op_norm, to_dense, truncate,
                                 weighted_shift_matrix)
-from padicops.scalars import Padic, ValuationBound
+from padicops.mahler import MahlerFunction
+from padicops.scalars import (DEFAULT_PRECISION, Padic, ValuationBound,
+                              precision_of)
 from padicops.vectors import PadicVector, pairing
 
 
@@ -295,3 +297,51 @@ def test_to_operator_round_trip():
     assert isinstance(normalize(f).to_operator(), FiniteMatrix)
     with pytest.raises(StructureError):
         normalize(up_shift(3)).to_operator()
+
+
+def test_precision_of_reads_the_largest_relative_precision():
+    p = 3
+    x80, x20 = Padic.from_int(5, p, 80), Padic.from_int(9, p, 20)
+    assert precision_of(x80, x20) == 80
+    assert precision_of(FiniteMatrix(p, {(0, 0): x20})) == 20
+    # operators, normal forms, vectors and Mahler functions are walked
+    assert precision_of(Sum([fm(p, {(0, 0): 1}), ScalarMul(x80, Identity(p, 20))])) == 80
+    assert precision_of(normalize(Diagonal(p, {0: x20}, x80))) == 80
+    assert precision_of(normalize(IndexMap(p, lambda j: j + 1, {}, x80))) == 80
+    assert precision_of(PadicVector(p, {4: x20})) == 20
+    assert precision_of(MahlerFunction(p, (Padic.zero(p), x20), ValuationBound.zero())) == 20
+    # an Identity stands for 1 at the precision it carries
+    assert precision_of(Adjoint(Identity(p, 80))) == 80
+    # certified and exact zeros carry no digits; exact data gets the default
+    assert precision_of(Padic.zero(p, 90), x20) == 20
+    assert precision_of(FiniteMatrix(p, {}), Padic.zero(p)) == DEFAULT_PRECISION
+    assert precision_of() == DEFAULT_PRECISION
+
+
+def test_operator_difference_keeps_operand_precision():
+    # the -1 of a - b and of -a is written at the operands' precision,
+    # not at 40, so precision-80 operands give precision-80 entries
+    p, prec = 3, 80
+
+    def x(n):
+        return Padic.from_int(n, p, prec)
+
+    a = Diagonal(p, {0: x(5), 1: x(7)}, x(2))
+    b = FiniteMatrix(p, {(0, 0): x(1), (0, 1): x(4)})
+    for op, want in ((a - b, {(0, 0): 4, (0, 1): -4, (1, 1): 7, (5, 5): 2}),
+                     (a - Identity(p, prec), {(0, 0): 4, (1, 1): 6, (5, 5): 1}),
+                     (-a, {(0, 0): -5, (1, 1): -7, (5, 5): -2})):
+        nf = normalize(op)
+        for (i, j), n in want.items():
+            assert nf.entry(i, j).residue(prec) == n % p**prec
+            assert nf.entry(i, j).absolute_precision == prec
+
+
+def test_op_column_keeps_operand_precision():
+    p, prec = 3, 80
+    m = FiniteMatrix(p, {(0, 0): Padic.from_int(2, p, prec),
+                         (1, 0): Padic.from_int(3, p, prec)})
+    col = op_column(m, 0)
+    assert col.entries == {0: Padic.from_int(2, p, prec), 1: Padic.from_int(3, p, prec)}
+    assert col.get(0).absolute_precision == prec and col.get(1).absolute_precision == prec + 1
+    assert op_column(Identity(p, prec), 7).get(7) == Padic.one(p, prec)

@@ -28,6 +28,18 @@ def test_determinant_small_cases():
     assert singular.is_zero
 
 
+def test_determinant_keeps_operand_precision():
+    # the product starts from the first pivot, not from a 1 written at
+    # 40; [[2, 1], [1, 5]] once came out with absolute precision 42
+    p, prec = 3, 80
+    for rows, det in (([[2, 1], [1, 5]], 9),    # no swap
+                      ([[3, 1], [1, 1]], 2),    # a column swap
+                      ([[9, 3], [3, 2]], 9)):   # a row and a column swap
+        d = determinant([[Padic.from_int(v, p, prec) for v in row] for row in rows], p)
+        assert d.residue(prec) == det and d.absolute_precision >= prec
+
+
+
 def test_determinant_elimination_path(rng):
     # above 4x4 the elimination routine takes over; cross-check the two
     p = 5

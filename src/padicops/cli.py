@@ -9,6 +9,7 @@ precision, 4 parse or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -65,13 +66,23 @@ def _emit(obj: Any) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    """value, or a ParseError when a count flag is below its least value."""
+    if value < low:
+        raise ParseError(f"{flag} must be at least {low}, not {value}")
+    return value
+
+
 # -- mahler --------------------------------------------------------------
 
 
 def _cmd_mahler_expand(args) -> int:
     obj = _read_json(args.infile)
     p, prec, tail = file_header(obj)
-    samples = [scalar_from_text(t, p, prec) for t in obj.get("samples", [])]
+    texts = obj.get("samples", [])
+    if not isinstance(texts, list):
+        raise ParseError(f"{args.infile}: samples must be a list of scalar texts")
+    samples = [scalar_from_text(t, p, prec) for t in texts]
     bound = None if tail is None else ValuationBound(tail)
     fn = mahler_expand(samples, bound, prime=p)
     _emit(mahler_to_obj(fn, p))
@@ -117,8 +128,9 @@ def _budget(args) -> dict[str, int]:
 
 
 def _cmd_calculus_certify(args) -> int:
+    depth = _at_least("--depth", args.depth, 0)
     a = _read_operator(args.infile)
-    cert = certify_normal_contraction(a, args.depth)
+    cert = certify_normal_contraction(a, depth)
     rows = [[n, exponent_str(bound)] for n, bound in cert.checked]
     sys.stdout.write(tsv_table(["n", "norm_exponent"], rows))
     return 0
@@ -128,7 +140,7 @@ def _cmd_calculus_apply(args) -> int:
     a = _read_operator(args.infile)
     fn = mahler_from_obj(_read_json(args.fn))
     _same_prime(a, fn)
-    depth = args.depth if args.depth is not None else len(fn.coefficients)
+    depth = len(fn.coefficients) if args.depth is None else _at_least("--depth", args.depth, 0)
     cert = certify_normal_contraction(a, depth)
     result, error = functional_calculus(a, fn, cert)
     _emit({"result": operator_to_obj(result),
@@ -138,8 +150,9 @@ def _cmd_calculus_apply(args) -> int:
 
 def _cmd_calculus_teich(args) -> int:
     target = _target(args)
+    depth = _at_least("--depth", args.depth, 0)
     a = _read_operator(args.infile, target)
-    cert = certify_normal_contraction(a, args.depth)
+    cert = certify_normal_contraction(a, depth)
     e, trace = teichmuller_idempotent(a, cert, target=target, **_budget(args))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -149,10 +162,11 @@ def _cmd_calculus_teich(args) -> int:
 
 
 def _cmd_calculus_fz(args) -> int:
+    depth = _at_least("--depth", args.depth, 0)
     a = _read_operator(args.infile)
     z = scalar_from_text(args.z, a.prime, precision_of(a))
-    cert = certify_normal_contraction(a, args.depth)
-    result, error = binomial_series(a, z, cert, args.depth)
+    cert = certify_normal_contraction(a, depth)
+    result, error = binomial_series(a, z, cert, depth)
     _emit({"result": operator_to_obj(result),
            "error_exponent": exponent_str(error)})
     return 0
@@ -201,18 +215,16 @@ def _cmd_idem_lift(args) -> int:
 
 def _cmd_idem_trivialize(args) -> int:
     target = _target(args)
-    if args.prefix < 1:
-        raise ParseError(f"--prefix must be at least 1, not {args.prefix}")
+    prefix = _at_least("--prefix", args.prefix, 1)
     e = _read_operator(args.infile, target)
-    _emit(k0_trivialize(e, target, args.prefix))
+    _emit(k0_trivialize(e, target, prefix))
     return 0
 
 
 def _cmd_idem_sumring(args) -> int:
-    if args.depth < 0:
-        raise ParseError(f"--depth must be at least 0, not {args.depth}")
+    depth = _at_least("--depth", args.depth, 0)
     a = _read_operator(args.infile)
-    spread = infinite_sum(a, args.depth)
+    spread = infinite_sum(a, depth)
     _emit(operator_to_obj(spread))
     return 0
 
@@ -266,7 +278,10 @@ def _cmd_verify_all(args) -> int:
 # -- wiring --------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process: parsing leaves it as it
+    was, and building it costs more than a small leaf's work."""
     # Input files declare their own p and precision, so only the leaves
     # that make certified checks take a target, and only verify all
     # takes p, precision and seed.

@@ -37,6 +37,8 @@ def scalar_to_text(x: Padic) -> str:
 
 
 def scalar_from_text(text: str, prime: int, precision: int = DEFAULT_PRECISION) -> Padic:
+    if not isinstance(text, str):
+        raise ParseError(f"scalar must be text, not {text!r}")
     text = text.strip()
     if text == "0":
         return Padic.zero(prime)

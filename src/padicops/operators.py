@@ -98,6 +98,46 @@ def _insert(head: dict, key, value: Padic) -> None:
         head[key] = value
 
 
+def _dot(pairs: list[tuple[Padic, Padic]]) -> Padic:
+    """The sum of v * w over the pairs, rounded once.
+
+    Its absolute precision is the least over the terms of that of v * w,
+    min(a1 + v2, a2 + v1), and its digits are those of the exact integer
+    sum of the unit products.  No partial sum is rounded or dropped on
+    its own, so a cancellation between terms cannot hide a term's bound.
+    Only the powers p^(val - base) of terms inside the window are formed,
+    so huge valuations cost nothing.
+    """
+    if len(pairs) == 1:
+        v, w = pairs[0]
+        return v * w
+    p = pairs[0][0].prime
+    bound = base = None
+    products = []
+    for v, w in pairs:
+        if v.valuation is None or w.valuation is None:
+            # a zero factor adds no digits, only the bound of a certified zero
+            zero = v * w
+            if zero.precision is not None and (bound is None or zero.precision < bound):
+                bound = zero.precision
+            continue
+        val = v.valuation + w.valuation
+        top = val + min(v.precision, w.precision)
+        if bound is None or top < bound:
+            bound = top
+        if base is None or val < base:
+            base = val
+        products.append((val, v.unit * w.unit))
+    if base is None or bound <= base:
+        return Padic.zero(p, bound)
+    window = bound - base
+    total = 0
+    for val, unit in products:
+        if val - base < window:
+            total += unit * p ** (val - base)
+    return Padic.from_unit(p, base, total, window)
+
+
 @dataclass
 class NormalForm:
     prime: int
@@ -181,24 +221,26 @@ class NormalForm:
             tail = b.tail.map(lambda v: v * a.shift)
         elif a.tail is not None and not b.shift.is_zero:
             tail = a.tail.map(lambda v: v * b.shift)
-        head: dict[tuple[int, int], Padic] = {}
+        # the terms of each output position, positions in the order they
+        # are first reached; each position is then summed once by _dot
+        terms: dict[tuple[int, int], list[tuple[Padic, Padic]]] = {}
         acols: dict[int, list[tuple[int, Padic]]] = {}
         for (i, k), v in a.head.items():
             acols.setdefault(k, []).append((i, v))
         for (k, j), w in b.head.items():
             for i, v in acols.get(k, ()):
-                _insert(head, (i, j), v * w)
+                terms.setdefault((i, j), []).append((v, w))
         if not a.shift.is_zero:
             for key, w in b.head.items():
-                _insert(head, key, a.shift * w)
+                terms.setdefault(key, []).append((a.shift, w))
         if not b.shift.is_zero:
             for key, v in a.head.items():
-                _insert(head, key, v * b.shift)
+                terms.setdefault(key, []).append((v, b.shift))
         if a.tail is not None and b.head:
             for (k, j), w in b.head.items():
                 d = a.tail.dest(k)
                 if d is not None:
-                    _insert(head, (d, j), a.tail.coeff_at(k) * w)
+                    terms.setdefault((d, j), []).append((a.tail.coeff_at(k), w))
         if b.tail is not None and a.head:
             relevant: set[int] = set(b.tail.coeff)
             for k in acols:
@@ -211,7 +253,12 @@ class NormalForm:
                     continue
                 c = b.tail.coeff_at(j)
                 for i, v in acols.get(d, ()):
-                    _insert(head, (i, j), v * c)
+                    terms.setdefault((i, j), []).append((v, c))
+        head: dict[tuple[int, int], Padic] = {}
+        for key, pairs in terms.items():
+            value = _dot(pairs)
+            if not value.is_zero:
+                head[key] = value
         return NormalForm(self.prime, shift, tail, head)
 
     def adjoint(self) -> "NormalForm":

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicops.cli import main
+from padicops.cli import _build_parser, main
 from padicops.config import ENV_VAR
 from padicops.io import operator_from_obj, operator_to_json, scalar_to_text
 from padicops.operators import Diagonal, FiniteMatrix, Identity, op_agree
@@ -311,6 +311,39 @@ def test_parse_failures_exit_4(capsys, tmp_path, opfile):
         code, _, err = run(capsys, *argv)
         assert code == 4, argv
         assert json.loads(err)["error"] == "ParseError"
+    # negative depths, and samples that are not a list of scalar texts
+    for argv in (("calculus", "certify", "--in", e3, "--depth", "-2"),
+                 ("calculus", "fz", "--in", e3, "--z", "0", "--depth", "-2")):
+        code, _, err = run(capsys, *argv)
+        assert code == 4, argv
+        assert json.loads(err)["error"] == "ParseError"
+    for samples in (5, [5]):
+        header.write_text(json.dumps({"p": 3, "precision": 40, "samples": samples}))
+        code, _, err = run(capsys, "mahler", "expand", "--in", str(header))
+        assert code == 4, samples
+        assert json.loads(err)["error"] == "ParseError"
+    # a scalar that is not text, in an operator or a Mahler file
+    for body, argv in (({"kind": "finite", "entries": [[0, 0, 5]]}, ("scale", "finite")),
+                       ({"coefficients": [5], "tail_exponent": None}, ("mahler", "eval", "--x", "0"))):
+        header.write_text(json.dumps({"p": 3, "precision": 40, **body}))
+        code, _, err = run(capsys, *argv, "--in", str(header))
+        assert code == 4, body
+        assert json.loads(err)["error"] == "ParseError"
+
+
+def test_parser_is_built_once_and_reused(capsys, opfile):
+    # a success, a parse error, then a success again: each in-process call
+    # on the one cached parser answers as a call on a freshly built one
+    path = opfile(Diagonal(3, {0: Padic.one(3)}))
+    calls = [("scale", "finite", "--in", path),
+             ("scale", "finite", "--in", path, "--dim", "x"),
+             ("scale", "probe", "--in", path, "--bounds", "1,2")]
+    assert _build_parser() is _build_parser()
+    reused = [run(capsys, *argv)[:2] for argv in calls]
+    assert [code for code, _ in reused] == [0, 4, 0]
+    for argv, answer in zip(calls, reused):
+        _build_parser.cache_clear()
+        assert run(capsys, *argv)[:2] == answer
 
 
 def test_config_file_pickup(capsys, opfile, tmp_path, monkeypatch):

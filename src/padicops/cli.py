@@ -156,8 +156,8 @@ def _cmd_calculus_teich(args) -> int:
     e, trace = teichmuller_idempotent(a, cert, target=target, **_budget(args))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(tsv_table(["k", "gap_exponent"], trace))
-    _emit({"e": operator_to_obj(e), "iterations": len(trace) + 1})
+            fh.write(tsv_table(["phase", "k", "defect_exponent"], trace))
+    _emit({"e": operator_to_obj(e), "iterations": len(trace)})
     return 0
 
 

@@ -66,13 +66,23 @@ def idempotent_refine(a: Operator, target: int = 30, budget: int = 8) -> Operato
     and the new defect vanish below p^(-target); the output e is checked
     to satisfy ||a - e|| < min(1/||a||, 1).
     """
-    p = a.prime
-    nf = normalize(a)
+    e, _ = _refine_form(normalize(a), target, budget)
+    return e.to_operator()
+
+
+def _refine_form(nf: NormalForm, target: int, budget: int,
+                 defect: NormalForm | None = None,
+                 ) -> tuple[NormalForm, list[NormalForm]]:
+    """idempotent_refine on a normal form.  Also returns the defect
+    e^2 - e after each step.  ``defect`` is nf^2 - nf when the caller
+    has already formed it."""
+    p = nf.prime
     norm_a = nf.norm()
     if norm_a < ValuationBound.one():
         # covers a = 0: anything of norm < 1 refines to the zero idempotent
-        return FiniteMatrix(p, {})
-    defect = nf.mul(nf).sub(nf)
+        return NormalForm.constant(p, Padic.zero(p)), []
+    if defect is None:
+        defect = nf.mul(nf).sub(nf)
     gap = defect.norm()
     limit = ValuationBound(-2 * norm_a.exponent)
     if not gap < limit:
@@ -81,13 +91,15 @@ def idempotent_refine(a: Operator, target: int = 30, budget: int = 8) -> Operato
             f"{limit.exponent} (norm of a: exponent {norm_a.exponent})")
     two = Padic.from_int(2, p, precision_of(nf))
     e = nf
+    defects: list[NormalForm] = []
     for _ in range(budget):
         step = defect.sub(defect.mul(e).scale(two))
         e = e.add(step)
         defect = e.mul(e).sub(e)
+        defects.append(defect)
         if step.vanishes_to(target) and defect.vanishes_to(target):
             _check_refinement_distance(nf, e, norm_a)
-            return e.to_operator()
+            return e, defects
     raise NoConvergence(budget, "refinement steps never met the target depth")
 
 

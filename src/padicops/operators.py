@@ -174,11 +174,23 @@ class NormalForm:
         return PadicVector(self.prime, out)
 
     def apply(self, vec: PadicVector) -> PadicVector:
-        acc: dict[int, Padic] = {}
+        """The form times vec.  As in mul, the terms of each output entry
+        are gathered, in the order they are first reached, and summed
+        once by _dot, so a partial sum that cancels keeps its bound."""
+        cols: dict[int, list[tuple[int, Padic]]] = {}
+        for (i, j), v in self.head.items():
+            cols.setdefault(j, []).append((i, v))
+        terms: dict[int, list[tuple[Padic, Padic]]] = {}
         for j, x in vec.entries.items():
-            for i, v in self.column(j).entries.items():
-                _insert(acc, i, v * x)
-        return PadicVector(self.prime, acc)
+            for i, v in cols.get(j, ()):
+                terms.setdefault(i, []).append((v, x))
+            if not self.shift.is_zero:
+                terms.setdefault(j, []).append((self.shift, x))
+            if self.tail is not None:
+                d = self.tail.dest(j)
+                if d is not None:
+                    terms.setdefault(d, []).append((self.tail.coeff_at(j), x))
+        return PadicVector(self.prime, {i: _dot(pairs) for i, pairs in terms.items()})
 
     # algebra ----------------------------------------------------------
 

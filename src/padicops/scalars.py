@@ -396,17 +396,14 @@ def vandermonde_coefficients(m: int, n: int) -> dict[int, int]:
 def teichmuller(x: Padic) -> Padic:
     """The Teichmuller representative of x in Z_p.
 
-    Iterates x -> x^p to its fixed point; the limit is the unique root
-    of unity congruent to x mod p, or exactly 0 when |x| < 1.
+    It is the unique root of unity congruent to x mod p, or exactly 0
+    when |x| < 1.  For a unit u known mod p^N, u^(p^(N-1)) mod p^N is
+    that root: the limit of x -> x^p, which is fixed mod p^N from the
+    (N-1)-th step on.
     """
     if not x.is_integral:
         raise NonIntegral("teichmuller needs |x| <= 1")
     if x.is_zero or x.valuation >= 1:
         return Padic.zero(x.prime)
-    y = x
-    for _ in range(max(2, y.precision + 1)):
-        z = y**x.prime
-        if z == y:
-            return y
-        y = z
-    raise AssertionError("fixed point not reached within precision bound")
+    p, n = x.prime, x.precision
+    return Padic.from_unit(p, 0, pow(x.unit, p ** (n - 1), p**n), n)

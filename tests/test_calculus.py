@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -164,18 +165,109 @@ def test_teichmuller_idempotent_diagonal():
         want = 1 if v % p == 0 else 0
         assert (nf.entry(i, i) - Padic.from_int(want, p)).vanishes_to(20)
     assert op_agree(Product([e, e]), e, 20)
-    # successive gaps shrink by one digit per squaring step
-    gaps = [int(g) for _, g in trace if g != "inf"]
-    assert gaps == sorted(gaps)
-    assert len(gaps) >= 2
+    # P(A) is already idempotent mod p on a diagonal, so phase 1 stops at
+    # k = 0; each refinement step then at least doubles the defect's depth
+    assert trace[0] == [1, 0, "1"]
+    refine = [row for row in trace if row[0] == 2]
+    assert len(refine) == len(trace) - 1 >= 2
+    assert [row[1] for row in refine] == list(range(1, len(refine) + 1))
+    depths = [int(d) if d != "inf" else 10**9 for _, _, d in refine]
+    assert all(2 * d <= nxt for d, nxt in zip([1] + depths, depths))
 
 
 def test_teichmuller_idempotent_budget():
-    a = diag(3, [28])
+    # a Jordan block: P(A) = 1 - A^2 is not idempotent mod 3, P(A^3) is,
+    # so a budget of one evaluation is exhausted and two suffice
+    p = 3
+    a = FiniteMatrix(p, {(0, 0): Padic.one(p), (0, 1): Padic.one(p), (1, 1): Padic.one(p)})
     cert = certify_normal_contraction(a, 1)
     with pytest.raises(NoConvergence) as info:
-        teichmuller_idempotent(a, cert, target=30, budget=3)
-    assert info.value.iterations == 3
+        teichmuller_idempotent(a, cert, target=30, budget=1)
+    assert info.value.iterations == 1
+    e, trace = teichmuller_idempotent(a, cert, target=30, budget=2)
+    assert [row[:2] for row in trace if row[0] == 1] == [[1, 0], [1, 1]]
+    # A^(3^k) tends to 1 on the block, where P vanishes; P(0) = 1 past it
+    assert op_agree(e, Diagonal(p, {0: Padic.zero(p), 1: Padic.zero(p)}, Padic.one(p)), 30)
+
+
+def _int_mat_mul(x, y, mod=None):
+    n = len(x)
+    out = [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return out if mod is None else [[v % mod for v in row] for row in out]
+
+
+def _unimodular(rng, n):
+    """u and u^-1 over Z, as a product of elementary row operations."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        # u <- (1 + c e_ij) u, u^-1 <- u^-1 (1 - c e_ij)
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return u, inv
+
+
+def test_teichmuller_idempotent_matches_integer_iteration():
+    # A = u J u^-1 with J a Jordan form over Z: diagonal, or with blocks
+    # that make P(A) fail to be idempotent mod p.  The oracle takes the
+    # limit of P(A^(p^k)) in plain ints mod p^target, with P built from
+    # Teichmuller representatives pow(i, p^(t-1), p^t); past the n x n
+    # block A is 0 and the limit is 1.
+    rng = random.Random(20191)
+    target, prec = 30, 40
+    later_k = 0
+    for trial in range(30):
+        p = (3, 5, 7)[trial % 3]
+        n = rng.randint(2, 6)
+        mod = p**target
+        j = [[0] * n for _ in range(n)]
+        for i in range(n):
+            j[i][i] = rng.randrange(1, p**3) * p ** rng.choice((0, 0, 1, 2))
+            if i and trial % 3 == 1 and rng.random() < 0.6:
+                j[i][i] = j[i - 1][i - 1]
+                j[i - 1][i] = 1
+        u, u_inv = _unimodular(rng, n)
+        a_int = _int_mat_mul(_int_mat_mul(u, j), u_inv)
+        coeffs = [1]  # prod (X - t) / prod(-t), constant term first
+        denom = 1
+        for i in range(1, p):
+            t = pow(i, p ** (target - 1), mod)
+            coeffs = [((coeffs[k - 1] if k else 0) - t * (coeffs[k] if k < len(coeffs) else 0)) % mod
+                      for k in range(len(coeffs) + 1)]
+            denom = denom * -t % mod
+        coeffs = [c * pow(denom, -1, mod) % mod for c in coeffs]
+        ident = [[int(r == c) for c in range(n)] for r in range(n)]
+        power = [[x % mod for x in row] for row in a_int]
+        values = []
+        for _ in range(target + 2 * n):
+            acc = [[0] * n for _ in range(n)]
+            for c in reversed(coeffs):  # Horner
+                acc = _int_mat_mul(acc, power, mod)
+                acc = [[(x + c * ident[r][col]) % mod for col, x in enumerate(row)]
+                       for r, row in enumerate(acc)]
+            values.append(acc)
+            step = power  # power <- power^p
+            for _ in range(p - 1):
+                step = _int_mat_mul(step, power, mod)
+            power = step
+        want = values[-1]
+        assert values[-2] == want  # the oracle's own iteration has settled
+        a = FiniteMatrix(p, {(r, c): Padic.from_int(x, p, prec)
+                             for r, row in enumerate(a_int) for c, x in enumerate(row) if x})
+        cert = certify_normal_contraction(a, 1)
+        e, trace = teichmuller_idempotent(a, cert, target=target)
+        later_k = max(later_k, max(k for phase, k, _ in trace if phase == 1))
+        nf = normalize(e)
+        for r in range(n + 2):
+            for c in range(n + 2):
+                x = nf.entry(r, c)
+                assert x.absolute_precision is None or x.absolute_precision >= target
+                expect = want[r][c] if r < n and c < n else int(r == c)
+                assert x.residue(target) == expect % mod, (trial, r, c)
+    assert later_k >= 1  # some inputs needed more than P(A) in phase 1
 
 
 def test_teichmuller_idempotent_needs_certificate():

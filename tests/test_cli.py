@@ -165,8 +165,11 @@ def test_calculus_teich_trace(capsys, opfile, tmp_path):
     obj = json.loads(out)
     assert obj["iterations"] >= 2
     lines = tracefile.read_text().splitlines()
-    assert lines[0] == "k\tgap_exponent"
-    assert len(lines) == obj["iterations"]
+    # one row per evaluation of P(A^(p^k)), then one per refinement step
+    assert lines[0] == "phase\tk\tdefect_exponent"
+    assert len(lines) == obj["iterations"] + 1
+    assert lines[1].startswith("1\t0\t")
+    assert all(line.startswith("2\t") for line in lines[2:])
     e = operator_from_obj(obj["e"])
     # value 7 is a unit, value 5 and the zero default are topologically nilpotent
     want = Diagonal(5, {0: Padic.zero(5)}, Padic.one(5))
@@ -174,12 +177,16 @@ def test_calculus_teich_trace(capsys, opfile, tmp_path):
 
 
 def test_calculus_teich_budget_exhaustion(capsys, opfile):
-    path = opfile(diag(3, [28]))
-    code, _, err = run(capsys, "calculus", "teich-idem", "--in", path, "--budget", "3")
+    # a Jordan block needs a second evaluation, P(A^3), before refining
+    path = opfile(FiniteMatrix(3, {(0, 0): Padic.one(3), (0, 1): Padic.one(3),
+                                   (1, 1): Padic.one(3)}))
+    code, _, err = run(capsys, "calculus", "teich-idem", "--in", path, "--budget", "1")
     assert code == 3
     report = json.loads(err)
     assert report["error"] == "NoConvergence"
-    assert report["iterations"] == 3
+    assert report["iterations"] == 1
+    code, _, _ = run(capsys, "calculus", "teich-idem", "--in", path, "--budget", "2")
+    assert code == 0
 
 
 def test_idem_refine_example(capsys, opfile):

@@ -1,4 +1,4 @@
-"""NormalForm.mul rounds each entry of a product once.
+"""NormalForm.mul and NormalForm.apply round each entry of a product once.
 
 The oracle below works on plain (valuation, unit, precision) triples and
 never calls Padic arithmetic: per entry it takes the least absolute
@@ -14,6 +14,7 @@ from padicops import operators
 from padicops.errors import PrecisionExhausted
 from padicops.operators import FiniteMatrix, NormalForm, _Tail, normalize
 from padicops.scalars import Padic
+from padicops.vectors import PadicVector
 
 
 def _up_tail(prime: int, coeff: dict[int, Padic], default: Padic) -> _Tail:
@@ -33,6 +34,9 @@ def test_cancelled_partial_sum_keeps_its_bound():
     entry = normalize(row).mul(normalize(ones)).head[(0, 0)]
     assert entry == Padic.from_int(7, p, 10)
     assert entry.absolute_precision == 10
+    # the same row applied to a vector of three 1 + O(3^40)
+    applied = normalize(row).apply(PadicVector(p, {k: Padic.one(p, 40) for k in range(3)}))
+    assert applied.entries == {0: Padic.from_int(7, p, 10)}
 
 
 def test_diagonal_product_makes_one_scalar_product_per_entry(monkeypatch):
@@ -60,7 +64,7 @@ def test_diagonal_product_makes_one_scalar_product_per_entry(monkeypatch):
     assert c.head == {(i, i): Padic.from_int((i + 1) * (2 * i + 1), p) for i in range(n)}
 
 
-# -- property: NormalForm.mul against a plain-int oracle -------------------
+# -- property: NormalForm.mul and apply against a plain-int oracle -------------------
 
 HUGE = 10**6
 
@@ -171,4 +175,41 @@ def test_mul_matches_plain_int_oracle(data):
             a.mul(b)
         return
     got = {key: (v.valuation, v.unit, v.precision) for key, v in a.mul(b).head.items()}
+    assert got == want
+
+
+def _apply_terms(a: NormalForm, x: dict[int, Padic], n: int):
+    """Every term of every entry of a.x, as pairs of scalars, by index."""
+    terms: dict[int, list[tuple[Padic, Padic]]] = {}
+    for i in range(n + 2):
+        for j, xj in x.items():
+            if (i, j) in a.head:
+                terms.setdefault(i, []).append((a.head[(i, j)], xj))
+            if i == j and not a.shift.is_zero:
+                terms.setdefault(i, []).append((a.shift, xj))
+            if a.tail is not None and i == j + 1:
+                terms.setdefault(i, []).append((a.tail.coeff_at(j), xj))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_matches_plain_int_oracle(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(forms(p, n, data.draw(st.booleans()), data.draw(st.booleans())))
+    x = data.draw(st.dictionaries(st.integers(0, n), scalars(p), min_size=1, max_size=n + 1))
+    want, exhausted = {}, False
+    for i, pairs in _apply_terms(a, x, n).items():
+        val, unit, prec = _oracle_entry(p, pairs)
+        if unit is not None:
+            want[i] = val, unit, prec
+        elif prec is not None and prec <= 0:
+            exhausted = True
+    if exhausted:
+        with pytest.raises(PrecisionExhausted):
+            a.apply(PadicVector(p, x))
+        return
+    got = {i: (v.valuation, v.unit, v.precision)
+           for i, v in a.apply(PadicVector(p, x)).entries.items()}
     assert got == want

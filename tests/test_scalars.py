@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,25 @@ def test_teichmuller_values():
     assert teichmuller(Padic.from_int(10, 5)).is_zero
     one = teichmuller(Padic.one(7))
     assert (one - Padic.one(7)).vanishes_to(39)
+
+
+def test_teichmuller_matches_iterated_pth_power():
+    # the oracle iterates y -> y^p mod p^N in plain ints to its fixed point
+    rng = random.Random(1904)
+    checked = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 201, 3):
+            mod = p**n
+            for _ in range(2):
+                unit = rng.randrange(1, mod)
+                while unit % p == 0:
+                    unit = rng.randrange(1, mod)
+                y = unit
+                while pow(y, p, mod) != y:
+                    y = pow(y, p, mod)
+                assert teichmuller(Padic(p, 0, unit, n)) == Padic(p, 0, y, n)
+                checked += 1
+    assert checked == 6 * 67 * 2
 
 
 def test_default_precision_is_forty():

@@ -4,32 +4,28 @@ functional calculus, idempotent refinement and lifting, and the Willis
 scale of finite matrices.
 """
 
-from .calculus import (ContractionCertificate, binom_operator,
-                       binomial_series, certify_normal_contraction,
-                       functional_calculus, teichmuller_idempotent,
-                       zero_indicator_polynomial)
+from .calculus import (ContractionCertificate, binomial_series,
+                       certify_normal_contraction, functional_calculus,
+                       teichmuller_idempotent, zero_indicator_polynomial)
 from .config import ExperimentConfig, load_config
 from .errors import (CertificationFailed, DependentBasis, DivisionByZero,
                      NoConvergence, NonIntegral, PadicError, ParseError,
                      PrecisionExhausted, PreconditionFailed, SearchExhausted,
                      StructureError, Undecidable)
-from .idempotents import (BlockScheme, EquivalenceWitness, SplitResult,
-                          SumRingGenerators, column_projection,
-                          finite_rank_reduce, idempotent_equivalence,
-                          idempotent_lift, idempotent_refine,
-                          idempotent_split, infinite_sum, k0_trivialize,
-                          matrix_rank, near_idempotent_equivalence,
-                          refinement_polynomial, sum_ring_generators)
+from .idempotents import (EquivalenceWitness, SplitResult, SumRingGenerators,
+                          column_projection, finite_rank_reduce,
+                          idempotent_equivalence, idempotent_lift,
+                          idempotent_refine, idempotent_split, infinite_sum,
+                          k0_trivialize, matrix_rank, refinement_polynomial,
+                          sum_ring_generators)
 from .io import (mahler_from_obj, mahler_to_obj, operator_from_json,
-                 operator_from_obj, operator_to_json, operator_to_obj,
-                 scalar_from_text, scalar_to_text)
+                 operator_from_obj, operator_to_obj, scalar_from_text,
+                 scalar_to_text)
 from .mahler import MahlerFunction, mahler_eval, mahler_expand, mahler_sup_norm
-from .operators import (Adjoint, AdmissibilityReport, Diagonal, FiniteMatrix,
-                        Identity, IndexMap, NormalForm, Operator, Product,
-                        RawMatrix, ScalarMul, Sum, TailPattern,
-                        admissibility_check, is_compact, normalize, op_adjoint,
-                        op_agree, op_apply, op_column, op_norm, to_dense,
-                        truncate, weighted_shift_matrix)
+from .operators import (Adjoint, Diagonal, FiniteMatrix, Identity, IndexMap,
+                        NormalForm, Operator, Product, ScalarMul, Sum,
+                        is_compact, normalize, op_agree, op_apply, op_column,
+                        op_norm, truncate, weighted_shift_matrix)
 from .polynomials import IntPolynomial, PadicPolynomial
 from .scale import (ScaleValue, determinant, scale_minor_probe,
                     scale_transpose_check, willis_scale_finite)

@@ -3,8 +3,8 @@
 An operator A is admitted once the norms of the falling products
 A(A-1)...(A-(n-1)) are certified against the factorial valuation, either
 explicitly up to a finite depth or structurally (contractive diagonals).
-On top of that sit the divided binomial powers, evaluation of a
-coefficient sequence at A, the geometric-style series in binom(A-1, n),
+On top of that sit evaluation of a coefficient sequence at A (a sum of
+divided binomial powers), the geometric-style series in binom(A-1, n),
 and the limit of indicator polynomials along A, A^p, A^{p^2}, ...
 """
 
@@ -32,6 +32,11 @@ class ContractionCertificate:
 
     def covers(self, n: int) -> bool:
         return self.structural or n <= self.depth
+
+
+def _check_issued_for(cert: ContractionCertificate, a: Operator) -> None:
+    if cert.operator != a:
+        raise PreconditionFailed("the certificate was issued for another operator")
 
 
 def _falling_step(nf_a: NormalForm, product: NormalForm, j: int, prec: int) -> NormalForm:
@@ -63,23 +68,6 @@ def certify_normal_contraction(a: Operator, depth: int) -> ContractionCertificat
     return ContractionCertificate(a, depth, tuple(checked), structural)
 
 
-def binom_operator(a: Operator, n: int, cert: ContractionCertificate) -> Operator:
-    """Exact A(A-1)...(A-(n-1)) / n!."""
-    if not cert.covers(n):
-        raise PreconditionFailed(f"certificate depth {cert.depth} does not cover n={n}")
-    nf = _binom_nf(normalize(a), n)
-    return nf.to_operator()
-
-
-def _binom_nf(nf_a: NormalForm, n: int) -> NormalForm:
-    prec = precision_of(nf_a)
-    out = NormalForm.constant(nf_a.prime, Padic.one(nf_a.prime, prec))
-    for j in range(n):
-        out = _falling_step(nf_a, out, j, prec)
-        out = out.divide_entries(Padic.from_int(j + 1, nf_a.prime, prec))
-    return out
-
-
 def functional_calculus(a: Operator, fn: MahlerFunction,
                         cert: ContractionCertificate) -> tuple[Operator, ValuationBound]:
     """Evaluate a coefficient sequence at A: sum of T_n * binom(A, n).
@@ -87,6 +75,7 @@ def functional_calculus(a: Operator, fn: MahlerFunction,
     Returns the truncated series and its error bound (the function's
     tail bound; the discarded terms have norms below it).
     """
+    _check_issued_for(cert, a)
     if not cert.covers(len(fn.coefficients)):
         raise PreconditionFailed(
             f"certificate depth {cert.depth} below series length {len(fn.coefficients)}")
@@ -113,6 +102,7 @@ def binomial_series(a: Operator, z: Padic, cert: ContractionCertificate,
     """
     if z.norm > ValuationBound(1):
         raise PreconditionFailed("series parameter needs norm <= 1/p")
+    _check_issued_for(cert, a)
     if not cert.covers(depth):
         raise PreconditionFailed(f"certificate depth {cert.depth} below requested depth {depth}")
     p = a.prime
@@ -181,6 +171,7 @@ def teichmuller_idempotent(a: Operator, cert: ContractionCertificate,
     NoConvergence(budget) when no evaluated x_k is idempotent mod p.
     """
     p = a.prime
+    _check_issued_for(cert, a)
     if not cert.covers(1):
         raise PreconditionFailed("a contraction certificate is required")
     b = normalize(a)

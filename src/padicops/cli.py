@@ -244,7 +244,7 @@ def _finite_dim(a) -> int:
 
 def _cmd_scale_finite(args) -> int:
     a = _read_operator(args.infile)
-    dim = args.dim if args.dim is not None else _finite_dim(a)
+    dim = _at_least("--dim", args.dim, 0) if args.dim is not None else _finite_dim(a)
     print(willis_scale_finite(truncate(a, dim), dim))
     return 0
 
@@ -255,6 +255,7 @@ def _cmd_scale_probe(args) -> int:
         bounds = [int(part) for part in args.bounds.split(",") if part]
     except ValueError as exc:
         raise ParseError(f"bad --bounds list: {args.bounds!r}") from exc
+    bounds = [_at_least("--bounds", k, 0) for k in bounds]
     rows = [[k, value.exponent] for k, value in scale_minor_probe(a, bounds)]
     sys.stdout.write(tsv_table(["k", "scale_exponent"], rows))
     return 0

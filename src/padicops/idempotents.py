@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import (CertificationFailed, DependentBasis, NoConvergence,
                      PreconditionFailed, SearchExhausted)
@@ -172,22 +171,6 @@ def _newton_schulz_inverse(u: NormalForm, target: int) -> tuple[NormalForm, Norm
     return x, residual
 
 
-def near_idempotent_equivalence(e: Operator, a: Operator,
-                                target: int = 30) -> tuple[Operator, EquivalenceWitness]:
-    """Refine a to an idempotent and witness its equivalence with e.
-    Requires ||e - a|| < 1/||e||^3, strictly."""
-    nfe = normalize(e)
-    norm_e = nfe.norm()
-    if norm_e.is_zero:
-        raise PreconditionFailed("e must be a nonzero idempotent")
-    dist = nfe.sub(normalize(a)).norm()
-    if not dist < ValuationBound(-3 * norm_e.exponent):
-        raise PreconditionFailed(
-            f"distance exponent {exponent_str(dist)} must exceed {-3 * norm_e.exponent}")
-    e_a = idempotent_refine(a, target)
-    return e_a, idempotent_equivalence(e, e_a, target)
-
-
 # -- column projections and splitting ------------------------------------
 
 
@@ -308,52 +291,39 @@ def cantor_unpair(x: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class BlockScheme:
-    """A bijection N <-> N x N presented as (block, offset) |-> index."""
-
-    pair: Callable[[int, int], int] = cantor_pair
-    unpair: Callable[[int], tuple[int, int]] = cantor_unpair
-
-    def block_of(self, x: int) -> int:
-        return self.unpair(x)[0]
-
-
-@dataclass(frozen=True)
 class SumRingGenerators:
     prime: int
-    scheme: BlockScheme
     first_to_all: IndexMap   # kills every block but the zeroth, which it spreads over N
     all_to_first: IndexMap   # embeds N as the zeroth block
     up: IndexMap             # block n -> block n+1
     down: IndexMap           # block n -> block n-1, kills block 0
 
 
-def sum_ring_generators(prime: int, scheme: BlockScheme | None = None) -> SumRingGenerators:
+def sum_ring_generators(prime: int) -> SumRingGenerators:
     """Four norm-1 index maps with first_to_all.all_to_first = down.up = 1
-    and all_to_first.first_to_all + up.down = 1."""
-    sch = scheme if scheme is not None else BlockScheme()
-    pair, unpair = sch.pair, sch.unpair
+    and all_to_first.first_to_all + up.down = 1, on the blocks of the
+    Cantor pairing."""
 
     def fta_dest(x: int) -> int | None:
-        n, i = unpair(x)
+        n, i = cantor_unpair(x)
         return i if n == 0 else None
 
     def atf_dest(i: int) -> int:
-        return pair(0, i)
+        return cantor_pair(0, i)
 
     def up_dest(x: int) -> int:
-        n, i = unpair(x)
-        return pair(n + 1, i)
+        n, i = cantor_unpair(x)
+        return cantor_pair(n + 1, i)
 
     def up_inv(x: int) -> int | None:
-        n, i = unpair(x)
-        return pair(n - 1, i) if n >= 1 else None
+        n, i = cantor_unpair(x)
+        return cantor_pair(n - 1, i) if n >= 1 else None
 
     first_to_all = IndexMap(prime, fta_dest, inv=atf_dest, infinite_domain=True)
     all_to_first = IndexMap(prime, atf_dest, inv=fta_dest, infinite_domain=True)
     up = IndexMap(prime, up_dest, inv=up_inv, infinite_domain=True)
     down = IndexMap(prime, up_inv, inv=up_dest, infinite_domain=True)
-    return SumRingGenerators(prime, sch, first_to_all, all_to_first, up, down)
+    return SumRingGenerators(prime, first_to_all, all_to_first, up, down)
 
 
 def infinite_sum(a: Operator, depth: int, gens: SumRingGenerators | None = None) -> Operator:
@@ -369,7 +339,7 @@ def infinite_sum(a: Operator, depth: int, gens: SumRingGenerators | None = None)
         entries: dict[tuple[int, int], Padic] = {}
         for n in range(depth + 1):
             for (i, j), v in nf.head.items():
-                entries[(gens.scheme.pair(n, i), gens.scheme.pair(n, j))] = v
+                entries[(cantor_pair(n, i), cantor_pair(n, j))] = v
         return FiniteMatrix(a.prime, entries)
     terms: list[Operator] = []
     for n in range(depth + 1):
@@ -398,7 +368,7 @@ def k0_trivialize(e: Operator, target: int = 30, prefix: int = 16) -> dict:
     rank = finite_rank_reduce(split.f, target)
     gens = sum_ring_generators(p)
     relations = _relation_checks(gens, prefix)
-    depth = max(gens.scheme.block_of(x) for x in range(prefix)) + 1
+    depth = max(cantor_unpair(x)[0] for x in range(prefix)) + 1
     g_inf = infinite_sum(split.g, depth, gens)
     repeat_ok = _repeat_equation_ok(split.g, g_inf, gens, prefix, depth, target)
     return {
@@ -440,7 +410,7 @@ def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
                         prefix: int, depth: int, target: int) -> bool:
     prec = precision_of(g)
     for x in range(prefix):
-        if gens.scheme.block_of(x) >= depth:
+        if cantor_unpair(x)[0] >= depth:
             continue
         delta = PadicVector.basis(g.prime, x, prec)
         lhs = (op_apply(gens.all_to_first, op_apply(g, op_apply(gens.first_to_all, delta)))

@@ -116,10 +116,6 @@ def operator_to_obj(op, precision: int | None = None) -> dict[str, Any]:
     return obj
 
 
-def operator_to_json(op, precision: int | None = None) -> str:
-    return json.dumps(operator_to_obj(op, precision), indent=2)
-
-
 def _obj_to_node(obj: dict[str, Any], prime: int, precision: int):
     from . import operators as ops
 

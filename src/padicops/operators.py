@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import NonIntegral, ParseError, StructureError, Undecidable
+from .errors import NonIntegral, StructureError, Undecidable
 from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound, norm_max,
                       precision_of)
 from .vectors import PadicVector
@@ -161,17 +161,7 @@ class NormalForm:
         return total
 
     def column(self, j: int) -> PadicVector:
-        out: dict[int, Padic] = {}
-        for (i, jj), v in self.head.items():
-            if jj == j:
-                out[i] = v
-        if not self.shift.is_zero:
-            _insert(out, j, self.shift)
-        if self.tail is not None:
-            d = self.tail.dest(j)
-            if d is not None:
-                _insert(out, d, self.tail.coeff_at(j))
-        return PadicVector(self.prime, out)
+        return self.apply(PadicVector.basis(self.prime, j, precision_of(self)))
 
     def apply(self, vec: PadicVector) -> PadicVector:
         """The form times vec.  As in mul, the terms of each output entry
@@ -553,8 +543,6 @@ def _apply_tree(op: Operator, vec: PadicVector) -> PadicVector:
         return vec
     if isinstance(op, ScalarMul):
         return _apply_tree(op.operand, vec).scale(op.scalar)
-    if isinstance(op, Adjoint):
-        return normalize(op.operand).adjoint().apply(vec)
     return normalize(op).apply(vec)
 
 
@@ -567,53 +555,6 @@ def op_norm(op: Operator) -> ValuationBound:
         return normalize(op).norm()
     except StructureError as exc:
         raise Undecidable(f"expression has no closed structured form: {exc}") from exc
-
-
-def op_adjoint(op: Operator) -> Operator:
-    """Transpose at the representation level."""
-    if isinstance(op, FiniteMatrix):
-        return FiniteMatrix(op.prime, {(j, i): v for (i, j), v in op.entries.items()})
-    if isinstance(op, (Diagonal, Identity)):
-        return op
-    if isinstance(op, IndexMap):
-        if callable(op.dest):
-            if op.inv is None:
-                raise StructureError("adjoint of a callable index map needs its inverse")
-            overrides = {}
-            for j, c in op.coeff.items():
-                d = op.dest(j)
-                if d is not None:
-                    overrides[d] = c
-            return IndexMap(op.prime, op.inv, overrides, op.default_coeff,
-                            inv=op.dest, infinite_domain=op.infinite_domain)
-        values: dict[int, int] = {}
-        injective = True
-        for j, d in op.dest.items():
-            if d in values:
-                injective = False
-                break
-            values[d] = j
-        if injective:
-            coeff = {}
-            for j, c in op.coeff.items():
-                d = op.dest.get(j)
-                if d is not None:
-                    coeff[d] = c
-            return IndexMap(op.prime, values, coeff, op.default_coeff)
-        # non-injective dest: materialize the transpose on the active range
-        head = {}
-        for j, d in op.dest.items():
-            _insert(head, (j, d), op.coeff_at(j))
-        return FiniteMatrix(op.prime, head)
-    if isinstance(op, Sum):
-        return Sum([op_adjoint(t) for t in op.terms])
-    if isinstance(op, Product):
-        return Product([op_adjoint(f) for f in reversed(op.factors)])
-    if isinstance(op, ScalarMul):
-        return ScalarMul(op.scalar, op_adjoint(op.operand))
-    if isinstance(op, Adjoint):
-        return op.operand
-    raise TypeError(f"not an operator: {type(op).__name__}")
 
 
 def is_compact(op: Operator) -> bool:
@@ -658,71 +599,12 @@ def op_agree(a: Operator, b: Operator, depth: int) -> bool:
     return diff.vanishes_to(depth)
 
 
-def to_dense(op: Operator, size: int) -> list[list[Padic]]:
-    nf = normalize(op)
-    return [[nf.entry(i, j) for j in range(size)] for i in range(size)]
-
-
 def nf_polynomial(nf: NormalForm, coeffs) -> NormalForm:
     """Horner evaluation of a polynomial (constant term first) at the form."""
     acc = NormalForm.constant(nf.prime, coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = acc.mul(nf).add(NormalForm.constant(nf.prime, c))
     return acc
-
-
-# -- admissibility -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TailPattern:
-    """A declared infinite pattern of a raw matrix: a constant row, a
-    constant column, or a constant diagonal, from some start index on."""
-
-    kind: str  # "constant-row" | "constant-col" | "diagonal"
-    value: Padic
-    index: int | None = None
-    start: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("constant-row", "constant-col", "diagonal"):
-            raise ParseError(f"unknown tail pattern {self.kind!r}")
-
-
-@dataclass
-class RawMatrix:
-    prime: int
-    entries: dict[tuple[int, int], Padic] = field(default_factory=dict)
-    patterns: list[TailPattern] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    violations: tuple[str, ...]
-
-
-def admissibility_check(m: RawMatrix | Operator) -> AdmissibilityReport:
-    """Decide membership in the admissible algebra: finitely many
-    entries outside Z_p, and row/column entries converging to 0."""
-    if isinstance(m, Operator):
-        # structural representations enforce both conditions by construction
-        return AdmissibilityReport(True, ())
-    # finitely many explicit entries can never violate the integrality
-    # condition, so only declared infinite patterns are examined
-    violations: list[str] = []
-    for pat in m.patterns:
-        where = f"{pat.kind}[{pat.index}]" if pat.index is not None else pat.kind
-        if not pat.value.is_integral:
-            violations.append(f"{where}: infinitely many entries outside Z_p")
-        if pat.value.is_zero:
-            continue
-        if pat.kind == "constant-row":
-            violations.append(f"{where}: row entries do not converge to 0")
-        elif pat.kind == "constant-col":
-            violations.append(f"{where}: column entries do not converge to 0")
-        # a constant diagonal keeps one entry per row and column: no decay violation
-    return AdmissibilityReport(not violations, tuple(violations))
 
 
 # -- benchmark constructor ----------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import DEFAULT_PRECISION, Padic
+from .scalars import Padic
 
 
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -94,9 +94,6 @@ class IntPolynomial:
         if any(rem):
             return None
         return IntPolynomial(tuple(quot))
-
-    def to_padic(self, prime: int, precision: int = DEFAULT_PRECISION) -> "PadicPolynomial":
-        return PadicPolynomial(tuple(Padic.from_int(c, prime, precision) for c in self.coeffs))
 
 
 @dataclass(frozen=True)

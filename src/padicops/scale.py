@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import eliminate_full_pivot
-from .operators import FiniteMatrix, Operator, op_adjoint, truncate
+from .operators import FiniteMatrix, Operator, truncate
 from .scalars import Padic
 
 
@@ -55,7 +55,8 @@ def scale_transpose_check(a: FiniteMatrix, dim: int | None = None) -> bool:
     if dim is None:
         dim = 1 + max((max(i, j) for i, j in a.entries), default=-1)
     forward = willis_scale_finite(a, dim)
-    backward = willis_scale_finite(op_adjoint(a), dim)
+    transpose = FiniteMatrix(a.prime, {(j, i): v for (i, j), v in a.entries.items()})
+    backward = willis_scale_finite(transpose, dim)
     return forward == backward
 
 

@@ -15,10 +15,10 @@ from typing import Callable
 from .calculus import (certify_normal_contraction, functional_calculus,
                        teichmuller_idempotent)
 from .config import ExperimentConfig
-from .idempotents import (idempotent_equivalence, idempotent_lift,
-                          idempotent_refine, idempotent_split, infinite_sum,
-                          finite_rank_reduce, refinement_polynomial,
-                          sum_ring_generators)
+from .idempotents import (cantor_unpair, idempotent_equivalence,
+                          idempotent_lift, idempotent_refine,
+                          idempotent_split, infinite_sum, finite_rank_reduce,
+                          refinement_polynomial, sum_ring_generators)
 from .mahler import mahler_expand, mahler_eval, mahler_sup_norm
 from .operators import (Diagonal, FiniteMatrix, NormalForm, Operator, Product,
                         is_compact, normalize, op_agree, op_apply, op_norm,
@@ -490,14 +490,14 @@ def _c10_sum_ring(cfg: ExperimentConfig) -> tuple[bool, str]:
         ]
         if any((v - delta).entries for v in pairs):
             return False, f"generator relations fail at basis index {x}"
-    depth = max(gens.scheme.block_of(x) for x in range(64)) + 1
+    depth = max(cantor_unpair(x)[0] for x in range(64)) + 1
     for trial in range(20):
         entries = {(i, j): Padic.from_int(rng.randrange(p ** 4), p, prec)
                    for i in range(4) for j in range(4)}
         a = FiniteMatrix(p, entries)
         spread = infinite_sum(a, depth, gens)
         for x in range(64):
-            if gens.scheme.block_of(x) >= depth:
+            if cantor_unpair(x)[0] >= depth:
                 continue
             delta = PadicVector.basis(p, x, prec)
             lhs = (op_apply(gens.all_to_first, op_apply(a, op_apply(gens.first_to_all, delta)))

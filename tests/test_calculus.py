@@ -3,16 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from padicops.calculus import (ContractionCertificate, binom_operator,
-                               binomial_series, certify_normal_contraction,
-                               functional_calculus, teichmuller_idempotent,
-                               zero_indicator_polynomial)
+from padicops.calculus import (ContractionCertificate, binomial_series,
+                               certify_normal_contraction, functional_calculus,
+                               teichmuller_idempotent, zero_indicator_polynomial)
 from padicops.errors import (CertificationFailed, NoConvergence,
                              PreconditionFailed)
-from padicops.mahler import mahler_expand
+from padicops.mahler import MahlerFunction, mahler_expand
 from padicops.operators import (Diagonal, FiniteMatrix, Identity, Product,
-                                normalize, op_agree, to_dense,
-                                weighted_shift_matrix)
+                                normalize, op_agree, weighted_shift_matrix)
 from padicops.scalars import (Padic, ValuationBound, binomial_padic,
                               factorial_valuation, teichmuller)
 
@@ -51,19 +49,27 @@ def test_certification_failure_reports_depth():
     assert info.value.depth == 1
 
 
+def one_hot(p, n):
+    """The Mahler function binom(x, n)."""
+    coeffs = (Padic.zero(p),) * n + (Padic.one(p),)
+    return MahlerFunction(p, coeffs, ValuationBound.zero())
+
+
 def test_binom_operator_diagonal_oracle():
+    # binom(A, n) is the functional calculus of the one-hot function
     values = [0, 1, 5, 28]
     a = diag(3, values)
     cert = certify_normal_contraction(a, 6)
     for n in range(5):
-        b = binom_operator(a, n, cert)
+        b, err = functional_calculus(a, one_hot(3, n), cert)
+        assert err.is_zero
         nf = normalize(b)
         for i, v in enumerate(values):
             want = binomial_padic(Padic.from_int(v, 3), n)
             assert (nf.entry(i, i) - want).vanishes_to(30)
+    shift = weighted_shift_matrix(3, 4)
     with pytest.raises(PreconditionFailed):
-        binom_operator(weighted_shift_matrix(3, 4), 7, certify_normal_contraction(
-            weighted_shift_matrix(3, 4), 6))
+        functional_calculus(shift, one_hot(3, 7), certify_normal_contraction(shift, 6))
 
 
 def test_functional_calculus_matches_pointwise_values():
@@ -268,6 +274,27 @@ def test_teichmuller_idempotent_matches_integer_iteration():
                 expect = want[r][c] if r < n and c < n else int(r == c)
                 assert x.residue(target) == expect % mod, (trial, r, c)
     assert later_k >= 1  # some inputs needed more than P(A) in phase 1
+
+
+def test_certificate_covers_only_its_operator():
+    # a certificate for diag(1) must not admit a matrix that fails step 1
+    p = 3
+    good = Diagonal(p, {0: Padic.one(p)})
+    bad = FiniteMatrix(p, {(0, 0): Padic.one(p) / Padic.from_int(p, p)})
+    with pytest.raises(CertificationFailed):
+        certify_normal_contraction(bad, 3)
+    cert = certify_normal_contraction(good, 3)
+    square = mahler_expand([Padic.from_int(n * n, p) for n in range(3)])
+    with pytest.raises(PreconditionFailed):
+        functional_calculus(bad, square, cert)
+    with pytest.raises(PreconditionFailed):
+        binomial_series(bad, Padic.from_int(p, p), cert, 2)
+    with pytest.raises(PreconditionFailed):
+        teichmuller_idempotent(bad, cert)
+    # an equal operator built afresh is the same operator
+    again = Diagonal(p, {0: Padic.one(p)})
+    out, _ = functional_calculus(again, square, cert)
+    assert op_agree(out, good, 38)
 
 
 def test_teichmuller_idempotent_needs_certificate():

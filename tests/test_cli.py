@@ -7,7 +7,7 @@ import pytest
 
 from padicops.cli import _build_parser, main
 from padicops.config import ENV_VAR
-from padicops.io import operator_from_obj, operator_to_json, scalar_to_text
+from padicops.io import operator_from_obj, operator_to_obj, scalar_to_text
 from padicops.operators import Diagonal, FiniteMatrix, Identity, op_agree
 from padicops.scalars import Padic
 
@@ -19,7 +19,7 @@ def opfile(tmp_path):
     def write(op, precision=None):
         count[0] += 1
         path = tmp_path / f"op{count[0]}.json"
-        path.write_text(operator_to_json(op, precision))
+        path.write_text(json.dumps(operator_to_obj(op, precision)))
         return str(path)
 
     return write
@@ -318,9 +318,13 @@ def test_parse_failures_exit_4(capsys, tmp_path, opfile):
         code, _, err = run(capsys, *argv)
         assert code == 4, argv
         assert json.loads(err)["error"] == "ParseError"
-    # negative depths, and samples that are not a list of scalar texts
+    # negative depths and window sizes, and samples that are not a list of
+    # scalar texts
+    inv3 = opfile(FiniteMatrix(3, {(0, 0): Padic.one(3) / Padic.from_int(3, 3)}))
     for argv in (("calculus", "certify", "--in", e3, "--depth", "-2"),
-                 ("calculus", "fz", "--in", e3, "--z", "0", "--depth", "-2")):
+                 ("calculus", "fz", "--in", e3, "--z", "0", "--depth", "-2"),
+                 ("scale", "finite", "--in", inv3, "--dim", "-1"),
+                 ("scale", "probe", "--in", inv3, "--bounds=-1,2")):
         code, _, err = run(capsys, *argv)
         assert code == 4, argv
         assert json.loads(err)["error"] == "ParseError"
@@ -393,7 +397,7 @@ def test_file_precision_must_cover_the_target(capsys, opfile):
 
 
 def test_module_invocation_smoke(tmp_path):
-    opjson = operator_to_json(Diagonal(3, {0: Padic.one(3)}))
+    opjson = json.dumps(operator_to_obj(Diagonal(3, {0: Padic.one(3)})))
     path = tmp_path / "op.json"
     path.write_text(opjson)
     proc = subprocess.run(

@@ -5,13 +5,12 @@ import pytest
 
 from padicops.errors import (DependentBasis, NoConvergence, PreconditionFailed,
                              SearchExhausted)
-from padicops.idempotents import (BlockScheme, _independent_prefix,
-                                  _newton_schulz_inverse, cantor_pair, cantor_unpair,
+from padicops.idempotents import (_independent_prefix, _newton_schulz_inverse,
+                                  cantor_pair, cantor_unpair,
                                   column_projection, finite_rank_reduce,
                                   idempotent_equivalence, idempotent_lift,
                                   idempotent_refine, idempotent_split,
                                   infinite_sum, k0_trivialize, matrix_rank,
-                                  near_idempotent_equivalence,
                                   refinement_polynomial, sum_ring_generators)
 from padicops.operators import (Diagonal, FiniteMatrix, Identity,
                                 NormalForm, Product, ScalarMul, Sum,
@@ -280,17 +279,6 @@ def test_equivalence_preconditions():
         idempotent_equivalence(e, fm(3, {(1, 1): 1}))
 
 
-def test_near_idempotent_equivalence():
-    e = fm(3, {(0, 0): 1})
-    a = Sum([e, fm(3, {(1, 1): 27})])
-    e_a, w = near_idempotent_equivalence(e, a)
-    assert op_agree(Product([e_a, e_a]), e_a, 30)
-    assert op_agree(Product([w.u, e, w.u_inv]), e_a, 30)
-    far = fm(3, {(0, 0): 1, (1, 1): 1})
-    with pytest.raises(PreconditionFailed):
-        near_idempotent_equivalence(e, far)
-
-
 # -- projections and splitting ----------------------------------------------
 
 
@@ -407,7 +395,7 @@ def test_cantor_pairing_bijection():
             seen.add(x)
     assert len(seen) == 100
     assert sorted(x for x in seen if x < 55) == list(range(55))
-    assert BlockScheme().block_of(cantor_pair(7, 2)) == 7
+    assert cantor_unpair(cantor_pair(7, 2))[0] == 7
 
 
 def test_sum_ring_generator_relations():

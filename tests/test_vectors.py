@@ -34,8 +34,6 @@ def test_vector_norm_and_depth():
     v = vec(3, {0: Fraction(1, 3), 1: 9})
     assert v.norm() == ValuationBound(-1)
     assert PadicVector(3, {}).norm().is_zero
-    assert vec(3, {0: 27}).is_zero_at(3)
-    assert not vec(3, {0: 27}).is_zero_at(4)
 
 
 def test_basis_vector():

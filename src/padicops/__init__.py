@@ -26,7 +26,7 @@ from .operators import (Adjoint, Diagonal, FiniteMatrix, Identity, IndexMap,
                         NormalForm, Operator, Product, ScalarMul, Sum,
                         is_compact, normalize, op_agree, op_apply, op_column,
                         op_norm, truncate, weighted_shift_matrix)
-from .polynomials import IntPolynomial, PadicPolynomial
+from .polynomials import IntPolynomial
 from .scale import (ScaleValue, determinant, scale_minor_probe,
                     scale_transpose_check, willis_scale_finite)
 from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound,

@@ -18,7 +18,6 @@ from .io import exponent_str
 from .mahler import MahlerFunction
 from .operators import (Diagonal, Identity, NormalForm, Operator,
                         nf_polynomial, normalize)
-from .polynomials import PadicPolynomial
 from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound,
                       factorial_valuation, precision_of, teichmuller)
 
@@ -127,10 +126,11 @@ def binomial_series(a: Operator, z: Padic, cert: ContractionCertificate,
     return acc.to_operator(), error
 
 
-def zero_indicator_polynomial(prime: int, precision: int = DEFAULT_PRECISION) -> PadicPolynomial:
-    """The polynomial that is 1 at 0 and 0 at every nonzero Teichmuller
-    representative: product of (X - t_i) over i = 1..p-1, normalized by
-    (-1)^(p-1) times the product of the representatives."""
+def zero_indicator_polynomial(prime: int, precision: int = DEFAULT_PRECISION) -> tuple[Padic, ...]:
+    """Coefficients, constant first, of the polynomial that is 1 at 0 and
+    0 at every nonzero Teichmuller representative: product of (X - t_i)
+    over i = 1..p-1, normalized by (-1)^(p-1) times the product of the
+    representatives."""
     reps = [teichmuller(Padic.from_int(i, prime, precision)) for i in range(1, prime)]
     coeffs: list[Padic] = [Padic.one(prime, precision)]
     for t in reps:
@@ -142,7 +142,7 @@ def zero_indicator_polynomial(prime: int, precision: int = DEFAULT_PRECISION) ->
     denom = Padic.from_int((-1) ** (prime - 1), prime, precision)
     for t in reps:
         denom = denom * t
-    return PadicPolynomial(tuple(c / denom for c in coeffs))
+    return tuple(c / denom for c in coeffs)
 
 
 def teichmuller_idempotent(a: Operator, cert: ContractionCertificate,
@@ -175,19 +175,17 @@ def teichmuller_idempotent(a: Operator, cert: ContractionCertificate,
     if not cert.covers(1):
         raise PreconditionFailed("a contraction certificate is required")
     b = normalize(a)
-    poly = zero_indicator_polynomial(p, precision_of(b))
+    coeffs = zero_indicator_polynomial(p, precision_of(b))
     trace: list[list] = []
     for k in range(budget):
         if k:
             b = _nf_power(b, p)
-        x = nf_polynomial(b, poly.coeffs)
+        x = nf_polynomial(b, coeffs)
         defect = x.mul(x).sub(x)
         gap = defect.norm()
         trace.append([1, k, exponent_str(gap)])
         if gap < ValuationBound.one():
-            # the defect's valuation starts >= 1 and at least doubles a step,
-            # so target.bit_length() + 1 steps take it and the step to the target
-            e, defects = _refine_form(x, target, target.bit_length() + 1, defect)
+            e, defects = _refine_form(x, target, defect=defect)
             trace += [[2, i, exponent_str(d.norm())] for i, d in enumerate(defects, 1)]
             return e.to_operator(), trace
     raise NoConvergence(budget, "no P(A^(p^k)) was idempotent mod p")

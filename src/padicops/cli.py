@@ -117,6 +117,15 @@ def _same_prime(first, second) -> None:
         raise ParseError(f"inputs disagree on p: {first.prime} and {second.prime}")
 
 
+def _finite_support(a, why: str):
+    """The normal form of a, or PreconditionFailed when it has a shift or
+    a tail; why says what the leaf cannot do with such an operator."""
+    nf = normalize(a)
+    if nf.tail is not None or not nf.shift.is_zero:
+        raise PreconditionFailed(f"operator has infinite support; {why}")
+    return nf
+
+
 def _target(args) -> int:
     """--target, else the config file's target_valuation, else the default."""
     return load_config(args.config, target_valuation=args.target).target_valuation
@@ -178,7 +187,7 @@ def _cmd_calculus_fz(args) -> int:
 def _cmd_idem_refine(args) -> int:
     target = _target(args)
     a = _read_operator(args.infile, target)
-    e = idempotent_refine(a, target, **_budget(args))
+    e = idempotent_refine(a, target)
     distance = op_norm(a - e)
     _emit({"e": operator_to_obj(e),
            "distance_exponent": exponent_str(distance)})
@@ -224,6 +233,7 @@ def _cmd_idem_trivialize(args) -> int:
 def _cmd_idem_sumring(args) -> int:
     depth = _at_least("--depth", args.depth, 0)
     a = _read_operator(args.infile)
+    _finite_support(a, "its spread is a lazy tree with no file form")
     spread = infinite_sum(a, depth)
     _emit(operator_to_obj(spread))
     return 0
@@ -233,9 +243,7 @@ def _cmd_idem_sumring(args) -> int:
 
 
 def _finite_dim(a) -> int:
-    nf = normalize(a)
-    if nf.tail is not None or not nf.shift.is_zero:
-        raise PreconditionFailed("operator has infinite support; pass --dim")
+    nf = _finite_support(a, "pass --dim")
     top = 0
     for i, j in nf.head:
         top = max(top, i + 1, j + 1)
@@ -325,8 +333,7 @@ def _build_parser() -> _Parser:
             "--depth": dict(type=int, default=12)})
 
     idem = groups.add_parser("idem").add_subparsers(dest="action", required=True)
-    leaf(idem, "refine", _cmd_idem_refine, certifies,
-         {"--budget": dict(type=int, default=None)})
+    leaf(idem, "refine", _cmd_idem_refine, certifies)
     leaf(idem, "equiv", _cmd_idem_equiv, certifies,
          {"--in2": dict(dest="in2", required=True, metavar="FILE")})
     leaf(idem, "split", _cmd_idem_split, certifies)

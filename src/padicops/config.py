@@ -1,20 +1,16 @@
 """Experiment configuration shared by the CLI and the acceptance suite.
 
-Precedence: explicit flags, then the JSON file named by --config or
-PADIC_OPALG_CONFIG, then the defaults below.
+Precedence: explicit flags, then the JSON file named by --config, then
+the defaults below.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ParseError
-
-ENV_VAR = "PADIC_OPALG_CONFIG"
-
 
 # Miller-Rabin with the thirteen prime bases 2..41 decides primality
 # exactly below this bound (Sorenson and Webster, Math. Comp. 2017).
@@ -79,11 +75,9 @@ class ExperimentConfig:
 
 
 def load_config(path: str | None = None, **overrides) -> ExperimentConfig:
-    """Build a config honoring the flag > env-file > default order.
+    """Build a config honoring the flag > file > default order.
     Pass overrides with value None to mean "not given"."""
     data: dict = {}
-    if path is None:
-        path = os.environ.get(ENV_VAR)
     if path:
         try:
             raw = json.loads(Path(path).read_text())

@@ -55,26 +55,32 @@ def refinement_polynomial(m: int) -> IntPolynomial:
 # -- refinement ----------------------------------------------------------
 
 
-def idempotent_refine(a: Operator, target: int = 30, budget: int = 8) -> Operator:
+def idempotent_refine(a: Operator, target: int = 30) -> Operator:
     """Nearest idempotent to an almost-idempotent a.
 
     Requires ||a^2 - a|| < 1 / ||a||^2.  Iterates refinement_polynomial(2),
     e <- 3e^2 - 2e^3 = e + d(1 - 2e) with d = e^2 - e: two products a
-    step, and the defect squares, so k steps (``budget`` counts them)
-    reach the order of refinement_polynomial(2^k).  Stops once the step
-    and the new defect vanish below p^(-target); the output e is checked
-    to satisfy ||a - e|| < min(1/||a||, 1).
+    step, and the defect squares, so k steps reach the order of
+    refinement_polynomial(2^k).  Stops once the step and the new defect
+    vanish below p^(-target); the output e is checked to satisfy
+    ||a - e|| < min(1/||a||, 1).
     """
-    e, _ = _refine_form(normalize(a), target, budget)
+    e, _ = _refine_form(normalize(a), target)
     return e.to_operator()
 
 
-def _refine_form(nf: NormalForm, target: int, budget: int,
-                 defect: NormalForm | None = None,
+def _refine_form(nf: NormalForm, target: int, defect: NormalForm | None = None,
                  ) -> tuple[NormalForm, list[NormalForm]]:
     """idempotent_refine on a normal form.  Also returns the defect
     e^2 - e after each step.  ``defect`` is nf^2 - nf when the caller
-    has already formed it."""
+    has already formed it.
+
+    A step sends d to d^2(4d - 3), so the defect's valuation, at least 1
+    by the precondition, at least doubles a step: target.bit_length() + 1
+    steps take it, and the step that follows it, past the target.  More
+    steps would not help, so NoConvergence after them means the digits
+    ran out.
+    """
     p = nf.prime
     norm_a = nf.norm()
     if norm_a < ValuationBound.one():
@@ -91,7 +97,8 @@ def _refine_form(nf: NormalForm, target: int, budget: int,
     two = Padic.from_int(2, p, precision_of(nf))
     e = nf
     defects: list[NormalForm] = []
-    for _ in range(budget):
+    steps = target.bit_length() + 1
+    for _ in range(steps):
         step = defect.sub(defect.mul(e).scale(two))
         e = e.add(step)
         defect = e.mul(e).sub(e)
@@ -99,7 +106,7 @@ def _refine_form(nf: NormalForm, target: int, budget: int,
         if step.vanishes_to(target) and defect.vanishes_to(target):
             _check_refinement_distance(nf, e, norm_a)
             return e, defects
-    raise NoConvergence(budget, "refinement steps never met the target depth")
+    raise NoConvergence(steps, "refinement steps never met the target depth")
 
 
 def _check_refinement_distance(nf_a: NormalForm, nf_e: NormalForm,
@@ -262,14 +269,9 @@ def finite_rank_reduce(f: Operator, target: int = 30) -> int:
     nf = normalize(f)
     if not nf.shift.is_zero:
         raise PreconditionFailed("operator has an identity component; not finite rank")
-    head = dict(nf.head)
-    if nf.tail is not None:
-        if not nf.tail.default.is_zero:
-            raise PreconditionFailed("structured tail with nonzero default; not finite rank")
-        for j, c in nf.tail.coeff.items():
-            d = nf.tail.dest(j)
-            if d is not None and not c.is_zero:
-                head[(d, j)] = head.get((d, j), Padic.zero(f.prime)) + c
+    if nf.tail is not None and not nf.tail.default.is_zero:
+        raise PreconditionFailed("structured tail with nonzero default; not finite rank")
+    head = {(i, j): nf.entry(i, j) for i, j in nf.positions()}
     if not head:
         return 0
     refined = idempotent_refine(FiniteMatrix(f.prime, head), target)
@@ -326,12 +328,10 @@ def sum_ring_generators(prime: int) -> SumRingGenerators:
     return SumRingGenerators(prime, first_to_all, all_to_first, up, down)
 
 
-def infinite_sum(a: Operator, depth: int, gens: SumRingGenerators | None = None) -> Operator:
+def infinite_sum(a: Operator, depth: int) -> Operator:
     """Partial sum of the block-diagonal spreading of a: copies of a on
     blocks 0..depth.  Finite inputs are materialized; structural ones
-    stay lazy expression trees."""
-    if gens is None:
-        gens = sum_ring_generators(a.prime)
+    stay lazy expression trees over the sum-ring generators."""
     if not op_norm(a) <= ValuationBound.one():
         raise PreconditionFailed("spreading requires norm <= 1")
     nf = normalize(a)
@@ -341,6 +341,7 @@ def infinite_sum(a: Operator, depth: int, gens: SumRingGenerators | None = None)
             for (i, j), v in nf.head.items():
                 entries[(cantor_pair(n, i), cantor_pair(n, j))] = v
         return FiniteMatrix(a.prime, entries)
+    gens = sum_ring_generators(a.prime)
     terms: list[Operator] = []
     for n in range(depth + 1):
         factors: list[Operator] = [gens.up] * n
@@ -369,7 +370,7 @@ def k0_trivialize(e: Operator, target: int = 30, prefix: int = 16) -> dict:
     gens = sum_ring_generators(p)
     relations = _relation_checks(gens, prefix)
     depth = max(cantor_unpair(x)[0] for x in range(prefix)) + 1
-    g_inf = infinite_sum(split.g, depth, gens)
+    g_inf = infinite_sum(split.g, depth)
     repeat_ok = _repeat_equation_ok(split.g, g_inf, gens, prefix, depth, target)
     return {
         "zero_input": False,
@@ -425,17 +426,13 @@ def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
 # -- lifting modulo compacts ----------------------------------------------
 
 
-def idempotent_lift(a: Operator, compact_defect: Operator | None = None,
-                    target: int = 30, budget: int = 64) -> Operator:
+def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator:
     """Idempotent e with e - a compact, for a contraction a whose defect
     a^2 - a is compact.  Searches powers for ||a^m - a^n|| < 1 (gap-first
     breadth order), then refines a suitable power."""
     if not op_norm(a) <= ValuationBound.one():
         raise PreconditionFailed("lift input must be a contraction")
-    defect = compact_defect
-    if defect is None:
-        defect = Product([a, a]) - a
-    if not is_compact(defect):
+    if not is_compact(Product([a, a]) - a):
         raise PreconditionFailed("defect a^2 - a is not certified compact")
     nf = normalize(a)
     powers = [nf]  # a^1, a^2, ...

@@ -183,12 +183,11 @@ def operator_from_json(text: str):
 # -- Mahler expansions -------------------------------------------------
 
 
-def mahler_to_obj(fn, prime: int, precision: int | None = None) -> dict[str, Any]:
-    """The file form of fn.  The header precision defaults to the
-    precision fn carries."""
+def mahler_to_obj(fn, prime: int) -> dict[str, Any]:
+    """The file form of fn, with the precision fn carries in its header."""
     return {
         "p": prime,
-        "precision": precision if precision is not None else precision_of(fn),
+        "precision": precision_of(fn),
         "kind": "mahler",
         "coefficients": [scalar_to_text(c) for c in fn.coefficients],
         "tail_exponent": fn.tail_bound.exponent,

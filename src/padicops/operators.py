@@ -15,7 +15,7 @@ domain flag); nothing is ever decided by sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import NonIntegral, StructureError, Undecidable
 from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound, norm_max,
@@ -160,6 +160,18 @@ class NormalForm:
             total = total + self.tail.coeff_at(j)
         return total
 
+    def positions(self) -> Iterator[tuple[int, int]]:
+        """The positions (i, j) where an entry can differ from the shift
+        and the tail default: the head keys, then each tail override
+        (dest(j), j) outside the head.  Lazy, so a caller that stops early
+        computes no further position."""
+        yield from self.head
+        if self.tail is not None:
+            for j in self.tail.coeff:
+                d = self.tail.dest(j)
+                if d is not None and (d, j) not in self.head:
+                    yield d, j
+
     def column(self, j: int) -> PadicVector:
         return self.apply(PadicVector.basis(self.prime, j, precision_of(self)))
 
@@ -202,14 +214,19 @@ class NormalForm:
         tail = other.tail.map(Padic.__neg__) if other.tail is not None else None
         return NormalForm(self.prime, self.shift - other.shift, self.tail or tail, head)
 
+    def map(self, f: Callable[[Padic], Padic]) -> "NormalForm":
+        """The form with f applied to the shift and to every head and
+        tail coefficient; head entries that f sends to zero are dropped."""
+        head: dict[tuple[int, int], Padic] = {}
+        for key, v in self.head.items():
+            _insert(head, key, f(v))
+        tail = self.tail.map(f) if self.tail is not None else None
+        return NormalForm(self.prime, f(self.shift), tail, head)
+
     def scale(self, c: Padic) -> "NormalForm":
         if c.is_zero:
             return NormalForm.constant(self.prime, Padic.zero(self.prime))
-        head = {}
-        for key, v in self.head.items():
-            _insert(head, key, v * c)
-        tail = self.tail.map(lambda v: v * c) if self.tail is not None else None
-        return NormalForm(self.prime, self.shift * c, tail, head)
+        return self.map(c.__mul__)
 
     def mul(self, other: "NormalForm") -> "NormalForm":
         a, b = self, other
@@ -279,28 +296,16 @@ class NormalForm:
         return NormalForm(self.prime, self.shift, tail, head)
 
     def divide_entries(self, c: Padic) -> "NormalForm":
-        head = {}
-        for key, v in self.head.items():
-            _insert(head, key, v / c)
-        tail = self.tail.map(lambda v: v / c) if self.tail is not None else None
-        return NormalForm(self.prime, self.shift / c, tail, head)
+        return self.map(lambda v: v / c)
 
     # exact queries ------------------------------------------------------
 
     def norm(self) -> ValuationBound:
         realized: list[ValuationBound] = []
-        for (i, j), _ in self.head.items():
+        for i, j in self.positions():
             total = self.entry(i, j)
             if not total.is_zero:
                 realized.append(total.norm)
-        if self.tail is not None:
-            for j in self.tail.coeff:
-                d = self.tail.dest(j)
-                if d is None or (d, j) in self.head:
-                    continue
-                total = self.entry(d, j)
-                if not total.is_zero:
-                    realized.append(total.norm)
         s = self.shift.norm
         if self.tail is None or self.tail.default.is_zero:
             # beyond finitely many positions the matrix is shift * I
@@ -341,13 +346,7 @@ class NormalForm:
                 return False
             if any(not c.vanishes_to(depth) for c in self.tail.coeff.values()):
                 return False
-        positions = set(self.head)
-        if self.tail is not None:
-            for j in self.tail.coeff:
-                dd = self.tail.dest(j)
-                if dd is not None:
-                    positions.add((dd, j))
-        return all(self.entry(i, j).vanishes_to(depth) for i, j in positions)
+        return all(self.entry(i, j).vanishes_to(depth) for i, j in self.positions())
 
     def to_operator(self) -> "Operator":
         if self.tail is not None:
@@ -595,7 +594,10 @@ def truncate(op: Operator, size: int) -> FiniteMatrix:
 
 def op_agree(a: Operator, b: Operator, depth: int) -> bool:
     """True when every entry of a - b is certified zero mod p^depth."""
-    diff = normalize(a).sub(normalize(b))
+    try:
+        diff = normalize(a).sub(normalize(b))
+    except StructureError as exc:
+        raise Undecidable(f"difference has no closed structured form: {exc}") from exc
     return diff.vanishes_to(depth)
 
 

@@ -1,16 +1,13 @@
-"""Dense polynomials over Z and over the p-adic scalars.
+"""Dense polynomials over Z.
 
-Coefficient order is constant-first.  The integer flavour is exact and
-supports the divisibility checks the idempotent machinery relies on;
-the p-adic flavour is just a container with Horner evaluation.
+Coefficient order is constant-first.  Arithmetic is exact and supports
+the divisibility checks the idempotent machinery relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .scalars import Padic
 
 
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -94,18 +91,3 @@ class IntPolynomial:
         if any(rem):
             return None
         return IntPolynomial(tuple(quot))
-
-
-@dataclass(frozen=True)
-class PadicPolynomial:
-    coeffs: tuple[Padic, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: Padic) -> Padic:
-        out = Padic.zero(x.prime)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out

@@ -104,11 +104,6 @@ class ValuationBound:
     def __ge__(self, other: "ValuationBound") -> bool:
         return self._key() >= other._key()
 
-    def __mul__(self, other: "ValuationBound") -> "ValuationBound":
-        if self.exponent is None or other.exponent is None:
-            return ValuationBound(None)
-        return ValuationBound(self.exponent + other.exponent)
-
     def __str__(self) -> str:
         return "0" if self.exponent is None else f"p^{-self.exponent}"
 

@@ -52,9 +52,6 @@ class PadicVector:
     def scale(self, c: Padic) -> "PadicVector":
         return PadicVector(self.prime, {i: v * c for i, v in self.entries.items()})
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PadicVector) and self.prime == other.prime and self.entries == other.entries
-
 
 @dataclass(frozen=True)
 class PairingValue:

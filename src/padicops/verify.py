@@ -495,7 +495,7 @@ def _c10_sum_ring(cfg: ExperimentConfig) -> tuple[bool, str]:
         entries = {(i, j): Padic.from_int(rng.randrange(p ** 4), p, prec)
                    for i in range(4) for j in range(4)}
         a = FiniteMatrix(p, entries)
-        spread = infinite_sum(a, depth, gens)
+        spread = infinite_sum(a, depth)
         for x in range(64):
             if cantor_unpair(x)[0] >= depth:
                 continue

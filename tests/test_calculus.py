@@ -9,8 +9,9 @@ from padicops.calculus import (ContractionCertificate, binomial_series,
 from padicops.errors import (CertificationFailed, NoConvergence,
                              PreconditionFailed)
 from padicops.mahler import MahlerFunction, mahler_expand
-from padicops.operators import (Diagonal, FiniteMatrix, Identity, Product,
-                                normalize, op_agree, weighted_shift_matrix)
+from padicops.operators import (Diagonal, FiniteMatrix, Identity, NormalForm,
+                                Product, nf_polynomial, normalize, op_agree,
+                                weighted_shift_matrix)
 from padicops.scalars import (Padic, ValuationBound, binomial_padic,
                               factorial_valuation, teichmuller)
 
@@ -144,19 +145,24 @@ def test_binomial_series_norm_gate():
 
 
 def test_zero_indicator_polynomial():
+    # evaluated at a constant form t * I, as teichmuller_idempotent
+    # evaluates it at A^(p^k): 1 at 0, 0 at each nonzero representative
+    def at(p, coeffs, t):
+        return nf_polynomial(NormalForm.constant(p, t), coeffs).shift
+
     for p in (2, 3, 5):
-        poly = zero_indicator_polynomial(p)
-        assert poly.degree == p - 1
-        assert (poly(Padic.zero(p)) - Padic.one(p)).vanishes_to(35)
+        coeffs = zero_indicator_polynomial(p)
+        assert len(coeffs) == p
+        assert (at(p, coeffs, Padic.zero(p)) - Padic.one(p)).vanishes_to(35)
         for i in range(1, p):
             t = teichmuller(Padic.from_int(i, p))
-            assert poly(t).vanishes_to(35)
-    # at p = 3 the roots are the fourth... the square roots of 1, so
-    # the polynomial is 1 - X^2
-    poly = zero_indicator_polynomial(3)
-    assert (poly.coeffs[0] - Padic.one(3)).vanishes_to(35)
-    assert poly.coeffs[1].vanishes_to(35)
-    assert (poly.coeffs[2] + Padic.one(3)).vanishes_to(35)
+            assert at(p, coeffs, t).vanishes_to(35)
+    # at p = 3 the roots are the square roots of 1, so the polynomial is
+    # 1 - X^2
+    coeffs = zero_indicator_polynomial(3)
+    assert (coeffs[0] - Padic.one(3)).vanishes_to(35)
+    assert coeffs[1].vanishes_to(35)
+    assert (coeffs[2] + Padic.one(3)).vanishes_to(35)
 
 
 def test_teichmuller_idempotent_diagonal():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from padicops.cli import _build_parser, main
-from padicops.config import ENV_VAR
 from padicops.io import operator_from_obj, operator_to_obj, scalar_to_text
 from padicops.operators import Diagonal, FiniteMatrix, Identity, op_agree
 from padicops.scalars import Padic
@@ -197,6 +196,10 @@ def test_idem_refine_example(capsys, opfile):
     assert obj["distance_exponent"] == "3"
     e = operator_from_obj(obj["e"])
     assert op_agree(e, FiniteMatrix(3, {(0, 0): Padic.one(3)}), 30)
+    # refinement takes its step count from the target, so no flag sets it
+    code, _, err = run(capsys, "idem", "refine", "--in", path, "--budget", "8")
+    assert code == 4
+    assert "unrecognized arguments: --budget 8" in json.loads(err)["message"]
 
 
 def test_idem_refine_is_deterministic(capsys, opfile):
@@ -266,6 +269,14 @@ def test_idem_sumring(capsys, opfile):
     obj = json.loads(out)
     assert obj["kind"] == "finite"
     assert obj["entries"] == [[0, 0, "3^0*1"], [1, 1, "3^0*1"]]
+    # an identity, or a diagonal with a nonzero default, spreads into a lazy
+    # tree with no file form: refused as a precondition, before any work
+    for op in (Identity(3), Diagonal(3, {0: Padic.zero(3)}, Padic.one(3))):
+        code, out, err = run(capsys, "idem", "sumring", "--in", opfile(op), "--depth", "1")
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "PreconditionFailed"
+        assert "no file form" in report["message"]
 
 
 def test_parse_failures_exit_4(capsys, tmp_path, opfile):
@@ -357,7 +368,7 @@ def test_parser_is_built_once_and_reused(capsys, opfile):
         assert run(capsys, *argv)[:2] == answer
 
 
-def test_config_file_pickup(capsys, opfile, tmp_path, monkeypatch):
+def test_config_file_pickup(capsys, opfile, tmp_path):
     badcfg = tmp_path / "cfg.json"
     path = opfile(near_idempotent(40))
     # a composite prime, and values of the wrong type, are parse errors
@@ -366,10 +377,6 @@ def test_config_file_pickup(capsys, opfile, tmp_path, monkeypatch):
         code, _, err = run(capsys, "idem", "refine", "--in", path, "--config", str(badcfg))
         assert code == 4
         assert json.loads(err)["error"] == "ParseError"
-    monkeypatch.setenv(ENV_VAR, str(badcfg))
-    code, _, _ = run(capsys, "idem", "refine", "--in", path)
-    assert code == 4
-    monkeypatch.delenv(ENV_VAR)
     code, _, _ = run(capsys, "idem", "refine", "--in", path)
     assert code == 0
     # the config file's target reaches the leaf

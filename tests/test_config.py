@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from padicops.config import (ENV_VAR, ExperimentConfig, _is_prime, load_config,
+from padicops.config import (ExperimentConfig, _is_prime, load_config,
                              require_prime)
 from padicops.errors import ParseError
 from padicops.io import file_header
@@ -30,7 +30,7 @@ def test_validation():
             ExperimentConfig(**bad)
 
 
-def test_file_and_flag_precedence(tmp_path, monkeypatch):
+def test_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"prime": 5, "precision": 32}))
     cfg = load_config(str(cfgfile))
@@ -38,15 +38,11 @@ def test_file_and_flag_precedence(tmp_path, monkeypatch):
     # explicit flags beat the file
     cfg = load_config(str(cfgfile), prime=7)
     assert (cfg.prime, cfg.precision) == (7, 32)
-    # env var names the file when no path is given
-    monkeypatch.setenv(ENV_VAR, str(cfgfile))
-    assert load_config().prime == 5
     # a None override means "not given"
-    assert load_config(prime=None).prime == 5
+    assert load_config(str(cfgfile), prime=None).prime == 5
 
 
-def test_file_errors(tmp_path, monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_file_errors(tmp_path):
     with pytest.raises(ParseError):
         load_config(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicops.errors import (DependentBasis, NoConvergence, PreconditionFailed,
-                             SearchExhausted)
+from padicops.errors import DependentBasis, PreconditionFailed, SearchExhausted
 from padicops.idempotents import (_independent_prefix, _newton_schulz_inverse,
                                   cantor_pair, cantor_unpair,
                                   column_projection, finite_rank_reduce,
@@ -90,10 +89,14 @@ def test_refine_rejects_large_defect():
         idempotent_refine(diag(3, [2]))
 
 
-def test_refine_budget_exhaustion():
-    with pytest.raises(NoConvergence) as info:
-        idempotent_refine(diag(3, [4]), budget=1)
-    assert info.value.iterations == 1
+def test_refine_steps_follow_the_target():
+    # the defect's valuation runs 1, 3, 7, ..., 511, so target 300 takes
+    # nine steps, one more than a fixed cap of eight would allow
+    p, prec, target = 3, 400, 300
+    a = Diagonal(p, {0: Padic.from_int(4, p, prec), 1: Padic.from_int(3, p, prec)})
+    e = idempotent_refine(a, target)
+    assert normalize(e).head == {(0, 0): Padic.one(p, prec)}
+    assert op_agree(Product([e, e]), e, target)
 
 
 def test_refine_off_diagonal_defect(rng):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from padicops.errors import NonIntegral, StructureError, Undecidable
+from padicops.idempotents import sum_ring_generators
 from padicops.operators import (Adjoint, Diagonal, FiniteMatrix, Identity,
                                 IndexMap, Product, ScalarMul, Sum, is_compact,
                                 nf_polynomial, normalize, op_agree, op_apply,
@@ -132,6 +133,14 @@ def test_adjoint_involution():
     for j in (0, 1, 7):
         delta = PadicVector.basis(3, j)
         assert op_apply(Adjoint(Adjoint(u)), delta) == op_apply(u, delta)
+
+
+def test_agree_of_two_tails_is_undecidable():
+    # a - b has no normal form when both carry a structured tail, even for
+    # a = b: op_agree says so as op_norm does, not with a StructureError
+    up = sum_ring_generators(3).up
+    with pytest.raises(Undecidable):
+        op_agree(Adjoint(Adjoint(up)), up, 38)
 
 
 def test_shift_head_cancellation():

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicops.polynomials import IntPolynomial, PadicPolynomial
-from padicops.scalars import Padic
+from padicops.polynomials import IntPolynomial
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 
@@ -58,16 +57,3 @@ def test_division_undoes_multiplication(a, b):
     g = IntPolynomial(tuple(b))
     q = f.divides_into(f * g)
     assert q == g
-
-
-def test_padic_horner_matches_integer_evaluation():
-    f = IntPolynomial((3, -1, 4, 1))
-    fp = PadicPolynomial(tuple(Padic.from_int(c, 5) for c in f.coeffs))
-    for x in (0, 1, 7, 26):
-        got = fp(Padic.from_int(x, 5))
-        assert (got - Padic.from_int(f(x), 5)).vanishes_to(35)
-
-
-def test_padic_degree():
-    fp = PadicPolynomial((Padic.one(3), Padic.from_int(2, 3)))
-    assert fp.degree == 1

@@ -3,17 +3,18 @@
 The oracle below works on plain (valuation, unit, precision) triples and
 never calls Padic arithmetic: per entry it takes the least absolute
 precision over the entry's terms and reduces their exact sum modulo
-p^that.
+p^that.  The walk of vanishes_to and norm over a form's positions is
+checked against a scan of every entry of a window.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicops import operators
 from padicops.errors import PrecisionExhausted
 from padicops.operators import FiniteMatrix, NormalForm, _Tail, normalize
-from padicops.scalars import Padic
+from padicops.scalars import Padic, norm_max
 from padicops.vectors import PadicVector
 
 
@@ -213,3 +214,41 @@ def test_apply_matches_plain_int_oracle(data):
     got = {i: (v.valuation, v.unit, v.precision)
            for i, v in a.apply(PadicVector(p, x)).entries.items()}
     assert got == want
+
+
+# -- property: the position walk of vanishes_to and norm ---------------------------
+
+
+def _scan(form: NormalForm, n: int) -> list[Padic] | None:
+    """entry(i, j) at every position of the (n + 2) x (n + 2) window, which
+    holds the head and every tail override, or None when an entry has no
+    certified digit."""
+    try:
+        return [form.entry(i, j) for i in range(n + 2) for j in range(n + 2)]
+    except PrecisionExhausted:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_position_walk_matches_entry_scan(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(forms(p, n, data.draw(st.booleans()), True))
+    # an override outside the head is a position only the tail walk reaches
+    assume(any((j + 1, j) not in a.head for j in a.tail.coeff))
+    depth = data.draw(st.integers(-6, 60))
+    # beyond the window every entry is the shift or the tail default
+    entries = _scan(a, n)
+    if entries is not None:
+        want = (a.shift.vanishes_to(depth) and a.tail.default.vanishes_to(depth)
+                and all(v.vanishes_to(depth) for v in entries))
+        assert a.vanishes_to(depth) == want
+    # with no shift and no tail default the norm is the window's
+    finite = NormalForm(p, Padic.zero(p), _up_tail(p, a.tail.coeff, Padic.zero(p)), a.head)
+    entries = _scan(finite, n)
+    if entries is None:
+        with pytest.raises(PrecisionExhausted):
+            finite.norm()
+    else:
+        assert finite.norm() == norm_max(v.norm for v in entries)

@@ -107,7 +107,6 @@ def test_valuation_bound_order():
     assert ValuationBound(0) < ValuationBound(-2)
     assert str(ValuationBound(2)) == "p^-2"
     assert str(zero) == "0"
-    assert ValuationBound(1) * ValuationBound(2) == ValuationBound(3)
 
 
 def test_digit_sum_and_factorial_valuation():

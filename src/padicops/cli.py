@@ -131,11 +131,6 @@ def _target(args) -> int:
     return load_config(args.config, target_valuation=args.target).target_valuation
 
 
-def _budget(args) -> dict[str, int]:
-    """--budget as a keyword argument; without it the library default holds."""
-    return {} if args.budget is None else {"budget": args.budget}
-
-
 def _cmd_calculus_certify(args) -> int:
     depth = _at_least("--depth", args.depth, 0)
     a = _read_operator(args.infile)
@@ -149,8 +144,7 @@ def _cmd_calculus_apply(args) -> int:
     a = _read_operator(args.infile)
     fn = mahler_from_obj(_read_json(args.fn))
     _same_prime(a, fn)
-    depth = len(fn.coefficients) if args.depth is None else _at_least("--depth", args.depth, 0)
-    cert = certify_normal_contraction(a, depth)
+    cert = certify_normal_contraction(a, len(fn.coefficients))
     result, error = functional_calculus(a, fn, cert)
     _emit({"result": operator_to_obj(result),
            "error_exponent": exponent_str(error)})
@@ -162,7 +156,7 @@ def _cmd_calculus_teich(args) -> int:
     depth = _at_least("--depth", args.depth, 0)
     a = _read_operator(args.infile, target)
     cert = certify_normal_contraction(a, depth)
-    e, trace = teichmuller_idempotent(a, cert, target=target, **_budget(args))
+    e, trace = teichmuller_idempotent(a, cert, target=target)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(tsv_table(["phase", "k", "defect_exponent"], trace))
@@ -174,7 +168,8 @@ def _cmd_calculus_fz(args) -> int:
     depth = _at_least("--depth", args.depth, 0)
     a = _read_operator(args.infile)
     z = scalar_from_text(args.z, a.prime, precision_of(a))
-    cert = certify_normal_contraction(a, depth)
+    # the error bound needs ||A|| <= 1, step 1 of the certificate
+    cert = certify_normal_contraction(a, max(depth, 1))
     result, error = binomial_series(a, z, cert, depth)
     _emit({"result": operator_to_obj(result),
            "error_exponent": exponent_str(error)})
@@ -216,8 +211,9 @@ def _cmd_idem_split(args) -> int:
 
 def _cmd_idem_lift(args) -> int:
     target = _target(args)
+    budget = {} if args.budget is None else {"budget": _at_least("--budget", args.budget, 1)}
     a = _read_operator(args.infile, target)
-    e = idempotent_lift(a, target=target, **_budget(args))
+    e = idempotent_lift(a, target=target, **budget)
     _emit({"e": operator_to_obj(e)})
     return 0
 
@@ -322,11 +318,9 @@ def _build_parser() -> _Parser:
     leaf(calculus, "certify", _cmd_calculus_certify, [reads_file],
          {"--depth": dict(type=int, required=True)})
     leaf(calculus, "apply", _cmd_calculus_apply, [reads_file],
-         {"--fn": dict(required=True, metavar="FILE"),
-            "--depth": dict(type=int, default=None)})
+         {"--fn": dict(required=True, metavar="FILE")})
     leaf(calculus, "teich-idem", _cmd_calculus_teich, certifies,
          {"--depth": dict(type=int, default=1),
-            "--budget": dict(type=int, default=None),
             "--trace": dict(default=None, metavar="FILE", help="write TSV trace")})
     leaf(calculus, "fz", _cmd_calculus_fz, [reads_file],
          {"--z": dict(required=True, help="scalar text for the base point"),

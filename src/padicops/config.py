@@ -72,6 +72,8 @@ class ExperimentConfig:
         require_prime(self.prime)
         if self.precision < 8:
             raise ParseError("precision must be at least 8")
+        if self.target_valuation < 1:
+            raise ParseError("target_valuation must be at least 1")
 
 
 def load_config(path: str | None = None, **overrides) -> ExperimentConfig:

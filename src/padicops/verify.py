@@ -327,11 +327,11 @@ def _c06_teichmuller_idempotent(cfg: ExperimentConfig) -> tuple[bool, str]:
         entries[i] = Padic.from_int(unit * p ** rng.choice((0, 0, 1, 2)), p, prec)
     a = Diagonal(p, entries)
     cert = certify_normal_contraction(a, 2)
-    e, trace = teichmuller_idempotent(a, cert, target=target, budget=prec)
+    e, trace = teichmuller_idempotent(a, cert, target=target)
     evaluations = sum(1 for row in trace if row[0] == 1)
     steps = len(trace) - evaluations
-    if evaluations > prec:
-        return False, "evaluation budget exceeded"
+    if evaluations != 1:
+        return False, f"{evaluations} evaluations of P(A^(p^k)); a diagonal needs one"
     nfe = normalize(e)
     one, zero = Padic.one(p, prec), Padic.zero(p)
     for i, v in entries.items():

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from padicops import calculus
 from padicops.calculus import (ContractionCertificate, binomial_series,
                                certify_normal_contraction, functional_calculus,
                                teichmuller_idempotent, zero_indicator_polynomial)
-from padicops.errors import (CertificationFailed, NoConvergence,
-                             PreconditionFailed)
+from padicops.errors import (CertificationFailed, PreconditionFailed,
+                             Undecidable)
+from padicops.idempotents import sum_ring_generators
 from padicops.mahler import MahlerFunction, mahler_expand
 from padicops.operators import (Diagonal, FiniteMatrix, Identity, NormalForm,
                                 Product, nf_polynomial, normalize, op_agree,
@@ -144,25 +146,92 @@ def test_binomial_series_norm_gate():
         binomial_series(a, Padic.one(3), cert, 4)
 
 
+def test_binomial_series_error_under_finite_certificate():
+    # A = 1 + N with N = e_01 certifies only to depth 4 at p = 5, so the
+    # discarded terms are bounded through 5^n / n!, not by |z|^5.  With
+    # N^2 = 0, binom(N, n) has (0, 1) entry (-1)^(n-1)/n, so the tail of
+    # the (0, 1) entry is the sum over n >= 5 of (-1)^(n-1) 5^n / n, whose
+    # n = 5 term 5^4 dominates: valuation 4, not 5.
+    p = 5
+    a = FiniteMatrix(p, {(0, 0): Padic.one(p), (0, 1): Padic.one(p), (1, 1): Padic.one(p)})
+    with pytest.raises(CertificationFailed):
+        certify_normal_contraction(a, 5)
+    cert = certify_normal_contraction(a, 4)
+    _, err = binomial_series(a, Padic.from_int(p, p), cert, 4)
+    tail = [Fraction(p**n, n) for n in range(5, 60)]
+    assert min(Padic.from_fraction(t, p).valuation for t in tail) == 4
+    assert err == ValuationBound(4)
+    # a structural certificate keeps |z|^(depth+1)
+    d = diag(p, [1, 6])
+    _, err = binomial_series(d, Padic.from_int(p, p), certify_normal_contraction(d, 4), 4)
+    assert err == ValuationBound(5)
+    # the error bound needs ||A|| <= 1, which a depth-0 certificate does not
+    # give: the n = 1 term of diag(3^-2) alone has norm 3
+    big = Diagonal(3, {0: Padic.one(3) / Padic.from_int(9, 3)})
+    with pytest.raises(PreconditionFailed):
+        binomial_series(big, Padic.from_int(3, 3), certify_normal_contraction(big, 0), 0)
+
+
+def test_functional_calculus_refuses_tail_under_finite_certificate():
+    # on the same A, the admissible function with T_5 = 5^3 differs from the
+    # 4-term truncation by 5^3 binom(A, 5) = -(25/4) N, of norm 5^-2: a
+    # finite certificate backs no tail bound
+    p = 5
+    a = FiniteMatrix(p, {(0, 0): Padic.one(p), (0, 1): Padic.one(p), (1, 1): Padic.one(p)})
+    cert = certify_normal_contraction(a, 4)
+    fn = mahler_expand([Padic.from_int(n * n, p) for n in range(4)], ValuationBound(3))
+    with pytest.raises(PreconditionFailed, match="tail bound"):
+        functional_calculus(a, fn, cert)
+    d = diag(p, [1, 6])
+    _, err = functional_calculus(d, fn, certify_normal_contraction(d, 4))
+    assert err == ValuationBound(3)
+
+
+def test_certificate_transfers_to_a_minus_one():
+    # Pascal's rule: binom(A - 1, n) is a signed sum of binom(A, k), k <= n,
+    # so A - 1 certifies to every depth A does
+    rng = random.Random(1904)
+    certified = 0
+    for trial in range(60):
+        p = (2, 3, 5)[trial % 3]
+        n = rng.randint(1, 3)
+        a = FiniteMatrix(p, {(i, j): Padic.from_int(rng.randrange(-p**2, p**2) * p ** rng.choice((0, 1)), p)
+                             for i in range(n) for j in range(n)})
+        try:
+            certify_normal_contraction(a, 8)
+            depth = 8
+        except CertificationFailed as exc:
+            depth = exc.depth - 1
+        certified += depth > 0
+        certify_normal_contraction(a - Identity(p), depth)
+    assert certified > 30
+
+
+def test_certificate_undecidable_on_structured_tails():
+    # a product of two structured tails has no closed form, so depth 2 is
+    # undecidable rather than an internal error
+    up = sum_ring_generators(3).up
+    assert certify_normal_contraction(up, 1).depth == 1
+    with pytest.raises(Undecidable):
+        certify_normal_contraction(up, 3)
+
+
 def test_zero_indicator_polynomial():
     # evaluated at a constant form t * I, as teichmuller_idempotent
     # evaluates it at A^(p^k): 1 at 0, 0 at each nonzero representative
     def at(p, coeffs, t):
         return nf_polynomial(NormalForm.constant(p, t), coeffs).shift
 
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7, 11):
         coeffs = zero_indicator_polynomial(p)
         assert len(coeffs) == p
+        # P = 1 - X^(p-1), with exact zeros between
+        assert coeffs[0] == Padic.one(p) and coeffs[-1] == -Padic.one(p)
+        assert all(c.is_zero and c.precision is None for c in coeffs[1:-1])
         assert (at(p, coeffs, Padic.zero(p)) - Padic.one(p)).vanishes_to(35)
         for i in range(1, p):
             t = teichmuller(Padic.from_int(i, p))
             assert at(p, coeffs, t).vanishes_to(35)
-    # at p = 3 the roots are the square roots of 1, so the polynomial is
-    # 1 - X^2
-    coeffs = zero_indicator_polynomial(3)
-    assert (coeffs[0] - Padic.one(3)).vanishes_to(35)
-    assert coeffs[1].vanishes_to(35)
-    assert (coeffs[2] + Padic.one(3)).vanishes_to(35)
 
 
 def test_teichmuller_idempotent_diagonal():
@@ -187,19 +256,101 @@ def test_teichmuller_idempotent_diagonal():
     assert all(2 * d <= nxt for d, nxt in zip([1] + depths, depths))
 
 
-def test_teichmuller_idempotent_budget():
-    # a Jordan block: P(A) = 1 - A^2 is not idempotent mod 3, P(A^3) is,
-    # so a budget of one evaluation is exhausted and two suffice
+def jordan_block(p):
+    return FiniteMatrix(p, {(0, 0): Padic.one(p), (0, 1): Padic.one(p), (1, 1): Padic.one(p)})
+
+
+def test_teichmuller_idempotent_jordan_block():
+    # P(A) = 1 - A^2 is not idempotent mod 3 on a Jordan block, P(A^3) is:
+    # the 2 x 2 window caps phase 1 at k = 1, where it succeeds
     p = 3
-    a = FiniteMatrix(p, {(0, 0): Padic.one(p), (0, 1): Padic.one(p), (1, 1): Padic.one(p)})
-    cert = certify_normal_contraction(a, 1)
-    with pytest.raises(NoConvergence) as info:
-        teichmuller_idempotent(a, cert, target=30, budget=1)
-    assert info.value.iterations == 1
-    e, trace = teichmuller_idempotent(a, cert, target=30, budget=2)
+    a = jordan_block(p)
+    e, trace = teichmuller_idempotent(a, certify_normal_contraction(a, 1), target=30)
     assert [row[:2] for row in trace if row[0] == 1] == [[1, 0], [1, 1]]
     # A^(3^k) tends to 1 on the block, where P vanishes; P(0) = 1 past it
     assert op_agree(e, Diagonal(p, {0: Padic.zero(p), 1: Padic.zero(p)}, Padic.one(p)), 30)
+
+
+def test_teichmuller_idempotent_refuses_eigenvalue_outside_fp(monkeypatch):
+    # [[0, 2], [1, 0]] squares to 2 I: its eigenvalues mod 3 are the square
+    # roots of -1, outside F_3.  The 2 x 2 window caps phase 1 at k = 1, so
+    # two evaluations of P settle it.
+    p = 3
+    a = FiniteMatrix(p, {(0, 1): Padic.from_int(2, p), (1, 0): Padic.one(p)})
+    cert = certify_normal_contraction(a, 1)
+    evaluations = []
+
+    def counted(nf, coeffs):
+        evaluations.append(nf)
+        return nf_polynomial(nf, coeffs)
+
+    monkeypatch.setattr(calculus, "nf_polynomial", counted)
+    with pytest.raises(PreconditionFailed, match="eigenvalue outside F_p"):
+        teichmuller_idempotent(a, cert)
+    assert len(evaluations) == 2
+
+
+def test_teichmuller_idempotent_refuses_structured_tail():
+    up = sum_ring_generators(3).up
+    with pytest.raises(PreconditionFailed, match="structured tail"):
+        teichmuller_idempotent(up, certify_normal_contraction(up, 1))
+
+
+def _charpoly(m):
+    """Coefficients, constant first, of det(x I - m) over Z by
+    Faddeev-LeVerrier; the divisions are exact."""
+    n = len(m)
+    coeffs = [0] * n + [1]
+    acc = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        acc = [[sum(m[i][t] * acc[t][j] for t in range(n)) + (coeffs[n - k + 1] if i == j else 0)
+                for j in range(n)] for i in range(n)]
+        trace = sum(sum(m[i][t] * acc[t][i] for t in range(n)) for i in range(n))
+        assert trace % k == 0
+        coeffs[n - k] = -trace // k
+    return coeffs
+
+
+def _roots_mod_p(coeffs, p):
+    """The number of roots in F_p of a monic integer polynomial, counted
+    with multiplicity, by repeated synthetic division mod p."""
+    poly = [c % p for c in coeffs]
+    count = 0
+    for r in range(p):
+        while len(poly) > 1:
+            # poly = (x - r) q + poly(r), Horner from the top
+            q, carry = [], 0
+            for c in reversed(poly):
+                carry = (carry * r + c) % p
+                q.append(carry)
+            if q.pop():
+                break
+            poly = q[::-1]
+            count += 1
+    return count
+
+
+def test_teichmuller_idempotent_converges_iff_charpoly_splits():
+    # the phase-1 cap is exact: teich refines exactly when every eigenvalue
+    # of A mod p lies in F_p, that is, when det(x I - A) splits mod p
+    rng = random.Random(104)
+    outcomes = set()
+    for trial in range(150):
+        p = (2, 3, 5)[trial % 3]
+        n = rng.randint(1, 4)
+        rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        a = FiniteMatrix(p, {(i, j): Padic.from_int(x, p) for i, row in enumerate(rows)
+                             for j, x in enumerate(row) if x})
+        splits = _roots_mod_p(_charpoly(rows), p) == n
+        try:
+            e, _ = teichmuller_idempotent(a, certify_normal_contraction(a, 1), target=10)
+        except PreconditionFailed:
+            converged = False
+        else:
+            converged = op_agree(Product([e, e]), e, 10)
+        assert converged == splits, (p, rows)
+        outcomes.add(splits)
+    assert outcomes == {True, False}
 
 
 def _int_mat_mul(x, y, mod=None):

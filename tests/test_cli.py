@@ -143,6 +143,11 @@ def test_calculus_apply(capsys, opfile, tmp_path):
     assert obj["error_exponent"] == "inf"
     result = operator_from_obj(obj["result"])
     assert op_agree(result, diag(3, [4, 16]), 30)
+    # the certificate depth is the series length, so no flag sets it
+    code, _, err = run(capsys, "calculus", "apply", "--in", path, "--fn", str(fnfile),
+                       "--depth", "3")
+    assert code == 4
+    assert "unrecognized arguments: --depth 3" in json.loads(err)["message"]
 
 
 def test_calculus_fz_depth_and_error(capsys, opfile):
@@ -153,6 +158,16 @@ def test_calculus_fz_depth_and_error(capsys, opfile):
     obj = json.loads(out)
     assert obj["error_exponent"] == "9"
     assert obj["result"]["p"] == 3
+    # the bound needs ||A|| <= 1, so depth 0 still certifies step 1: the
+    # n = 1 term of diag(3^-2) alone has norm 3
+    path = opfile(Diagonal(3, {0: Padic.one(3) / Padic.from_int(9, 3)}))
+    code, out, err = run(capsys, "calculus", "fz", "--in", path, "--z", "3^1*1", "--depth", "0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "CertificationFailed"
+    path = opfile(FiniteMatrix(3, {(0, 0): Padic.one(3), (0, 1): Padic.one(3)}))
+    code, out, _ = run(capsys, "calculus", "fz", "--in", path, "--z", "3^1*1", "--depth", "0")
+    assert code == 0
+    assert json.loads(out)["error_exponent"] == "1"
 
 
 def test_calculus_teich_trace(capsys, opfile, tmp_path):
@@ -175,17 +190,26 @@ def test_calculus_teich_trace(capsys, opfile, tmp_path):
     assert op_agree(e, want, 12)
 
 
-def test_calculus_teich_budget_exhaustion(capsys, opfile):
+def test_calculus_teich_jordan_block(capsys, opfile, tmp_path):
     # a Jordan block needs a second evaluation, P(A^3), before refining
     path = opfile(FiniteMatrix(3, {(0, 0): Padic.one(3), (0, 1): Padic.one(3),
                                    (1, 1): Padic.one(3)}))
-    code, _, err = run(capsys, "calculus", "teich-idem", "--in", path, "--budget", "1")
-    assert code == 3
-    report = json.loads(err)
-    assert report["error"] == "NoConvergence"
-    assert report["iterations"] == 1
-    code, _, _ = run(capsys, "calculus", "teich-idem", "--in", path, "--budget", "2")
+    tracefile = tmp_path / "trace.tsv"
+    code, _, _ = run(capsys, "calculus", "teich-idem", "--in", path, "--trace", str(tracefile))
     assert code == 0
+    assert [line[:4] for line in tracefile.read_text().splitlines()[1:3]] == ["1\t0\t", "1\t1\t"]
+    # the window caps phase 1, so no flag sets it
+    code, _, err = run(capsys, "calculus", "teich-idem", "--in", path, "--budget", "2")
+    assert code == 4
+    assert "unrecognized arguments: --budget 2" in json.loads(err)["message"]
+    # eigenvalues outside F_3 are a precondition failure after the capped
+    # phase 1, not an exhausted budget
+    path = opfile(FiniteMatrix(3, {(0, 1): Padic.from_int(2, 3), (1, 0): Padic.one(3)}))
+    code, out, err = run(capsys, "calculus", "teich-idem", "--in", path)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "PreconditionFailed"
+    assert "eigenvalue outside F_p" in report["message"]
 
 
 def test_idem_refine_example(capsys, opfile):
@@ -329,11 +353,16 @@ def test_parse_failures_exit_4(capsys, tmp_path, opfile):
         code, _, err = run(capsys, *argv)
         assert code == 4, argv
         assert json.loads(err)["error"] == "ParseError"
-    # negative depths and window sizes, and samples that are not a list of
-    # scalar texts
+    # negative depths and window sizes, budgets and targets below 1, and
+    # samples that are not a list of scalar texts
     inv3 = opfile(FiniteMatrix(3, {(0, 0): Padic.one(3) / Padic.from_int(3, 3)}))
     for argv in (("calculus", "certify", "--in", e3, "--depth", "-2"),
                  ("calculus", "fz", "--in", e3, "--z", "0", "--depth", "-2"),
+                 ("idem", "lift", "--in", e3, "--budget", "-2"),
+                 ("idem", "lift", "--in", e3, "--budget", "0"),
+                 ("idem", "refine", "--in", e3, "--target", "-5"),
+                 ("idem", "refine", "--in", e3, "--target", "0"),
+                 ("verify", "all", "--target", "-3"),
                  ("scale", "finite", "--in", inv3, "--dim", "-1"),
                  ("scale", "probe", "--in", inv3, "--bounds=-1,2")):
         code, _, err = run(capsys, *argv)

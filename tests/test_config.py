@@ -18,6 +18,10 @@ def test_validation():
         ExperimentConfig(prime=4)
     with pytest.raises(ParseError):
         ExperimentConfig(precision=4)
+    # a target below 1 certifies no digit
+    for target in (0, -5):
+        with pytest.raises(ParseError):
+            ExperimentConfig(target_valuation=target)
     # a target above the config's precision is checked where both are
     # read: against an input file's precision, or by verify all
     assert ExperimentConfig(precision=20, target_valuation=25).target_valuation == 25

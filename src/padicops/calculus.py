@@ -42,10 +42,9 @@ def _check_issued_for(cert: ContractionCertificate, a: Operator) -> None:
         raise PreconditionFailed("the certificate was issued for another operator")
 
 
-def _falling_step(nf_a: NormalForm, product: NormalForm, j: int, prec: int) -> NormalForm:
-    """product * (A - j), with j written at the working precision."""
-    step = nf_a.add(NormalForm.constant(nf_a.prime, Padic.from_int(-j, nf_a.prime, prec)))
-    return product.mul(step)
+def _falling_step(nf_a: NormalForm, product: NormalForm, j: int) -> NormalForm:
+    """product * (A - j), as the fused product.A - j.product."""
+    return product.mul(nf_a, addend=[(-j, product)])
 
 
 def certify_normal_contraction(a: Operator, depth: int) -> ContractionCertificate:
@@ -62,7 +61,7 @@ def certify_normal_contraction(a: Operator, depth: int) -> ContractionCertificat
     checked: list[tuple[int, ValuationBound]] = []
     for n in range(1, depth + 1):
         try:
-            product = _falling_step(nf, product, n - 1, prec)
+            product = _falling_step(nf, product, n - 1)
         except StructureError as exc:
             raise Undecidable(f"step {n}: {exc}") from exc
         achieved = product.norm()
@@ -76,16 +75,17 @@ def certify_normal_contraction(a: Operator, depth: int) -> ContractionCertificat
 
 
 def _binomial_walk(nf_a: NormalForm, coefficients: Iterable[Padic], prec: int) -> NormalForm:
-    """Sum of c_n * binom(A, n), with binom(A, n) = binom(A, n-1) * (A - (n-1)) / n."""
+    """Sum of c_n * binom(A, n), with binom(A, n) = binom(A, n-1) * (A - (n-1)) / n.
+    Only an exact zero c_n is skipped: a certified one adds its bound."""
     p = nf_a.prime
     term = NormalForm.constant(p, Padic.one(p, prec))
     acc = NormalForm.constant(p, Padic.zero(p))
     for n, c in enumerate(coefficients):
         if n > 0:
-            term = _falling_step(nf_a, term, n - 1, prec)
+            term = _falling_step(nf_a, term, n - 1)
             term = term.divide_entries(Padic.from_int(n, p, prec))
-        if not c.is_zero:
-            acc = acc.add(term.scale(c))
+        if not c.is_exact_zero:
+            acc = NormalForm.combine([(1, acc), (c, term)])
     return acc
 
 
@@ -204,7 +204,7 @@ def teichmuller_idempotent(a: Operator, cert: ContractionCertificate,
         if k:
             b = _nf_power(b, p)
         x = nf_polynomial(b, coeffs)
-        defect = x.mul(x).sub(x)
+        defect = x.mul(x, addend=[(-1, x)])
         gap = defect.norm()
         trace.append([1, k, exponent_str(gap)])
         if gap < ValuationBound.one():

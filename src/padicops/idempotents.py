@@ -75,6 +75,9 @@ def _refine_form(nf: NormalForm, target: int, defect: NormalForm | None = None,
     e^2 - e after each step.  ``defect`` is nf^2 - nf when the caller
     has already formed it.
 
+    A step is two fused products and one sum, each entry rounded once:
+    step = d.e.(-2) + d, e' = e + step and d' = e'.e' - e'.
+
     A step sends d to d^2(4d - 3), so the defect's valuation, at least 1
     by the precondition, at least doubles a step: target.bit_length() + 1
     steps take it, and the step that follows it, past the target.  More
@@ -87,21 +90,20 @@ def _refine_form(nf: NormalForm, target: int, defect: NormalForm | None = None,
         # covers a = 0: anything of norm < 1 refines to the zero idempotent
         return NormalForm.constant(p, Padic.zero(p)), []
     if defect is None:
-        defect = nf.mul(nf).sub(nf)
+        defect = nf.mul(nf, addend=[(-1, nf)])
     gap = defect.norm()
     limit = ValuationBound(-2 * norm_a.exponent)
     if not gap < limit:
         raise PreconditionFailed(
             f"defect norm exponent {exponent_str(gap)} must exceed "
             f"{limit.exponent} (norm of a: exponent {norm_a.exponent})")
-    two = Padic.from_int(2, p, precision_of(nf))
     e = nf
     defects: list[NormalForm] = []
     steps = target.bit_length() + 1
     for _ in range(steps):
-        step = defect.sub(defect.mul(e).scale(two))
+        step = defect.mul(e, -2, addend=[(1, defect)])
         e = e.add(step)
-        defect = e.mul(e).sub(e)
+        defect = e.mul(e, addend=[(-1, e)])
         defects.append(defect)
         if step.vanishes_to(target) and defect.vanishes_to(target):
             _check_refinement_distance(nf, e, norm_a)
@@ -141,40 +143,37 @@ def idempotent_equivalence(e: Operator, f: Operator,
     if norm_e.is_zero:
         raise PreconditionFailed("e must be a nonzero idempotent")
     for name, nf in (("e", nfe), ("f", nff)):
-        if not nf.mul(nf).sub(nf).vanishes_to(target):
+        if not nf.mul(nf, addend=[(-1, nf)]).vanishes_to(target):
             raise PreconditionFailed(f"{name} is not idempotent at the target depth")
     dist = nfe.sub(nff).norm()
     if not dist < ValuationBound(-norm_e.exponent):
         raise PreconditionFailed(
             f"distance exponent {exponent_str(dist)} must exceed {-norm_e.exponent}")
-    prec = precision_of(nfe, nff)
-    two = Padic.from_int(2, p, prec)
-    fe = nff.mul(nfe)
-    one = NormalForm.constant(p, Padic.one(p, prec))
-    nfu = one.sub(nff).sub(nfe).add(fe.scale(two))
+    one = NormalForm.constant(p, Padic.one(p, precision_of(nfe, nff)))
+    nfu = nff.mul(nfe, 2, addend=[(1, one), (-1, nff), (-1, nfe)])
     if not one.sub(nfu).norm() < ValuationBound.one():
         raise PreconditionFailed("1 - u fails to be a contraction; inputs are not close enough")
     inv, residual = _newton_schulz_inverse(nfu, target)
-    for gap in (residual, inv.mul(nfu).sub(one)):
+    for gap in (residual, inv.mul(nfu, addend=[(-1, one)])):
         if not gap.vanishes_to(target):
             raise CertificationFailed(target, "inverse verification failed")
-    conj = nfu.mul(nfe).mul(inv)
-    if not conj.sub(nff).vanishes_to(target):
+    if not nfu.mul(nfe).mul(inv, addend=[(-1, nff)]).vanishes_to(target):
         raise CertificationFailed(target, "conjugation does not carry e to f at the target depth")
     return EquivalenceWitness(nfu.to_operator(), inv.to_operator(), e, f)
 
 
 def _newton_schulz_inverse(u: NormalForm, target: int) -> tuple[NormalForm, NormalForm]:
-    """Right inverse x of u, for ||1 - u|| < 1, and its residual 1 - u x.
-    x <- x + x(1 - u x) from x = 1 squares the residual at each step, so
+    """Right inverse x of u, for ||1 - u|| < 1, and its residual r = 1 - u x.
+    From x = 1, the fused products x' = x.r + x and r = -u.x' + 1, each
+    entry rounded once, square the residual at each step, so
     bit_length(target) steps reach p^(-target) unless precision runs out."""
     one = NormalForm.constant(u.prime, Padic.one(u.prime, precision_of(u)))
     x, residual = one, one.sub(u)
     for _ in range(target.bit_length()):
         if residual.vanishes_to(target):
             break
-        x = x.add(x.mul(residual))
-        residual = one.sub(u.mul(x))
+        x = x.mul(residual, addend=[(1, x)])
+        residual = u.mul(x, -1, addend=[(1, one)])
     return x, residual
 
 
@@ -214,7 +213,7 @@ def idempotent_split(e: Operator, target: int = 30) -> SplitResult:
     the non-integral columns and g a contractive idempotent, fg = gf = 0."""
     p = e.prime
     nfe = normalize(e)
-    if not nfe.mul(nfe).sub(nfe).vanishes_to(target):
+    if not nfe.mul(nfe, addend=[(-1, nfe)]).vanishes_to(target):
         raise PreconditionFailed("input is not idempotent at the target depth")
     exceptional = [j for (_, j), v in nfe.head.items() if not v.is_integral]
     if not exceptional:
@@ -237,12 +236,12 @@ def _independent_prefix(columns: list[PadicVector]) -> list[PadicVector]:
 def _verified_split(nfe: NormalForm, nff: NormalForm, nfg: NormalForm,
                     target: int) -> SplitResult:
     checks = {
-        "f idempotent": nff.mul(nff).sub(nff),
-        "g idempotent": nfg.mul(nfg).sub(nfg),
+        "f idempotent": nff.mul(nff, addend=[(-1, nff)]),
+        "g idempotent": nfg.mul(nfg, addend=[(-1, nfg)]),
         "fg zero": nff.mul(nfg),
         "gf zero": nfg.mul(nff),
-        "ef = f": nfe.mul(nff).sub(nff),
-        "fe = f": nff.mul(nfe).sub(nff),
+        "ef = f": nfe.mul(nff, addend=[(-1, nff)]),
+        "fe = f": nff.mul(nfe, addend=[(-1, nff)]),
     }
     for name, diff in checks.items():
         if not diff.vanishes_to(target):

@@ -88,46 +88,71 @@ def _compose_tails(a: _Tail, b: _Tail) -> _Tail:
     return _Tail(dest, inv, overrides, a.default * b.default, False)
 
 
-def _insert(head: dict, key, value: Padic) -> None:
-    """Add value at key, dropping the entry when the sum is zero."""
-    if key in head:
-        value = head[key] + value
-    if value.is_zero:
-        head.pop(key, None)
-    else:
-        head[key] = value
+def _nonzero(entries) -> dict:
+    """The (key, value) pairs whose value is not zero, as a dict.  The
+    one place where an entry that vanished, certified or exactly, is not
+    stored (hole A, ROADMAP item 2)."""
+    return {key: v for key, v in entries if not v.is_zero}
 
 
-def _dot(pairs: list[tuple[Padic, Padic]]) -> Padic:
-    """The sum of v * w over the pairs, rounded once.
+def _split(k: int, p: int) -> tuple[int, int]:
+    """(j, u) with k = p^j * u and u prime to p, for an int k != 0."""
+    j = 0
+    while k % p == 0:
+        k //= p
+        j += 1
+    return j, k
 
-    Its absolute precision is the least over the terms of that of v * w,
-    min(a1 + v2, a2 + v1), and its digits are those of the exact integer
-    sum of the unit products.  No partial sum is rounded or dropped on
-    its own, so a cancellation between terms cannot hide a term's bound.
-    Only the powers p^(val - base) of terms inside the window are formed,
-    so huge valuations cost nothing.
+
+def _dot(pairs: list[tuple[Padic | int, Padic]], c: int = 1) -> Padic:
+    """c times the sum of the product terms, plus the linear terms,
+    rounded once.
+
+    A pair (v, w) of scalars is the product term v * w, and c scales it.
+    A pair (k, x) whose k is an int is the linear term k * x, which c
+    does not scale.  The ints c and k are exact coefficients: p^j * u
+    multiplies a term's unit by u and adds j to its valuation and to its
+    absolute precision, so it costs no digit.
+
+    The sum's absolute precision is the least over the terms of that of
+    the term: min(a1 + v2, a2 + v1) for v * w and a + j for k * x, with a
+    an absolute precision and v a valuation.  Its digits are those of
+    the exact integer sum of the terms' units.  No partial sum is
+    rounded or dropped on its own, so a cancellation between terms
+    cannot hide a term's bound.  Only the powers p^(val - base) of terms
+    inside the window are formed, so huge valuations cost nothing.
     """
-    if len(pairs) == 1:
+    p = pairs[0][1].prime
+    if len(pairs) == 1 and c == 1:
         v, w = pairs[0]
-        return v * w
-    p = pairs[0][0].prime
+        if v.__class__ is not int:
+            return v * w
+        if v == 1:
+            return w
+    jc, uc = _split(c, p)
     bound = base = None
     products = []
     for v, w in pairs:
-        if v.valuation is None or w.valuation is None:
-            # a zero factor adds no digits, only the bound of a certified zero
+        if v.__class__ is int:
+            j, u = _split(v, p)
+            if w.valuation is None:
+                # an exact zero adds nothing, a certified one its bound
+                val, top = None, None if w.precision is None else w.precision + j
+            else:
+                val = w.valuation + j
+                top, unit = val + w.precision, w.unit * u
+        elif v.valuation is None or w.valuation is None:
             zero = v * w
-            if zero.precision is not None and (bound is None or zero.precision < bound):
-                bound = zero.precision
-            continue
-        val = v.valuation + w.valuation
-        top = val + min(v.precision, w.precision)
-        if bound is None or top < bound:
+            val, top = None, None if zero.precision is None else zero.precision + jc
+        else:
+            val = v.valuation + w.valuation + jc
+            top, unit = val + min(v.precision, w.precision), v.unit * w.unit * uc
+        if top is not None and (bound is None or top < bound):
             bound = top
-        if base is None or val < base:
-            base = val
-        products.append((val, v.unit * w.unit))
+        if val is not None:
+            if base is None or val < base:
+                base = val
+            products.append((val, unit))
     if base is None or bound <= base:
         return Padic.zero(p, bound)
     window = bound - base
@@ -136,6 +161,37 @@ def _dot(pairs: list[tuple[Padic, Padic]]) -> Padic:
         if val - base < window:
             total += unit * p ** (val - base)
     return Padic.from_unit(p, base, total, window)
+
+
+def _assemble(prime: int, terms: dict, shifts: list, tail: "_Tail | None", c: int,
+              addend) -> "NormalForm":
+    """The form with, at each head position, c times the product terms
+    gathered in terms plus k times the entry of F, and as shift the
+    linear terms in shifts plus k times the shift of F, for each pair
+    (k, F) of the addend; each is summed once by _dot.  k is an exact
+    int or a Padic, and only an exact zero drops its term.  Of tail and
+    the tails of the Fs, at most one may be present."""
+    for k, form in addend:
+        if isinstance(k, Padic):
+            if k.is_exact_zero:
+                continue
+            # k * x has the digits and bound of the product term (k, x), so
+            # it joins as the linear term 1 * (k * x), which c does not scale
+            form, k = NormalForm(prime, k * form.shift, form.tail and form.tail.map(k.__mul__),
+                                 {key: k * x for key, x in form.head.items()}), 1
+        elif k == 0:
+            continue
+        if form.tail is not None:
+            if tail is not None:
+                raise StructureError("sum of two structured tails has no normal form")
+            tail = form.tail if k == 1 else form.tail.map(lambda v: _dot([(k, v)]))
+        if not form.shift.is_exact_zero:
+            shifts.append((k, form.shift))
+        for key, x in form.head.items():
+            terms.setdefault(key, []).append((k, x))
+    head = _nonzero((key, _dot(pairs, c)) for key, pairs in terms.items())
+    shift = _dot(shifts) if shifts else Padic.zero(prime)
+    return NormalForm(prime, shift, tail, head)
 
 
 @dataclass
@@ -196,41 +252,32 @@ class NormalForm:
 
     # algebra ----------------------------------------------------------
 
+    @staticmethod
+    def combine(terms: list[tuple["int | Padic", "NormalForm"]]) -> "NormalForm":
+        """The sum of k * F over the pairs (k, F), k an exact int or a
+        Padic.  Each head position and the shift are summed once by
+        _dot, so a sum of three forms is rounded once, not twice.  Only
+        an exact zero k drops its term; a certified zero keeps its bound.
+        At most one F may carry a structured tail."""
+        return _assemble(terms[0][1].prime, {}, [], None, 1, terms)
+
     def add(self, other: "NormalForm") -> "NormalForm":
-        if self.tail is not None and other.tail is not None:
-            raise StructureError("sum of two structured tails has no normal form")
-        head = dict(self.head)
-        for key, v in other.head.items():
-            _insert(head, key, v)
-        return NormalForm(self.prime, self.shift + other.shift,
-                          self.tail or other.tail, head)
+        return NormalForm.combine([(1, self), (1, other)])
 
     def sub(self, other: "NormalForm") -> "NormalForm":
-        if self.tail is not None and other.tail is not None:
-            raise StructureError("difference of two structured tails has no normal form")
-        head = dict(self.head)
-        for key, v in other.head.items():
-            _insert(head, key, -v)
-        tail = other.tail.map(Padic.__neg__) if other.tail is not None else None
-        return NormalForm(self.prime, self.shift - other.shift, self.tail or tail, head)
-
-    def map(self, f: Callable[[Padic], Padic]) -> "NormalForm":
-        """The form with f applied to the shift and to every head and
-        tail coefficient; head entries that f sends to zero are dropped."""
-        head: dict[tuple[int, int], Padic] = {}
-        for key, v in self.head.items():
-            _insert(head, key, f(v))
-        tail = self.tail.map(f) if self.tail is not None else None
-        return NormalForm(self.prime, f(self.shift), tail, head)
+        return NormalForm.combine([(1, self), (-1, other)])
 
     def scale(self, c: Padic) -> "NormalForm":
-        if c.is_zero:
-            return NormalForm.constant(self.prime, Padic.zero(self.prime))
-        return self.map(c.__mul__)
+        return NormalForm.combine([(c, self)])
 
-    def mul(self, other: "NormalForm") -> "NormalForm":
+    def mul(self, other: "NormalForm", c: int = 1,
+            addend: list[tuple[int, "NormalForm"]] = ()) -> "NormalForm":
+        """c * self * other + the sum of k * F over the addend's pairs
+        (k, F), for an exact int c != 0 and k as in combine: the contract
+        C <- alpha A B + beta C of level-3 BLAS.  The terms of each output
+        position, the addend's among them, are gathered in the order they
+        are first reached and summed once by _dot."""
         a, b = self, other
-        shift = a.shift * b.shift
         tail: _Tail | None = None
         if a.tail is not None and b.tail is not None:
             if not (a.shift.is_zero and b.shift.is_zero):
@@ -240,8 +287,8 @@ class NormalForm:
             tail = b.tail.map(lambda v: v * a.shift)
         elif a.tail is not None and not b.shift.is_zero:
             tail = a.tail.map(lambda v: v * b.shift)
-        # the terms of each output position, positions in the order they
-        # are first reached; each position is then summed once by _dot
+        if tail is not None and c != 1:
+            tail = tail.map(lambda v: _dot([(c, v)]))
         terms: dict[tuple[int, int], list[tuple[Padic, Padic]]] = {}
         acols: dict[int, list[tuple[int, Padic]]] = {}
         for (i, k), v in a.head.items():
@@ -270,15 +317,12 @@ class NormalForm:
                 d = b.tail.dest(j)
                 if d is None:
                     continue
-                c = b.tail.coeff_at(j)
+                w = b.tail.coeff_at(j)
                 for i, v in acols.get(d, ()):
-                    terms.setdefault((i, j), []).append((v, c))
-        head: dict[tuple[int, int], Padic] = {}
-        for key, pairs in terms.items():
-            value = _dot(pairs)
-            if not value.is_zero:
-                head[key] = value
-        return NormalForm(self.prime, shift, tail, head)
+                    terms.setdefault((i, j), []).append((v, w))
+        shift = a.shift * b.shift
+        shifts = [] if shift.is_exact_zero else [(c, shift)]
+        return _assemble(a.prime, terms, shifts, tail, c, addend)
 
     def adjoint(self) -> "NormalForm":
         head = {(j, i): v for (i, j), v in self.head.items()}
@@ -296,7 +340,8 @@ class NormalForm:
         return NormalForm(self.prime, self.shift, tail, head)
 
     def divide_entries(self, c: Padic) -> "NormalForm":
-        return self.map(lambda v: v / c)
+        # v * (1/c) has the digits and the bound of v / c
+        return self.scale(Padic.one(self.prime, c.precision) / c)
 
     # exact queries ------------------------------------------------------
 
@@ -489,9 +534,7 @@ def normalize(op: Operator) -> NormalForm:
     if isinstance(op, FiniteMatrix):
         return NormalForm(p, Padic.zero(p), None, dict(op.entries))
     if isinstance(op, Diagonal):
-        head: dict[tuple[int, int], Padic] = {}
-        for i, v in op.entries.items():
-            _insert(head, (i, i), v - op.default)
+        head = _nonzero(((i, i), v - op.default) for i, v in op.entries.items())
         return NormalForm(p, op.default, None, head)
     if isinstance(op, Identity):
         return NormalForm.constant(p, Padic.one(p, op.precision))
@@ -499,15 +542,10 @@ def normalize(op: Operator) -> NormalForm:
         if callable(op.dest):
             tail = _Tail(op.dest, op.inv, dict(op.coeff), op.default_coeff, op.infinite_domain)
             return NormalForm(p, Padic.zero(p), tail, {})
-        head = {}
-        for j, d in op.dest.items():
-            _insert(head, (d, j), op.coeff_at(j))
+        head = _nonzero(((d, j), op.coeff_at(j)) for j, d in op.dest.items())
         return NormalForm(p, Padic.zero(p), None, head)
     if isinstance(op, Sum):
-        out = normalize(op.terms[0])
-        for t in op.terms[1:]:
-            out = out.add(normalize(t))
-        return out
+        return NormalForm.combine([(1, normalize(t)) for t in op.terms])
     if isinstance(op, Product):
         out = normalize(op.factors[0])
         for f in op.factors[1:]:
@@ -605,7 +643,7 @@ def nf_polynomial(nf: NormalForm, coeffs) -> NormalForm:
     """Horner evaluation of a polynomial (constant term first) at the form."""
     acc = NormalForm.constant(nf.prime, coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc.mul(nf).add(NormalForm.constant(nf.prime, c))
+        acc = acc.mul(nf, addend=[(1, NormalForm.constant(nf.prime, c))])
     return acc
 
 

@@ -190,6 +190,12 @@ class Padic:
         return self.valuation is None
 
     @property
+    def is_exact_zero(self) -> bool:
+        """Zero by construction: unlike a certified zero it carries no
+        bound, so a sum may drop it."""
+        return self.valuation is None and self.precision is None
+
+    @property
     def is_integral(self) -> bool:
         return self.is_zero or self.valuation >= 0
 

@@ -462,8 +462,8 @@ def test_teichmuller_idempotent_needs_certificate():
 
 
 def test_calculus_keeps_operand_precision():
-    # the 1s, the -j and the divisors are written at the operands'
-    # precision, so a precision-80 input keeps 80 digits (40 once)
+    # the 1s and the divisors are written at the operands' precision and
+    # the -j are exact, so a precision-80 input keeps 80 digits (40 once)
     p, prec = 3, 80
     half = Padic.from_fraction(Fraction(1, 2), p, prec)
     a = Diagonal(p, {0: half, 1: Padic.from_int(5, p, prec)})
@@ -475,3 +475,14 @@ def test_calculus_keeps_operand_precision():
     # z = 0 leaves the constant term 1 of the binomial series
     one, _ = binomial_series(a, Padic.zero(p), cert, 3)
     assert normalize(one).entry(7, 7) == Padic.one(p, prec)
+
+
+def test_certified_zero_coefficient_keeps_its_bound():
+    # T = (1, O(3^5)) at A = 3 I is 1 + O(3^5) * 3 = 1 + O(3^6): the walk
+    # once skipped the certified zero and returned 1 + O(3^40)
+    p = 3
+    a = Diagonal(p, {}, Padic.from_int(3, p))
+    fn = MahlerFunction(p, (Padic.one(p), Padic.zero(p, 5)), ValuationBound.zero())
+    result, error = functional_calculus(a, fn, certify_normal_contraction(a, 2))
+    assert error.is_zero
+    assert normalize(result).shift == Padic.one(p, 6)

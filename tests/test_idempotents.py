@@ -5,7 +5,7 @@ import pytest
 
 from padicops.errors import DependentBasis, PreconditionFailed, SearchExhausted
 from padicops.idempotents import (_independent_prefix, _newton_schulz_inverse,
-                                  cantor_pair, cantor_unpair,
+                                  _refine_form, cantor_pair, cantor_unpair,
                                   column_projection, finite_rank_reduce,
                                   idempotent_equivalence, idempotent_lift,
                                   idempotent_refine, idempotent_split,
@@ -195,9 +195,9 @@ def test_refine_operator_products(monkeypatch):
     calls = []
     original = NormalForm.mul
 
-    def counted(self, other):
+    def counted(self, other, *args, **kwargs):
         calls.append(1)
-        return original(self, other)
+        return original(self, other, *args, **kwargs)
 
     a = _int_operator(_near_idempotent(random.Random(7), 5, 3))
     monkeypatch.setattr(NormalForm, "mul", counted)
@@ -205,6 +205,31 @@ def test_refine_operator_products(monkeypatch):
     monkeypatch.undo()
     assert op_agree(Product([e, e]), e, 30)
     assert len(calls) <= 16
+
+
+def test_refine_step_makes_one_sum_outside_its_fused_products(monkeypatch):
+    """A step is two fused products and one combine; as two products and
+    four linear passes (scale, sub, add, sub) it made four combines."""
+    counts = {"mul": 0, "combine": 0}
+    mul, combine = NormalForm.mul, NormalForm.combine
+
+    def counted_mul(self, other, *args, **kwargs):
+        counts["mul"] += 1
+        return mul(self, other, *args, **kwargs)
+
+    def counted_combine(terms):
+        counts["combine"] += 1
+        return combine(terms)
+
+    nf = normalize(_int_operator(_near_idempotent(random.Random(7), 5, 3)))
+    monkeypatch.setattr(NormalForm, "mul", counted_mul)
+    monkeypatch.setattr(NormalForm, "combine", staticmethod(counted_combine))
+    e, defects = _refine_form(nf, 30)
+    monkeypatch.undo()
+    steps = len(defects)
+    assert steps >= 2 and e.mul(e, addend=[(-1, e)]).vanishes_to(30)
+    # the first defect is one more product, the distance check one more sum
+    assert counts == {"mul": 2 * steps + 1, "combine": steps + 1}
 
 
 def _fraction_inverse(m):

@@ -232,6 +232,15 @@ def test_op_agree_depth_sensitivity():
     assert not op_agree(a, b, 36)
 
 
+def test_scaling_by_a_certified_zero_keeps_its_bound():
+    # O(3^5) * I is zero only to depth 5: only an exact zero may drop
+    # the scaled form, as it once did for a certified one
+    scaled = ScalarMul(Padic.zero(3, 5), Identity(3))
+    assert op_agree(scaled, FiniteMatrix(3, {}), 5)
+    assert not op_agree(scaled, FiniteMatrix(3, {}), 6)
+    assert op_agree(ScalarMul(Padic.zero(3), Identity(3)), FiniteMatrix(3, {}), 10**6)
+
+
 def test_nf_sub_keeps_operand_precision():
     # negation is exact, so precision-80 operands give a precision-80
     # difference (a product with a precision-40 -1 once cut it to 40)

@@ -393,11 +393,12 @@ def test_two_tails_in_a_sum_have_no_normal_form():
     p = 3
     one = Padic.one(p)
     tailed = NormalForm(p, Padic.zero(p), _up_tail(p, {}, one), {})
-    square = NormalForm(p, Padic.zero(p), None, {(0, 0): one})
     with pytest.raises(StructureError):
         NormalForm.combine([(1, tailed), (2, tailed)])
     with pytest.raises(StructureError):
-        tailed.mul(NormalForm.constant(p, one), addend=[(1, tailed)])  # two tails: the product's, the addend's
+        # the product's tail and the addend's
+        tailed.mul(NormalForm.constant(p, one), addend=[(1, tailed)])
+    # an exact zero coefficient drops its form, tail and all
     assert NormalForm.combine([(1, tailed), (0, tailed)]).tail is tailed.tail
 
 

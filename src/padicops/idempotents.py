@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import (CertificationFailed, DependentBasis, NoConvergence,
-                     PreconditionFailed, SearchExhausted)
+                     PreconditionFailed, SearchExhausted, StructureError,
+                     Undecidable)
 from .io import exponent_str
 from .linalg import reduce_columns
 from .operators import (FiniteMatrix, IndexMap, NormalForm, Operator,
-                        Product, Sum, is_compact, normalize, op_apply,
-                        op_norm)
+                        Product, Sum, normalize, op_apply, op_norm)
 from .polynomials import IntPolynomial
 from .scalars import Padic, ValuationBound, precision_of
 from .vectors import PadicVector
@@ -75,8 +75,11 @@ def _refine_form(nf: NormalForm, target: int, defect: NormalForm | None = None,
     e^2 - e after each step.  ``defect`` is nf^2 - nf when the caller
     has already formed it.
 
-    A step is two fused products and one sum, each entry rounded once:
-    step = d.e.(-2) + d, e' = e + step and d' = e'.e' - e'.
+    A step is two fused products, each entry rounded once:
+    e' = d.e.(-2) + d + e and d' = e'.e' - e'.  The step e' - e = d(1 - 2e)
+    is never formed: its norm is at most ||d|| max(1, ||e||), so it
+    vanishes to the target once d does, past it by the valuation of e
+    when ||e|| > 1.
 
     A step sends d to d^2(4d - 3), so the defect's valuation, at least 1
     by the precondition, at least doubles a step: target.bit_length() + 1
@@ -101,14 +104,24 @@ def _refine_form(nf: NormalForm, target: int, defect: NormalForm | None = None,
     defects: list[NormalForm] = []
     steps = target.bit_length() + 1
     for _ in range(steps):
-        step = defect.mul(e, -2, addend=[(1, defect)])
-        e = e.add(step)
+        settled = _step_vanishes(defect, e, target)
+        e = defect.mul(e, -2, addend=[(1, defect), (1, e)])
         defect = e.mul(e, addend=[(-1, e)])
         defects.append(defect)
-        if step.vanishes_to(target) and defect.vanishes_to(target):
+        if settled and defect.vanishes_to(target):
             _check_refinement_distance(nf, e, norm_a)
             return e, defects
     raise NoConvergence(steps, "refinement steps never met the target depth")
+
+
+def _step_vanishes(defect: NormalForm, e: NormalForm, target: int) -> bool:
+    """Whether the step d(1 - 2e) of a refinement vanishes to the target:
+    each of its entries is a sum of terms of valuation at least that of
+    an entry of d plus min(0, v), with p^-v the norm of e."""
+    if not defect.vanishes_to(target):
+        return False
+    v = e.norm().exponent
+    return v is None or v >= 0 or defect.vanishes_to(target - v)
 
 
 def _check_refinement_distance(nf_a: NormalForm, nf_e: NormalForm,
@@ -428,12 +441,17 @@ def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
 def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator:
     """Idempotent e with e - a compact, for a contraction a whose defect
     a^2 - a is compact.  Searches powers for ||a^m - a^n|| < 1 (gap-first
-    breadth order), then refines a suitable power."""
-    if not op_norm(a) <= ValuationBound.one():
-        raise PreconditionFailed("lift input must be a contraction")
-    if not is_compact(Product([a, a]) - a):
+    breadth order), then refines a suitable power.  The defect, one fused
+    product, is also the difference of the first pair (n, m) = (1, 2)."""
+    try:
+        nf = normalize(a)
+        if not nf.norm() <= ValuationBound.one():
+            raise PreconditionFailed("lift input must be a contraction")
+        defect = nf.mul(nf, addend=[(-1, nf)])
+    except StructureError as exc:
+        raise Undecidable(f"expression has no closed structured form: {exc}") from exc
+    if not defect.is_compact():
         raise PreconditionFailed("defect a^2 - a is not certified compact")
-    nf = normalize(a)
     powers = [nf]  # a^1, a^2, ...
 
     def power(k: int) -> NormalForm:
@@ -444,12 +462,12 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
     for gap in range(1, budget):
         for n in range(1, budget + 1 - gap):
             m = n + gap
-            if not power(m).sub(power(n)).norm() < ValuationBound.one():
+            diff = defect if m == 2 else power(m).sub(power(n))
+            if not diff.norm() < ValuationBound.one():
                 continue
             k = n // gap + 1
             e = idempotent_refine(power(k * gap).to_operator(), target)
-            lift_defect = e - a
-            if not is_compact(lift_defect):
+            if not normalize(e).sub(nf).is_compact():
                 raise CertificationFailed(target, "lifted idempotent does not agree with a modulo compacts")
             return e
     raise SearchExhausted(budget, "no power pair with ||a^m - a^n|| < 1 within the budget")

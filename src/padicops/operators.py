@@ -15,6 +15,8 @@ domain flag); nothing is ever decided by sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .errors import NonIntegral, StructureError, Undecidable
@@ -104,94 +106,139 @@ def _split(k: int, p: int) -> tuple[int, int]:
     return j, k
 
 
-def _dot(pairs: list[tuple[Padic | int, Padic]], c: int = 1) -> Padic:
-    """c times the sum of the product terms, plus the linear terms,
-    rounded once.
+# A term of a sum is an int triple (val, unit, top): the scalar p^val * unit,
+# known to the absolute precision top.  A term with a zero factor has no
+# digits and enters a sum as its bound alone: an int, or None when the zero
+# is exact and the term adds nothing.
 
-    A pair (v, w) of scalars is the product term v * w, and c scales it.
-    A pair (k, x) whose k is an int is the linear term k * x, which c
-    does not scale.  The ints c and k are exact coefficients: p^j * u
-    multiplies a term's unit by u and adds j to its valuation and to its
-    absolute precision, so it costs no digit.
+_VAL, _TOP = itemgetter(0), itemgetter(2)
 
-    The sum's absolute precision is the least over the terms of that of
-    the term: min(a1 + v2, a2 + v1) for v * w and a + j for k * x, with a
-    an absolute precision and v a valuation.  Its digits are those of
-    the exact integer sum of the terms' units.  No partial sum is
-    rounded or dropped on its own, so a cancellation between terms
-    cannot hide a term's bound.  Only the powers p^(val - base) of terms
-    inside the window are formed, so huge valuations cost nothing.
-    """
-    p = pairs[0][1].prime
-    if len(pairs) == 1 and c == 1:
-        v, w = pairs[0]
-        if v.__class__ is not int:
-            return v * w
-        if v == 1:
-            return w
-    jc, uc = _split(c, p)
-    bound = base = None
-    products = []
-    for v, w in pairs:
-        if v.__class__ is int:
-            j, u = _split(v, p)
-            if w.valuation is None:
-                # an exact zero adds nothing, a certified one its bound
-                val, top = None, None if w.precision is None else w.precision + j
-            else:
-                val = w.valuation + j
-                top, unit = val + w.precision, w.unit * u
-        elif v.valuation is None or w.valuation is None:
-            zero = v * w
-            val, top = None, None if zero.precision is None else zero.precision + jc
+
+def _product_term(v: Padic, w: Padic, jc: int = 0, uc: int = 1):
+    """The term p^jc * uc * v * w: the exact coefficient p^jc * uc adds
+    jc to the valuation and to the absolute precision, so it costs no
+    digit.  The absolute precision of v * w is min(a1 + v2, a2 + v1), with
+    a an absolute precision and v a valuation."""
+    if v.valuation is None or w.valuation is None:
+        zero = v * w
+        return None if zero.precision is None else zero.precision + jc
+    val = v.valuation + w.valuation + jc
+    return val, v.unit * w.unit * uc, val + min(v.precision, w.precision)
+
+
+def _linear_term(k: int, x: Padic):
+    """The term k * x for an exact int k != 0."""
+    j, u = _split(k, x.prime)
+    if x.valuation is None:
+        return None if x.precision is None else x.precision + j
+    val = x.valuation + j
+    return val, x.unit * u, val + x.precision
+
+
+def _put(terms: dict, bounds: dict, key, term) -> None:
+    """File a term under its position key: a triple in terms, a bound in
+    bounds, where only the least bound of a position counts."""
+    if term.__class__ is tuple:
+        lst = terms.get(key)
+        if lst is None:
+            terms[key] = [term]
         else:
-            val = v.valuation + w.valuation + jc
-            top, unit = val + min(v.precision, w.precision), v.unit * w.unit * uc
-        if top is not None and (bound is None or top < bound):
-            bound = top
-        if val is not None:
-            if base is None or val < base:
-                base = val
-            products.append((val, unit))
-    if base is None or bound <= base:
+            lst.append(term)
+    elif term is not None:
+        old = bounds.get(key)
+        if old is None or term < old:
+            bounds[key] = term
+
+
+def _round(p: int, terms: list[tuple[int, int, int]], bound: int | None = None) -> Padic:
+    """The sum of the terms, rounded once; bound is the least bound of
+    the position's terms with a zero factor, if any.
+
+    The sum's absolute precision is the least bound over all its terms.
+    Its digits are those of the exact int sum of the terms, reduced mod p
+    to that depth.  No partial sum is rounded or dropped on its own, so a
+    cancellation between terms cannot hide a term's bound.  Only the
+    powers p^(val - base) of terms inside the window are formed, so huge
+    valuations cost nothing.  With no term and no bound the sum is an
+    exact zero.
+    """
+    if not terms:
+        return Padic.zero(p, bound)
+    top = min(map(_TOP, terms))
+    if bound is None or top < bound:
+        bound = top
+    base = min(map(_VAL, terms))
+    if bound <= base:
         return Padic.zero(p, bound)
     window = bound - base
     total = 0
-    for val, unit in products:
-        if val - base < window:
-            total += unit * p ** (val - base)
+    for val, unit, _ in terms:
+        d = val - base
+        if d == 0:
+            total += unit
+        elif d < window:
+            total += unit * p ** d
     return Padic.from_unit(p, base, total, window)
 
 
-def _assemble(prime: int, terms: dict, shifts: list, tail: "_Tail | None", c: int,
+def _sums(p: int, terms: dict, bounds: dict):
+    """(key, sum) for each position key that holds a term or a bound."""
+    for key, lst in terms.items():
+        yield key, _round(p, lst, bounds.get(key))
+    for key, bound in bounds.items():
+        if key not in terms:
+            yield key, Padic.zero(p, bound)
+
+
+def _times(k: int, x: Padic) -> Padic:
+    """k * x for an exact int k != 0."""
+    term = _linear_term(k, x)
+    if term.__class__ is tuple:
+        return _round(x.prime, [term])
+    return Padic.zero(x.prime, term)
+
+
+def _assemble(prime: int, terms: dict, bounds: dict, tail: "_Tail | None",
               addend) -> "NormalForm":
-    """The form with, at each head position, c times the product terms
-    gathered in terms plus k times the entry of F, and as shift the
-    linear terms in shifts plus k times the shift of F, for each pair
-    (k, F) of the addend; each is summed once by _dot.  k is an exact
-    int or a Padic, and only an exact zero drops its term.  Of tail and
-    the tails of the Fs, at most one may be present."""
+    """The form with, at each head position, the terms gathered in terms
+    and bounds plus k times the entry of F, and as shift (key None) the
+    terms there plus k times the shift of F, for each pair (k, F) of the
+    addend; each position is summed once by _round.  k is an exact int
+    or a Padic, and only an exact zero drops its term.  Of tail and the
+    tails of the Fs, at most one may be present."""
     for k, form in addend:
-        if isinstance(k, Padic):
-            if k.is_exact_zero:
-                continue
-            # k * x has the digits and bound of the product term (k, x), so
-            # it joins as the linear term 1 * (k * x), which c does not scale
-            form, k = NormalForm(prime, k * form.shift, form.tail and form.tail.map(k.__mul__),
-                                 {key: k * x for key, x in form.head.items()}), 1
-        elif k == 0:
+        scalar = isinstance(k, Padic)
+        if k.is_exact_zero if scalar else k == 0:
             continue
         if form.tail is not None:
             if tail is not None:
                 raise StructureError("sum of two structured tails has no normal form")
-            tail = form.tail if k == 1 else form.tail.map(lambda v: _dot([(k, v)]))
+            tail = (form.tail.map(k.__mul__) if scalar else form.tail if k == 1
+                    else form.tail.map(partial(_times, k)))
+        if scalar:
+            # k * x joins as the product term (k, x)
+            if not form.shift.is_exact_zero:
+                _put(terms, bounds, None, _product_term(k, form.shift))
+            for key, x in form.head.items():
+                _put(terms, bounds, key, _product_term(k, x))
+            continue
         if not form.shift.is_exact_zero:
-            shifts.append((k, form.shift))
+            _put(terms, bounds, None, _linear_term(k, form.shift))
+        jk, uk = _split(k, prime)
         for key, x in form.head.items():
-            terms.setdefault(key, []).append((k, x))
-    head = _nonzero((key, _dot(pairs, c)) for key, pairs in terms.items())
-    shift = _dot(shifts) if shifts else Padic.zero(prime)
-    return NormalForm(prime, shift, tail, head)
+            val = x.valuation
+            if val is None:
+                _put(terms, bounds, key, _linear_term(k, x))
+                continue
+            val += jk
+            term = val, x.unit * uk, val + x.precision
+            lst = terms.get(key)
+            if lst is None:
+                terms[key] = [term]
+            else:
+                lst.append(term)
+    shift = _round(prime, terms.pop(None, []), bounds.pop(None, None))
+    return NormalForm(prime, shift, tail, _nonzero(_sums(prime, terms, bounds)))
 
 
 @dataclass
@@ -209,7 +256,9 @@ class NormalForm:
     # entries ----------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Padic:
-        total = self.head.get((i, j), Padic.zero(self.prime))
+        total = self.head.get((i, j))
+        if total is None:
+            total = Padic.zero(self.prime)
         if i == j and not self.shift.is_zero:
             total = total + self.shift
         if self.tail is not None and self.tail.dest(j) == i:
@@ -228,27 +277,40 @@ class NormalForm:
                 if d is not None and (d, j) not in self.head:
                     yield d, j
 
+    def values(self) -> Iterator[Padic]:
+        """The entry at each of positions(), in that order.  Where no
+        shift or tail meets a position, that is the head value itself."""
+        if self.tail is not None:
+            for i, j in self.positions():
+                yield self.entry(i, j)
+        elif self.shift.is_zero:
+            yield from self.head.values()
+        else:
+            for (i, j), v in self.head.items():
+                yield v + self.shift if i == j else v
+
     def column(self, j: int) -> PadicVector:
         return self.apply(PadicVector.basis(self.prime, j, precision_of(self)))
 
     def apply(self, vec: PadicVector) -> PadicVector:
         """The form times vec.  As in mul, the terms of each output entry
         are gathered, in the order they are first reached, and summed
-        once by _dot, so a partial sum that cancels keeps its bound."""
+        once by _round, so a partial sum that cancels keeps its bound."""
         cols: dict[int, list[tuple[int, Padic]]] = {}
         for (i, j), v in self.head.items():
             cols.setdefault(j, []).append((i, v))
-        terms: dict[int, list[tuple[Padic, Padic]]] = {}
+        terms: dict[int, list] = {}
+        bounds: dict[int, int] = {}
         for j, x in vec.entries.items():
             for i, v in cols.get(j, ()):
-                terms.setdefault(i, []).append((v, x))
+                _put(terms, bounds, i, _product_term(v, x))
             if not self.shift.is_zero:
-                terms.setdefault(j, []).append((self.shift, x))
+                _put(terms, bounds, j, _product_term(self.shift, x))
             if self.tail is not None:
                 d = self.tail.dest(j)
                 if d is not None:
-                    terms.setdefault(d, []).append((self.tail.coeff_at(j), x))
-        return PadicVector(self.prime, {i: _dot(pairs) for i, pairs in terms.items()})
+                    _put(terms, bounds, d, _product_term(self.tail.coeff_at(j), x))
+        return PadicVector(self.prime, dict(_sums(self.prime, terms, bounds)))
 
     # algebra ----------------------------------------------------------
 
@@ -256,10 +318,10 @@ class NormalForm:
     def combine(terms: list[tuple["int | Padic", "NormalForm"]]) -> "NormalForm":
         """The sum of k * F over the pairs (k, F), k an exact int or a
         Padic.  Each head position and the shift are summed once by
-        _dot, so a sum of three forms is rounded once, not twice.  Only
+        _round, so a sum of three forms is rounded once, not twice.  Only
         an exact zero k drops its term; a certified zero keeps its bound.
         At most one F may carry a structured tail."""
-        return _assemble(terms[0][1].prime, {}, [], None, 1, terms)
+        return _assemble(terms[0][1].prime, {}, {}, None, terms)
 
     def add(self, other: "NormalForm") -> "NormalForm":
         return NormalForm.combine([(1, self), (1, other)])
@@ -275,9 +337,12 @@ class NormalForm:
         """c * self * other + the sum of k * F over the addend's pairs
         (k, F), for an exact int c != 0 and k as in combine: the contract
         C <- alpha A B + beta C of level-3 BLAS.  The terms of each output
-        position, the addend's among them, are gathered in the order they
-        are first reached and summed once by _dot."""
+        position, the addend's among them, are gathered as int triples in
+        the order they are first reached and summed once by _round.  Each
+        head entry's valuation, unit and precision are read once, and c
+        is folded into the triples of self."""
         a, b = self, other
+        p = a.prime
         tail: _Tail | None = None
         if a.tail is not None and b.tail is not None:
             if not (a.shift.is_zero and b.shift.is_zero):
@@ -288,28 +353,76 @@ class NormalForm:
         elif a.tail is not None and not b.shift.is_zero:
             tail = a.tail.map(lambda v: v * b.shift)
         if tail is not None and c != 1:
-            tail = tail.map(lambda v: _dot([(c, v)]))
-        terms: dict[tuple[int, int], list[tuple[Padic, Padic]]] = {}
-        acols: dict[int, list[tuple[int, Padic]]] = {}
+            tail = tail.map(partial(_times, c))
+        jc, uc = _split(c, p)
+        terms: dict = {}
+        bounds: dict = {}
+        zeros = False
+        # the head of a by column k, as (i, val, unit, top) scaled by c
+        acols: dict[int, list[tuple[int, int, int, int]]] = {}
         for (i, k), v in a.head.items():
-            acols.setdefault(k, []).append((i, v))
+            val = v.valuation
+            if val is None:
+                zeros = True
+                continue
+            val += jc
+            row = i, val, v.unit * uc, val + v.precision
+            col = acols.get(k)
+            if col is None:
+                acols[k] = [row]
+            else:
+                col.append(row)
+        # the head of b by column j, as (k, val, unit, top) where a meets k
+        bcols: dict[int, list[tuple[int, int, int, int]]] = {}
         for (k, j), w in b.head.items():
-            for i, v in acols.get(k, ()):
-                terms.setdefault((i, j), []).append((v, w))
+            val = w.valuation
+            if val is None:
+                zeros = True
+            elif k in acols:
+                row = k, val, w.unit, val + w.precision
+                col = bcols.get(j)
+                if col is None:
+                    bcols[j] = [row]
+                else:
+                    col.append(row)
+        for j, col in bcols.items():
+            cells: dict[int, list[tuple[int, int, int]]] = {}
+            for k, vb, ub, tb in col:
+                for i, va, ua, ta in acols[k]:
+                    top = ta + vb
+                    if tb + va < top:
+                        top = tb + va
+                    term = va + vb, ua * ub, top
+                    lst = cells.get(i)
+                    if lst is None:
+                        cells[i] = [term]
+                    else:
+                        lst.append(term)
+            for i, lst in cells.items():
+                terms[i, j] = lst
+        if zeros:
+            # the head-by-head terms with a zero factor, certified or exact
+            for (k, j), w in b.head.items():
+                for (i, k2), v in a.head.items():
+                    if k2 == k and (v.valuation is None or w.valuation is None):
+                        _put(terms, bounds, (i, j), _product_term(v, w, jc, uc))
         if not a.shift.is_zero:
             for key, w in b.head.items():
-                terms.setdefault(key, []).append((a.shift, w))
+                _put(terms, bounds, key, _product_term(a.shift, w, jc, uc))
         if not b.shift.is_zero:
             for key, v in a.head.items():
-                terms.setdefault(key, []).append((v, b.shift))
+                _put(terms, bounds, key, _product_term(v, b.shift, jc, uc))
         if a.tail is not None and b.head:
             for (k, j), w in b.head.items():
                 d = a.tail.dest(k)
                 if d is not None:
-                    terms.setdefault((d, j), []).append((a.tail.coeff_at(k), w))
+                    _put(terms, bounds, (d, j), _product_term(a.tail.coeff_at(k), w, jc, uc))
         if b.tail is not None and a.head:
+            arows: dict[int, list[tuple[int, Padic]]] = {}
+            for (i, k), v in a.head.items():
+                arows.setdefault(k, []).append((i, v))
             relevant: set[int] = set(b.tail.coeff)
-            for k in acols:
+            for k in arows:
                 j = b.tail.preimage(k)
                 if j is not None:
                     relevant.add(j)
@@ -318,11 +431,12 @@ class NormalForm:
                 if d is None:
                     continue
                 w = b.tail.coeff_at(j)
-                for i, v in acols.get(d, ()):
-                    terms.setdefault((i, j), []).append((v, w))
+                for i, v in arows.get(d, ()):
+                    _put(terms, bounds, (i, j), _product_term(v, w, jc, uc))
         shift = a.shift * b.shift
-        shifts = [] if shift.is_exact_zero else [(c, shift)]
-        return _assemble(a.prime, terms, shifts, tail, c, addend)
+        if not shift.is_exact_zero:
+            _put(terms, bounds, None, _linear_term(c, shift))
+        return _assemble(p, terms, bounds, tail, addend)
 
     def adjoint(self) -> "NormalForm":
         head = {(j, i): v for (i, j), v in self.head.items()}
@@ -346,11 +460,7 @@ class NormalForm:
     # exact queries ------------------------------------------------------
 
     def norm(self) -> ValuationBound:
-        realized: list[ValuationBound] = []
-        for i, j in self.positions():
-            total = self.entry(i, j)
-            if not total.is_zero:
-                realized.append(total.norm)
+        realized = [v.norm for v in self.values() if not v.is_zero]
         s = self.shift.norm
         if self.tail is None or self.tail.default.is_zero:
             # beyond finitely many positions the matrix is shift * I
@@ -391,7 +501,7 @@ class NormalForm:
                 return False
             if any(not c.vanishes_to(depth) for c in self.tail.coeff.values()):
                 return False
-        return all(self.entry(i, j).vanishes_to(depth) for i, j in self.positions())
+        return all(v.vanishes_to(depth) for v in self.values())
 
     def to_operator(self) -> "Operator":
         if self.tail is not None:
@@ -620,10 +730,17 @@ def is_compact(op: Operator) -> bool:
 
 
 def truncate(op: Operator, size: int) -> FiniteMatrix:
-    """Upper-left size x size minor as a FiniteMatrix."""
+    """Upper-left size x size minor as a FiniteMatrix.  The operator is
+    normalised once; one without a normal form is applied to each basis
+    vector as a tree, as op_apply does."""
+    try:
+        apply = normalize(op).apply
+    except StructureError:
+        apply = partial(_apply_tree, op)
+    prec = precision_of(op)
     out: dict[tuple[int, int], Padic] = {}
     for j in range(size):
-        col = op_column(op, j)
+        col = apply(PadicVector.basis(op.prime, j, prec))
         for i, v in col.entries.items():
             if i < size:
                 out[(i, j)] = v

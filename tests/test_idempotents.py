@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from padicops.errors import DependentBasis, PreconditionFailed, SearchExhausted
+from padicops.errors import (DependentBasis, PreconditionFailed, SearchExhausted,
+                             Undecidable)
 from padicops.idempotents import (_independent_prefix, _newton_schulz_inverse,
                                   _refine_form, cantor_pair, cantor_unpair,
                                   column_projection, finite_rank_reduce,
@@ -11,7 +12,7 @@ from padicops.idempotents import (_independent_prefix, _newton_schulz_inverse,
                                   idempotent_refine, idempotent_split,
                                   infinite_sum, k0_trivialize, matrix_rank,
                                   refinement_polynomial, sum_ring_generators)
-from padicops.operators import (Diagonal, FiniteMatrix, Identity,
+from padicops.operators import (Diagonal, FiniteMatrix, Identity, IndexMap,
                                 NormalForm, Product, ScalarMul, Sum,
                                 is_compact, normalize, op_agree, op_apply,
                                 op_norm)
@@ -208,8 +209,10 @@ def test_refine_operator_products(monkeypatch):
 
 
 def test_refine_step_makes_one_sum_outside_its_fused_products(monkeypatch):
-    """A step is two fused products and one combine; as two products and
-    four linear passes (scale, sub, add, sub) it made four combines."""
+    """A step is two fused products and no sum of its own: the update
+    e + d(1 - 2e) is one fused product.  With the step formed first, e +
+    step was one combine a step; as two products and four linear passes
+    (scale, sub, add, sub) a step made four combines."""
     counts = {"mul": 0, "combine": 0}
     mul, combine = NormalForm.mul, NormalForm.combine
 
@@ -228,8 +231,65 @@ def test_refine_step_makes_one_sum_outside_its_fused_products(monkeypatch):
     monkeypatch.undo()
     steps = len(defects)
     assert steps >= 2 and e.mul(e, addend=[(-1, e)]).vanishes_to(30)
-    # the first defect is one more product, the distance check one more sum
-    assert counts == {"mul": 2 * steps + 1, "combine": steps + 1}
+    # the first defect is one more product, the distance check the one sum
+    assert counts == {"mul": 2 * steps + 1, "combine": 1}
+
+
+def _two_pass_refine(nf: NormalForm, target: int) -> tuple[list, int | None]:
+    """The refinement with the step d.e.(-2) + d formed, then added to e:
+    for each of its target.bit_length() + 1 updates, the fused update
+    from the same e and d beside the two-pass one; and the number of
+    updates after which the step and the new defect first vanish to the
+    target (None if they never do)."""
+    e, d = nf, nf.mul(nf, addend=[(-1, nf)])
+    pairs, stop = [], None
+    for n in range(target.bit_length() + 1):
+        step = d.mul(e, -2, addend=[(1, d)])
+        pairs.append((d.mul(e, -2, addend=[(1, d), (1, e)]), e.add(step)))
+        e = pairs[-1][1]
+        d = e.mul(e, addend=[(-1, e)])
+        if stop is None and step.vanishes_to(target) and d.vanishes_to(target):
+            stop = n + 1
+    return pairs, stop
+
+
+def _fraction_form(p: int, table: dict) -> NormalForm:
+    return normalize(FiniteMatrix(p, {k: Padic.from_fraction(v, p) for k, v in table.items()}))
+
+
+def test_fused_refine_update_matches_two_pass_reference():
+    """The update e' = d.e.(-2) + d + e, one fused product, gives the same
+    e, digits and precision of every entry, as forming the step
+    d.e.(-2) + d first and adding it to e.  The refinement never forms
+    the step: it stops where the two-pass one does when ||a|| <= 1, on 24
+    seeded 5x5 and 8x8 near-idempotents.  With ||a|| = p, d must vanish
+    one digit past the target, since ||d(1 - 2e)|| <= p ||d||: where that
+    bound is strict the refinement may take one step more, and where it
+    is attained it stops where the two-pass one does."""
+    p = 3
+    rng = random.Random(12)
+    cases = [(normalize(_int_operator(_near_idempotent(rng, n, s))), [30])
+             for n in (5, 8) for s in (1, 2, 3) for _ in range(4)]
+    # e = [[1, -1/3], [0, 0]] (+) [1] and noise; every target, so that
+    # some target equals the valuation of a defect
+    e = {(0, 0): Fraction(1), (0, 1): Fraction(-1, 3), (2, 2): Fraction(1)}
+    strict = _fraction_form(p, {**e, (3, 1): Fraction(2 * 3**4), (1, 4): Fraction(3**4)})
+    attained = _fraction_form(p, {**e, (2, 1): Fraction(4 * 3**4), (0, 2): Fraction(4 * 3**4),
+                                  (1, 0): Fraction(2 * 3**5)})
+    for wide in (strict, attained):
+        assert wide.norm() == ValuationBound(-1)
+        cases.append((wide, range(2, 41)))
+    step_more = False
+    for n, (nf, targets) in enumerate(cases):
+        for target in targets:
+            pairs, stop = _two_pass_refine(nf, target)
+            assert all(fused == two_pass for fused, two_pass in pairs), (n, target)
+            e, defects = _refine_form(nf, target)
+            steps = len(defects)
+            step_more |= steps == stop + 1
+            assert steps == stop or (nf is strict and steps == stop + 1), (n, target)
+            assert e == pairs[steps - 1][1], (n, target)
+    assert step_more  # the strict case takes it at some target
 
 
 def _fraction_inverse(m):
@@ -531,6 +591,15 @@ def test_lift_preconditions_and_budget():
     with pytest.raises(SearchExhausted) as info:
         idempotent_lift(Diagonal(5, {0: t}), budget=2)
     assert info.value.budget == 2
+
+
+def test_lift_whose_defect_has_no_normal_form_is_undecidable():
+    # a tail with an override but no inverse certificate: a.a has no
+    # normal form, which once escaped the search as a StructureError
+    a = IndexMap(3, lambda j: j + 1, {0: Padic.from_int(3, 3)}, Padic.zero(3),
+                 infinite_domain=True)
+    with pytest.raises(Undecidable):
+        idempotent_lift(a)
 
 
 def test_refine_and_equivalence_at_target_60():

@@ -5,7 +5,7 @@ import pytest
 from padicops.errors import NonIntegral, StructureError, Undecidable
 from padicops.idempotents import sum_ring_generators
 from padicops.operators import (Adjoint, Diagonal, FiniteMatrix, Identity,
-                                IndexMap, Product, ScalarMul, Sum, is_compact,
+                                IndexMap, NormalForm, Product, ScalarMul, Sum, is_compact,
                                 nf_polynomial, normalize, op_agree, op_apply,
                                 op_column, op_norm, truncate,
                                 weighted_shift_matrix)
@@ -214,6 +214,40 @@ def test_truncate_window():
     assert set(t.entries) == {(1, 1), (2, 2), (1, 0), (2, 1)}
     assert t.entries[(2, 1)].residue(4) == 2
     assert truncate(Identity(3), 2).entries[(0, 0)].residue(2) == 1
+
+
+def test_truncate_normalizes_once(monkeypatch):
+    # truncating a product multiplies once, not once per column
+    p, size = 3, 5
+    op = Product([weighted_shift_matrix(p, 6), fm(p, {(i, j): i + 2 * j + 1
+                                                      for i in range(6) for j in range(6)})])
+    calls = []
+    mul = NormalForm.mul
+
+    def counted(self, other, *args, **kwargs):
+        calls.append(1)
+        return mul(self, other, *args, **kwargs)
+
+    monkeypatch.setattr(NormalForm, "mul", counted)
+    t = truncate(op, size)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert t.entries == {(i, j): v for j in range(size)
+                         for i, v in op_column(op, j).entries.items() if i < size}
+
+
+def test_truncate_without_a_normal_form_applies_the_tree():
+    # two shifted tails have no normal form as a product, so each column
+    # is the tree applied to a basis vector
+    p = 3
+    s = Sum([up_shift(p), Identity(p)])
+    op = Product([s, s])
+    with pytest.raises(StructureError):
+        normalize(op)
+    t = truncate(op, 3)
+    # (1 + S)^2 sends delta_j to delta_j + 2 delta_{j+1} + delta_{j+2}
+    assert {k: v.residue(5) for k, v in t.entries.items()} == {
+        (0, 0): 1, (1, 1): 1, (2, 2): 1, (1, 0): 2, (2, 1): 2, (2, 0): 1}
 
 
 def test_weighted_shift_entries():

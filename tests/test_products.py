@@ -58,26 +58,28 @@ def test_cancelled_partial_sum_of_forms_keeps_its_bound():
 
 def test_diagonal_product_makes_one_scalar_product_per_entry(monkeypatch):
     # each entry of a product of diagonals has one term; a loop over all
-    # row/column pairs would make n^2 of them
+    # row/column pairs would make n^2 of them.  The terms are int triples,
+    # so the only scalar product is the shifts'.
     p, n = 3, 12
     a = normalize(FiniteMatrix(p, {(i, i): Padic.from_int(i + 1, p) for i in range(n)}))
     b = normalize(FiniteMatrix(p, {(i, i): Padic.from_int(2 * i + 1, p) for i in range(n)}))
-    seen = {"dot": 0, "terms": 0, "mul": 0}
-    dot, mul = operators._dot, Padic.__mul__
+    seen = {"round": 0, "terms": 0, "mul": 0}
+    rnd, mul = operators._round, Padic.__mul__
 
-    def counting_dot(pairs, *args):
-        seen["dot"] += 1
-        seen["terms"] += len(pairs)
-        return dot(pairs, *args)
+    def counting_round(prime, terms, *args):
+        seen["round"] += 1
+        seen["terms"] += len(terms)
+        return rnd(prime, terms, *args)
 
     def counting_mul(x, y):
         seen["mul"] += 1
         return mul(x, y)
 
-    monkeypatch.setattr(operators, "_dot", counting_dot)
+    monkeypatch.setattr(operators, "_round", counting_round)
     monkeypatch.setattr(Padic, "__mul__", counting_mul)
     c = a.mul(b)
-    assert seen == {"dot": n, "terms": n, "mul": n + 1}  # and the shifts' product
+    # n entries and the shift, a sum of no term
+    assert seen == {"round": n + 1, "terms": n, "mul": 1}
     assert c.head == {(i, i): Padic.from_int((i + 1) * (2 * i + 1), p) for i in range(n)}
 
 

@@ -4,9 +4,9 @@ functional calculus, idempotent refinement and lifting, and the Willis
 scale of finite matrices.
 """
 
-from .calculus import (ContractionCertificate, binomial_series,
-                       certify_normal_contraction, functional_calculus,
-                       teichmuller_idempotent, zero_indicator_polynomial)
+from .calculus import (binomial_series, certify_normal_contraction,
+                       functional_calculus, teichmuller_idempotent,
+                       zero_indicator_polynomial)
 from .config import ExperimentConfig, load_config
 from .errors import (CertificationFailed, DependentBasis, DivisionByZero,
                      NoConvergence, NonIntegral, PadicError, ParseError,
@@ -24,8 +24,8 @@ from .io import (mahler_from_obj, mahler_to_obj, operator_from_json,
 from .mahler import MahlerFunction, mahler_eval, mahler_expand, mahler_sup_norm
 from .operators import (Adjoint, Diagonal, FiniteMatrix, Identity, IndexMap,
                         NormalForm, Operator, Product, ScalarMul, Sum,
-                        is_compact, normalize, op_agree, op_apply, op_column,
-                        op_norm, truncate, weighted_shift_matrix)
+                        is_compact, normalize, op_agree, op_apply, op_norm,
+                        truncate, weighted_shift_matrix)
 from .polynomials import IntPolynomial
 from .scale import (ScaleValue, determinant, scale_minor_probe,
                     scale_transpose_check, willis_scale_finite)

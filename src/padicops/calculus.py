@@ -1,145 +1,144 @@
 """Binomial functional calculus for normal contractions.
 
-An operator A is admitted once the norms of the falling products
-A(A-1)...(A-(n-1)) are certified against the factorial valuation, either
-explicitly up to a finite depth or structurally (contractive diagonals).
-On top of that sit evaluation of a coefficient sequence at A (a sum of
-divided binomial powers), the geometric-style series in binom(A-1, n),
-and the limit of indicator polynomials along A, A^p, A^{p^2}, ...
+An operator A is a normal contraction when every binom(A, n) has norm at
+most 1, that is when each falling product A(A-1)...(A-(n-1)) = n! binom(A, n)
+has norm at most p^(-v_p(n!)).  One walk forms those products and checks
+that bound on each one it forms, so every routine here certifies exactly
+the terms it uses; contractive diagonals satisfy it for all n.  On top of
+that walk sit evaluation of a coefficient sequence at A (a sum of divided
+binomial powers), the geometric-style series in binom(A-1, n), and the
+limit of indicator polynomials along A, A^p, A^{p^2}, ...
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate, count, repeat, takewhile
+from itertools import accumulate, count, islice, repeat, takewhile
+from math import factorial
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (CertificationFailed, PreconditionFailed, StructureError,
                      Undecidable)
 from .idempotents import _refine_form
 from .io import exponent_str
 from .mahler import MahlerFunction
-from .operators import (Diagonal, Identity, NormalForm, Operator,
-                        nf_polynomial, normalize)
+from .operators import (Diagonal, NormalForm, Operator, nf_polynomial,
+                        normalize)
 from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound,
                       factorial_valuation, precision_of)
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
-    operator: Operator
-    depth: int
-    checked: tuple[tuple[int, ValuationBound], ...]
-    structural: bool = False
-
-    def covers(self, n: int) -> bool:
-        return self.structural or n <= self.depth
-
-
-def _check_issued_for(cert: ContractionCertificate, a: Operator) -> None:
-    if cert.operator != a:
-        raise PreconditionFailed("the certificate was issued for another operator")
+def _check_product(n: int, product: NormalForm) -> ValuationBound:
+    """The norm of the falling product n! binom(A, n), or
+    CertificationFailed(n) when it exceeds p^(-v_p(n!)), that is when
+    ||binom(A, n)|| > 1."""
+    achieved = product.norm()
+    required = ValuationBound(factorial_valuation(n, product.prime))
+    if achieved > required:
+        raise CertificationFailed(
+            n, f"step {n}: norm exponent {exponent_str(achieved)}, "
+               f"need at least {required.exponent}")
+    return achieved
 
 
-def _falling_step(nf_a: NormalForm, product: NormalForm, j: int) -> NormalForm:
-    """product * (A - j), as the fused product.A - j.product."""
-    return product.mul(nf_a, addend=[(-j, product)])
-
-
-def certify_normal_contraction(a: Operator, depth: int) -> ContractionCertificate:
-    """Check ||A(A-1)...(A-(n-1))|| <= p^(-v_p(n!)) for every n <= depth.
-
-    Contractive diagonals get a structural certificate covering all n.
-    A product with no closed structured form raises Undecidable.
-    """
-    structural = isinstance(a, Diagonal) and all(
-        v.is_integral for v in a.entries.values())
-    nf = normalize(a)
-    prec = precision_of(nf)
-    product = NormalForm.constant(a.prime, Padic.one(a.prime, prec))
-    checked: list[tuple[int, ValuationBound]] = []
-    for n in range(1, depth + 1):
+def _falling_products(nf_a: NormalForm, prec: int) -> Iterator[tuple[NormalForm, ValuationBound]]:
+    """A(A-1)...(A-(n-1)) = n! binom(A, n) and its norm for n = 0, 1, 2,
+    ..., the one loop that forms the binomial terms, each as the fused
+    product F.A - (n-1) F of the one before.  Each is checked by
+    _check_product; a product with no closed structured form raises
+    Undecidable."""
+    p = nf_a.prime
+    product = NormalForm.constant(p, Padic.one(p, prec))
+    yield product, ValuationBound.one()
+    for n in count(1):
         try:
-            product = _falling_step(nf, product, n - 1)
+            product = product.mul(nf_a, addend=[(1 - n, product)])
         except StructureError as exc:
             raise Undecidable(f"step {n}: {exc}") from exc
-        achieved = product.norm()
-        required = ValuationBound(factorial_valuation(n, a.prime))
-        if achieved > required:
-            raise CertificationFailed(
-                n, f"step {n}: norm exponent {exponent_str(achieved)}, "
-                   f"need at least {required.exponent}")
-        checked.append((n, achieved))
-    return ContractionCertificate(a, depth, tuple(checked), structural)
+        yield product, _check_product(n, product)
+
+
+def certify_normal_contraction(a: Operator, depth: int) -> list[tuple[int, ValuationBound]]:
+    """Check ||A(A-1)...(A-(n-1))|| <= p^(-v_p(n!)), that is
+    ||binom(A, n)|| <= 1, for every n <= depth.
+
+    Returns the rows (n, norm of the falling product).  A failing n
+    raises CertificationFailed(n); a product with no closed structured
+    form raises Undecidable.
+    """
+    nf = normalize(a)
+    products = islice(_falling_products(nf, precision_of(nf)), 1, depth + 1)
+    return [(n, norm) for n, (_, norm) in enumerate(products, 1)]
 
 
 def _binomial_walk(nf_a: NormalForm, coefficients: Iterable[Padic], prec: int) -> NormalForm:
-    """Sum of c_n * binom(A, n), with binom(A, n) = binom(A, n-1) * (A - (n-1)) / n.
-    Only an exact zero c_n is skipped: a certified one adds its bound."""
+    """Sum of c_n * binom(A, n), forming and checking the falling products
+    only up to the last coefficient.  Only an exact zero c_n is skipped:
+    a certified one adds its bound."""
     p = nf_a.prime
-    term = NormalForm.constant(p, Padic.one(p, prec))
     acc = NormalForm.constant(p, Padic.zero(p))
-    for n, c in enumerate(coefficients):
-        if n > 0:
-            term = _falling_step(nf_a, term, n - 1)
-            term = term.divide_entries(Padic.from_int(n, p, prec))
+    # coefficients first: zip stops there without forming one more product
+    for n, (c, (product, _)) in enumerate(zip(coefficients, _falling_products(nf_a, prec))):
         if not c.is_exact_zero:
+            term = product.divide_entries(Padic.from_int(factorial(n), p, prec))
             acc = NormalForm.combine([(1, acc), (c, term)])
     return acc
 
 
-def functional_calculus(a: Operator, fn: MahlerFunction,
-                        cert: ContractionCertificate) -> tuple[Operator, ValuationBound]:
+def _contractive_diagonal(a: Operator) -> bool:
+    """A diagonal with integral entries: binom(a, n) lies in Z_p for
+    every integral a, so ||binom(A, n)|| <= 1 for every n."""
+    return isinstance(a, Diagonal) and all(v.is_integral for v in a.entries.values())
+
+
+def functional_calculus(a: Operator, fn: MahlerFunction) -> tuple[Operator, ValuationBound]:
     """Evaluate a coefficient sequence at A: sum of T_n * binom(A, n).
 
     Returns the truncated series and its error bound, the function's
-    tail bound.  It needs ||binom(A, n)|| <= 1 for every discarded n, so
-    only a structural certificate admits a nonzero tail bound.
+    tail bound.  The walk checks ||binom(A, n)|| <= 1 for each n it sums
+    (CertificationFailed(n) otherwise).  The tail bound needs it for
+    every discarded n as well, so only a contractive diagonal admits a
+    nonzero tail bound.
     """
-    _check_issued_for(cert, a)
-    if not cert.covers(len(fn.coefficients)):
-        raise PreconditionFailed(
-            f"certificate depth {cert.depth} below series length {len(fn.coefficients)}")
-    if not (cert.structural or fn.tail_bound.is_zero):
-        raise PreconditionFailed("a nonzero tail bound needs a structural certificate")
+    if not (fn.tail_bound.is_zero or _contractive_diagonal(a)):
+        raise PreconditionFailed("a nonzero tail bound needs a contractive diagonal")
     nf_a = normalize(a)
     acc = _binomial_walk(nf_a, fn.coefficients, precision_of(nf_a, fn))
     return acc.to_operator(), fn.tail_bound
 
 
-def binomial_series(a: Operator, z: Padic, cert: ContractionCertificate,
-                    depth: int) -> tuple[Operator, ValuationBound]:
+def binomial_series(a: Operator, z: Padic, depth: int) -> tuple[Operator, ValuationBound]:
     """Truncation of the series sum over n of z^n * binom(A - 1, n).
 
-    Requires |z| <= 1/p and a certificate covering n = 1 and the depth.
-    A's certificate covers A - 1: binom(A - 1, n) is the sum over k <= n
-    of (-1)^(n-k) binom(A, k), so its norm is at most 1 where A's are.
-    The terms stop at the first zero power of z.
+    Requires |z| <= 1/p and ||A|| <= 1, which the error bound needs
+    (CertificationFailed(1) otherwise); the walk checks each
+    binom(A - 1, n) it sums.  The terms stop at the first exactly zero
+    power of z: a certified zero z^n adds its bound.
     """
     if z.norm > ValuationBound(1):
         raise PreconditionFailed("series parameter needs norm <= 1/p")
-    _check_issued_for(cert, a)
-    if not cert.covers(max(depth, 1)):
-        raise PreconditionFailed(f"certificate depth {cert.depth} below {max(depth, 1)}")
     p = a.prime
     prec = precision_of(a, z)
-    nf = normalize(a - Identity(p, prec))
+    nf_a = normalize(a)
+    _check_product(1, nf_a)
+    nf = nf_a.sub(NormalForm.constant(p, Padic.one(p, prec)))
     powers = accumulate(repeat(z, depth), mul, initial=Padic.one(p, prec))
-    acc = _binomial_walk(nf, takewhile(lambda zpow: not zpow.is_zero, powers), prec)
-    return acc.to_operator(), _series_error(z, depth, cert.structural)
+    acc = _binomial_walk(nf, takewhile(lambda zpow: not zpow.is_exact_zero, powers), prec)
+    return acc.to_operator(), _series_error(z, depth, _contractive_diagonal(a))
 
 
 def _series_error(z: Padic, depth: int, structural: bool) -> ValuationBound:
     """Bound on the discarded terms z^n * binom(A - 1, n), n > depth.
 
-    A structural certificate bounds each binom(A - 1, n) by 1.  Otherwise
-    only ||A|| <= 1 is known, so n! * binom(A - 1, n) is integral: the
-    exponent is the least n v(z) - v_p(n!), and v_p(n!) <= (n-1)/(p-1)
-    ends the scan."""
-    if z.is_zero:
+    A certified zero z = O(p^N) is bounded by |z| <= p^-N.  On a
+    contractive diagonal each binom(A - 1, n) has norm at most 1.
+    Otherwise only ||A|| <= 1 is known, so n! * binom(A - 1, n) is
+    integral: the exponent is the least n v(z) - v_p(n!), and
+    v_p(n!) <= (n-1)/(p-1) ends the scan."""
+    if z.is_exact_zero:
         return ValuationBound.zero()
-    v, p = z.norm.exponent, z.prime
+    p = z.prime
+    v = z.absolute_precision if z.is_zero else z.valuation
     if structural:
         return ValuationBound(v * (depth + 1))
     n = depth + 1
@@ -158,10 +157,10 @@ def zero_indicator_polynomial(prime: int, precision: int = DEFAULT_PRECISION) ->
             Padic.from_int(-1, prime, precision))
 
 
-def teichmuller_idempotent(a: Operator, cert: ContractionCertificate,
-                           target: int = 30) -> tuple[Operator, list[list]]:
+def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, list[list]]:
     """Limit e of x_k = P(A^{p^k}), k = 0, 1, ..., where P is the
-    zero-indicator polynomial.
+    zero-indicator polynomial.  A needs ||A|| <= 1, checked here
+    (CertificationFailed(1) otherwise).
 
     Phase 1 evaluates x_0, ..., x_K and stops at the first x_k that is
     idempotent mod p: ||x_k^2 - x_k|| < 1.  Phase 2 refines that x_k by
@@ -190,12 +189,10 @@ def teichmuller_idempotent(a: Operator, cert: ContractionCertificate,
     (phase 2, k = 1, 2, ..., the defect after step k).
     """
     p = a.prime
-    _check_issued_for(cert, a)
-    if not cert.covers(1):
-        raise PreconditionFailed("a contraction certificate is required")
     b = normalize(a)
     if b.tail is not None:
         raise PreconditionFailed("a structured tail has no finite window to bound phase 1")
+    _check_product(1, b)
     window = 1 + max((max(ij) for ij in b.head), default=0)
     cap = next(k for k in count() if p**k >= window)
     coeffs = zero_indicator_polynomial(p, precision_of(b))

@@ -134,8 +134,7 @@ def _target(args) -> int:
 def _cmd_calculus_certify(args) -> int:
     depth = _at_least("--depth", args.depth, 0)
     a = _read_operator(args.infile)
-    cert = certify_normal_contraction(a, depth)
-    rows = [[n, exponent_str(bound)] for n, bound in cert.checked]
+    rows = [[n, exponent_str(bound)] for n, bound in certify_normal_contraction(a, depth)]
     sys.stdout.write(tsv_table(["n", "norm_exponent"], rows))
     return 0
 
@@ -144,8 +143,7 @@ def _cmd_calculus_apply(args) -> int:
     a = _read_operator(args.infile)
     fn = mahler_from_obj(_read_json(args.fn))
     _same_prime(a, fn)
-    cert = certify_normal_contraction(a, len(fn.coefficients))
-    result, error = functional_calculus(a, fn, cert)
+    result, error = functional_calculus(a, fn)
     _emit({"result": operator_to_obj(result),
            "error_exponent": exponent_str(error)})
     return 0
@@ -155,8 +153,9 @@ def _cmd_calculus_teich(args) -> int:
     target = _target(args)
     depth = _at_least("--depth", args.depth, 0)
     a = _read_operator(args.infile, target)
-    cert = certify_normal_contraction(a, depth)
-    e, trace = teichmuller_idempotent(a, cert, target=target)
+    # --depth only gates: teich checks ||A|| <= 1 itself (ROADMAP item 8)
+    certify_normal_contraction(a, depth)
+    e, trace = teichmuller_idempotent(a, target=target)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(tsv_table(["phase", "k", "defect_exponent"], trace))
@@ -168,9 +167,7 @@ def _cmd_calculus_fz(args) -> int:
     depth = _at_least("--depth", args.depth, 0)
     a = _read_operator(args.infile)
     z = scalar_from_text(args.z, a.prime, precision_of(a))
-    # the error bound needs ||A|| <= 1, step 1 of the certificate
-    cert = certify_normal_contraction(a, max(depth, 1))
-    result, error = binomial_series(a, z, cert, depth)
+    result, error = binomial_series(a, z, depth)
     _emit({"result": operator_to_obj(result),
            "error_exponent": exponent_str(error)})
     return 0
@@ -211,9 +208,8 @@ def _cmd_idem_split(args) -> int:
 
 def _cmd_idem_lift(args) -> int:
     target = _target(args)
-    budget = {} if args.budget is None else {"budget": _at_least("--budget", args.budget, 1)}
     a = _read_operator(args.infile, target)
-    e = idempotent_lift(a, target=target, **budget)
+    e = idempotent_lift(a, target=target)
     _emit({"e": operator_to_obj(e)})
     return 0
 
@@ -331,8 +327,7 @@ def _build_parser() -> _Parser:
     leaf(idem, "equiv", _cmd_idem_equiv, certifies,
          {"--in2": dict(dest="in2", required=True, metavar="FILE")})
     leaf(idem, "split", _cmd_idem_split, certifies)
-    leaf(idem, "lift", _cmd_idem_lift, certifies,
-         {"--budget": dict(type=int, default=None)})
+    leaf(idem, "lift", _cmd_idem_lift, certifies)
     leaf(idem, "trivialize", _cmd_idem_trivialize, certifies,
          {"--prefix": dict(type=int, default=16)})
     leaf(idem, "sumring", _cmd_idem_sumring, [reads_file],

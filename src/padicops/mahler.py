@@ -60,10 +60,11 @@ def mahler_eval(fn: MahlerFunction, x: Padic) -> Padic:
         raise NonIntegral("evaluation points must lie in Z_p")
     total = Padic.zero(fn.prime)
     for n, t in enumerate(fn.coefficients):
-        if t.is_zero:
+        if t.is_exact_zero:
             continue
-        # binom(x, 0) is 1 exactly, whatever the precision of x
-        total = total + (t if n == 0 else t * binomial_padic(x, n))
+        # binom(x, 0) is 1 exactly, whatever the precision of x, and
+        # binom(x, n) lies in Z_p, so a certified zero O(p^N) adds O(p^N)
+        total = total + (t if n == 0 or t.is_zero else t * binomial_padic(x, n))
     if not fn.tail_bound.is_zero:
         # unseen coefficients contribute at most the tail bound
         total = total.cap_absolute(fn.tail_bound.exponent)

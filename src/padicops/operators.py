@@ -693,10 +693,6 @@ def _apply_tree(op: Operator, vec: PadicVector) -> PadicVector:
     return normalize(op).apply(vec)
 
 
-def op_column(op: Operator, j: int) -> PadicVector:
-    return op_apply(op, PadicVector.basis(op.prime, j, precision_of(op)))
-
-
 def op_norm(op: Operator) -> ValuationBound:
     try:
         return normalize(op).norm()

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from padicops import calculus
-from padicops.calculus import (ContractionCertificate, binomial_series,
-                               certify_normal_contraction, functional_calculus,
-                               teichmuller_idempotent, zero_indicator_polynomial)
+from padicops.calculus import (binomial_series, certify_normal_contraction,
+                               functional_calculus, teichmuller_idempotent,
+                               zero_indicator_polynomial)
 from padicops.errors import (CertificationFailed, PreconditionFailed,
                              Undecidable)
 from padicops.idempotents import sum_ring_generators
@@ -22,26 +22,32 @@ def diag(p, values):
     return Diagonal(p, {i: Padic.from_int(v, p) for i, v in enumerate(values)})
 
 
+def jordan_block(p):
+    return FiniteMatrix(p, {(0, 0): Padic.one(p), (0, 1): Padic.one(p), (1, 1): Padic.one(p)})
+
+
 def test_certificate_weighted_shift():
     a = weighted_shift_matrix(3, 8)
-    cert = certify_normal_contraction(a, 10)
-    assert cert.depth == 10 and len(cert.checked) == 10
-    assert cert.covers(10) and not cert.covers(11)
-    assert not cert.structural
-    for n, achieved in cert.checked:
+    rows = certify_normal_contraction(a, 10)
+    assert [n for n, _ in rows] == list(range(1, 11))
+    for n, achieved in rows:
         assert achieved <= ValuationBound(factorial_valuation(n, 3))
+    assert certify_normal_contraction(a, 0) == []
 
 
 def test_certificate_structural_for_integral_diagonal():
-    cert = certify_normal_contraction(diag(3, [1, 4, 9]), 2)
-    assert cert.structural and cert.covers(10**6)
+    # binom(a, n) is integral for every integral a, so a contractive
+    # diagonal passes at every depth and admits a nonzero tail bound
+    a = diag(3, [1, 4, 9])
+    assert len(certify_normal_contraction(a, 30)) == 30
+    fn = mahler_expand([Padic.from_int(n, 3) for n in range(2)], ValuationBound(2))
+    assert functional_calculus(a, fn)[1] == ValuationBound(2)
 
 
 def test_certificate_frozen_exponents():
     # diag(28, 27) at p=3: valuations of the falling products
     a = diag(3, [28, 27])
-    cert = certify_normal_contraction(a, 6)
-    got = [(n, b.exponent) for n, b in cert.checked]
+    got = [(n, b.exponent) for n, b in certify_normal_contraction(a, 6)]
     assert got == [(1, 0), (2, 3), (3, 3), (4, 3), (5, 4), (6, 4)]
 
 
@@ -62,17 +68,18 @@ def test_binom_operator_diagonal_oracle():
     # binom(A, n) is the functional calculus of the one-hot function
     values = [0, 1, 5, 28]
     a = diag(3, values)
-    cert = certify_normal_contraction(a, 6)
     for n in range(5):
-        b, err = functional_calculus(a, one_hot(3, n), cert)
+        b, err = functional_calculus(a, one_hot(3, n))
         assert err.is_zero
         nf = normalize(b)
         for i, v in enumerate(values):
             want = binomial_padic(Padic.from_int(v, 3), n)
             assert (nf.entry(i, i) - want).vanishes_to(30)
-    shift = weighted_shift_matrix(3, 4)
-    with pytest.raises(PreconditionFailed):
-        functional_calculus(shift, one_hot(3, 7), certify_normal_contraction(shift, 6))
+    # each certificate row is the norm exponent of binom(A, n) plus v_p(n!)
+    shift = weighted_shift_matrix(3, 8)
+    for n, bound in certify_normal_contraction(shift, 7):
+        b, _ = functional_calculus(shift, one_hot(3, n))
+        assert normalize(b).norm().exponent + factorial_valuation(n, 3) == bound.exponent
 
 
 def test_functional_calculus_matches_pointwise_values():
@@ -81,8 +88,7 @@ def test_functional_calculus_matches_pointwise_values():
     fn = mahler_expand([Padic.from_int(n * n, p) for n in range(5)])
     values = [0, 1, 2, 9, 13]
     a = diag(p, values)
-    cert = certify_normal_contraction(a, len(fn.coefficients))
-    out, err = functional_calculus(a, fn, cert)
+    out, err = functional_calculus(a, fn)
     assert err.is_zero
     nf = normalize(out)
     for i, v in enumerate(values):
@@ -90,38 +96,49 @@ def test_functional_calculus_matches_pointwise_values():
 
 
 def test_functional_calculus_is_multiplicative_on_shift():
-    p, size, depth = 3, 8, 12
+    p, size = 3, 8
     a = weighted_shift_matrix(p, size)
-    cert = certify_normal_contraction(a, depth)
 
     def expand(f):
         return mahler_expand([Padic.from_int(f(n), p) for n in range(7)])
 
     f = lambda n: n * n + 1
     g = lambda n: 2 * n + 3
-    pf, _ = functional_calculus(a, expand(f), cert)
-    pg, _ = functional_calculus(a, expand(g), cert)
-    pfg, _ = functional_calculus(a, expand(lambda n: f(n) * g(n)), cert)
+    pf, _ = functional_calculus(a, expand(f))
+    pg, _ = functional_calculus(a, expand(g))
+    pfg, _ = functional_calculus(a, expand(lambda n: f(n) * g(n)))
     # truncation size keeps the product window exact: entries live on
     # i in {j, j+1}, so indices stay inside the head
     assert op_agree(Product([pf, pg]), pfg, 30)
 
 
 def test_functional_calculus_needs_cover():
-    a = weighted_shift_matrix(3, 4)
-    cert = certify_normal_contraction(a, 2)
-    fn = mahler_expand([Padic.from_int(n, 3) for n in range(6)])
-    with pytest.raises(PreconditionFailed):
-        functional_calculus(a, fn, cert)
+    # A = 1 + N with N = e_01 fails at n = 5 at p = 5: the walk certifies
+    # exactly the terms it sums, T_0..T_4 but not T_5
+    p = 5
+    a = jordan_block(p)
+    with pytest.raises(CertificationFailed) as info:
+        certify_normal_contraction(a, 5)
+    assert info.value.depth == 5
+
+    def square(length):
+        # x^2 = binom(x, 1) + 2 binom(x, 2), padded with exact zeros
+        coeffs = (Padic.zero(p), Padic.one(p), Padic.from_int(2, p))
+        return MahlerFunction(p, coeffs + (Padic.zero(p),) * (length - 3), ValuationBound.zero())
+
+    out, err = functional_calculus(a, square(5))
+    assert err.is_zero and op_agree(out, Product([a, a]), 30)
+    with pytest.raises(CertificationFailed) as info:
+        functional_calculus(a, square(6))
+    assert info.value.depth == 5
 
 
 def test_binomial_series_diagonal_oracle():
     p, depth = 3, 8
     values = [0, 1, 4, 10]
     a = diag(p, values)
-    cert = certify_normal_contraction(a, depth)
     z = Padic.from_int(3, p)
-    out, err = binomial_series(a, z, cert, depth)
+    out, err = binomial_series(a, z, depth)
     assert err == ValuationBound(depth + 1)
     nf = normalize(out)
     for i, v in enumerate(values):
@@ -133,17 +150,29 @@ def test_binomial_series_diagonal_oracle():
 
 def test_binomial_series_z_zero_is_identity():
     a = diag(3, [1, 4])
-    cert = certify_normal_contraction(a, 4)
-    out, err = binomial_series(a, Padic.zero(3), cert, 4)
+    out, err = binomial_series(a, Padic.zero(3), 4)
     assert err.is_zero
     assert op_agree(out, Identity(3), 30)
 
 
+def test_binomial_series_certified_zero_z_keeps_its_bound():
+    # z = O(3^5) stands for every z in 3^5 Z_3: the series and its error
+    # bound must hold for the lift z = 3^5, so the result is 1 + O(3^5),
+    # not the identity to 40 digits with a zero error bound
+    p = 3
+    a = weighted_shift_matrix(p, 4, 40)
+    out, err = binomial_series(a, Padic.zero(p, 5), 8)
+    lifted, lifted_err = binomial_series(a, Padic.from_int(p**5, p), 8)
+    assert err == lifted_err == ValuationBound(41)
+    assert op_agree(out, lifted, 5)
+    assert not op_agree(out, Identity(p, 40), 6)
+    assert normalize(out).shift.absolute_precision == 5
+
+
 def test_binomial_series_norm_gate():
     a = diag(3, [1, 4])
-    cert = certify_normal_contraction(a, 4)
     with pytest.raises(PreconditionFailed):
-        binomial_series(a, Padic.one(3), cert, 4)
+        binomial_series(a, Padic.one(3), 4)
 
 
 def test_binomial_series_error_under_finite_certificate():
@@ -153,23 +182,27 @@ def test_binomial_series_error_under_finite_certificate():
     # the (0, 1) entry is the sum over n >= 5 of (-1)^(n-1) 5^n / n, whose
     # n = 5 term 5^4 dominates: valuation 4, not 5.
     p = 5
-    a = FiniteMatrix(p, {(0, 0): Padic.one(p), (0, 1): Padic.one(p), (1, 1): Padic.one(p)})
+    a = jordan_block(p)
     with pytest.raises(CertificationFailed):
         certify_normal_contraction(a, 5)
-    cert = certify_normal_contraction(a, 4)
-    _, err = binomial_series(a, Padic.from_int(p, p), cert, 4)
+    _, err = binomial_series(a, Padic.from_int(p, p), 4)
     tail = [Fraction(p**n, n) for n in range(5, 60)]
     assert min(Padic.from_fraction(t, p).valuation for t in tail) == 4
     assert err == ValuationBound(4)
-    # a structural certificate keeps |z|^(depth+1)
+    # summing binom(A - 1, 5) fails where A does
+    with pytest.raises(CertificationFailed) as info:
+        binomial_series(a, Padic.from_int(p, p), 5)
+    assert info.value.depth == 5
+    # a contractive diagonal keeps |z|^(depth+1)
     d = diag(p, [1, 6])
-    _, err = binomial_series(d, Padic.from_int(p, p), certify_normal_contraction(d, 4), 4)
+    _, err = binomial_series(d, Padic.from_int(p, p), 4)
     assert err == ValuationBound(5)
-    # the error bound needs ||A|| <= 1, which a depth-0 certificate does not
-    # give: the n = 1 term of diag(3^-2) alone has norm 3
+    # the error bound needs ||A|| <= 1 even where no term is summed: the
+    # n = 1 term of diag(3^-2) alone has norm 3
     big = Diagonal(3, {0: Padic.one(3) / Padic.from_int(9, 3)})
-    with pytest.raises(PreconditionFailed):
-        binomial_series(big, Padic.from_int(3, 3), certify_normal_contraction(big, 0), 0)
+    with pytest.raises(CertificationFailed) as info:
+        binomial_series(big, Padic.from_int(3, 3), 0)
+    assert info.value.depth == 1
 
 
 def test_functional_calculus_refuses_tail_under_finite_certificate():
@@ -177,13 +210,12 @@ def test_functional_calculus_refuses_tail_under_finite_certificate():
     # 4-term truncation by 5^3 binom(A, 5) = -(25/4) N, of norm 5^-2: a
     # finite certificate backs no tail bound
     p = 5
-    a = FiniteMatrix(p, {(0, 0): Padic.one(p), (0, 1): Padic.one(p), (1, 1): Padic.one(p)})
-    cert = certify_normal_contraction(a, 4)
+    a = jordan_block(p)
     fn = mahler_expand([Padic.from_int(n * n, p) for n in range(4)], ValuationBound(3))
     with pytest.raises(PreconditionFailed, match="tail bound"):
-        functional_calculus(a, fn, cert)
+        functional_calculus(a, fn)
     d = diag(p, [1, 6])
-    _, err = functional_calculus(d, fn, certify_normal_contraction(d, 4))
+    _, err = functional_calculus(d, fn)
     assert err == ValuationBound(3)
 
 
@@ -204,6 +236,11 @@ def test_certificate_transfers_to_a_minus_one():
             depth = exc.depth - 1
         certified += depth > 0
         certify_normal_contraction(a - Identity(p), depth)
+        # and binomial_series, which sums binom(A - 1, n), fails where A does
+        if depth < 8:
+            with pytest.raises(CertificationFailed) as info:
+                binomial_series(a, Padic.from_int(p, p), depth + 1)
+            assert info.value.depth == depth + 1
     assert certified > 30
 
 
@@ -211,7 +248,7 @@ def test_certificate_undecidable_on_structured_tails():
     # a product of two structured tails has no closed form, so depth 2 is
     # undecidable rather than an internal error
     up = sum_ring_generators(3).up
-    assert certify_normal_contraction(up, 1).depth == 1
+    assert len(certify_normal_contraction(up, 1)) == 1
     with pytest.raises(Undecidable):
         certify_normal_contraction(up, 3)
 
@@ -238,8 +275,7 @@ def test_teichmuller_idempotent_diagonal():
     p = 5
     values = [1, 7, 5, 0, 25, 3]
     a = diag(p, values)
-    cert = certify_normal_contraction(a, 1)
-    e, trace = teichmuller_idempotent(a, cert, target=20)
+    e, trace = teichmuller_idempotent(a, target=20)
     nf = normalize(e)
     # the limit indicates the topologically nilpotent coordinates
     for i, v in enumerate(values):
@@ -256,16 +292,12 @@ def test_teichmuller_idempotent_diagonal():
     assert all(2 * d <= nxt for d, nxt in zip([1] + depths, depths))
 
 
-def jordan_block(p):
-    return FiniteMatrix(p, {(0, 0): Padic.one(p), (0, 1): Padic.one(p), (1, 1): Padic.one(p)})
-
-
 def test_teichmuller_idempotent_jordan_block():
     # P(A) = 1 - A^2 is not idempotent mod 3 on a Jordan block, P(A^3) is:
     # the 2 x 2 window caps phase 1 at k = 1, where it succeeds
     p = 3
     a = jordan_block(p)
-    e, trace = teichmuller_idempotent(a, certify_normal_contraction(a, 1), target=30)
+    e, trace = teichmuller_idempotent(a, target=30)
     assert [row[:2] for row in trace if row[0] == 1] == [[1, 0], [1, 1]]
     # A^(3^k) tends to 1 on the block, where P vanishes; P(0) = 1 past it
     assert op_agree(e, Diagonal(p, {0: Padic.zero(p), 1: Padic.zero(p)}, Padic.one(p)), 30)
@@ -277,7 +309,6 @@ def test_teichmuller_idempotent_refuses_eigenvalue_outside_fp(monkeypatch):
     # two evaluations of P settle it.
     p = 3
     a = FiniteMatrix(p, {(0, 1): Padic.from_int(2, p), (1, 0): Padic.one(p)})
-    cert = certify_normal_contraction(a, 1)
     evaluations = []
 
     def counted(nf, coeffs):
@@ -286,14 +317,14 @@ def test_teichmuller_idempotent_refuses_eigenvalue_outside_fp(monkeypatch):
 
     monkeypatch.setattr(calculus, "nf_polynomial", counted)
     with pytest.raises(PreconditionFailed, match="eigenvalue outside F_p"):
-        teichmuller_idempotent(a, cert)
+        teichmuller_idempotent(a)
     assert len(evaluations) == 2
 
 
 def test_teichmuller_idempotent_refuses_structured_tail():
     up = sum_ring_generators(3).up
     with pytest.raises(PreconditionFailed, match="structured tail"):
-        teichmuller_idempotent(up, certify_normal_contraction(up, 1))
+        teichmuller_idempotent(up)
 
 
 def _charpoly(m):
@@ -343,7 +374,7 @@ def test_teichmuller_idempotent_converges_iff_charpoly_splits():
                              for j, x in enumerate(row) if x})
         splits = _roots_mod_p(_charpoly(rows), p) == n
         try:
-            e, _ = teichmuller_idempotent(a, certify_normal_contraction(a, 1), target=10)
+            e, _ = teichmuller_idempotent(a, target=10)
         except PreconditionFailed:
             converged = False
         else:
@@ -420,8 +451,7 @@ def test_teichmuller_idempotent_matches_integer_iteration():
         assert values[-2] == want  # the oracle's own iteration has settled
         a = FiniteMatrix(p, {(r, c): Padic.from_int(x, p, prec)
                              for r, row in enumerate(a_int) for c, x in enumerate(row) if x})
-        cert = certify_normal_contraction(a, 1)
-        e, trace = teichmuller_idempotent(a, cert, target=target)
+        e, trace = teichmuller_idempotent(a, target=target)
         later_k = max(later_k, max(k for phase, k, _ in trace if phase == 1))
         nf = normalize(e)
         for r in range(n + 2):
@@ -433,32 +463,15 @@ def test_teichmuller_idempotent_matches_integer_iteration():
     assert later_k >= 1  # some inputs needed more than P(A) in phase 1
 
 
-def test_certificate_covers_only_its_operator():
-    # a certificate for diag(1) must not admit a matrix that fails step 1
+def test_teichmuller_idempotent_refuses_non_contraction():
+    # ||A|| = 3 fails step 1, which teich checks itself
     p = 3
-    good = Diagonal(p, {0: Padic.one(p)})
     bad = FiniteMatrix(p, {(0, 0): Padic.one(p) / Padic.from_int(p, p)})
-    with pytest.raises(CertificationFailed):
-        certify_normal_contraction(bad, 3)
-    cert = certify_normal_contraction(good, 3)
-    square = mahler_expand([Padic.from_int(n * n, p) for n in range(3)])
-    with pytest.raises(PreconditionFailed):
-        functional_calculus(bad, square, cert)
-    with pytest.raises(PreconditionFailed):
-        binomial_series(bad, Padic.from_int(p, p), cert, 2)
-    with pytest.raises(PreconditionFailed):
-        teichmuller_idempotent(bad, cert)
-    # an equal operator built afresh is the same operator
-    again = Diagonal(p, {0: Padic.one(p)})
-    out, _ = functional_calculus(again, square, cert)
-    assert op_agree(out, good, 38)
-
-
-def test_teichmuller_idempotent_needs_certificate():
-    a = diag(3, [1])
-    cert = ContractionCertificate(a, 0, ())
-    with pytest.raises(PreconditionFailed):
-        teichmuller_idempotent(a, cert)
+    with pytest.raises(CertificationFailed) as info:
+        teichmuller_idempotent(bad)
+    assert info.value.depth == 1
+    e, _ = teichmuller_idempotent(diag(p, [1]), target=10)
+    assert op_agree(e, Diagonal(p, {0: Padic.zero(p)}, Padic.one(p)), 10)
 
 
 def test_calculus_keeps_operand_precision():
@@ -467,13 +480,12 @@ def test_calculus_keeps_operand_precision():
     p, prec = 3, 80
     half = Padic.from_fraction(Fraction(1, 2), p, prec)
     a = Diagonal(p, {0: half, 1: Padic.from_int(5, p, prec)})
-    cert = certify_normal_contraction(a, 4)
     identity_fn = mahler_expand([Padic.zero(p), Padic.one(p, prec)])
-    result, _ = functional_calculus(a, identity_fn, cert)
+    result, _ = functional_calculus(a, identity_fn)
     nf = normalize(result)
     assert nf.entry(0, 0) == half and nf.entry(1, 1) == Padic.from_int(5, p, prec)
     # z = 0 leaves the constant term 1 of the binomial series
-    one, _ = binomial_series(a, Padic.zero(p), cert, 3)
+    one, _ = binomial_series(a, Padic.zero(p), 3)
     assert normalize(one).entry(7, 7) == Padic.one(p, prec)
 
 
@@ -483,6 +495,6 @@ def test_certified_zero_coefficient_keeps_its_bound():
     p = 3
     a = Diagonal(p, {}, Padic.from_int(3, p))
     fn = MahlerFunction(p, (Padic.one(p), Padic.zero(p, 5)), ValuationBound.zero())
-    result, error = functional_calculus(a, fn, certify_normal_contraction(a, 2))
+    result, error = functional_calculus(a, fn)
     assert error.is_zero
     assert normalize(result).shift == Padic.one(p, 6)

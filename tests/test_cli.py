@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from padicops import cli
 from padicops.cli import _build_parser, main
 from padicops.io import operator_from_obj, operator_to_obj, scalar_to_text
-from padicops.operators import Diagonal, FiniteMatrix, Identity, op_agree
+from padicops.operators import (Diagonal, FiniteMatrix, Identity, NormalForm,
+                                op_agree)
 from padicops.scalars import Padic
 
 
@@ -150,6 +152,43 @@ def test_calculus_apply(capsys, opfile, tmp_path):
     assert "unrecognized arguments: --depth 3" in json.loads(err)["message"]
 
 
+def test_calculus_apply_and_fz_form_each_product_once(capsys, opfile, tmp_path, monkeypatch):
+    # the walk certifies the terms it sums, so neither leaf runs a separate
+    # certificate: apply forms binom(A, n) for n = 1..M, fz binom(A - 1, n)
+    # for n = 1..depth, one product each
+    def refused(*args):
+        raise AssertionError("certify_normal_contraction called")
+
+    calls = []
+    mul = NormalForm.mul
+
+    def counted(self, other, *args, **kwargs):
+        calls.append(1)
+        return mul(self, other, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "certify_normal_contraction", refused)
+    monkeypatch.setattr(NormalForm, "mul", counted)
+    fnfile = tmp_path / "fn.json"
+    fnfile.write_text(json.dumps({"p": 5, "precision": 40, "tail_exponent": None,
+                                  "coefficients": ["0", "5^0*1", "5^0*2", "0", "0"]}))
+    # A = 1 + e_01 at p = 5: binom(A, n) has norm 1 for n <= 4 and 5 at n = 5
+    block = opfile(FiniteMatrix(5, {(0, 0): Padic.one(5), (0, 1): Padic.one(5),
+                                    (1, 1): Padic.one(5)}))
+    code, out, _ = run(capsys, "calculus", "apply", "--in", block, "--fn", str(fnfile))
+    assert code == 0 and len(calls) == 4
+    assert op_agree(operator_from_obj(json.loads(out)["result"]),
+                    FiniteMatrix(5, {(0, 0): Padic.one(5), (0, 1): Padic.from_int(2, 5),
+                                     (1, 1): Padic.one(5)}), 30)
+    calls.clear()
+    code, _, _ = run(capsys, "calculus", "fz", "--in", block, "--z", "5^1*1", "--depth", "4")
+    assert code == 0 and len(calls) == 4
+    # one more term is binom(A, 5), which the walk refuses where it forms it
+    code, _, err = run(capsys, "calculus", "fz", "--in", block, "--z", "5^1*1", "--depth", "5")
+    assert code == 2
+    report = json.loads(err)
+    assert report["error"] == "CertificationFailed" and report["depth"] == 5
+
+
 def test_calculus_fz_depth_and_error(capsys, opfile):
     path = opfile(diag(3, [1, 4]))
     code, out, _ = run(capsys, "calculus", "fz", "--in", path, "--z", "3^1*1",
@@ -188,6 +227,16 @@ def test_calculus_teich_trace(capsys, opfile, tmp_path):
     # value 7 is a unit, value 5 and the zero default are topologically nilpotent
     want = Diagonal(5, {0: Padic.zero(5)}, Padic.one(5))
     assert op_agree(e, want, 12)
+    # --depth 0 runs no certificate: teich checks ||A|| <= 1 itself
+    code, out, _ = run(capsys, "calculus", "teich-idem", "--in", path, "--target", "12",
+                       "--depth", "0")
+    assert code == 0
+    assert op_agree(operator_from_obj(json.loads(out)["e"]), want, 12)
+    path = opfile(Diagonal(5, {0: Padic.one(5) / Padic.from_int(5, 5)}))
+    code, out, err = run(capsys, "calculus", "teich-idem", "--in", path, "--depth", "0")
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "CertificationFailed" and report["depth"] == 1
 
 
 def test_calculus_teich_jordan_block(capsys, opfile, tmp_path):
@@ -273,6 +322,10 @@ def test_idem_lift(capsys, opfile):
     assert code == 0
     e = operator_from_obj(json.loads(out)["e"])
     assert op_agree(e * e, e, 30)
+    # no input needs a search cap other than the default, so no flag sets it
+    code, _, err = run(capsys, "idem", "lift", "--in", path, "--budget", "8")
+    assert code == 4
+    assert "unrecognized arguments: --budget 8" in json.loads(err)["message"]
 
 
 def test_idem_trivialize_transcript(capsys, opfile):
@@ -353,13 +406,11 @@ def test_parse_failures_exit_4(capsys, tmp_path, opfile):
         code, _, err = run(capsys, *argv)
         assert code == 4, argv
         assert json.loads(err)["error"] == "ParseError"
-    # negative depths and window sizes, budgets and targets below 1, and
+    # negative depths and window sizes, targets below 1, and
     # samples that are not a list of scalar texts
     inv3 = opfile(FiniteMatrix(3, {(0, 0): Padic.one(3) / Padic.from_int(3, 3)}))
     for argv in (("calculus", "certify", "--in", e3, "--depth", "-2"),
                  ("calculus", "fz", "--in", e3, "--z", "0", "--depth", "-2"),
-                 ("idem", "lift", "--in", e3, "--budget", "-2"),
-                 ("idem", "lift", "--in", e3, "--budget", "0"),
                  ("idem", "refine", "--in", e3, "--target", "-5"),
                  ("idem", "refine", "--in", e3, "--target", "0"),
                  ("verify", "all", "--target", "-3"),

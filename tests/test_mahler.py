@@ -91,3 +91,18 @@ def test_eval_at_zero_keeps_coefficient_precision():
     t0 = Padic.from_int(7, 3, 80)
     fn = MahlerFunction(3, (t0, Padic.from_int(2, 3, 80)), ValuationBound.zero())
     assert mahler_eval(fn, Padic.zero(3)) == t0
+
+
+def test_eval_keeps_certified_zero_coefficient_bound():
+    # f(0) = 1 and f(1) = 1 + O(3^5) give T_1 = O(3^5), so f(1) is known
+    # to 5 digits only: the sum once skipped T_1 and returned 40
+    one = Padic.one(3, 40)
+    fn = mahler_expand([one, Padic.from_unit(3, 0, 1, 5)])
+    assert fn.coefficients[1] == Padic.zero(3, 5)
+    value = mahler_eval(fn, one)
+    assert value == Padic.one(3, 5) and value.absolute_precision == 5
+    # binom(x, n) is integral, so O(3^5) at any x adds O(3^5)
+    assert mahler_eval(fn, Padic.from_int(7, 3)).absolute_precision == 5
+    # an exact zero coefficient adds nothing
+    exact = MahlerFunction(3, (one, Padic.zero(3)), ValuationBound.zero())
+    assert mahler_eval(exact, one) == one

@@ -7,8 +7,7 @@ from padicops.idempotents import sum_ring_generators
 from padicops.operators import (Adjoint, Diagonal, FiniteMatrix, Identity,
                                 IndexMap, NormalForm, Product, ScalarMul, Sum, is_compact,
                                 nf_polynomial, normalize, op_agree, op_apply,
-                                op_column, op_norm, truncate,
-                                weighted_shift_matrix)
+                                op_norm, truncate, weighted_shift_matrix)
 from padicops.mahler import MahlerFunction
 from padicops.scalars import (DEFAULT_PRECISION, Padic, ValuationBound,
                               precision_of)
@@ -53,13 +52,13 @@ def test_identity_norm_and_entries():
 
 def test_index_map_finite_dict():
     m = IndexMap(3, {0: 2, 1: 3}, {0: Padic.from_int(2, 3)})
-    assert op_column(m, 0).entries == {2: Padic.from_int(2, 3)}
-    assert op_column(m, 1).get(3).residue(4) == 1
-    assert op_column(m, 5).entries == {}
+    assert op_apply(m, PadicVector.basis(3, 0)).entries == {2: Padic.from_int(2, 3)}
+    assert op_apply(m, PadicVector.basis(3, 1)).get(3).residue(4) == 1
+    assert op_apply(m, PadicVector.basis(3, 5)).entries == {}
     t = normalize(Adjoint(m))
     assert t.entry(0, 2).residue(4) == 2
     assert t.entry(1, 3).residue(4) == 1
-    assert op_column(Adjoint(m), 2).entries == {0: Padic.from_int(2, 3)}
+    assert op_apply(Adjoint(m), PadicVector.basis(3, 2)).entries == {0: Padic.from_int(2, 3)}
 
 
 def test_index_map_non_injective_adjoint():
@@ -67,7 +66,7 @@ def test_index_map_non_injective_adjoint():
     t = normalize(Adjoint(m))
     assert t.entry(0, 4).residue(3) == 1
     assert t.entry(1, 4).residue(3) == 1
-    assert op_column(Adjoint(m), 4).support == [0, 1]
+    assert op_apply(Adjoint(m), PadicVector.basis(3, 4)).support == [0, 1]
 
 
 def test_sum_and_product_match_dense_oracle(rng):
@@ -233,7 +232,8 @@ def test_truncate_normalizes_once(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 1
     assert t.entries == {(i, j): v for j in range(size)
-                         for i, v in op_column(op, j).entries.items() if i < size}
+                         for i, v in op_apply(op, PadicVector.basis(p, j)).entries.items()
+                         if i < size}
 
 
 def test_truncate_without_a_normal_form_applies_the_tree():
@@ -370,11 +370,11 @@ def test_operator_difference_keeps_operand_precision():
             assert nf.entry(i, j).absolute_precision == prec
 
 
-def test_op_column_keeps_operand_precision():
+def test_op_apply_keeps_operand_precision():
     p, prec = 3, 80
     m = FiniteMatrix(p, {(0, 0): Padic.from_int(2, p, prec),
                          (1, 0): Padic.from_int(3, p, prec)})
-    col = op_column(m, 0)
+    col = op_apply(m, PadicVector.basis(p, 0, prec))
     assert col.entries == {0: Padic.from_int(2, p, prec), 1: Padic.from_int(3, p, prec)}
     assert col.get(0).absolute_precision == prec and col.get(1).absolute_precision == prec + 1
-    assert op_column(Identity(p, prec), 7).get(7) == Padic.one(p, prec)
+    assert op_apply(Identity(p, prec), PadicVector.basis(p, 7, prec)).get(7) == Padic.one(p, prec)

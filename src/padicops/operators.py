@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from .errors import NonIntegral, StructureError, Undecidable
-from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound, norm_max,
-                      precision_of)
+from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound, _linear_term,
+                      _product_term, _round, _split, norm_max, precision_of)
 from .vectors import PadicVector
 
 Dest = Callable[[int], "int | None"]
@@ -97,115 +96,30 @@ def _nonzero(entries) -> dict:
     return {key: v for key, v in entries if not v.is_zero}
 
 
-def _split(k: int, p: int) -> tuple[int, int]:
-    """(j, u) with k = p^j * u and u prime to p, for an int k != 0."""
-    j = 0
-    while k % p == 0:
-        k //= p
-        j += 1
-    return j, k
-
-
-# A term of a sum is an int triple (val, unit, top): the scalar p^val * unit,
-# known to the absolute precision top.  A term with a zero factor has no
-# digits and enters a sum as its bound alone: an int, or None when the zero
-# is exact and the term adds nothing.
-
-_VAL, _TOP = itemgetter(0), itemgetter(2)
-
-
-def _product_term(v: Padic, w: Padic, jc: int = 0, uc: int = 1):
-    """The term p^jc * uc * v * w: the exact coefficient p^jc * uc adds
-    jc to the valuation and to the absolute precision, so it costs no
-    digit.  The absolute precision of v * w is min(a1 + v2, a2 + v1), with
-    a an absolute precision and v a valuation."""
-    if v.valuation is None or w.valuation is None:
-        zero = v * w
-        return None if zero.precision is None else zero.precision + jc
-    val = v.valuation + w.valuation + jc
-    return val, v.unit * w.unit * uc, val + min(v.precision, w.precision)
-
-
-def _linear_term(k: int, x: Padic):
-    """The term k * x for an exact int k != 0."""
-    j, u = _split(k, x.prime)
-    if x.valuation is None:
-        return None if x.precision is None else x.precision + j
-    val = x.valuation + j
-    return val, x.unit * u, val + x.precision
-
-
-def _put(terms: dict, bounds: dict, key, term) -> None:
-    """File a term under its position key: a triple in terms, a bound in
-    bounds, where only the least bound of a position counts."""
-    if term.__class__ is tuple:
+def _put(terms: dict, key, term) -> None:
+    """File a term under its position key; an exact zero's None adds
+    nothing."""
+    if term is not None:
         lst = terms.get(key)
         if lst is None:
             terms[key] = [term]
         else:
             lst.append(term)
-    elif term is not None:
-        old = bounds.get(key)
-        if old is None or term < old:
-            bounds[key] = term
-
-
-def _round(p: int, terms: list[tuple[int, int, int]], bound: int | None = None) -> Padic:
-    """The sum of the terms, rounded once; bound is the least bound of
-    the position's terms with a zero factor, if any.
-
-    The sum's absolute precision is the least bound over all its terms.
-    Its digits are those of the exact int sum of the terms, reduced mod p
-    to that depth.  No partial sum is rounded or dropped on its own, so a
-    cancellation between terms cannot hide a term's bound.  Only the
-    powers p^(val - base) of terms inside the window are formed, so huge
-    valuations cost nothing.  With no term and no bound the sum is an
-    exact zero.
-    """
-    if not terms:
-        return Padic.zero(p, bound)
-    top = min(map(_TOP, terms))
-    if bound is None or top < bound:
-        bound = top
-    base = min(map(_VAL, terms))
-    if bound <= base:
-        return Padic.zero(p, bound)
-    window = bound - base
-    total = 0
-    for val, unit, _ in terms:
-        d = val - base
-        if d == 0:
-            total += unit
-        elif d < window:
-            total += unit * p ** d
-    return Padic.from_unit(p, base, total, window)
-
-
-def _sums(p: int, terms: dict, bounds: dict):
-    """(key, sum) for each position key that holds a term or a bound."""
-    for key, lst in terms.items():
-        yield key, _round(p, lst, bounds.get(key))
-    for key, bound in bounds.items():
-        if key not in terms:
-            yield key, Padic.zero(p, bound)
 
 
 def _times(k: int, x: Padic) -> Padic:
     """k * x for an exact int k != 0."""
     term = _linear_term(k, x)
-    if term.__class__ is tuple:
-        return _round(x.prime, [term])
-    return Padic.zero(x.prime, term)
+    return _round(x.prime, [] if term is None else [term])
 
 
-def _assemble(prime: int, terms: dict, bounds: dict, tail: "_Tail | None",
-              addend) -> "NormalForm":
+def _assemble(prime: int, terms: dict, tail: "_Tail | None", addend) -> "NormalForm":
     """The form with, at each head position, the terms gathered in terms
-    and bounds plus k times the entry of F, and as shift (key None) the
-    terms there plus k times the shift of F, for each pair (k, F) of the
-    addend; each position is summed once by _round.  k is an exact int
-    or a Padic, and only an exact zero drops its term.  Of tail and the
-    tails of the Fs, at most one may be present."""
+    plus k times the entry of F, and as shift (key None) the terms there
+    plus k times the shift of F, for each pair (k, F) of the addend; each
+    position is summed once by _round.  k is an exact int or a Padic, and
+    only an exact zero drops its term.  Of tail and the tails of the Fs,
+    at most one may be present."""
     for k, form in addend:
         scalar = isinstance(k, Padic)
         if k.is_exact_zero if scalar else k == 0:
@@ -217,18 +131,16 @@ def _assemble(prime: int, terms: dict, bounds: dict, tail: "_Tail | None",
                     else form.tail.map(partial(_times, k)))
         if scalar:
             # k * x joins as the product term (k, x)
-            if not form.shift.is_exact_zero:
-                _put(terms, bounds, None, _product_term(k, form.shift))
+            _put(terms, None, _product_term(k, form.shift))
             for key, x in form.head.items():
-                _put(terms, bounds, key, _product_term(k, x))
+                _put(terms, key, _product_term(k, x))
             continue
-        if not form.shift.is_exact_zero:
-            _put(terms, bounds, None, _linear_term(k, form.shift))
+        _put(terms, None, _linear_term(k, form.shift))
         jk, uk = _split(k, prime)
         for key, x in form.head.items():
             val = x.valuation
             if val is None:
-                _put(terms, bounds, key, _linear_term(k, x))
+                _put(terms, key, _linear_term(k, x))
                 continue
             val += jk
             term = val, x.unit * uk, val + x.precision
@@ -237,8 +149,9 @@ def _assemble(prime: int, terms: dict, bounds: dict, tail: "_Tail | None",
                 terms[key] = [term]
             else:
                 lst.append(term)
-    shift = _round(prime, terms.pop(None, []), bounds.pop(None, None))
-    return NormalForm(prime, shift, tail, _nonzero(_sums(prime, terms, bounds)))
+    shift = _round(prime, terms.pop(None, []))
+    return NormalForm(prime, shift, tail, _nonzero((key, _round(prime, lst))
+                                                   for key, lst in terms.items()))
 
 
 @dataclass
@@ -300,17 +213,16 @@ class NormalForm:
         for (i, j), v in self.head.items():
             cols.setdefault(j, []).append((i, v))
         terms: dict[int, list] = {}
-        bounds: dict[int, int] = {}
         for j, x in vec.entries.items():
             for i, v in cols.get(j, ()):
-                _put(terms, bounds, i, _product_term(v, x))
+                _put(terms, i, _product_term(v, x))
             if not self.shift.is_zero:
-                _put(terms, bounds, j, _product_term(self.shift, x))
+                _put(terms, j, _product_term(self.shift, x))
             if self.tail is not None:
                 d = self.tail.dest(j)
                 if d is not None:
-                    _put(terms, bounds, d, _product_term(self.tail.coeff_at(j), x))
-        return PadicVector(self.prime, dict(_sums(self.prime, terms, bounds)))
+                    _put(terms, d, _product_term(self.tail.coeff_at(j), x))
+        return PadicVector(self.prime, {i: _round(self.prime, lst) for i, lst in terms.items()})
 
     # algebra ----------------------------------------------------------
 
@@ -321,7 +233,7 @@ class NormalForm:
         _round, so a sum of three forms is rounded once, not twice.  Only
         an exact zero k drops its term; a certified zero keeps its bound.
         At most one F may carry a structured tail."""
-        return _assemble(terms[0][1].prime, {}, {}, None, terms)
+        return _assemble(terms[0][1].prime, {}, None, terms)
 
     def add(self, other: "NormalForm") -> "NormalForm":
         return NormalForm.combine([(1, self), (1, other)])
@@ -356,17 +268,19 @@ class NormalForm:
             tail = tail.map(partial(_times, c))
         jc, uc = _split(c, p)
         terms: dict = {}
-        bounds: dict = {}
-        zeros = False
-        # the head of a by column k, as (i, val, unit, top) scaled by c
+        # the head of a by column k, as (i, val, unit, top) scaled by c; a
+        # certified zero is (d, 0, d) and an exact zero adds nothing
         acols: dict[int, list[tuple[int, int, int, int]]] = {}
         for (i, k), v in a.head.items():
             val = v.valuation
-            if val is None:
-                zeros = True
+            if val is not None:
+                val += jc
+                row = i, val, v.unit * uc, val + v.precision
+            elif v.precision is not None:
+                val = v.precision + jc
+                row = i, val, 0, val
+            else:
                 continue
-            val += jc
-            row = i, val, v.unit * uc, val + v.precision
             col = acols.get(k)
             if col is None:
                 acols[k] = [row]
@@ -375,11 +289,14 @@ class NormalForm:
         # the head of b by column j, as (k, val, unit, top) where a meets k
         bcols: dict[int, list[tuple[int, int, int, int]]] = {}
         for (k, j), w in b.head.items():
-            val = w.valuation
-            if val is None:
-                zeros = True
-            elif k in acols:
-                row = k, val, w.unit, val + w.precision
+            if k in acols:
+                val = w.valuation
+                if val is not None:
+                    row = k, val, w.unit, val + w.precision
+                elif w.precision is not None:
+                    row = k, w.precision, 0, w.precision
+                else:
+                    continue
                 col = bcols.get(j)
                 if col is None:
                     bcols[j] = [row]
@@ -400,23 +317,17 @@ class NormalForm:
                         lst.append(term)
             for i, lst in cells.items():
                 terms[i, j] = lst
-        if zeros:
-            # the head-by-head terms with a zero factor, certified or exact
-            for (k, j), w in b.head.items():
-                for (i, k2), v in a.head.items():
-                    if k2 == k and (v.valuation is None or w.valuation is None):
-                        _put(terms, bounds, (i, j), _product_term(v, w, jc, uc))
         if not a.shift.is_zero:
             for key, w in b.head.items():
-                _put(terms, bounds, key, _product_term(a.shift, w, jc, uc))
+                _put(terms, key, _product_term(a.shift, w, jc, uc))
         if not b.shift.is_zero:
             for key, v in a.head.items():
-                _put(terms, bounds, key, _product_term(v, b.shift, jc, uc))
+                _put(terms, key, _product_term(v, b.shift, jc, uc))
         if a.tail is not None and b.head:
             for (k, j), w in b.head.items():
                 d = a.tail.dest(k)
                 if d is not None:
-                    _put(terms, bounds, (d, j), _product_term(a.tail.coeff_at(k), w, jc, uc))
+                    _put(terms, (d, j), _product_term(a.tail.coeff_at(k), w, jc, uc))
         if b.tail is not None and a.head:
             arows: dict[int, list[tuple[int, Padic]]] = {}
             for (i, k), v in a.head.items():
@@ -432,11 +343,9 @@ class NormalForm:
                     continue
                 w = b.tail.coeff_at(j)
                 for i, v in arows.get(d, ()):
-                    _put(terms, bounds, (i, j), _product_term(v, w, jc, uc))
-        shift = a.shift * b.shift
-        if not shift.is_exact_zero:
-            _put(terms, bounds, None, _linear_term(c, shift))
-        return _assemble(p, terms, bounds, tail, addend)
+                    _put(terms, (i, j), _product_term(v, w, jc, uc))
+        _put(terms, None, _product_term(a.shift, b.shift, jc, uc))
+        return _assemble(p, terms, tail, addend)
 
     def adjoint(self) -> "NormalForm":
         head = {(j, i): v for (i, j), v in self.head.items()}

@@ -53,15 +53,78 @@ def precision_of(*operands) -> int:
     return best or DEFAULT_PRECISION
 
 
-def _vp(n: int, p: int) -> int:
-    """Valuation of a nonzero integer."""
-    if n == 0:
-        raise ValueError("valuation of 0 is infinite")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+def _split(k: int, p: int) -> tuple[int, int]:
+    """(j, u) with k = p^j * u and u prime to p, for an int k != 0."""
+    j = 0
+    while k % p == 0:
+        k //= p
+        j += 1
+    return j, k
+
+
+# -- terms: the one shape in which a scalar enters a sum ---------------------
+
+# A term is an int triple (val, unit, top): the scalar p^val * unit, known to
+# the absolute precision top.  A nonzero x = p^v * u + O(p^(v+N)) is the term
+# (v, u, v + N), and a zero certified to depth d is (d, 0, d); an exact zero
+# adds no term, written None.  The product of two terms is
+# (v1 + v2, u1 * u2, min(t1 + v2, t2 + v1)), so O(p^a) * O(p^b) = O(p^(a+b)).
+
+
+def _product_term(v: "Padic", w: "Padic", jc: int = 0, uc: int = 1):
+    """The term p^jc * uc * v * w: the exact coefficient p^jc * uc adds
+    jc to the valuation and to the absolute precision, so it costs no
+    digit."""
+    vv, wv = v.valuation, w.valuation
+    if vv is not None and wv is not None:
+        val = vv + wv + jc
+        return val, v.unit * w.unit * uc, val + min(v.precision, w.precision)
+    # a zero factor (d, 0, d) has top = val, so the product's top is its val
+    if v.precision is None and vv is None or w.precision is None and wv is None:
+        return None
+    val = (v.precision if vv is None else vv) + (w.precision if wv is None else wv) + jc
+    return val, 0, val
+
+
+def _linear_term(k: int, x: "Padic"):
+    """The term k * x for an exact int k != 0."""
+    j, u = _split(k, x.prime)
+    val = x.valuation
+    if val is None:
+        return None if x.precision is None else (x.precision + j, 0, x.precision + j)
+    val += j
+    return val, x.unit * u, val + x.precision
+
+
+def _round(p: int, terms: list[tuple[int, int, int]]) -> "Padic":
+    """The sum of the terms, rounded once.
+
+    The sum's absolute precision is the least top over its terms.  Its
+    digits are those of the exact int sum of the terms, reduced mod p to
+    that depth.  No partial sum is rounded or dropped on its own, so a
+    cancellation between terms cannot hide a term's bound.  Only the
+    powers p^(val - base) of terms inside the window are formed, so huge
+    valuations cost nothing.  With no term the sum is an exact zero.
+    """
+    if not terms:
+        return Padic.zero(p)
+    base, _, top = terms[0]
+    for val, _, t in terms:
+        if val < base:
+            base = val
+        if t < top:
+            top = t
+    if top <= base:
+        return Padic.zero(p, top)
+    window = top - base
+    total = 0
+    for val, unit, _ in terms:
+        d = val - base
+        if d == 0:
+            total += unit
+        elif d < window:
+            total += unit * p ** d
+    return Padic.from_unit(p, base, total, window)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,31 +214,28 @@ class Padic:
         if unit == 0:
             # all stored digits cancelled; vanishing certified to here
             return cls.zero(prime, valuation + precision)
-        shift = _vp(unit, prime)
+        shift, u = _split(unit, prime)
         if shift:
             # caller passed a non-unit; renormalize, precision shrinks
             if shift >= precision:
                 return cls.zero(prime, valuation + precision)
-            return cls(prime, valuation + shift, unit // prime**shift, precision - shift)
+            return cls(prime, valuation + shift, u, precision - shift)
         return cls(prime, valuation, unit, precision)
 
     @classmethod
     def from_int(cls, n: int, prime: int, precision: int = DEFAULT_PRECISION) -> "Padic":
         if n == 0:
             return cls.zero(prime)
-        v = _vp(n, prime)
-        return cls.from_unit(prime, v, n // prime**v, precision)
+        return cls.from_unit(prime, *_split(n, prime), precision)
 
     @classmethod
     def from_fraction(cls, q: Fraction | int, prime: int, precision: int = DEFAULT_PRECISION) -> "Padic":
         q = Fraction(q)
         if q == 0:
             return cls.zero(prime)
-        vn = _vp(q.numerator, prime)
-        vd = _vp(q.denominator, prime)
+        vn, num = _split(q.numerator, prime)
+        vd, den = _split(q.denominator, prime)
         mod = prime**precision
-        num = q.numerator // prime**vn
-        den = q.denominator // prime**vd
         unit = num * pow(den, -1, mod) % mod
         return cls(prime, vn - vd, unit, precision)
 
@@ -241,25 +301,8 @@ class Padic:
 
     def __add__(self, other: "Padic") -> "Padic":
         self._check(other)
-        p = self.prime
-        ax = self.absolute_precision
-        ay = other.absolute_precision
-        bound = ax if ay is None else ay if ax is None else min(ax, ay)
-        terms = [t for t in (self, other) if not t.is_zero]
-        if not terms:
-            return Padic.zero(p, bound)
-        # a nonzero term always has finite absolute precision
-        assert bound is not None
-        base = min(t.valuation for t in terms)
-        if bound <= base:
-            # every known digit sits below the uncertainty horizon
-            return Padic.zero(p, bound)
-        window = bound - base
-        # terms whose valuation clears the window vanish mod p^window;
-        # skipping them keeps the shift exponents (and integers) small
-        total = sum(t.unit * p ** (t.valuation - base) for t in terms
-                    if t.valuation - base < window)
-        return Padic.from_unit(p, base, total, window)
+        return _round(self.prime, [t for t in (_linear_term(1, self), _linear_term(1, other))
+                                   if t is not None])
 
     def __neg__(self) -> "Padic":
         if self.is_zero:
@@ -268,24 +311,14 @@ class Padic:
         return Padic(self.prime, self.valuation, (-self.unit) % mod, self.precision)
 
     def __sub__(self, other: "Padic") -> "Padic":
-        return self + (-other)
+        self._check(other)
+        return _round(self.prime, [t for t in (_linear_term(1, self), _linear_term(-1, other))
+                                   if t is not None])
 
     def __mul__(self, other: "Padic") -> "Padic":
         self._check(other)
-        p = self.prime
-        if self.is_zero or other.is_zero:
-            # exact zero dominates any factor
-            if (self.is_zero and self.precision is None) or (other.is_zero and other.precision is None):
-                return Padic.zero(p)
-            certs = []
-            for z, w in ((self, other), (other, self)):
-                if z.is_zero:
-                    shift = 0 if w.is_zero else w.valuation
-                    certs.append(z.precision + shift)
-            return Padic.zero(p, min(certs))
-        prec = min(self.precision, other.precision)
-        mod = p**prec
-        return Padic.from_unit(p, self.valuation + other.valuation, self.unit * other.unit % mod, prec)
+        term = _product_term(self, other)
+        return _round(self.prime, [] if term is None else [term])
 
     def __truediv__(self, other: "Padic") -> "Padic":
         self._check(other)

@@ -59,7 +59,7 @@ def test_cancelled_partial_sum_of_forms_keeps_its_bound():
 def test_diagonal_product_makes_one_scalar_product_per_entry(monkeypatch):
     # each entry of a product of diagonals has one term; a loop over all
     # row/column pairs would make n^2 of them.  The terms are int triples,
-    # so the only scalar product is the shifts'.
+    # the shifts' product among them, so no scalar product is made.
     p, n = 3, 12
     a = normalize(FiniteMatrix(p, {(i, i): Padic.from_int(i + 1, p) for i in range(n)}))
     b = normalize(FiniteMatrix(p, {(i, i): Padic.from_int(2 * i + 1, p) for i in range(n)}))
@@ -79,7 +79,7 @@ def test_diagonal_product_makes_one_scalar_product_per_entry(monkeypatch):
     monkeypatch.setattr(Padic, "__mul__", counting_mul)
     c = a.mul(b)
     # n entries and the shift, a sum of no term
-    assert seen == {"round": n + 1, "terms": n, "mul": 1}
+    assert seen == {"round": n + 1, "terms": n, "mul": 0}
     assert c.head == {(i, i): Padic.from_int((i + 1) * (2 * i + 1), p) for i in range(n)}
 
 
@@ -179,9 +179,10 @@ def _oracle_entry(p: int, terms) -> tuple:
         if zeros:
             if None in zeros:  # an exact zero factor: no term at all
                 continue
-            # a certified zero's bound, shifted by the other nonzero factors
+            # the certified zeros' bounds, shifted by the other nonzero
+            # factors: O(p^a) * O(p^b) = O(p^(a+b))
             rest = sum(v for v, _, _ in factors if v is not None)
-            top = min(zeros) + rest
+            top = sum(zeros) + rest
         else:
             val = sum(v for v, _, _ in factors)
             unit = 1

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from padicops.errors import DivisionByZero, PrecisionExhausted
 from padicops.scalars import (DEFAULT_PRECISION, Padic, ValuationBound,
                               binomial_padic, digit_sum, factorial_valuation,
                               norm_max, teichmuller, vandermonde_coefficients)
+from test_products import _oracle_entry, _triple, entries
 
 primes = st.sampled_from([2, 3, 5])
 small_ints = st.integers(min_value=-10**9, max_value=10**9)
@@ -62,6 +64,32 @@ def test_division_inverts_multiplication(p, a, b):
         return
     x, y = Padic.from_int(a, p), Padic.from_int(b, p)
     assert (x / y * y - x).is_zero
+
+
+def test_product_of_certified_zeros_adds_their_bounds():
+    # O(p^a) * O(p^b) = O(p^(a+b)), not O(p^min(a, b))
+    assert Padic.zero(3, 4) * Padic.zero(3, 7) == Padic.zero(3, 11)
+    assert Padic.zero(3, 4) * Padic.zero(3) == Padic.zero(3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scalar_arithmetic_matches_plain_int_oracle(data):
+    """x + y, x - y and x * y on scalars, certified zeros and exact zeros
+    against the oracle of test_products, which calls no padicops
+    arithmetic.  A sum that vanishes only to a depth <= 0 has no
+    certified digit and raises."""
+    p = data.draw(primes)
+    operands = st.one_of(entries(p), st.just(Padic.zero(p)))
+    x, y = data.draw(operands), data.draw(operands)
+    for op, terms in ((operator.add, [(x,), (y,)]), (operator.sub, [(x,), (-1, y)]),
+                      (operator.mul, [(x, y)])):
+        want = _oracle_entry(p, terms)
+        if want[1] is None and want[2] is not None and want[2] <= 0:
+            with pytest.raises(PrecisionExhausted):
+                op(x, y)
+        else:
+            assert _triple(op(x, y)) == want
 
 
 def test_division_by_zero_raises():

@@ -17,10 +17,10 @@ from typing import Any
 from .calculus import (binomial_series, certify_normal_contraction,
                        functional_calculus, teichmuller_idempotent)
 from .config import load_config
-from .errors import (CertificationFailed, DependentBasis, DivisionByZero,
-                     NoConvergence, NonIntegral, ParseError,
-                     PrecisionExhausted, PreconditionFailed, SearchExhausted,
-                     StructureError, Undecidable)
+from .errors import (CertificationFailed, DivisionByZero, NoConvergence,
+                     NonIntegral, ParseError, PrecisionExhausted,
+                     PreconditionFailed, SearchExhausted, StructureError,
+                     Undecidable)
 from .idempotents import (idempotent_equivalence, idempotent_lift,
                           idempotent_refine, idempotent_split, infinite_sum,
                           k0_trivialize)
@@ -34,8 +34,7 @@ from .scalars import ValuationBound, precision_of
 from .verify import run_all
 
 _PRECONDITION_ERRORS = (PreconditionFailed, CertificationFailed, NonIntegral,
-                        DependentBasis, DivisionByZero, Undecidable,
-                        StructureError)
+                        DivisionByZero, Undecidable, StructureError)
 _BUDGET_ERRORS = (NoConvergence, SearchExhausted, PrecisionExhausted)
 
 

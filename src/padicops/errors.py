@@ -41,10 +41,6 @@ class PreconditionFailed(PadicError):
     """A documented norm/shape precondition does not hold."""
 
 
-class DependentBasis(PadicError):
-    """Column reduction hit a linearly dependent basis vector."""
-
-
 class SearchExhausted(PadicError):
     """A bounded search (e.g. power pairs) ran out of budget."""
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .errors import (CertificationFailed, DependentBasis, NoConvergence,
-                     PreconditionFailed, SearchExhausted, StructureError,
-                     Undecidable)
+from .errors import (CertificationFailed, NoConvergence, PreconditionFailed,
+                     SearchExhausted, StructureError, Undecidable)
 from .io import exponent_str
 from .linalg import reduce_columns
 from .operators import (FiniteMatrix, IndexMap, NormalForm, Operator,
-                        Product, Sum, normalize, op_apply, op_norm)
+                        Product, Sum, _applier, _nonzero, normalize)
 from .polynomials import IntPolynomial
 from .scalars import Padic, ValuationBound, precision_of
 from .vectors import PadicVector
@@ -140,8 +140,6 @@ def _check_refinement_distance(nf_a: NormalForm, nf_e: NormalForm,
 class EquivalenceWitness:
     u: Operator
     u_inv: Operator
-    e: Operator
-    f: Operator
 
 
 def idempotent_equivalence(e: Operator, f: Operator,
@@ -172,7 +170,7 @@ def idempotent_equivalence(e: Operator, f: Operator,
             raise CertificationFailed(target, "inverse verification failed")
     if not nfu.mul(nfe).mul(inv, addend=[(-1, nff)]).vanishes_to(target):
         raise CertificationFailed(target, "conjugation does not carry e to f at the target depth")
-    return EquivalenceWitness(nfu.to_operator(), inv.to_operator(), e, f)
+    return EquivalenceWitness(nfu.to_operator(), inv.to_operator())
 
 
 def _newton_schulz_inverse(u: NormalForm, target: int) -> tuple[NormalForm, NormalForm]:
@@ -193,26 +191,24 @@ def _newton_schulz_inverse(u: NormalForm, target: int) -> tuple[NormalForm, Norm
 # -- column projections and splitting ------------------------------------
 
 
-def column_projection(basis: list[PadicVector], ambient_idempotent: Operator,
+def column_projection(vectors: list[PadicVector], ambient_idempotent: Operator,
                       target: int = 30) -> FiniteMatrix:
-    """Contractive idempotent onto the span of the basis vectors.
+    """Contractive idempotent onto the span of the vectors, each fixed
+    by the ambient idempotent.
 
-    Column-reduces the basis to vectors v_k of norm 1 with pivot rows
-    a_k satisfying v_i(a_k) = delta_ik, then returns sum of v_k (x) delta_{a_k}.
+    One column reduction turns each independent vector into a v_k of
+    norm 1 with pivot row a_k, v_i(a_k) = delta_ik; a dependent vector
+    adds nothing.  Returns sum of v_k (x) delta_{a_k}, the zero matrix
+    when there are no vectors.
     """
-    if not basis:
-        raise DependentBasis("empty basis")
-    p = basis[0].prime
-    for v in basis:
-        image_gap = op_apply(ambient_idempotent, v) - v
+    apply = _applier(ambient_idempotent)
+    for v in vectors:
+        image_gap = apply(v) - v
         if not all(x.vanishes_to(target) for x in image_gap.entries.values()):
             raise PreconditionFailed("basis vector is not fixed by the ambient idempotent")
-    reduced = reduce_columns([v.entries for v in basis])
-    for k, col in enumerate(reduced):
-        if col is None:
-            raise DependentBasis(f"column {k} reduced to zero")
-    entries = {(i, row): v for row, col in reduced for i, v in col.items()}
-    return FiniteMatrix(p, entries)
+    reduced = reduce_columns([v.entries for v in vectors])
+    entries = {(i, row): v for row, col in filter(None, reduced) for i, v in col.items()}
+    return FiniteMatrix(ambient_idempotent.prime, entries)
 
 
 @dataclass(frozen=True)
@@ -224,30 +220,24 @@ class SplitResult:
 def idempotent_split(e: Operator, target: int = 30) -> SplitResult:
     """Split an idempotent as e = f + g with f finite-rank carrying all
     the non-integral columns and g a contractive idempotent, fg = gf = 0."""
-    p = e.prime
-    nfe = normalize(e)
+    nff, nfg = _split_forms(e, normalize(e), target)
+    return SplitResult(nff.to_operator(), nfg.to_operator())
+
+
+def _split_forms(e: Operator, nfe: NormalForm, target: int) -> tuple[NormalForm, NormalForm]:
+    """idempotent_split on e's normal form nfe, returning the forms of f
+    and g.  f projects e onto the span of its columns 0..n, n the last
+    column holding a non-integral entry; column n is nonzero, as e's
+    shift is integral."""
     if not nfe.mul(nfe, addend=[(-1, nfe)]).vanishes_to(target):
         raise PreconditionFailed("input is not idempotent at the target depth")
     exceptional = [j for (_, j), v in nfe.head.items() if not v.is_integral]
-    if not exceptional:
-        return _verified_split(nfe, NormalForm.constant(p, Padic.zero(p)), nfe, target)
-    n = max(exceptional)
-    basis = _independent_prefix([nfe.column(j) for j in range(n + 1)])
-    if not basis:
-        return _verified_split(nfe, NormalForm.constant(p, Padic.zero(p)), nfe, target)
-    f_tilde = column_projection(basis, e, target)
-    nff = normalize(f_tilde).mul(nfe)
-    nfg = nfe.sub(nff)
-    return _verified_split(nfe, nff, nfg, target)
-
-
-def _independent_prefix(columns: list[PadicVector]) -> list[PadicVector]:
-    reduced = reduce_columns([v.entries for v in columns])
-    return [v for v, col in zip(columns, reduced) if col is not None]
-
-
-def _verified_split(nfe: NormalForm, nff: NormalForm, nfg: NormalForm,
-                    target: int) -> SplitResult:
+    if exceptional:
+        columns = [nfe.column(j) for j in range(max(exceptional) + 1)]
+        nff = normalize(column_projection(columns, e, target)).mul(nfe)
+        nfg = nfe.sub(nff)
+    else:
+        nff, nfg = NormalForm.constant(e.prime, Padic.zero(e.prime)), nfe
     checks = {
         "f idempotent": nff.mul(nff, addend=[(-1, nff)]),
         "g idempotent": nfg.mul(nfg, addend=[(-1, nfg)]),
@@ -261,7 +251,7 @@ def _verified_split(nfe: NormalForm, nff: NormalForm, nfg: NormalForm,
             raise CertificationFailed(target, f"split verification failed: {name}")
     if not nfg.norm() <= ValuationBound.one():
         raise CertificationFailed(target, "contractive part has norm above 1")
-    return SplitResult(nff.to_operator(), nfg.to_operator())
+    return nff, nfg
 
 
 # -- rank ----------------------------------------------------------------
@@ -278,16 +268,18 @@ def matrix_rank(entries: dict[tuple[int, int], Padic]) -> int:
 
 def finite_rank_reduce(f: Operator, target: int = 30) -> int:
     """K0 integer of a finite-rank idempotent: its rank over Q_p."""
-    nf = normalize(f)
+    return _form_rank(normalize(f), target)
+
+
+def _form_rank(nf: NormalForm, target: int) -> int:
+    """finite_rank_reduce on a normal form: the rank of its refined head."""
     if not nf.shift.is_zero:
         raise PreconditionFailed("operator has an identity component; not finite rank")
     if nf.tail is not None and not nf.tail.default.is_zero:
         raise PreconditionFailed("structured tail with nonzero default; not finite rank")
-    head = {(i, j): nf.entry(i, j) for i, j in nf.positions()}
-    if not head:
-        return 0
-    refined = idempotent_refine(FiniteMatrix(f.prime, head), target)
-    return matrix_rank(normalize(refined).head)
+    head = _nonzero((pos, nf.entry(*pos)) for pos in nf.positions())
+    e, _ = _refine_form(NormalForm(nf.prime, Padic.zero(nf.prime), None, head), target)
+    return matrix_rank(e.head)
 
 
 # -- sum-ring generators --------------------------------------------------
@@ -344,9 +336,12 @@ def infinite_sum(a: Operator, depth: int) -> Operator:
     """Partial sum of the block-diagonal spreading of a: copies of a on
     blocks 0..depth.  Finite inputs are materialized; structural ones
     stay lazy expression trees over the sum-ring generators."""
-    if not op_norm(a) <= ValuationBound.one():
+    try:
+        nf = normalize(a)
+    except StructureError as exc:
+        raise Undecidable(f"expression has no closed structured form: {exc}") from exc
+    if not nf.norm() <= ValuationBound.one():
         raise PreconditionFailed("spreading requires norm <= 1")
-    nf = normalize(a)
     if nf.tail is None and nf.shift.is_zero:
         entries: dict[tuple[int, int], Padic] = {}
         for n in range(depth + 1):
@@ -377,18 +372,21 @@ def k0_trivialize(e: Operator, target: int = 30, prefix: int = 16) -> dict:
             "zero_input": True,
             "classes": {"finite_rank": 0, "contractive": 0},
         }
-    split = idempotent_split(e, target)
-    rank = finite_rank_reduce(split.f, target)
+    nff, nfg = _split_forms(e, nfe, target)
+    g = nfg.to_operator()
+    rank = _form_rank(nff, target)
     gens = sum_ring_generators(p)
-    relations = _relation_checks(gens, prefix)
+    moves = tuple(_applier(op) for op in (gens.first_to_all, gens.all_to_first,
+                                           gens.up, gens.down))
+    relations = _relation_checks(p, moves, prefix)
     depth = max(cantor_unpair(x)[0] for x in range(prefix)) + 1
-    g_inf = infinite_sum(split.g, depth)
-    repeat_ok = _repeat_equation_ok(split.g, g_inf, gens, prefix, depth, target)
+    g_inf = infinite_sum(g, depth)
+    repeat_ok = _repeat_equation_ok(g, g_inf, moves, prefix, depth, target)
     return {
         "zero_input": False,
         "split": {
             "finite_part_rank": rank,
-            "contractive_part_norm_exponent": exponent_str(op_norm(split.g)),
+            "contractive_part_norm_exponent": exponent_str(nfg.norm()),
         },
         "finite_part": {
             "rank": rank,
@@ -403,33 +401,34 @@ def k0_trivialize(e: Operator, target: int = 30, prefix: int = 16) -> dict:
     }
 
 
-def _relation_checks(gens: SumRingGenerators, prefix: int) -> dict[str, bool]:
-    p = gens.prime
+# The appliers of first_to_all, all_to_first, up and down, in that order.
+Moves = tuple[Callable[[PadicVector], PadicVector], ...]
+
+
+def _relation_checks(p: int, moves: Moves, prefix: int) -> dict[str, bool]:
+    fta, atf, up, down = moves
     out = {"left_inverse_first": True, "left_inverse_shift": True, "partition_of_identity": True}
     for x in range(prefix):
         delta = PadicVector.basis(p, x)
-        if (op_apply(gens.first_to_all, op_apply(gens.all_to_first, delta)) - delta).entries:
+        if (fta(atf(delta)) - delta).entries:
             out["left_inverse_first"] = False
-        if (op_apply(gens.down, op_apply(gens.up, delta)) - delta).entries:
+        if (down(up(delta)) - delta).entries:
             out["left_inverse_shift"] = False
-        recombined = (op_apply(gens.all_to_first, op_apply(gens.first_to_all, delta))
-                      + op_apply(gens.up, op_apply(gens.down, delta)))
-        if (recombined - delta).entries:
+        if (atf(fta(delta)) + up(down(delta)) - delta).entries:
             out["partition_of_identity"] = False
     return out
 
 
-def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
+def _repeat_equation_ok(g: Operator, g_inf: Operator, moves: Moves,
                         prefix: int, depth: int, target: int) -> bool:
+    fta, atf, up, down = moves
+    apply_g, apply_inf = _applier(g), _applier(g_inf)
     prec = precision_of(g)
     for x in range(prefix):
         if cantor_unpair(x)[0] >= depth:
             continue
         delta = PadicVector.basis(g.prime, x, prec)
-        lhs = (op_apply(gens.all_to_first, op_apply(g, op_apply(gens.first_to_all, delta)))
-               + op_apply(gens.up, op_apply(g_inf, op_apply(gens.down, delta))))
-        rhs = op_apply(g_inf, delta)
-        gap = lhs - rhs
+        gap = atf(apply_g(fta(delta))) + up(apply_inf(down(delta))) - apply_inf(delta)
         if any(not v.vanishes_to(target) for v in gap.entries.values()):
             return False
     return True
@@ -466,8 +465,8 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
             if not diff.norm() < ValuationBound.one():
                 continue
             k = n // gap + 1
-            e = idempotent_refine(power(k * gap).to_operator(), target)
-            if not normalize(e).sub(nf).is_compact():
+            e, _ = _refine_form(power(k * gap), target)
+            if not e.sub(nf).is_compact():
                 raise CertificationFailed(target, "lifted idempotent does not agree with a modulo compacts")
-            return e
+            return e.to_operator()
     raise SearchExhausted(budget, "no power pair with ||a^m - a^n|| < 1 within the budget")

@@ -6,7 +6,7 @@ integral, so no step enlarges the entries it touches.
 
 - ``reduce_columns`` is Gauss-Jordan reduction taking the columns in
   order; each pivot is the least-valuation entry of its own column.
-  Column projections, independent prefixes and ranks read off it.
+  Column projections and ranks read off it.
 - ``eliminate_full_pivot`` searches the whole remaining block for the
   pivot.  Its pivot valuations are the Smith invariants, and their
   signed product is the determinant.

@@ -581,10 +581,16 @@ def normalize(op: Operator) -> NormalForm:
 
 
 def op_apply(op: Operator, vec: PadicVector) -> PadicVector:
+    return _applier(op)(vec)
+
+
+def _applier(op: Operator) -> Callable[[PadicVector], PadicVector]:
+    """op as a function on vectors, normalised once: an operator without
+    a normal form is applied as a tree, its leaves normalised per call."""
     try:
-        return normalize(op).apply(vec)
+        return normalize(op).apply
     except StructureError:
-        return _apply_tree(op, vec)
+        return partial(_apply_tree, op)
 
 
 def _apply_tree(op: Operator, vec: PadicVector) -> PadicVector:
@@ -635,13 +641,8 @@ def is_compact(op: Operator) -> bool:
 
 
 def truncate(op: Operator, size: int) -> FiniteMatrix:
-    """Upper-left size x size minor as a FiniteMatrix.  The operator is
-    normalised once; one without a normal form is applied to each basis
-    vector as a tree, as op_apply does."""
-    try:
-        apply = normalize(op).apply
-    except StructureError:
-        apply = partial(_apply_tree, op)
+    """Upper-left size x size minor as a FiniteMatrix, from one applier."""
+    apply = _applier(op)
     prec = precision_of(op)
     out: dict[tuple[int, int], Padic] = {}
     for j in range(size):

@@ -334,19 +334,6 @@ class Padic:
         unit = self.unit * pow(other.unit, -1, mod) % mod
         return Padic.from_unit(p, self.valuation - other.valuation, unit, prec)
 
-    def __pow__(self, k: int) -> "Padic":
-        width = precision_of(self)
-        if k < 0:
-            return Padic.one(self.prime, width) / self ** (-k)
-        out = Padic.one(self.prime, width)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def scale_int(self, n: int) -> "Padic":
         return self * Padic.from_int(n, self.prime, precision_of(self))
 

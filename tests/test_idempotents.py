@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from padicops.errors import (DependentBasis, PreconditionFailed, SearchExhausted,
-                             Undecidable)
-from padicops.idempotents import (_independent_prefix, _newton_schulz_inverse,
-                                  _refine_form, cantor_pair, cantor_unpair,
+from padicops import idempotents, linalg, operators
+from padicops.errors import PreconditionFailed, SearchExhausted, Undecidable
+from padicops.idempotents import (_newton_schulz_inverse, _refine_form,
+                                  cantor_pair, cantor_unpair,
                                   column_projection, finite_rank_reduce,
                                   idempotent_equivalence, idempotent_lift,
                                   idempotent_refine, idempotent_split,
@@ -392,21 +392,19 @@ def test_column_projection_reduces_pair():
 def test_column_projection_failures():
     p = 3
     v = PadicVector(p, {0: Padic.one(p)})
-    with pytest.raises(DependentBasis):
-        column_projection([], fm(p, {(0, 0): 1}))
-    with pytest.raises(DependentBasis):
-        column_projection([v, v], fm(p, {(0, 0): 1}))
     with pytest.raises(PreconditionFailed):
         column_projection([v], FiniteMatrix(p, {}))
 
 
-def test_independent_prefix_skips_a_dependent_middle_column():
+def test_column_projection_spans_past_a_dependent_middle_column():
     p = 3
     v1 = PadicVector(p, {0: Padic.one(p), 1: Padic.from_fraction(Fraction(1, 3), p)})
     v2 = PadicVector(p, {0: Padic.from_int(9, p), 1: Padic.from_int(3, p)})  # 9 * v1
     v3 = PadicVector(p, {0: Padic.one(p), 2: Padic.one(p)})
-    kept = _independent_prefix([v1, v2, v3])
-    assert len(kept) == 2 and kept[0] is v1 and kept[1] is v3
+    ambient = Diagonal(p, {}, Padic.one(p))
+    assert column_projection([v1, v2, v3], ambient).entries == \
+        column_projection([v1, v3], ambient).entries
+    assert column_projection([], ambient).entries == {}
     entries = {(i, j): x for j, v in enumerate([v1, v2, v3]) for i, x in v.entries.items()}
     assert matrix_rank(entries) == 2
 
@@ -448,6 +446,26 @@ def test_split_mixed_block():
 def test_split_rejects_non_idempotent():
     with pytest.raises(PreconditionFailed):
         idempotent_split(diag(3, [2]))
+
+
+def test_split_reduces_its_columns_once(monkeypatch):
+    """The projection's column reduction also finds the independent
+    columns; a second reduction of the same columns picked them first."""
+    calls = []
+    original = linalg.reduce_columns
+
+    def counted(columns):
+        calls.append(1)
+        return original(columns)
+
+    monkeypatch.setattr(idempotents, "reduce_columns", counted)
+    p = 3
+    e = fm(p, {(0, 0): Fraction(1, 3), (0, 1): Fraction(2, 3),
+               (1, 0): Fraction(1, 3), (1, 1): Fraction(2, 3), (2, 2): 1})
+    s = idempotent_split(e)
+    monkeypatch.undo()
+    assert op_agree(Sum([s.f, s.g]), e, 30)
+    assert len(calls) == 1
 
 
 # -- rank --------------------------------------------------------------------
@@ -555,6 +573,29 @@ def test_k0_transcript_exceptional_idempotent():
     assert out["classes"]["finite_rank"] == 1
     assert out["finite_part"]["diagonal_form"] == [[0, 0, "1"]]
     assert out["split"]["contractive_part_norm_exponent"] == "inf"
+
+
+def test_k0_normalizes_as_often_at_any_prefix(monkeypatch):
+    """Each operator is normalised once however many basis vectors the
+    relations and the repeat equation are checked on; normalising at
+    every application made 15 calls a prefix vector."""
+    e = rank_one(3, [1, 9], [4, Fraction(1 - 4, 9)])
+    counts = {}
+    for prefix in (4, 16):
+        calls = []
+        original = operators.normalize
+
+        def counted(op):
+            calls.append(1)
+            return original(op)
+
+        monkeypatch.setattr(operators, "normalize", counted)
+        monkeypatch.setattr(idempotents, "normalize", counted)
+        out = k0_trivialize(e, prefix=prefix)
+        monkeypatch.undo()
+        assert out["contractive_part"]["repeat_equation_on_prefix"] is True
+        counts[prefix] = len(calls)
+    assert counts[4] == counts[16]
 
 
 def test_k0_transcript_identity_component():

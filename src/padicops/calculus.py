@@ -19,11 +19,11 @@ from typing import Iterable, Iterator
 
 from .errors import (CertificationFailed, PreconditionFailed, StructureError,
                      Undecidable)
-from .idempotents import _refine_form
+from .idempotents import _frobenius_cap, _refine_form
 from .io import exponent_str
 from .mahler import MahlerFunction
 from .operators import (Diagonal, NormalForm, Operator, nf_polynomial,
-                        normalize)
+                        nf_power, normalize)
 from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound,
                       factorial_valuation, precision_of)
 
@@ -169,13 +169,11 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
     e is certified as refinement certifies: idempotent at the target
     depth and at distance < 1 from x_k.
 
-    The cap: n is 1 + the largest index in A's head (1 for an empty
-    head), a structured tail is refused, and K is the least k with
-    p^K >= n.  Mod p, A is s*I off the window and S + N on it, with S
-    semisimple, N nilpotent and SN = NS, so (S + N)^(p^k) = S^(p^k) +
-    N^(p^k) and N^(p^k) = 0 from k = K on.  There x_k = 1 - S^(p^k (p-1))
-    mod p, idempotent exactly when every eigenvalue of A mod p lies in
-    F_p, whatever k is; so a failure at K is final: PreconditionFailed.
+    The cap: a structured tail is refused, and K = _frobenius_cap(A),
+    from which on A^{p^k} = S^(p^k) mod p, S the semisimple part of A.
+    There x_k = 1 - S^(p^k (p-1)) mod p, idempotent exactly when every
+    eigenvalue of A mod p lies in F_p, whatever k is; so a failure at K
+    is final: PreconditionFailed.
 
     It is the limit.  Mod p, with X = A^{p^k} and y = X^(p-1) = 1 - x_k
     idempotent mod p, x_{k+1} = 1 - y^p = x_k mod p, and every later
@@ -193,15 +191,14 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
     if b.tail is not None:
         raise PreconditionFailed("a structured tail has no finite window to bound phase 1")
     _check_product(1, b)
-    window = 1 + max((max(ij) for ij in b.head), default=0)
-    cap = next(k for k in count() if p**k >= window)
+    cap = _frobenius_cap(b)
     coeffs = zero_indicator_polynomial(p, precision_of(b))
     trace: list[list] = []
     for k in range(cap + 1):
         if k:
-            b = _nf_power(b, p)
+            b = nf_power(b, p)
         x = nf_polynomial(b, coeffs)
-        defect = x.mul(x, addend=[(-1, x)])
+        defect = x.defect()
         gap = defect.norm()
         trace.append([1, k, exponent_str(gap)])
         if gap < ValuationBound.one():
@@ -210,14 +207,3 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
             return e.to_operator(), trace
     raise PreconditionFailed(f"A mod p has an eigenvalue outside F_p (k = 0..{cap})")
 
-
-def _nf_power(nf: NormalForm, n: int) -> NormalForm:
-    """nf^n for n >= 1, by binary powering."""
-    out, base = None, nf
-    while n:
-        if n & 1:
-            out = base if out is None else out.mul(base)
-        n >>= 1
-        if n:
-            base = base.mul(base)
-    return out

@@ -2,8 +2,8 @@
 
 Plain values print as single lines, structured results as JSON, traces
 as TSV with a header row.  Exit codes: 0 success, 1 failed verify
-suite, 2 precondition or certification failure, 3 exhausted budget or
-precision, 4 parse or input error.
+suite, 2 precondition or certification failure, 3 an iteration that ran
+out of steps or digits, 4 parse or input error.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .calculus import (binomial_series, certify_normal_contraction,
 from .config import load_config
 from .errors import (CertificationFailed, DivisionByZero, NoConvergence,
                      NonIntegral, ParseError, PrecisionExhausted,
-                     PreconditionFailed, SearchExhausted, StructureError,
-                     Undecidable)
+                     PreconditionFailed, StructureError, Undecidable)
 from .idempotents import (idempotent_equivalence, idempotent_lift,
                           idempotent_refine, idempotent_split, infinite_sum,
                           k0_trivialize)
@@ -35,7 +34,7 @@ from .verify import run_all
 
 _PRECONDITION_ERRORS = (PreconditionFailed, CertificationFailed, NonIntegral,
                         DivisionByZero, Undecidable, StructureError)
-_BUDGET_ERRORS = (NoConvergence, SearchExhausted, PrecisionExhausted)
+_BUDGET_ERRORS = (NoConvergence, PrecisionExhausted)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _report(exc: BaseException) -> None:
     obj: dict[str, Any] = {"error": type(exc).__name__, "message": str(exc)}
-    for key in ("depth", "iterations", "budget"):
+    for key in ("depth", "iterations"):
         value = getattr(exc, key, None)
         if value is not None:
             obj[key] = value

@@ -41,14 +41,6 @@ class PreconditionFailed(PadicError):
     """A documented norm/shape precondition does not hold."""
 
 
-class SearchExhausted(PadicError):
-    """A bounded search (e.g. power pairs) ran out of budget."""
-
-    def __init__(self, budget: int, message: str = ""):
-        self.budget = budget
-        super().__init__(message or f"search budget {budget} exhausted")
-
-
 class Undecidable(PadicError):
     """The representation lacks a certificate to decide the query."""
 

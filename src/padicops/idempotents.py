@@ -3,7 +3,7 @@ sum-ring generators and lifting modulo compact operators.
 
 Everything here certifies what it returns.  Norm preconditions are
 exact valuation comparisons, final identities are re-checked at the
-target depth, and searches fail loudly when their budget runs out
+target depth, and an iteration that cannot reach its target raises
 instead of returning a best guess.
 """
 
@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable
 
 from .errors import (CertificationFailed, NoConvergence, PreconditionFailed,
-                     SearchExhausted, StructureError, Undecidable)
+                     StructureError, Undecidable)
 from .io import exponent_str
 from .linalg import reduce_columns
 from .operators import (FiniteMatrix, IndexMap, NormalForm, Operator,
-                        Product, Sum, _applier, _nonzero, normalize)
+                        Product, Sum, _applier, _nonzero, nf_power,
+                        normalize)
 from .polynomials import IntPolynomial
 from .scalars import Padic, ValuationBound, precision_of
 from .vectors import PadicVector
@@ -93,7 +95,7 @@ def _refine_form(nf: NormalForm, target: int, defect: NormalForm | None = None,
         # covers a = 0: anything of norm < 1 refines to the zero idempotent
         return NormalForm.constant(p, Padic.zero(p)), []
     if defect is None:
-        defect = nf.mul(nf, addend=[(-1, nf)])
+        defect = nf.defect()
     gap = defect.norm()
     limit = ValuationBound(-2 * norm_a.exponent)
     if not gap < limit:
@@ -106,7 +108,7 @@ def _refine_form(nf: NormalForm, target: int, defect: NormalForm | None = None,
     for _ in range(steps):
         settled = _step_vanishes(defect, e, target)
         e = defect.mul(e, -2, addend=[(1, defect), (1, e)])
-        defect = e.mul(e, addend=[(-1, e)])
+        defect = e.defect()
         defects.append(defect)
         if settled and defect.vanishes_to(target):
             _check_refinement_distance(nf, e, norm_a)
@@ -154,7 +156,7 @@ def idempotent_equivalence(e: Operator, f: Operator,
     if norm_e.is_zero:
         raise PreconditionFailed("e must be a nonzero idempotent")
     for name, nf in (("e", nfe), ("f", nff)):
-        if not nf.mul(nf, addend=[(-1, nf)]).vanishes_to(target):
+        if not nf.defect().vanishes_to(target):
             raise PreconditionFailed(f"{name} is not idempotent at the target depth")
     dist = nfe.sub(nff).norm()
     if not dist < ValuationBound(-norm_e.exponent):
@@ -229,7 +231,7 @@ def _split_forms(e: Operator, nfe: NormalForm, target: int) -> tuple[NormalForm,
     and g.  f projects e onto the span of its columns 0..n, n the last
     column holding a non-integral entry; column n is nonzero, as e's
     shift is integral."""
-    if not nfe.mul(nfe, addend=[(-1, nfe)]).vanishes_to(target):
+    if not nfe.defect().vanishes_to(target):
         raise PreconditionFailed("input is not idempotent at the target depth")
     exceptional = [j for (_, j), v in nfe.head.items() if not v.is_integral]
     if exceptional:
@@ -239,8 +241,8 @@ def _split_forms(e: Operator, nfe: NormalForm, target: int) -> tuple[NormalForm,
     else:
         nff, nfg = NormalForm.constant(e.prime, Padic.zero(e.prime)), nfe
     checks = {
-        "f idempotent": nff.mul(nff, addend=[(-1, nff)]),
-        "g idempotent": nfg.mul(nfg, addend=[(-1, nfg)]),
+        "f idempotent": nff.defect(),
+        "g idempotent": nfg.defect(),
         "fg zero": nff.mul(nfg),
         "gf zero": nfg.mul(nff),
         "ef = f": nfe.mul(nff, addend=[(-1, nff)]),
@@ -439,34 +441,43 @@ def _repeat_equation_ok(g: Operator, g_inf: Operator, moves: Moves,
 
 def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator:
     """Idempotent e with e - a compact, for a contraction a whose defect
-    a^2 - a is compact.  Searches powers for ||a^m - a^n|| < 1 (gap-first
-    breadth order), then refines a suitable power.  The defect, one fused
-    product, is also the difference of the first pair (n, m) = (1, 2)."""
+    a^2 - a is compact.  ``budget`` is ignored: nothing is searched.
+
+    e refines a power x of a that is, mod p, the Fitting idempotent of
+    a: x = a^2 when ||a^2 - a|| < 1.  Otherwise b = a^(p^K), K from
+    _frobenius_cap, is semisimple mod p, so its eigenvalues lie in the
+    field of p^D elements for the least D >= 1 with b^(p^D) = b mod p,
+    and x = b^(p^D - 1) sends each nonzero one to 1.  A structured tail
+    raises Undecidable at the defect, a sum of two tails.
+    """
     try:
         nf = normalize(a)
         if not nf.norm() <= ValuationBound.one():
             raise PreconditionFailed("lift input must be a contraction")
-        defect = nf.mul(nf, addend=[(-1, nf)])
+        defect = nf.defect()
     except StructureError as exc:
         raise Undecidable(f"expression has no closed structured form: {exc}") from exc
     if not defect.is_compact():
         raise PreconditionFailed("defect a^2 - a is not certified compact")
-    powers = [nf]  # a^1, a^2, ...
+    if defect.norm() < ValuationBound.one():
+        x = nf.mul(nf)
+    else:
+        p = nf.prime
+        b = nf_power(nf, p ** _frobenius_cap(nf))
+        y, period = nf_power(b, p), 1
+        while not y.sub(b).norm() < ValuationBound.one():
+            y, period = nf_power(y, p), period + 1
+        x = nf_power(b, p**period - 1)
+    e, _ = _refine_form(x, target)
+    if not e.sub(nf).is_compact():
+        raise CertificationFailed(target, "lifted idempotent does not agree with a modulo compacts")
+    return e.to_operator()
 
-    def power(k: int) -> NormalForm:
-        while len(powers) < k:
-            powers.append(powers[-1].mul(nf))
-        return powers[k - 1]
 
-    for gap in range(1, budget):
-        for n in range(1, budget + 1 - gap):
-            m = n + gap
-            diff = defect if m == 2 else power(m).sub(power(n))
-            if not diff.norm() < ValuationBound.one():
-                continue
-            k = n // gap + 1
-            e, _ = _refine_form(power(k * gap), target)
-            if not e.sub(nf).is_compact():
-                raise CertificationFailed(target, "lifted idempotent does not agree with a modulo compacts")
-            return e.to_operator()
-    raise SearchExhausted(budget, "no power pair with ||a^m - a^n|| < 1 within the budget")
+def _frobenius_cap(nf: NormalForm) -> int:
+    """The least K with p^K >= n, n = 1 + the largest index in nf's head
+    (1 for an empty head).  Mod p, nf is s*I off that window and S + N
+    on it, with S semisimple, N nilpotent and SN = NS.  So N^n = 0 and
+    (S + N)^(p^K) = S^(p^K) + N^(p^K) = S^(p^K) mod p."""
+    window = 1 + max((max(ij) for ij in nf.head), default=0)
+    return next(k for k in count() if nf.prime ** k >= window)

@@ -15,7 +15,7 @@ domain flag); nothing is ever decided by sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterator
 
 from .errors import NonIntegral, StructureError, Undecidable
@@ -347,6 +347,10 @@ class NormalForm:
         _put(terms, None, _product_term(a.shift, b.shift, jc, uc))
         return _assemble(p, terms, tail, addend)
 
+    def defect(self) -> "NormalForm":
+        """self.self - self, one fused product: zero when self is idempotent."""
+        return self.mul(self, addend=[(-1, self)])
+
     def adjoint(self) -> "NormalForm":
         head = {(j, i): v for (i, j), v in self.head.items()}
         tail = None
@@ -585,27 +589,23 @@ def op_apply(op: Operator, vec: PadicVector) -> PadicVector:
 
 
 def _applier(op: Operator) -> Callable[[PadicVector], PadicVector]:
-    """op as a function on vectors, normalised once: an operator without
-    a normal form is applied as a tree, its leaves normalised per call."""
+    """op as a function on vectors.  Each node is normalised once, when
+    the applier is built: an operator without a normal form is applied
+    as a tree of its parts' appliers, each sum in the order of its
+    terms.  A leaf or an Adjoint without one raises StructureError."""
     try:
         return normalize(op).apply
     except StructureError:
-        return partial(_apply_tree, op)
-
-
-def _apply_tree(op: Operator, vec: PadicVector) -> PadicVector:
-    if isinstance(op, Sum):
-        out = _apply_tree(op.terms[0], vec)
-        for t in op.terms[1:]:
-            out = out + _apply_tree(t, vec)
-        return out
-    if isinstance(op, Product):
-        for f in reversed(op.factors):
-            vec = _apply_tree(f, vec)
-        return vec
-    if isinstance(op, ScalarMul):
-        return _apply_tree(op.operand, vec).scale(op.scalar)
-    return normalize(op).apply(vec)
+        if isinstance(op, Sum):
+            first, *rest = [_applier(t) for t in op.terms]
+            return lambda vec: sum((f(vec) for f in rest), first(vec))
+        if isinstance(op, Product):
+            factors = [_applier(f) for f in reversed(op.factors)]
+            return lambda vec: reduce(lambda v, f: f(v), factors, vec)
+        if isinstance(op, ScalarMul):
+            inner = _applier(op.operand)
+            return lambda vec: inner(vec).scale(op.scalar)
+        raise
 
 
 def op_norm(op: Operator) -> ValuationBound:
@@ -668,6 +668,18 @@ def nf_polynomial(nf: NormalForm, coeffs) -> NormalForm:
     for c in reversed(coeffs[:-1]):
         acc = acc.mul(nf, addend=[(1, NormalForm.constant(nf.prime, c))])
     return acc
+
+
+def nf_power(nf: NormalForm, n: int) -> NormalForm:
+    """nf^n for n >= 1, by binary powering."""
+    out, base = None, nf
+    while n:
+        if n & 1:
+            out = base if out is None else out.mul(base)
+        n >>= 1
+        if n:
+            base = base.mul(base)
+    return out
 
 
 # -- benchmark constructor ----------------------------------------------

@@ -505,19 +505,59 @@ def _c10_sum_ring(cfg: ExperimentConfig) -> tuple[bool, str]:
     return True, "relations exact on 256 basis vectors; repeat equation on 64 x 20 blocks"
 
 
+def _fitting_idempotent_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
+    """The Fitting idempotent of an int matrix M mod p, in plain ints:
+    the one idempotent among the powers of M mod p.  The powers repeat,
+    M^k = M^i for a first k > i, and M^j is idempotent for each multiple
+    j of k - i with j >= i."""
+    powers = [tuple(tuple(v % p for v in row) for row in rows)]
+    while powers[-1] not in powers[:-1]:
+        power = _mat_mul_frac(powers[-1], powers[0])
+        powers.append(tuple(tuple(v % p for v in row) for row in power))
+    start = powers.index(powers[-1]) + 1
+    gap = len(powers) - start
+    return [list(row) for row in powers[-(-start // gap) * gap - 1]]
+
+
+def _non_idempotent_window(rng: random.Random, outside: bool, p: int) -> list[list[int]]:
+    """u (b (+) c) u^-1 + p r on a 4 x 4 window, c and r random, b the
+    companion of x^2 (nilpotent) or, when outside, of an x^2 + sx + t
+    with no root in F_p: either way not idempotent mod p."""
+    rootless = [(s, t) for s in range(p) for t in range(p)
+                if all((x * x + s * x + t) % p for x in range(p))]
+    s, t = rng.choice(rootless) if outside else (0, 0)
+    c = [rng.randrange(-4, 5) for _ in range(4)]
+    block = [[0, -t, 0, 0], [1, -s, 0, 0], [0, 0, c[0], c[1]], [0, 0, c[2], c[3]]]
+    u = [[Fraction(v) for v in row] for row in _unimodular(rng, 4)]
+    conj = _mat_mul_frac(_mat_mul_frac(u, block), _fraction_inverse(u))
+    return [[int(v) + p * rng.randrange(-4, 5) for v in row] for row in conj]
+
+
 def _c11_idempotent_lifting(cfg: ExperimentConfig) -> tuple[bool, str]:
     p, prec, target = cfg.prime, cfg.precision, cfg.target_valuation
     rng = random.Random(cfg.seed + 111)
-    for trial in range(50):
+    trials = []
+    for _ in range(50):
         size, rank = 8, rng.randint(1, 3)
         e = _conjugated_idempotent(rng, size, rank, p, prec)
-        a = _add_entries(e, _sparse_noise(rng, size, 2, p, prec))
-        lifted = idempotent_lift(a, target=target, budget=64)
+        trials.append((_add_entries(e, _sparse_noise(rng, size, 2, p, prec)), None))
+    for k in range(10):
+        rows = _non_idempotent_window(rng, k % 2 == 1, p)
+        trials.append((_matrix_op(rows, p, prec), rows))
+    for trial, (a, rows) in enumerate(trials):
+        lifted = idempotent_lift(a, target=target)
         if not op_agree(Product([lifted, lifted]), lifted, target):
             return False, f"lift not idempotent (trial {trial})"
         if not is_compact(lifted - a):
             return False, f"lift defect not compact (trial {trial})"
-    return True, "50 lifts of perturbed finite idempotents, all certified"
+        if rows is None:
+            continue
+        nf = normalize(lifted)
+        if [[nf.entry(i, j).residue(1) for j in range(4)] for i in range(4)] != (
+                _fitting_idempotent_mod_p(rows, p)):
+            return False, f"lift is not the Fitting idempotent mod p (trial {trial})"
+    return True, ("50 lifts of perturbed finite idempotents and 10 of windows not "
+                  "idempotent mod p, all certified")
 
 
 def _c12_rank_invariance(cfg: ExperimentConfig) -> tuple[bool, str]:

@@ -322,10 +322,22 @@ def test_idem_lift(capsys, opfile):
     assert code == 0
     e = operator_from_obj(json.loads(out)["e"])
     assert op_agree(e * e, e, 30)
-    # no input needs a search cap other than the default, so no flag sets it
+    # the lift searches nothing, so no flag sets a cap
     code, _, err = run(capsys, "idem", "lift", "--in", path, "--budget", "8")
     assert code == 4
     assert "unrecognized arguments: --budget 8" in json.loads(err)["message"]
+
+
+def test_idem_lift_of_a_matrix_of_order_80(capsys, opfile):
+    """The companion of x^4 + x + 2, irreducible mod 3, has order 80 mod 3;
+    its lift is the identity on the window, found without a search."""
+    rows = [[0, 0, 0, -2], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]
+    path = opfile(FiniteMatrix(3, {(i, j): Padic.from_int(v, 3) for i, row in enumerate(rows)
+                                   for j, v in enumerate(row) if v}))
+    code, out, _ = run(capsys, "idem", "lift", "--in", path)
+    assert code == 0
+    window = FiniteMatrix(3, {(i, i): Padic.one(3) for i in range(4)})
+    assert op_agree(operator_from_obj(json.loads(out)["e"]), window, 30)
 
 
 def test_idem_trivialize_transcript(capsys, opfile):

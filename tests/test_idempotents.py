@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicops import idempotents, linalg, operators
-from padicops.errors import PreconditionFailed, SearchExhausted, Undecidable
-from padicops.idempotents import (_newton_schulz_inverse, _refine_form,
-                                  cantor_pair, cantor_unpair,
+from padicops.errors import PreconditionFailed, Undecidable
+from padicops.idempotents import (_frobenius_cap, _newton_schulz_inverse,
+                                  _refine_form, cantor_pair, cantor_unpair,
                                   column_projection, finite_rank_reduce,
                                   idempotent_equivalence, idempotent_lift,
                                   idempotent_refine, idempotent_split,
@@ -18,6 +20,7 @@ from padicops.operators import (Diagonal, FiniteMatrix, Identity, IndexMap,
                                 op_norm)
 from padicops.polynomials import IntPolynomial
 from padicops.scalars import Padic, ValuationBound, teichmuller
+from padicops.verify import _fitting_idempotent_mod_p
 from padicops.vectors import PadicVector
 
 
@@ -230,7 +233,7 @@ def test_refine_step_makes_one_sum_outside_its_fused_products(monkeypatch):
     e, defects = _refine_form(nf, 30)
     monkeypatch.undo()
     steps = len(defects)
-    assert steps >= 2 and e.mul(e, addend=[(-1, e)]).vanishes_to(30)
+    assert steps >= 2 and e.defect().vanishes_to(30)
     # the first defect is one more product, the distance check the one sum
     assert counts == {"mul": 2 * steps + 1, "combine": 1}
 
@@ -241,13 +244,13 @@ def _two_pass_refine(nf: NormalForm, target: int) -> tuple[list, int | None]:
     from the same e and d beside the two-pass one; and the number of
     updates after which the step and the new defect first vanish to the
     target (None if they never do)."""
-    e, d = nf, nf.mul(nf, addend=[(-1, nf)])
+    e, d = nf, nf.defect()
     pairs, stop = [], None
     for n in range(target.bit_length() + 1):
         step = d.mul(e, -2, addend=[(1, d)])
         pairs.append((d.mul(e, -2, addend=[(1, d), (1, e)]), e.add(step)))
         e = pairs[-1][1]
-        d = e.mul(e, addend=[(-1, e)])
+        d = e.defect()
         if stop is None and step.vanishes_to(target) and d.vanishes_to(target):
             stop = n + 1
     return pairs, stop
@@ -628,10 +631,49 @@ def test_lift_preconditions_and_budget():
     # 2I has defect 2I, which is nowhere near compact
     with pytest.raises(PreconditionFailed):
         idempotent_lift(ScalarMul(Padic.from_int(2, 3), Identity(3)))
+    # budget is ignored: the Teichmuller lift of 2 has order 4 mod 5, which
+    # a search of two powers missed, and its lift is E_00
     t = teichmuller(Padic.from_int(2, 5))
-    with pytest.raises(SearchExhausted) as info:
-        idempotent_lift(Diagonal(5, {0: t}), budget=2)
-    assert info.value.budget == 2
+    e = idempotent_lift(Diagonal(5, {0: t}), budget=2)
+    assert op_agree(e, FiniteMatrix(5, {(0, 0): Padic.one(5)}), 30)
+
+
+def _window(rows, p):
+    return FiniteMatrix(p, {(i, j): Padic.from_int(v, p) for i, row in enumerate(rows)
+                            for j, v in enumerate(row) if v})
+
+
+def test_lift_of_a_matrix_of_order_80_is_the_window_identity():
+    # the companion of x^4 + x + 2, irreducible mod 3: its reduction has
+    # order 3^4 - 1, past any power pair a search of 64 reaches
+    rows = [[0, 0, 0, -2], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]
+    e = idempotent_lift(_window(rows, 3), 30)
+    assert op_agree(e, FiniteMatrix(3, {(i, i): Padic.one(3) for i in range(4)}), 30)
+
+
+def test_lift_of_a_jordan_block_takes_one_frobenius_step():
+    # a^2 - a is a unit off the diagonal, and a mod 3 has a nilpotent part
+    # that a^3 = [[1, 3], [0, 1]] has lost
+    rows = [[1, 1], [0, 1]]
+    assert _frobenius_cap(normalize(_window(rows, 3))) == 1
+    e = idempotent_lift(_window(rows, 3), 30)
+    assert op_agree(e, FiniteMatrix(3, {(0, 0): Padic.one(3), (1, 1): Padic.one(3)}), 30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=5), st.data())
+def test_lift_is_the_fitting_idempotent_mod_p(p, n, data):
+    """Any integral window lifts, to the idempotent among the powers of
+    a mod p, which a plain-int cycle search finds."""
+    entry = st.integers(min_value=-9, max_value=9)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    a = _window(rows, p)
+    e = idempotent_lift(a, 30)
+    assert op_agree(Product([e, e]), e, 30)
+    assert is_compact(e - a)
+    nf = normalize(e)
+    assert [[nf.entry(i, j).residue(1) for j in range(n)] for i in range(n)] == (
+        _fitting_idempotent_mod_p(rows, p))
 
 
 def test_lift_whose_defect_has_no_normal_form_is_undecidable():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicops import operators
 from padicops.errors import NonIntegral, StructureError, Undecidable
 from padicops.idempotents import sum_ring_generators
 from padicops.operators import (Adjoint, Diagonal, FiniteMatrix, Identity,
@@ -248,6 +249,32 @@ def test_truncate_without_a_normal_form_applies_the_tree():
     # (1 + S)^2 sends delta_j to delta_j + 2 delta_{j+1} + delta_{j+2}
     assert {k: v.residue(5) for k, v in t.entries.items()} == {
         (0, 0): 1, (1, 1): 1, (2, 2): 1, (1, 0): 2, (2, 1): 2, (2, 0): 1}
+
+
+def test_tree_applier_normalizes_only_when_built(monkeypatch):
+    """An operator with no normal form is applied as a tree whose nodes
+    are normalised once, when the applier is built: applying it to
+    another vector normalises nothing."""
+    p = 3
+    s = Sum([up_shift(p), Identity(p)])
+    op = Sum([Product([s, s]), ScalarMul(Padic.from_int(2, p), s)])
+    with pytest.raises(StructureError):
+        normalize(op)
+    apply = operators._applier(op)
+    apply(PadicVector.basis(p, 0))
+    calls = []
+    original = operators.normalize
+
+    def counted(op):
+        calls.append(1)
+        return original(op)
+
+    monkeypatch.setattr(operators, "normalize", counted)
+    got = apply(PadicVector.basis(p, 1))
+    monkeypatch.undo()
+    assert calls == []
+    # (1 + S)^2 + 2 (1 + S) sends delta_1 to 3 delta_1 + 4 delta_2 + delta_3
+    assert {k: v.residue(5) for k, v in got.entries.items()} == {1: 3, 2: 4, 3: 1}
 
 
 def test_weighted_shift_entries():

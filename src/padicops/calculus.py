@@ -198,11 +198,10 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
         if k:
             b = nf_power(b, p)
         x = nf_polynomial(b, coeffs)
-        defect = x.defect()
-        gap = defect.norm()
+        gap = x.defect().norm()
         trace.append([1, k, exponent_str(gap)])
         if gap < ValuationBound.one():
-            e, defects = _refine_form(x, target, defect=defect)
+            e, defects = _refine_form(x, target)
             trace += [[2, i, exponent_str(d.norm())] for i, d in enumerate(defects, 1)]
             return e.to_operator(), trace
     raise PreconditionFailed(f"A mod p has an eigenvalue outside F_p (k = 0..{cap})")

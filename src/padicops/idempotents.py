@@ -19,9 +19,9 @@ from .errors import (CertificationFailed, NoConvergence, PreconditionFailed,
 from .io import exponent_str
 from .linalg import reduce_columns
 from .operators import (FiniteMatrix, IndexMap, NormalForm, Operator,
-                        Product, Sum, _applier, _nonzero, nf_power,
-                        normalize)
+                        Product, Sum, _applier, _nonzero, normalize)
 from .polynomials import IntPolynomial
+from .residues import Window
 from .scalars import Padic, ValuationBound, precision_of
 from .vectors import PadicVector
 
@@ -65,17 +65,41 @@ def idempotent_refine(a: Operator, target: int = 30) -> Operator:
     step, and the defect squares, so k steps reach the order of
     refinement_polynomial(2^k).  Stops once the step and the new defect
     vanish below p^(-target); the output e is checked to satisfy
-    ||a - e|| < min(1/||a||, 1).
+    ||a - e|| < min(1/||a||, 1).  When ||a|| <= 1 and a has no tail, e is
+    computed on residues mod p^N, N the least absolute precision of a,
+    and every entry of e is certified to exactly N (see _refine_form).
     """
     e, _ = _refine_form(normalize(a), target)
     return e.to_operator()
 
 
-def _refine_form(nf: NormalForm, target: int, defect: NormalForm | None = None,
-                 ) -> tuple[NormalForm, list[NormalForm]]:
+def _refine_form(nf: NormalForm, target: int) -> tuple[NormalForm, list]:
     """idempotent_refine on a normal form.  Also returns the defect
-    e^2 - e after each step.  ``defect`` is nf^2 - nf when the caller
-    has already formed it.
+    e^2 - e after each step, as forms or windows: what _refine ran on.
+
+    A form of norm < 1 refines to the zero idempotent.  A tail-free form
+    of norm 1 refines on its residue window mod p^N: each iterate is an
+    integer polynomial in a, so e is known mod p^N at every entry
+    (residues.Window), and the loop, its stop rule and its checks are
+    those of the tracked path.  A window certifies nothing past N, so
+    N < target ends in NoConvergence.  Any other form, ||a|| > 1 or a
+    structured tail, refines on normal forms with a bound per entry.
+    """
+    p = nf.prime
+    norm_a = nf.norm()
+    if norm_a < ValuationBound.one():
+        # covers a = 0: anything of norm < 1 refines to the zero idempotent
+        return NormalForm.constant(p, Padic.zero(p)), []
+    if nf.tail is None and norm_a <= ValuationBound.one():
+        (window,) = Window.read([nf])
+        e, defects = _refine(window, norm_a, target)
+        return e.form(), defects
+    return _refine(nf, norm_a, target)
+
+
+def _refine(a: NormalForm | Window, norm_a: ValuationBound, target: int) -> tuple:
+    """The refinement of a NormalForm or a residue Window a of norm
+    norm_a >= 1, and the defect after each step.
 
     A step is two fused products, each entry rounded once:
     e' = d.e.(-2) + d + e and d' = e'.e' - e'.  The step e' - e = d(1 - 2e)
@@ -89,21 +113,15 @@ def _refine_form(nf: NormalForm, target: int, defect: NormalForm | None = None,
     steps would not help, so NoConvergence after them means the digits
     ran out.
     """
-    p = nf.prime
-    norm_a = nf.norm()
-    if norm_a < ValuationBound.one():
-        # covers a = 0: anything of norm < 1 refines to the zero idempotent
-        return NormalForm.constant(p, Padic.zero(p)), []
-    if defect is None:
-        defect = nf.defect()
+    defect = a.defect()
     gap = defect.norm()
     limit = ValuationBound(-2 * norm_a.exponent)
     if not gap < limit:
         raise PreconditionFailed(
             f"defect norm exponent {exponent_str(gap)} must exceed "
             f"{limit.exponent} (norm of a: exponent {norm_a.exponent})")
-    e = nf
-    defects: list[NormalForm] = []
+    e = a
+    defects = []
     steps = target.bit_length() + 1
     for _ in range(steps):
         settled = _step_vanishes(defect, e, target)
@@ -111,12 +129,13 @@ def _refine_form(nf: NormalForm, target: int, defect: NormalForm | None = None,
         defect = e.defect()
         defects.append(defect)
         if settled and defect.vanishes_to(target):
-            _check_refinement_distance(nf, e, norm_a)
+            _check_refinement_distance(a, e, norm_a)
             return e, defects
     raise NoConvergence(steps, "refinement steps never met the target depth")
 
 
-def _step_vanishes(defect: NormalForm, e: NormalForm, target: int) -> bool:
+def _step_vanishes(defect: NormalForm | Window, e: NormalForm | Window,
+                   target: int) -> bool:
     """Whether the step d(1 - 2e) of a refinement vanishes to the target:
     each of its entries is a sum of terms of valuation at least that of
     an entry of d plus min(0, v), with p^-v the norm of e."""
@@ -126,9 +145,9 @@ def _step_vanishes(defect: NormalForm, e: NormalForm, target: int) -> bool:
     return v is None or v >= 0 or defect.vanishes_to(target - v)
 
 
-def _check_refinement_distance(nf_a: NormalForm, nf_e: NormalForm,
+def _check_refinement_distance(a: NormalForm | Window, e: NormalForm | Window,
                                norm_a: ValuationBound) -> None:
-    dist = nf_a.sub(nf_e).norm()
+    dist = a.sub(e).norm()
     # min(1/||a||, 1) with ||a|| >= 1 on this path
     if not dist < ValuationBound(-norm_a.exponent):
         raise CertificationFailed(
@@ -149,38 +168,56 @@ def idempotent_equivalence(e: Operator, f: Operator,
     """Invertible u with u e u^-1 = f, for idempotents at distance
     below 1/||e||.  u = 1 - f - e + 2fe; its inverse comes from a
     Newton-Schulz iteration, which converges because the distance bound
-    makes 1 - u a contraction."""
+    makes 1 - u a contraction.
+
+    Everything past normalising runs on residue windows of p^s e and
+    p^s f, p^s the least power making both integral (s = 0 when they
+    are): u, the iteration and the three final checks, that u^-1 is a
+    right and a left inverse and that u e u^-1 = f at the target depth.
+    p^2s (1 - u) = p^s (e + f) - 2 p^s f p^s e is integral, so u and
+    u^-1 are integer polynomials in those windows and are certified to
+    exactly N - s at every entry, N the least absolute precision of e
+    and f (residues.Window).
+    """
     p = e.prime
     nfe, nff = normalize(e), normalize(f)
     norm_e = nfe.norm()
     if norm_e.is_zero:
         raise PreconditionFailed("e must be a nonzero idempotent")
+    s = max([0] + [-x.valuation for nf in (nfe, nff)
+                   for x in (nf.shift, *nf.head.values()) if not x.is_zero])
+    ps = p**s
     for name, nf in (("e", nfe), ("f", nff)):
-        if not nf.defect().vanishes_to(target):
+        (x,) = Window.read([nf], s)
+        # p^2s (x^2 - x) = (p^s x)^2 - p^s (p^s x)
+        if not x.mul(x, addend=[(-ps, x)]).vanishes_to(target + 2 * s):
             raise PreconditionFailed(f"{name} is not idempotent at the target depth")
-    dist = nfe.sub(nff).norm()
-    if not dist < ValuationBound(-norm_e.exponent):
+    we, wf = Window.read([nfe, nff], s)
+    dist = we.sub(wf).norm()  # of p^s (e - f)
+    if not dist < ValuationBound(s - norm_e.exponent):
         raise PreconditionFailed(
-            f"distance exponent {exponent_str(dist)} must exceed {-norm_e.exponent}")
-    one = NormalForm.constant(p, Padic.one(p, precision_of(nfe, nff)))
-    nfu = nff.mul(nfe, 2, addend=[(1, one), (-1, nff), (-1, nfe)])
-    if not one.sub(nfu).norm() < ValuationBound.one():
+            f"distance exponent {dist.exponent - s} must exceed {-norm_e.exponent}")
+    w = wf.mul(we, -2, addend=[(ps, wf), (ps, we)])  # p^2s (1 - u)
+    if not w.vanishes_to(2 * s + 1):
         raise PreconditionFailed("1 - u fails to be a contraction; inputs are not close enough")
-    inv, residual = _newton_schulz_inverse(nfu, target)
-    for gap in (residual, inv.mul(nfu, addend=[(-1, one)])):
+    one = we.constant(1)
+    u = one.sub(w.divide(2 * s))
+    inv, residual = _newton_schulz_inverse(u, target)
+    for gap in (residual, inv.mul(u, addend=[(-1, one)])):
         if not gap.vanishes_to(target):
             raise CertificationFailed(target, "inverse verification failed")
-    if not nfu.mul(nfe).mul(inv, addend=[(-1, nff)]).vanishes_to(target):
+    # p^s (u e u^-1 - f)
+    if not u.mul(we).mul(inv, addend=[(-1, wf)]).vanishes_to(target + s):
         raise CertificationFailed(target, "conjugation does not carry e to f at the target depth")
-    return EquivalenceWitness(nfu.to_operator(), inv.to_operator())
+    return EquivalenceWitness(u.form().to_operator(), inv.form().to_operator())
 
 
-def _newton_schulz_inverse(u: NormalForm, target: int) -> tuple[NormalForm, NormalForm]:
+def _newton_schulz_inverse(u: Window, target: int) -> tuple[Window, Window]:
     """Right inverse x of u, for ||1 - u|| < 1, and its residual r = 1 - u x.
-    From x = 1, the fused products x' = x.r + x and r = -u.x' + 1, each
-    entry rounded once, square the residual at each step, so
-    bit_length(target) steps reach p^(-target) unless precision runs out."""
-    one = NormalForm.constant(u.prime, Padic.one(u.prime, precision_of(u)))
+    From x = 1, the fused products x' = x.r + x and r = -u.x' + 1 square
+    the residual at each step, so bit_length(target) steps reach
+    p^(-target) unless the window's depth runs out."""
+    one = u.constant(1)
     x, residual = one, one.sub(u)
     for _ in range(target.bit_length()):
         if residual.vanishes_to(target):
@@ -447,31 +484,38 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
     a: x = a^2 when ||a^2 - a|| < 1.  Otherwise b = a^(p^K), K from
     _frobenius_cap, is semisimple mod p, so its eigenvalues lie in the
     field of p^D elements for the least D >= 1 with b^(p^D) = b mod p,
-    and x = b^(p^D - 1) sends each nonzero one to 1.  A structured tail
-    raises Undecidable at the defect, a sum of two tails.
+    and x = b^(p^D - 1) sends each nonzero one to 1.
+
+    All of it runs on a's residue window mod p^N, N the least absolute
+    precision of a: x and e are integer polynomials in a, so e is
+    certified to exactly N at every entry (residues.Window), and a^2 is
+    formed once, for the defect and as x.  The defect's compactness is
+    read off a's shift at the shift's own precision.  A structured tail
+    raises Undecidable: its defect is a sum of two tails.
     """
     try:
         nf = normalize(a)
         if not nf.norm() <= ValuationBound.one():
             raise PreconditionFailed("lift input must be a contraction")
-        defect = nf.defect()
+        (w,) = Window.read([nf])
     except StructureError as exc:
         raise Undecidable(f"expression has no closed structured form: {exc}") from exc
-    if not defect.is_compact():
+    if not (nf.shift * nf.shift - nf.shift).is_zero:
         raise PreconditionFailed("defect a^2 - a is not certified compact")
-    if defect.norm() < ValuationBound.one():
-        x = nf.mul(nf)
-    else:
+    x = w.mul(w)
+    if not x.sub(w).norm() < ValuationBound.one():
         p = nf.prime
-        b = nf_power(nf, p ** _frobenius_cap(nf))
-        y, period = nf_power(b, p), 1
+        b = w.power(p ** _frobenius_cap(nf))
+        y, period = b.power(p), 1
         while not y.sub(b).norm() < ValuationBound.one():
-            y, period = nf_power(y, p), period + 1
-        x = nf_power(b, p**period - 1)
-    e, _ = _refine_form(x, target)
-    if not e.sub(nf).is_compact():
+            y, period = y.power(p), period + 1
+        x = b.power(p**period - 1)
+    # x = 0 mod p refines to the zero idempotent, as in _refine_form
+    one = ValuationBound.one()
+    e = x.constant(0) if x.norm() < one else _refine(x, one, target)[0]
+    if e.sub(w).shift:
         raise CertificationFailed(target, "lifted idempotent does not agree with a modulo compacts")
-    return e.to_operator()
+    return e.form().to_operator()
 
 
 def _frobenius_cap(nf: NormalForm) -> int:

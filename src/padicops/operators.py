@@ -421,9 +421,10 @@ class NormalForm:
             raise StructureError("callable-backed tails have no closed public form")
         if self.shift.is_zero:
             return FiniteMatrix(self.prime, dict(self.head))
-        if all(i == j for i, j in self.head):
-            entries = {i: self.entry(i, i) for (i, _) in self.head}
-            return Diagonal(self.prime, entries, self.shift)
+        # a public operator holds no zero entry (FiniteMatrix drops them)
+        nonzero = [(i, j) for (i, j), v in self.head.items() if not v.is_zero]
+        if all(i == j for i, j in nonzero):
+            return Diagonal(self.prime, {i: self.entry(i, i) for i, _ in nonzero}, self.shift)
         return Sum([FiniteMatrix(self.prime, dict(self.head)),
                     Diagonal(self.prime, {}, self.shift)])
 

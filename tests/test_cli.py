@@ -9,7 +9,7 @@ from padicops import cli
 from padicops.cli import _build_parser, main
 from padicops.io import operator_from_obj, operator_to_obj, scalar_to_text
 from padicops.operators import (Diagonal, FiniteMatrix, Identity, NormalForm,
-                                op_agree)
+                                Sum, op_agree)
 from padicops.scalars import Padic
 
 
@@ -287,6 +287,27 @@ def test_idem_refine_precondition(capsys, opfile):
     code, _, err = run(capsys, "idem", "refine", "--in", path)
     assert code == 2
     assert json.loads(err)["error"] == "PreconditionFailed"
+
+
+def test_idem_refine_certifies_to_the_least_precision(capsys, opfile):
+    """A precision-30 file whose (0, 0) entry is a sum of two 3^-5 terms
+    holds 28 known to 25 absolute digits.  At target 20 every entry of e
+    is certified to 25; target 30 ends in NoConvergence, exit code 3.
+    (The tracked refinement answered target 30 with exit code 0: the
+    defect's zeros certified only to 25 were dropped from the head and
+    read as exact, hole A of ROADMAP item 2.)"""
+    p = 3
+    twenty_eight = Sum([FiniteMatrix(p, {(0, 0): Padic(p, -5, 1, 30)}),
+                        FiniteMatrix(p, {(0, 0): Padic(p, -5, 28 * 3**5 - 1, 30),
+                                         (1, 1): Padic.from_int(27, p, 30)})])
+    path = opfile(twenty_eight, 30)
+    code, out, _ = run(capsys, "idem", "refine", "--in", path, "--target", "20")
+    assert code == 0
+    e = json.loads(out)["e"]
+    assert e["precision"] == 25 and e["entries"] == [[0, 0, "3^0*1"]]
+    code, out, err = run(capsys, "idem", "refine", "--in", path, "--target", "30")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "NoConvergence"
 
 
 def test_idem_equiv(capsys, opfile):

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicops import idempotents, linalg, operators
-from padicops.errors import PreconditionFailed, Undecidable
+from padicops.errors import (NoConvergence, NonIntegral, PreconditionFailed,
+                             Undecidable)
 from padicops.idempotents import (_frobenius_cap, _newton_schulz_inverse,
-                                  _refine_form, cantor_pair, cantor_unpair,
-                                  column_projection, finite_rank_reduce,
+                                  _refine, _refine_form, cantor_pair,
+                                  cantor_unpair, column_projection,
+                                  finite_rank_reduce,
                                   idempotent_equivalence, idempotent_lift,
                                   idempotent_refine, idempotent_split,
                                   infinite_sum, k0_trivialize, matrix_rank,
@@ -19,6 +21,7 @@ from padicops.operators import (Diagonal, FiniteMatrix, Identity, IndexMap,
                                 is_compact, normalize, op_agree, op_apply,
                                 op_norm)
 from padicops.polynomials import IntPolynomial
+from padicops.residues import Window
 from padicops.scalars import Padic, ValuationBound, teichmuller
 from padicops.verify import _fitting_idempotent_mod_p
 from padicops.vectors import PadicVector
@@ -195,27 +198,29 @@ def test_refine_matches_integer_horner_oracle():
 
 def test_refine_operator_products(monkeypatch):
     """Iterating 3e^2 - 2e^3 takes two products a step; evaluating
-    P_1, P_2, ..., P_64 from scratch by Horner took 122 here."""
-    calls = []
-    original = NormalForm.mul
+    P_1, P_2, ..., P_64 from scratch by Horner took 122 here.  A
+    contraction refines on its residue window, with no tracked product."""
+    calls = {NormalForm: [], Window: []}
+    for cls in calls:
+        def counted(self, other, *args, _mul=cls.mul, _calls=calls[cls], **kwargs):
+            _calls.append(1)
+            return _mul(self, other, *args, **kwargs)
 
-    def counted(self, other, *args, **kwargs):
-        calls.append(1)
-        return original(self, other, *args, **kwargs)
-
+        monkeypatch.setattr(cls, "mul", counted)
     a = _int_operator(_near_idempotent(random.Random(7), 5, 3))
-    monkeypatch.setattr(NormalForm, "mul", counted)
     e = idempotent_refine(a)
     monkeypatch.undo()
     assert op_agree(Product([e, e]), e, 30)
-    assert len(calls) <= 16
+    assert len(calls[Window]) <= 16 and not calls[NormalForm]
 
 
 def test_refine_step_makes_one_sum_outside_its_fused_products(monkeypatch):
-    """A step is two fused products and no sum of its own: the update
-    e + d(1 - 2e) is one fused product.  With the step formed first, e +
-    step was one combine a step; as two products and four linear passes
-    (scale, sub, add, sub) a step made four combines."""
+    """On normal forms, a step is two fused products and no sum of its
+    own: the update e + d(1 - 2e) is one fused product.  With the step
+    formed first, e + step was one combine a step; as two products and
+    four linear passes (scale, sub, add, sub) a step made four combines.
+    The tracked loop is called directly: _refine_form runs it only on
+    forms of norm > 1 or with a tail."""
     counts = {"mul": 0, "combine": 0}
     mul, combine = NormalForm.mul, NormalForm.combine
 
@@ -230,7 +235,7 @@ def test_refine_step_makes_one_sum_outside_its_fused_products(monkeypatch):
     nf = normalize(_int_operator(_near_idempotent(random.Random(7), 5, 3)))
     monkeypatch.setattr(NormalForm, "mul", counted_mul)
     monkeypatch.setattr(NormalForm, "combine", staticmethod(counted_combine))
-    e, defects = _refine_form(nf, 30)
+    e, defects = _refine(nf, nf.norm(), 30)
     monkeypatch.undo()
     steps = len(defects)
     assert steps >= 2 and e.defect().vanishes_to(30)
@@ -263,9 +268,10 @@ def _fraction_form(p: int, table: dict) -> NormalForm:
 def test_fused_refine_update_matches_two_pass_reference():
     """The update e' = d.e.(-2) + d + e, one fused product, gives the same
     e, digits and precision of every entry, as forming the step
-    d.e.(-2) + d first and adding it to e.  The refinement never forms
-    the step: it stops where the two-pass one does when ||a|| <= 1, on 24
-    seeded 5x5 and 8x8 near-idempotents.  With ||a|| = p, d must vanish
+    d.e.(-2) + d first and adding it to e.  The tracked refinement, called
+    directly since contractions refine on residues, never forms the step:
+    it stops where the two-pass one does when ||a|| <= 1, on 24 seeded
+    5x5 and 8x8 near-idempotents.  With ||a|| = p, d must vanish
     one digit past the target, since ||d(1 - 2e)|| <= p ||d||: where that
     bound is strict the refinement may take one step more, and where it
     is attained it stops where the two-pass one does."""
@@ -287,7 +293,7 @@ def test_fused_refine_update_matches_two_pass_reference():
         for target in targets:
             pairs, stop = _two_pass_refine(nf, target)
             assert all(fused == two_pass for fused, two_pass in pairs), (n, target)
-            e, defects = _refine_form(nf, target)
+            e, defects = _refine(nf, nf.norm(), target)
             steps = len(defects)
             step_more |= steps == stop + 1
             assert steps == stop or (nf is strict and steps == stop + 1), (n, target)
@@ -329,12 +335,13 @@ def test_newton_schulz_inverse_at_the_contraction_edge(target):
     m[0][0] = 1
     w = normalize(_int_operator([[p * v for v in row] for row in m], p))
     assert w.norm() == ValuationBound(1)
-    u = NormalForm.constant(p, Padic.one(p)).sub(w)
+    (window,) = Window.read([w])
+    u = window.constant(1).sub(window)
     x, residual = _newton_schulz_inverse(u, target)
     assert residual.vanishes_to(target)
     exact_u = [[Fraction(int(i == j) - p * m[i][j]) for j in range(n)] for i in range(n)]
     exact_inv = _fraction_inverse(exact_u)
-    x_mat = [[Fraction(v) for v in row] for row in _residues(x.to_operator(), n, target, p)]
+    x_mat = [[Fraction(v) for v in row] for row in _residues(x.form().to_operator(), n, target, p)]
     ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for prod in (_int_matmul(exact_u, x_mat), _int_matmul(x_mat, exact_u)):
         for i in range(n):
@@ -698,3 +705,248 @@ def test_refine_and_equivalence_at_target_60():
     witness = idempotent_equivalence(e, f, target)
     assert op_agree(Product([witness.u, e, witness.u_inv]), f, target)
     assert op_agree(Product([witness.u, witness.u_inv]), Identity(p, prec), target)
+
+
+# -- the residue path: contractions refine, lift and invert mod p^N ----------
+
+
+def _ball(p, value, top):
+    """value + O(p^top) as a Padic: a zero certified to top when value
+    vanishes there."""
+    return Padic.from_unit(p, 0, value, top)
+
+
+def _lift(rng, x, depth):
+    """A random point of the ball x mod p^depth: x's digits, then random
+    digits past its absolute precision; an exact zero stays 0."""
+    top = x.absolute_precision
+    if top is None:
+        return 0
+    base = 0 if x.is_zero else x.unit * x.prime**x.valuation
+    return (base + x.prime**top * rng.randrange(x.prime ** (depth - top))) % x.prime**depth
+
+
+def _window_of(rng, nf, n, depth):
+    """A random point of the ball of a tail-free form: its n x n window,
+    the shift on the diagonal, and the shift, in plain ints mod p^depth."""
+    shift = _lift(rng, nf.shift, depth)
+    rows = [[shift if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), x in nf.head.items():
+        rows[i][j] = (rows[i][j] + _lift(rng, x, depth)) % nf.prime**depth
+    return rows, shift
+
+
+def _int_idempotent(rows, shift, mod):
+    """The idempotent that e <- 3e^2 - 2e^3 reaches from (rows, shift),
+    iterated in plain ints mod mod until it is fixed."""
+    while True:
+        sq = _int_matmul(rows, rows)
+        new = [[(3 * x - 2 * y) % mod for x, y in zip(r, q)]
+               for r, q in zip(sq, _int_matmul(sq, rows))]
+        new_shift = (3 * shift**2 - 2 * shift**3) % mod
+        if (new, new_shift) == (rows, shift):
+            return rows, shift
+        rows, shift = new, new_shift
+
+
+def _int_inverse(rows, shift, mod):
+    """u^-1 for u = 1 mod p, by x <- x(2 - ux) in plain ints mod mod."""
+    n = len(rows)
+    x, xs = [[int(i == j) for j in range(n)] for i in range(n)], 1
+    while True:
+        ux = _int_matmul(rows, x)
+        two = [[(2 * int(i == j) - v) for j, v in enumerate(r)] for i, r in enumerate(ux)]
+        new, new_s = _int_matmul(x, two, mod), xs * (2 - shift * xs) % mod
+        if (new, new_s) == (x, xs):
+            return x, xs
+        x, xs = new, new_s
+
+
+def _certified_window(nf, n, depth, exact_zeros=False):
+    """The window and shift of a form mod p^depth, asserting that every
+    entry is certified to exactly depth; with exact_zeros, an entry that
+    a public operator dropped as zero reads as 0."""
+    values = [[nf.entry(i, j) for j in range(n)] for i in range(n)]
+    for x in [nf.shift, *(v for row in values for v in row)]:
+        if not (exact_zeros and x.is_exact_zero):
+            assert x.absolute_precision == depth
+    return [[v.residue(depth) for v in row] for row in values], nf.shift.residue(depth)
+
+
+def _idempotent_rows(rng, p, n):
+    """An integer idempotent u diag(1..1, 0..0) u^-1 of rank >= 1."""
+    u, u_inv = _unimodular(rng, n)
+    r = rng.randint(1, n)
+    d = [[int(i == j and i < r) for j in range(n)] for i in range(n)]
+    return _int_matmul(_int_matmul(u, d), u_inv)
+
+
+def _vanishing_depth(rows, shift, p, depth):
+    """The least valuation over a window and its shift, at most depth."""
+    m = p**depth
+    return min([depth] + [_vp_fraction(Fraction(v % m), p) for v in (shift, *sum(rows, []))
+                          if v % m])
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(min_value=2, max_value=4),
+       st.sampled_from(["refine", "lift", "equiv"]), st.integers(min_value=4, max_value=12),
+       st.randoms(use_true_random=False))
+def test_residue_path_holds_on_the_precision_ball(p, n, routine, target, rng):
+    """Refine, lift and equiv on integral inputs whose entries carry
+    uneven absolute precision, certified zeros among them.  Every output
+    entry is certified to exactly N, the least input precision.  For a
+    random point of the input ball, the exact idempotent (or u^-1),
+    iterated in plain ints mod p^K with K above every input precision,
+    agrees with the output mod p^min(N, v), v >= target the valuation of
+    the output's own defect e^2 - e (or residual 1 - u u^-1): the
+    iterations stop at the target, so past v an output digit is a digit
+    of the computed iterate, which the ball fixes, not of the limit."""
+    e = _idempotent_rows(rng, p, n)
+    tops = [[rng.randint(target, target + 8) for _ in range(n)] for _ in range(n)]
+    K = target + 20
+    mod = p**K
+
+    def near(rows):
+        return [[v + p * rng.randrange(-p * p, p * p + 1) for v in row] for row in rows]
+
+    def ball_form(rows, shift_top=None):
+        head = {(i, j): _ball(p, v, tops[i][j]) for i, row in enumerate(rows)
+                for j, v in enumerate(row)}
+        shift = Padic.zero(p) if shift_top is None else Padic.zero(p, shift_top)
+        return NormalForm(p, shift, None, head)
+
+    def least_top(*forms):
+        return min(x.absolute_precision for nf in forms for x in [nf.shift, *nf.head.values()]
+                   if x.absolute_precision is not None)
+
+    shift_top = rng.choice([None, target + 3])
+    if routine == "refine":
+        # a form-level input keeps its certified zeros in the head
+        nf = ball_form(near(e), shift_top)
+        out, _ = _refine_form(nf, target)
+        depth = least_top(nf)
+        got = [_certified_window(out, n, depth)]
+        want = [_int_idempotent(*_window_of(rng, nf, n, K), mod)]
+    elif routine == "lift":
+        # an operator's head drops its zeros; its shift keeps one certified
+        a = Sum([FiniteMatrix(p, ball_form(near(e)).head),
+                 Diagonal(p, {}, ball_form(e, shift_top).shift)])
+        nf = normalize(a)
+        depth = least_top(nf)
+        got = [_certified_window(normalize(idempotent_lift(a, target)), n, depth, True)]
+        want = [_int_idempotent(*_window_of(rng, nf, n, K), mod)]
+    else:
+        # f = g e g^-1 with g = 1 + p E_ij, so f = e mod p
+        i, j = rng.sample(range(n), 2)
+        g = [[int(r == c) + p * ((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+        g_inv = [[int(r == c) - p * ((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+        ops = [FiniteMatrix(p, ball_form(rows).head)
+               for rows in (e, _int_matmul(_int_matmul(g, e), g_inv))]
+        forms = [normalize(op) for op in ops]
+        depth = least_top(*forms)
+        witness = idempotent_equivalence(*ops, target)
+        got = [_certified_window(normalize(op), n, depth, True) for op in (witness.u, witness.u_inv)]
+        (er, _), (fr, _) = (_window_of(rng, nf, n, K) for nf in forms)
+        fe = _int_matmul(fr, er)
+        u = [[(int(r == c) - fr[r][c] - er[r][c] + 2 * fe[r][c]) % mod for c in range(n)]
+             for r in range(n)]
+        want = [(u, 1), _int_inverse(u, 1, mod)]
+    if routine == "equiv":
+        (u, _), (inv, inv_shift) = got
+        ident = [[int(r == c) for c in range(n)] for r in range(n)]
+        gap = [[x - y for x, y in zip(r, q)] for r, q in zip(_int_matmul(u, inv), ident)]
+        v = _vanishing_depth(gap, inv_shift - 1, p, depth)
+    else:
+        ((rows, shift),) = got
+        gap = [[x - y for x, y in zip(r, q)] for r, q in zip(_int_matmul(rows, rows), rows)]
+        v = _vanishing_depth(gap, shift**2 - shift, p, depth)
+    assert v >= target
+    m = p ** min(depth, v)
+    for (rows, shift), (want_rows, want_shift) in zip(got, want):
+        assert [[x % m for x in row] for row in rows] == [[x % m for x in row] for row in want_rows]
+        assert shift % m == want_shift % m
+
+
+def _two_pieces(p, top00):
+    """diag(1 + p^3, p^3) with entry (0, 0) at top00 absolute digits."""
+    head = {(0, 0): _ball(p, 1 + p**3, top00), (1, 1): Padic.from_int(p**3, p, 40)}
+    return NormalForm(p, Padic.zero(p), None, head)
+
+
+def test_refine_certifies_to_the_least_input_precision():
+    """One entry at 25 absolute digits: the whole answer is certified to
+    exactly 25 at target 20, zeros and shift included, and target 30 is
+    out of reach.  (The tracked path answered target 30 here: each
+    defect entry that vanished to 25 was dropped from the head and then
+    read as an exact zero, hole A of ROADMAP item 2.)"""
+    p = 3
+    e, _ = _refine_form(_two_pieces(p, 25), 20)
+    assert len(e.head) == 4
+    assert {x.absolute_precision for x in [e.shift, *e.head.values()]} == {25}
+    assert e.head[(0, 0)].residue(25) == 1
+    with pytest.raises(NoConvergence):
+        _refine_form(_two_pieces(p, 25), 30)
+    # a 25-digit shift ends the same way
+    a = Diagonal(p, {0: Padic.from_int(28, p, 40), 1: Padic.from_int(27, p, 40)},
+                 Padic.from_int(1, p, 25))
+    assert op_agree(idempotent_refine(a, 20), Diagonal(p, {1: Padic.zero(p)}, Padic.one(p)), 20)
+    with pytest.raises(NoConvergence):
+        idempotent_refine(a, 30)
+
+
+def test_residue_path_certifies_nothing_past_its_inputs():
+    """Two reproductions of hole A (ROADMAP item 2) that the tracked path
+    answered: a precision-40 diagonal refined at target 60, and a lift
+    of O(3^5) I + E_00 at target 6.  On residues neither has the digits."""
+    d = Diagonal(3, {0: Padic.from_int(28, 3), 1: Padic.from_int(27, 3)})
+    with pytest.raises(NoConvergence):
+        idempotent_refine(d, 60)
+    a = Sum([ScalarMul(Padic.zero(3, 5), Identity(3)), FiniteMatrix(3, {(0, 0): Padic.one(3)})])
+    with pytest.raises(NoConvergence):
+        idempotent_lift(a, 6)
+    e = idempotent_lift(a, 5)
+    assert normalize(e).head == {(0, 0): Padic.one(3, 5)}
+
+
+def test_exact_zero_refines_and_lifts_to_the_zero_idempotent():
+    zero = FiniteMatrix(3, {})
+    e, defects = _refine_form(normalize(zero), 30)
+    assert e.shift.is_exact_zero and e.head == {} and defects == []
+    assert idempotent_refine(zero).entries == {}
+    assert idempotent_lift(zero).entries == {}
+
+
+def test_window_reads_and_writes_at_the_least_precision():
+    p = 3
+    nf = NormalForm(p, Padic.one(p, 30), None,
+                    {(0, 1): Padic.from_int(5 * 9, p, 40), (1, 0): Padic.zero(p, 33)})
+    (w,) = Window.read([nf])
+    assert (w.depth, w.rows, w.shift) == (30, [[1, 45], [0, 1]], 1)
+    back = w.form()
+    assert back.shift == Padic.one(p, 30)
+    assert back.head == {(0, 0): Padic.zero(p, 30), (0, 1): Padic.from_unit(p, 2, 5, 28),
+                         (1, 0): Padic.zero(p, 30), (1, 1): Padic.zero(p, 30)}
+    # p^1 times a form with a 1/3 entry is integral, and one digit deeper
+    half = NormalForm(p, Padic.zero(p), None, {(0, 0): Padic.one(p) / Padic.from_int(3, p)})
+    (w,) = Window.read([half], 1)
+    assert (w.depth, w.rows) == (40, [[1]])
+    with pytest.raises(NonIntegral):
+        Window.read([half])
+
+
+def test_equivalence_of_non_integral_idempotents():
+    """e = [[1, 1/3], [0, 0]] has norm 3, so the witness is formed on the
+    windows of 3e and 3f.  Its entries are certified to N - 1 = 38
+    digits, N = 39 the precision of the 1/3 entry, one fewer than the
+    tracked products carried: 3^2 (1 - u) is known mod 3^(N + 1)."""
+    p, target = 3, 30
+    e = fm(p, {(0, 0): 1, (0, 1): Fraction(1, 3)})
+    f = fm(p, {(0, 0): 1, (0, 1): Fraction(1, 3) + 9, (1, 1): 0})
+    assert op_agree(Product([f, f]), f, 40)
+    w = idempotent_equivalence(e, f, target)
+    assert op_agree(Product([w.u, e, w.u_inv]), f, target)
+    assert op_agree(Product([w.u, w.u_inv]), Identity(p), target)
+    assert op_agree(Product([w.u_inv, w.u]), Identity(p), target)
+    for op in (w.u, w.u_inv):
+        assert {x.absolute_precision for x in normalize(op).head.values()} == {38}

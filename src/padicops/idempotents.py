@@ -73,28 +73,28 @@ def idempotent_refine(a: Operator, target: int = 30) -> Operator:
     return e.to_operator()
 
 
-def _refine_form(nf: NormalForm, target: int) -> tuple[NormalForm, list]:
-    """idempotent_refine on a normal form.  Also returns the defect
-    e^2 - e after each step, as forms or windows: what _refine ran on.
+def _refine_form(a: NormalForm | Window, target: int) -> tuple[NormalForm, list]:
+    """idempotent_refine on a normal form or a residue window.  Also
+    returns the defect e^2 - e after each step, as forms or windows: what
+    _refine ran on.
 
-    A form of norm < 1 refines to the zero idempotent.  A tail-free form
-    of norm 1 refines on its residue window mod p^N: each iterate is an
-    integer polynomial in a, so e is known mod p^N at every entry
+    Anything of norm < 1 refines to the zero idempotent, exactly: an
+    idempotent e of norm < 1 is 0, since e = e^n -> 0.  A tail-free
+    form of norm 1 refines on its residue window mod p^N: each iterate is
+    an integer polynomial in a, so e is known mod p^N at every entry
     (residues.Window), and the loop, its stop rule and its checks are
     those of the tracked path.  A window certifies nothing past N, so
     N < target ends in NoConvergence.  Any other form, ||a|| > 1 or a
     structured tail, refines on normal forms with a bound per entry.
     """
-    p = nf.prime
-    norm_a = nf.norm()
+    norm_a = a.norm()
     if norm_a < ValuationBound.one():
-        # covers a = 0: anything of norm < 1 refines to the zero idempotent
-        return NormalForm.constant(p, Padic.zero(p)), []
-    if nf.tail is None and norm_a <= ValuationBound.one():
-        (window,) = Window.read([nf])
-        e, defects = _refine(window, norm_a, target)
-        return e.form(), defects
-    return _refine(nf, norm_a, target)
+        # covers a = 0
+        return NormalForm.constant(a.prime, Padic.zero(a.prime)), []
+    if isinstance(a, NormalForm) and a.tail is None and norm_a <= ValuationBound.one():
+        (a,) = Window.read([a])
+    e, defects = _refine(a, norm_a, target)
+    return (e.form() if isinstance(e, Window) else e), defects
 
 
 def _refine(a: NormalForm | Window, norm_a: ValuationBound, target: int) -> tuple:
@@ -488,7 +488,8 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
 
     All of it runs on a's residue window mod p^N, N the least absolute
     precision of a: x and e are integer polynomials in a, so e is
-    certified to exactly N at every entry (residues.Window), and a^2 is
+    certified to exactly N at every entry (residues.Window), unless x
+    vanishes mod p and e is the exact zero (_refine_form).  a^2 is
     formed once, for the defect and as x.  The defect's compactness is
     read off a's shift at the shift's own precision.  A structured tail
     raises Undecidable: its defect is a sum of two tails.
@@ -510,12 +511,10 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
         while not y.sub(b).norm() < ValuationBound.one():
             y, period = y.power(p), period + 1
         x = b.power(p**period - 1)
-    # x = 0 mod p refines to the zero idempotent, as in _refine_form
-    one = ValuationBound.one()
-    e = x.constant(0) if x.norm() < one else _refine(x, one, target)[0]
-    if e.sub(w).shift:
+    e, _ = _refine_form(x, target)
+    if not (e.shift - nf.shift).is_zero:
         raise CertificationFailed(target, "lifted idempotent does not agree with a modulo compacts")
-    return e.form().to_operator()
+    return e.to_operator()
 
 
 def _frobenius_cap(nf: NormalForm) -> int:

@@ -1,10 +1,13 @@
 """Operators as integer windows modulo p^N: the flat precision model.
 
 A tail-free normal form whose entries are integral is, modulo p^N, an
-n x n block of ints and an int shift: the block holds every entry of the
-window 0..n-1, the shift included on its diagonal, and past the window
-the operator is shift * I.  ``Window.read`` takes N to be the least
-absolute precision over the entries and shifts it reads.
+n x n block of ints and an int shift.  The block is indexed by the n
+sorted indices that occur in the head (its window), and holds every entry
+there, the shift included on its diagonal; off the window the operator
+is shift * I.  Products, sums and powers of forms read on one window are
+shift * I off it too, so the block is all they need, however far apart
+the indices.  ``Window.read`` takes N to be the least absolute precision
+over the entries and shifts it reads.
 
 Why the digits below p^N are certified: by the precision lemma of Caruso,
 Roe and Vaccon ("Tracking p-adic precision", 2014), an integer polynomial
@@ -33,23 +36,26 @@ from .scalars import DEFAULT_PRECISION, Padic, ValuationBound, _split
 
 
 class Window:
-    """An n x n int block and an int shift, both reduced mod p^depth."""
+    """An n x n int block on the sorted indices ``index`` and an int
+    shift, both reduced mod p^depth."""
 
-    __slots__ = ("prime", "depth", "modulus", "rows", "shift")
+    __slots__ = ("prime", "depth", "modulus", "index", "rows", "shift")
 
-    def __init__(self, prime: int, depth: int, rows: list[list[int]], shift: int):
+    def __init__(self, prime: int, depth: int, index: tuple[int, ...],
+                 rows: list[list[int]], shift: int):
         self.prime, self.depth, self.modulus = prime, depth, prime**depth
-        self.rows, self.shift = rows, shift
+        self.index, self.rows, self.shift = index, rows, shift
 
     @classmethod
     def read(cls, forms: list[NormalForm], scale: int = 0) -> list["Window"]:
-        """p^scale times each form, on one window and at one depth: n is
-        one past the largest head index and N the least absolute
-        precision, plus scale, over every entry and shift of the forms.
+        """p^scale times each form, on one window and at one depth: the
+        window is the sorted set of row and column indices in the forms'
+        heads, and N the least absolute precision, plus scale, over every
+        entry and shift of the forms.
         Exact data alone reads at DEFAULT_PRECISION.  A structured tail
         raises StructureError, an entry of p^scale * form outside Z_p
         NonIntegral."""
-        p, depth, size = forms[0].prime, None, 0
+        p, depth, seen = forms[0].prime, None, set()
         for nf in forms:
             if nf.tail is not None:
                 raise StructureError("a structured tail has no integer window")
@@ -60,10 +66,12 @@ class Window:
                 if not x.is_zero and x.valuation + scale < 0:
                     raise NonIntegral("a residue window needs integral entries")
                 depth = top + scale if depth is None else min(depth, top + scale)
-            for i, j in nf.head:
-                size = max(size, i + 1, j + 1)
+            seen.update(chain.from_iterable(nf.head))
         depth = DEFAULT_PRECISION if depth is None else depth
         mod = p**depth
+        index = tuple(sorted(seen))
+        at = {k: pos for pos, k in enumerate(index)}
+        size = len(index)
 
         def residue(x: Padic) -> int:
             return 0 if x.is_zero else x.unit * p ** (x.valuation + scale) % mod
@@ -73,8 +81,9 @@ class Window:
             shift = residue(nf.shift)
             rows = [[shift if i == j else 0 for j in range(size)] for i in range(size)]
             for (i, j), x in nf.head.items():
+                i, j = at[i], at[j]
                 rows[i][j] = (rows[i][j] + residue(x)) % mod
-            out.append(cls(p, depth, rows, shift))
+            out.append(cls(p, depth, index, rows, shift))
         return out
 
     def form(self) -> NormalForm:
@@ -87,7 +96,8 @@ class Window:
         def certified(x: int) -> Padic:
             return Padic.from_unit(p, 0, x, depth) if x % self.modulus else zero
 
-        head = {(i, j): certified(x - shift if i == j else x)
+        index = self.index
+        head = {(index[i], index[j]): certified(x - shift if i == j else x)
                 for i, row in enumerate(self.rows) for j, x in enumerate(row)}
         return NormalForm(p, certified(shift), None, head)
 
@@ -96,50 +106,34 @@ class Window:
         c %= self.modulus
         size = len(self.rows)
         rows = [[c if i == j else 0 for j in range(size)] for i in range(size)]
-        return Window(self.prime, self.depth, rows, c)
+        return Window(self.prime, self.depth, self.index, rows, c)
 
     # algebra ------------------------------------------------------------
 
     def mul(self, other: "Window", c: int = 1,
             addend: list[tuple[int, "Window"]] = ()) -> "Window":
         """c * self * other + the sum of k * F over the addend's pairs, for
-        exact ints c and k, as NormalForm.mul.  Each output row is formed
-        and reduced once."""
+        exact ints c and k, as NormalForm.mul, on one window.  Each output
+        row is formed and reduced once."""
         depth = min(self.depth, other.depth, *(f.depth for _, f in addend))
         mod = self.prime**depth
-        brows = other.rows
-        cols = list(zip(*brows))
+        cols = list(zip(*other.rows))
         rows = []
         for i, row in enumerate(self.rows):
-            if 2 * row.count(0) < len(row):
-                base = [0] * len(brows)  # row i of the addend
-                for k, f in addend:
-                    base = [x + k * y for x, y in zip(base, f.rows[i])]
-                rows.append([(c * sum(map(_times, row, col)) + b) % mod
-                             for col, b in zip(cols, base)])
-                continue
-            # a sparse row, as in a diagonal or a settled defect: only the
-            # nonzero terms of the addend's row i and of c * row * other
-            terms = [(k, f.rows[i]) for k, f in addend]
-            terms += [(c * a, brow) for a, brow in zip(row, brows) if a]
-            acc: dict[int, int] = {}
-            for k, frow in terms:
-                for j, y in enumerate(frow):
-                    if y:
-                        acc[j] = acc.get(j, 0) + k * y
-            out = [0] * len(brows)
-            for j, x in acc.items():
-                out[j] = x % mod
-            rows.append(out)
+            base = [0] * len(cols)  # row i of the addend
+            for k, f in addend:
+                base = [x + k * y for x, y in zip(base, f.rows[i])]
+            rows.append([(c * sum(map(_times, row, col)) + b) % mod
+                         for col, b in zip(cols, base)])
         shift = c * self.shift * other.shift + sum(k * f.shift for k, f in addend)
-        return Window(self.prime, depth, rows, shift % mod)
+        return Window(self.prime, depth, self.index, rows, shift % mod)
 
     def sub(self, other: "Window") -> "Window":
         depth = min(self.depth, other.depth)
         mod = self.prime**depth
         rows = [[(x - y) % mod for x, y in zip(row, orow)]
                 for row, orow in zip(self.rows, other.rows)]
-        return Window(self.prime, depth, rows, (self.shift - other.shift) % mod)
+        return Window(self.prime, depth, self.index, rows, (self.shift - other.shift) % mod)
 
     def defect(self) -> "Window":
         """self.self - self: zero when self is idempotent."""
@@ -159,7 +153,7 @@ class Window:
     def divide(self, k: int) -> "Window":
         """self / p^k for a window that vanishes to k: known to depth - k."""
         q = self.prime**k
-        return Window(self.prime, self.depth - k,
+        return Window(self.prime, self.depth - k, self.index,
                       [[x // q for x in row] for row in self.rows], self.shift // q)
 
     # exact queries --------------------------------------------------------

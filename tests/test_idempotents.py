@@ -935,6 +935,35 @@ def test_window_reads_and_writes_at_the_least_precision():
         Window.read([half])
 
 
+def test_far_indices_read_as_a_small_window(monkeypatch):
+    """A window holds only the indices that occur in the heads, so one
+    entry at a far index refines and lifts on a 1 x 1 block, and a
+    diagonal with two far entries on a 2 x 2 one: off the window every
+    form is its shift times I."""
+    p, far = 3, 10**4
+    sizes = []
+
+    def read(forms, scale=0, _read=Window.read):
+        out = _read(forms, scale)
+        sizes.append(len(out[0].index))
+        return out
+
+    monkeypatch.setattr(Window, "read", read)
+    a = FiniteMatrix(p, {(far, far): Padic.from_int(4, p, 40)})
+    for e in (idempotent_refine(a), idempotent_lift(a)):
+        assert normalize(e).head == {(far, far): Padic.one(p, 40)}
+    d = Diagonal(p, {far: Padic.from_int(4, p, 40), 2 * far: Padic.from_int(3, p, 40)},
+                 Padic.one(p, 40))
+    e = idempotent_lift(d)
+    assert normalize(e).shift == Padic.one(p, 40)
+    assert op_agree(e, Diagonal(p, {2 * far: Padic.zero(p)}, Padic.one(p)), 40)
+    monkeypatch.undo()
+    assert sizes == [1, 1, 2]
+    (w,) = Window.read([normalize(d)])
+    assert (w.index, w.rows, w.shift) == ((far, 2 * far), [[4, 0], [0, 3]], 1)
+    assert w.form().head[(2 * far, far)] == Padic.zero(p, 40)
+
+
 def test_equivalence_of_non_integral_idempotents():
     """e = [[1, 1/3], [0, 0]] has norm 3, so the witness is formed on the
     windows of 3e and 3f.  Its entries are certified to N - 1 = 38

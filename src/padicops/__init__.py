@@ -5,8 +5,7 @@ scale of finite matrices.
 """
 
 from .calculus import (binomial_series, certify_normal_contraction,
-                       functional_calculus, teichmuller_idempotent,
-                       zero_indicator_polynomial)
+                       functional_calculus, teichmuller_idempotent)
 from .config import ExperimentConfig, load_config
 from .errors import (CertificationFailed, DivisionByZero, NoConvergence,
                      NonIntegral, PadicError, ParseError, PrecisionExhausted,

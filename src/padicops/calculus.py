@@ -22,10 +22,9 @@ from .errors import (CertificationFailed, PreconditionFailed, StructureError,
 from .idempotents import _frobenius_cap, _refine_form
 from .io import exponent_str
 from .mahler import MahlerFunction
-from .operators import (Diagonal, NormalForm, Operator, nf_polynomial,
-                        nf_power, normalize)
-from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound,
-                      factorial_valuation, precision_of)
+from .operators import Diagonal, NormalForm, Operator, normalize
+from .residues import Window
+from .scalars import Padic, ValuationBound, factorial_valuation, precision_of
 
 
 def _check_product(n: int, product: NormalForm) -> ValuationBound:
@@ -149,17 +148,10 @@ def _series_error(z: Padic, depth: int, structural: bool) -> ValuationBound:
     return ValuationBound(best)
 
 
-def zero_indicator_polynomial(prime: int, precision: int = DEFAULT_PRECISION) -> tuple[Padic, ...]:
-    """Coefficients, constant first, of the P that is 1 at 0 and 0 at each
-    nonzero Teichmuller representative t: those t are the roots of
-    X^(p-1) - 1, so P = prod(X - t) / prod(-t) = 1 - X^(p-1) exactly."""
-    return (Padic.one(prime, precision), *[Padic.zero(prime)] * (prime - 2),
-            Padic.from_int(-1, prime, precision))
-
-
 def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, list[list]]:
-    """Limit e of x_k = P(A^{p^k}), k = 0, 1, ..., where P is the
-    zero-indicator polynomial.  A needs ||A|| <= 1, checked here
+    """Limit e of x_k = P(A^{p^k}), k = 0, 1, ..., where P = 1 - X^(p-1)
+    is 1 at 0 and 0 at each nonzero Teichmuller representative, the roots
+    of X^(p-1) - 1.  A needs ||A|| <= 1, checked here
     (CertificationFailed(1) otherwise).
 
     Phase 1 evaluates x_0, ..., x_K and stops at the first x_k that is
@@ -168,6 +160,11 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
     digits a step where x_k itself gains one digit per k.  The refined
     e is certified as refinement certifies: idempotent at the target
     depth and at distance < 1 from x_k.
+
+    Both phases run on A's residue window mod p^N, N the least absolute
+    precision of A: x_k and e are integer polynomials in A, so e is
+    certified to exactly N at every entry (residues.Window), unless x_k
+    vanishes mod p and e is the exact zero (_refine_form).
 
     The cap: a structured tail is refused, and K = _frobenius_cap(A),
     from which on A^{p^k} = S^(p^k) mod p, S the semisimple part of A.
@@ -187,17 +184,18 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
     (phase 2, k = 1, 2, ..., the defect after step k).
     """
     p = a.prime
-    b = normalize(a)
-    if b.tail is not None:
+    nf = normalize(a)
+    if nf.tail is not None:
         raise PreconditionFailed("a structured tail has no finite window to bound phase 1")
-    _check_product(1, b)
+    _check_product(1, nf)
+    (b,) = Window.read([nf])
+    one = b.constant(1)
     cap = _frobenius_cap(b)
-    coeffs = zero_indicator_polynomial(p, precision_of(b))
     trace: list[list] = []
     for k in range(cap + 1):
         if k:
-            b = nf_power(b, p)
-        x = nf_polynomial(b, coeffs)
+            b = b.power(p)
+        x = one.sub(b.power(p - 1))
         gap = x.defect().norm()
         trace.append([1, k, exponent_str(gap)])
         if gap < ValuationBound.one():
@@ -205,4 +203,3 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
             trace += [[2, i, exponent_str(d.norm())] for i, d in enumerate(defects, 1)]
             return e.to_operator(), trace
     raise PreconditionFailed(f"A mod p has an eigenvalue outside F_p (k = 0..{cap})")
-

@@ -177,7 +177,8 @@ def idempotent_equivalence(e: Operator, f: Operator,
     p^2s (1 - u) = p^s (e + f) - 2 p^s f p^s e is integral, so u and
     u^-1 are integer polynomials in those windows and are certified to
     exactly N - s at every entry, N the least absolute precision of e
-    and f (residues.Window).
+    and f (residues.Window).  The iteration runs to that depth, so
+    u u^-1 = 1 mod p^(N - s), past the target.
     """
     p = e.prime
     nfe, nff = normalize(e), normalize(f)
@@ -187,12 +188,11 @@ def idempotent_equivalence(e: Operator, f: Operator,
     s = max([0] + [-x.valuation for nf in (nfe, nff)
                    for x in (nf.shift, *nf.head.values()) if not x.is_zero])
     ps = p**s
-    for name, nf in (("e", nfe), ("f", nff)):
-        (x,) = Window.read([nf], s)
+    we, wf = Window.read([nfe, nff], s)
+    for name, x in (("e", we), ("f", wf)):
         # p^2s (x^2 - x) = (p^s x)^2 - p^s (p^s x)
         if not x.mul(x, addend=[(-ps, x)]).vanishes_to(target + 2 * s):
             raise PreconditionFailed(f"{name} is not idempotent at the target depth")
-    we, wf = Window.read([nfe, nff], s)
     dist = we.sub(wf).norm()  # of p^s (e - f)
     if not dist < ValuationBound(s - norm_e.exponent):
         raise PreconditionFailed(
@@ -202,7 +202,7 @@ def idempotent_equivalence(e: Operator, f: Operator,
         raise PreconditionFailed("1 - u fails to be a contraction; inputs are not close enough")
     one = we.constant(1)
     u = one.sub(w.divide(2 * s))
-    inv, residual = _newton_schulz_inverse(u, target)
+    inv, residual = _newton_schulz_inverse(u)
     for gap in (residual, inv.mul(u, addend=[(-1, one)])):
         if not gap.vanishes_to(target):
             raise CertificationFailed(target, "inverse verification failed")
@@ -212,15 +212,16 @@ def idempotent_equivalence(e: Operator, f: Operator,
     return EquivalenceWitness(u.form().to_operator(), inv.form().to_operator())
 
 
-def _newton_schulz_inverse(u: Window, target: int) -> tuple[Window, Window]:
+def _newton_schulz_inverse(u: Window) -> tuple[Window, Window]:
     """Right inverse x of u, for ||1 - u|| < 1, and its residual r = 1 - u x.
     From x = 1, the fused products x' = x.r + x and r = -u.x' + 1 square
-    the residual at each step, so bit_length(target) steps reach
-    p^(-target) unless the window's depth runs out."""
+    the residual at each step, so bit_length(N) steps make it vanish mod
+    p^N, N the depth of u: x is then the inverse to every digit the
+    window certifies."""
     one = u.constant(1)
     x, residual = one, one.sub(u)
-    for _ in range(target.bit_length()):
-        if residual.vanishes_to(target):
+    for _ in range(u.depth.bit_length()):
+        if residual.vanishes_to(u.depth):
             break
         x = x.mul(residual, addend=[(1, x)])
         residual = u.mul(x, -1, addend=[(1, one)])
@@ -506,7 +507,7 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
     x = w.mul(w)
     if not x.sub(w).norm() < ValuationBound.one():
         p = nf.prime
-        b = w.power(p ** _frobenius_cap(nf))
+        b = w.power(p ** _frobenius_cap(w))
         y, period = b.power(p), 1
         while not y.sub(b).norm() < ValuationBound.one():
             y, period = y.power(p), period + 1
@@ -517,10 +518,9 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
     return e.to_operator()
 
 
-def _frobenius_cap(nf: NormalForm) -> int:
-    """The least K with p^K >= n, n = 1 + the largest index in nf's head
-    (1 for an empty head).  Mod p, nf is s*I off that window and S + N
-    on it, with S semisimple, N nilpotent and SN = NS.  So N^n = 0 and
+def _frobenius_cap(w: Window) -> int:
+    """The least K with p^K >= n, n = len(w.index), the number of indices
+    that occur.  Mod p, w is s*I off its n x n block and S + N on it,
+    with S semisimple, N nilpotent and SN = NS.  So N^n = 0 and
     (S + N)^(p^K) = S^(p^K) + N^(p^K) = S^(p^K) mod p."""
-    window = 1 + max((max(ij) for ij in nf.head), default=0)
-    return next(k for k in count() if nf.prime ** k >= window)
+    return next(k for k in count() if w.prime ** k >= len(w.index))

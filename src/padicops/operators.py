@@ -671,18 +671,6 @@ def nf_polynomial(nf: NormalForm, coeffs) -> NormalForm:
     return acc
 
 
-def nf_power(nf: NormalForm, n: int) -> NormalForm:
-    """nf^n for n >= 1, by binary powering."""
-    out, base = None, nf
-    while n:
-        if n & 1:
-            out = base if out is None else out.mul(base)
-        n >>= 1
-        if n:
-            base = base.mul(base)
-    return out
-
-
 # -- benchmark constructor ----------------------------------------------
 
 

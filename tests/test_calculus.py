@@ -3,19 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from padicops import calculus
 from padicops.calculus import (binomial_series, certify_normal_contraction,
-                               functional_calculus, teichmuller_idempotent,
-                               zero_indicator_polynomial)
+                               functional_calculus, teichmuller_idempotent)
 from padicops.errors import (CertificationFailed, PreconditionFailed,
                              Undecidable)
 from padicops.idempotents import sum_ring_generators
 from padicops.mahler import MahlerFunction, mahler_expand
-from padicops.operators import (Diagonal, FiniteMatrix, Identity, NormalForm,
-                                Product, nf_polynomial, normalize, op_agree,
-                                weighted_shift_matrix)
+from padicops.operators import (Diagonal, FiniteMatrix, Identity, Product,
+                                normalize, op_agree, weighted_shift_matrix)
 from padicops.scalars import (Padic, ValuationBound, binomial_padic,
-                              factorial_valuation, teichmuller)
+                              factorial_valuation)
 
 
 def diag(p, values):
@@ -254,24 +251,6 @@ def test_certificate_undecidable_on_structured_tails():
         certify_normal_contraction(up, 3)
 
 
-def test_zero_indicator_polynomial():
-    # evaluated at a constant form t * I, as teichmuller_idempotent
-    # evaluates it at A^(p^k): 1 at 0, 0 at each nonzero representative
-    def at(p, coeffs, t):
-        return nf_polynomial(NormalForm.constant(p, t), coeffs).shift
-
-    for p in (2, 3, 5, 7, 11):
-        coeffs = zero_indicator_polynomial(p)
-        assert len(coeffs) == p
-        # P = 1 - X^(p-1), with exact zeros between
-        assert coeffs[0] == Padic.one(p) and coeffs[-1] == -Padic.one(p)
-        assert all(c.is_zero and c.precision is None for c in coeffs[1:-1])
-        assert (at(p, coeffs, Padic.zero(p)) - Padic.one(p)).vanishes_to(35)
-        for i in range(1, p):
-            t = teichmuller(Padic.from_int(i, p))
-            assert at(p, coeffs, t).vanishes_to(35)
-
-
 def test_teichmuller_idempotent_diagonal():
     p = 5
     values = [1, 7, 5, 0, 25, 3]
@@ -304,22 +283,31 @@ def test_teichmuller_idempotent_jordan_block():
     assert op_agree(e, Diagonal(p, {0: Padic.zero(p), 1: Padic.zero(p)}, Padic.one(p)), 30)
 
 
-def test_teichmuller_idempotent_refuses_eigenvalue_outside_fp(monkeypatch):
+def test_teichmuller_idempotent_refuses_eigenvalue_outside_fp():
     # [[0, 2], [1, 0]] squares to 2 I: its eigenvalues mod 3 are the square
-    # roots of -1, outside F_3.  The 2 x 2 window caps phase 1 at k = 1, so
-    # two evaluations of P settle it.
+    # roots of -1, outside F_3.  The 2 x 2 window caps phase 1 at k = 1.
     p = 3
     a = FiniteMatrix(p, {(0, 1): Padic.from_int(2, p), (1, 0): Padic.one(p)})
-    evaluations = []
-
-    def counted(nf, coeffs):
-        evaluations.append(nf)
-        return nf_polynomial(nf, coeffs)
-
-    monkeypatch.setattr(calculus, "nf_polynomial", counted)
-    with pytest.raises(PreconditionFailed, match="eigenvalue outside F_p"):
+    with pytest.raises(PreconditionFailed, match=r"eigenvalue outside F_p \(k = 0\.\.1\)"):
         teichmuller_idempotent(a)
-    assert len(evaluations) == 2
+
+
+def _far_block(p, rows, at):
+    """rows on the indices at, at + 1, ...: a window far from 0."""
+    return FiniteMatrix(p, {(at + i, at + j): Padic.from_int(v, p) for i, row in enumerate(rows)
+                            for j, v in enumerate(row) if v})
+
+
+def test_teichmuller_cap_counts_the_indices_that_occur():
+    # two indices occur, however large they are, so 3^1 >= 2 caps
+    # phase 1 at k = 1
+    p, at = 3, 10**4
+    with pytest.raises(PreconditionFailed, match=r"eigenvalue outside F_p \(k = 0\.\.1\)"):
+        teichmuller_idempotent(_far_block(p, [[0, 2], [1, 0]], at))
+    e, trace = teichmuller_idempotent(_far_block(p, [[1, 1], [0, 1]], at))
+    assert [row[:2] for row in trace if row[0] == 1] == [[1, 0], [1, 1]]
+    zeros = {at: Padic.zero(p), at + 1: Padic.zero(p)}
+    assert op_agree(e, Diagonal(p, zeros, Padic.one(p)), 30)
 
 
 def test_teichmuller_idempotent_refuses_structured_tail():

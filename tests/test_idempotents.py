@@ -325,33 +325,34 @@ def _vp_fraction(q, p):
     return v
 
 
-@pytest.mark.parametrize("target", [1, 16, 30, 32])
-def test_newton_schulz_inverse_at_the_contraction_edge(target):
+@pytest.mark.parametrize("depth", [1, 16, 30, 32])
+def test_newton_schulz_inverse_at_the_contraction_edge(depth):
     """||1 - u|| = p^-1 is the largest norm the equivalence allows and
-    the slowest start for the residual, which squares at each step."""
+    the slowest start for the residual, which squares at each step until
+    it vanishes to the window's depth."""
     p, n = 3, 4
-    rng = random.Random(target)
+    rng = random.Random(depth)
     m = [[rng.randrange(p**3) for _ in range(n)] for _ in range(n)]
     m[0][0] = 1
-    w = normalize(_int_operator([[p * v for v in row] for row in m], p))
-    assert w.norm() == ValuationBound(1)
-    (window,) = Window.read([w])
+    head = {(i, j): _ball(p, p * v, depth) for i, row in enumerate(m) for j, v in enumerate(row)}
+    (window,) = Window.read([NormalForm(p, Padic.zero(p), None, head)])
     u = window.constant(1).sub(window)
-    x, residual = _newton_schulz_inverse(u, target)
-    assert residual.vanishes_to(target)
+    assert u.depth == depth
+    x, residual = _newton_schulz_inverse(u)
+    assert residual.vanishes_to(u.depth)
     exact_u = [[Fraction(int(i == j) - p * m[i][j]) for j in range(n)] for i in range(n)]
     exact_inv = _fraction_inverse(exact_u)
-    x_mat = [[Fraction(v) for v in row] for row in _residues(x.form().to_operator(), n, target, p)]
+    x_mat = [[Fraction(v) for v in row] for row in _residues(x.form().to_operator(), n, depth, p)]
     ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for prod in (_int_matmul(exact_u, x_mat), _int_matmul(x_mat, exact_u)):
         for i in range(n):
             for j in range(n):
                 v = _vp_fraction(prod[i][j] - ident[i][j], p)
-                assert v is None or v >= target
+                assert v is None or v >= depth
     for i in range(n):
         for j in range(n):
             v = _vp_fraction(x_mat[i][j] - exact_inv[i][j], p)
-            assert v is None or v >= target
+            assert v is None or v >= depth
 
 
 # -- equivalence -----------------------------------------------------------
@@ -662,7 +663,8 @@ def test_lift_of_a_jordan_block_takes_one_frobenius_step():
     # a^2 - a is a unit off the diagonal, and a mod 3 has a nilpotent part
     # that a^3 = [[1, 3], [0, 1]] has lost
     rows = [[1, 1], [0, 1]]
-    assert _frobenius_cap(normalize(_window(rows, 3))) == 1
+    (w,) = Window.read([normalize(_window(rows, 3))])
+    assert _frobenius_cap(w) == 1
     e = idempotent_lift(_window(rows, 3), 30)
     assert op_agree(e, FiniteMatrix(3, {(0, 0): Padic.one(3), (1, 1): Padic.one(3)}), 30)
 
@@ -799,9 +801,10 @@ def test_residue_path_holds_on_the_precision_ball(p, n, routine, target, rng):
     random point of the input ball, the exact idempotent (or u^-1),
     iterated in plain ints mod p^K with K above every input precision,
     agrees with the output mod p^min(N, v), v >= target the valuation of
-    the output's own defect e^2 - e (or residual 1 - u u^-1): the
-    iterations stop at the target, so past v an output digit is a digit
-    of the computed iterate, which the ball fixes, not of the limit."""
+    the output's own defect e^2 - e: refinement stops at the target, so
+    past v an output digit is a digit of the computed iterate, which the
+    ball fixes, not of the limit.  The inverse iteration runs to N, so
+    there 1 - u u^-1 vanishes mod p^N and u^-1 agrees mod p^N."""
     e = _idempotent_rows(rng, p, n)
     tops = [[rng.randint(target, target + 8) for _ in range(n)] for _ in range(n)]
     K = target + 20
@@ -857,6 +860,7 @@ def test_residue_path_holds_on_the_precision_ball(p, n, routine, target, rng):
         ident = [[int(r == c) for c in range(n)] for r in range(n)]
         gap = [[x - y for x, y in zip(r, q)] for r, q in zip(_int_matmul(u, inv), ident)]
         v = _vanishing_depth(gap, inv_shift - 1, p, depth)
+        assert v == depth
     else:
         ((rows, shift),) = got
         gap = [[x - y for x, y in zip(r, q)] for r, q in zip(_int_matmul(rows, rows), rows)]

@@ -196,10 +196,11 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
         if k:
             b = b.power(p)
         x = one.sub(b.power(p - 1))
-        gap = x.defect().norm()
+        defect = x.defect()
+        gap = defect.norm()
         trace.append([1, k, exponent_str(gap)])
         if gap < ValuationBound.one():
-            e, defects = _refine_form(x, target)
+            e, defects = _refine_form(x, target, defect)
             trace += [[2, i, exponent_str(d.norm())] for i, d in enumerate(defects, 1)]
             return e.to_operator(), trace
     raise PreconditionFailed(f"A mod p has an eigenvalue outside F_p (k = 0..{cap})")

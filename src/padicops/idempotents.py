@@ -63,29 +63,33 @@ def idempotent_refine(a: Operator, target: int = 30) -> Operator:
     Requires ||a^2 - a|| < 1 / ||a||^2.  Iterates refinement_polynomial(2),
     e <- 3e^2 - 2e^3 = e + d(1 - 2e) with d = e^2 - e: two products a
     step, and the defect squares, so k steps reach the order of
-    refinement_polynomial(2^k).  Stops once the step and the new defect
-    vanish below p^(-target); the output e is checked to satisfy
+    refinement_polynomial(2^k).  The output e is checked to satisfy
     ||a - e|| < min(1/||a||, 1).  When ||a|| <= 1 and a has no tail, e is
     computed on residues mod p^N, N the least absolute precision of a,
-    and every entry of e is certified to exactly N (see _refine_form).
+    every entry of e is certified to exactly N, and e^2 = e mod p^N (see
+    _refine_form).  Otherwise refinement stops once the step and the new
+    defect vanish below p^(-target).
     """
     e, _ = _refine_form(normalize(a), target)
     return e.to_operator()
 
 
-def _refine_form(a: NormalForm | Window, target: int) -> tuple[NormalForm, list]:
+def _refine_form(a: NormalForm | Window, target: int,
+                 defect: Window | None = None) -> tuple[NormalForm, list]:
     """idempotent_refine on a normal form or a residue window.  Also
     returns the defect e^2 - e after each step, as forms or windows: what
-    _refine ran on.
+    _refine ran on.  A caller that holds the defect of a window a passes
+    it, so it is not formed again.
 
     Anything of norm < 1 refines to the zero idempotent, exactly: an
     idempotent e of norm < 1 is 0, since e = e^n -> 0.  A tail-free
     form of norm 1 refines on its residue window mod p^N: each iterate is
     an integer polynomial in a, so e is known mod p^N at every entry
-    (residues.Window), and the loop, its stop rule and its checks are
-    those of the tracked path.  A window certifies nothing past N, so
+    (residues.Window).  There the loop runs to its fixed point mod p^N,
+    e idempotent mod p^N, which is the depth the window certifies, so
     N < target ends in NoConvergence.  Any other form, ||a|| > 1 or a
-    structured tail, refines on normal forms with a bound per entry.
+    structured tail, refines on normal forms with a bound per entry and
+    stops at the target (_refine).
     """
     norm_a = a.norm()
     if norm_a < ValuationBound.one():
@@ -93,49 +97,65 @@ def _refine_form(a: NormalForm | Window, target: int) -> tuple[NormalForm, list]
         return NormalForm.constant(a.prime, Padic.zero(a.prime)), []
     if isinstance(a, NormalForm) and a.tail is None and norm_a <= ValuationBound.one():
         (a,) = Window.read([a])
-    e, defects = _refine(a, norm_a, target)
+    e, defects = _refine(a, norm_a, target, defect)
     return (e.form() if isinstance(e, Window) else e), defects
 
 
-def _refine(a: NormalForm | Window, norm_a: ValuationBound, target: int) -> tuple:
+def _refine(a: NormalForm | Window, norm_a: ValuationBound, target: int,
+            defect: NormalForm | Window | None = None) -> tuple:
     """The refinement of a NormalForm or a residue Window a of norm
-    norm_a >= 1, and the defect after each step.
+    norm_a >= 1, from its defect a^2 - a (formed here unless given), and
+    the defect after each step.
 
     A step is two fused products, each entry rounded once:
-    e' = d.e.(-2) + d + e and d' = e'.e' - e'.  The step e' - e = d(1 - 2e)
-    is never formed: its norm is at most ||d|| max(1, ||e||), so it
-    vanishes to the target once d does, past it by the valuation of e
-    when ||e|| > 1.
+    e' = d.e.(-2) + d + e and d' = e'.e' - e'.  A step sends d to
+    d^2(4d - 3), so the defect's valuation, at least 1 by the
+    precondition, at least doubles a step.
 
-    A step sends d to d^2(4d - 3), so the defect's valuation, at least 1
-    by the precondition, at least doubles a step: target.bit_length() + 1
-    steps take it, and the step that follows it, past the target.  More
-    steps would not help, so NoConvergence after them means the digits
-    ran out.
+    On a window of depth N the loop stops at its fixed point mod p^N: at
+    the first defect that vanishes mod p^N, where every later step
+    d(1 - 2e) returns e unchanged.  So e is idempotent mod p^N, exactly
+    what Window.form certifies, and (N - 1).bit_length() steps reach it;
+    a window with N < target raises NoConvergence before any step.  This
+    takes at most the steps of the target rule below when N <= 2 target,
+    and the steps the certificate needs when N is larger.
+
+    On normal forms the loop stops once the step and the new defect
+    vanish to the target.  The step is never formed: its norm is at most
+    ||d|| max(1, ||e||), so it vanishes to the target once d does, past
+    it by the valuation of e when ||e|| > 1.  target.bit_length() + 1
+    steps take the defect, and the step that follows it, past the
+    target.  More steps would not help, so NoConvergence after them
+    means the digits ran out.
     """
-    defect = a.defect()
+    if defect is None:
+        defect = a.defect()
     gap = defect.norm()
     limit = ValuationBound(-2 * norm_a.exponent)
     if not gap < limit:
         raise PreconditionFailed(
             f"defect norm exponent {exponent_str(gap)} must exceed "
             f"{limit.exponent} (norm of a: exponent {norm_a.exponent})")
-    e = a
-    defects = []
-    steps = target.bit_length() + 1
-    for _ in range(steps):
-        settled = _step_vanishes(defect, e, target)
+    window = isinstance(a, Window)
+    if window and a.depth < target:
+        raise NoConvergence(0, f"the window certifies {a.depth} digits, fewer than the target")
+    steps = (a.depth - 1).bit_length() if window else target.bit_length() + 1
+    e, defects, settled = a, [], False
+    while True:
+        fixed = defect.vanishes_to(a.depth) if window else settled and defect.vanishes_to(target)
+        if fixed:
+            _check_refinement_distance(a, e, norm_a)
+            return e, defects
+        if len(defects) == steps:
+            raise NoConvergence(steps, "refinement steps never met the target depth")
+        if not window:
+            settled = _step_vanishes(defect, e, target)
         e = defect.mul(e, -2, addend=[(1, defect), (1, e)])
         defect = e.defect()
         defects.append(defect)
-        if settled and defect.vanishes_to(target):
-            _check_refinement_distance(a, e, norm_a)
-            return e, defects
-    raise NoConvergence(steps, "refinement steps never met the target depth")
 
 
-def _step_vanishes(defect: NormalForm | Window, e: NormalForm | Window,
-                   target: int) -> bool:
+def _step_vanishes(defect: NormalForm, e: NormalForm, target: int) -> bool:
     """Whether the step d(1 - 2e) of a refinement vanishes to the target:
     each of its entries is a sum of terms of valuation at least that of
     an entry of d plus min(0, v), with p^-v the norm of e."""
@@ -214,13 +234,15 @@ def idempotent_equivalence(e: Operator, f: Operator,
 
 def _newton_schulz_inverse(u: Window) -> tuple[Window, Window]:
     """Right inverse x of u, for ||1 - u|| < 1, and its residual r = 1 - u x.
-    From x = 1, the fused products x' = x.r + x and r = -u.x' + 1 square
-    the residual at each step, so bit_length(N) steps make it vanish mod
-    p^N, N the depth of u: x is then the inverse to every digit the
-    window certifies."""
+    From x = 2 - u, the first iterate after 1, and r = 1 - u x, the
+    fused products x' = x.r + x and r = -u.x' + 1 square the residual at
+    each step, so bit_length(N) - 1 further steps make it vanish mod p^N,
+    N the depth of u: x is then the inverse to every digit the window
+    certifies."""
     one = u.constant(1)
-    x, residual = one, one.sub(u)
-    for _ in range(u.depth.bit_length()):
+    x = u.constant(2).sub(u)
+    residual = u.mul(x, -1, addend=[(1, one)])
+    for _ in range(u.depth.bit_length() - 1):
         if residual.vanishes_to(u.depth):
             break
         x = x.mul(residual, addend=[(1, x)])
@@ -482,7 +504,7 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
     a^2 - a is compact.  ``budget`` is ignored: nothing is searched.
 
     e refines a power x of a that is, mod p, the Fitting idempotent of
-    a: x = a^2 when ||a^2 - a|| < 1.  Otherwise b = a^(p^K), K from
+    a: x = a itself when ||a^2 - a|| < 1.  Otherwise b = a^(p^K), K from
     _frobenius_cap, is semisimple mod p, so its eigenvalues lie in the
     field of p^D elements for the least D >= 1 with b^(p^D) = b mod p,
     and x = b^(p^D - 1) sends each nonzero one to 1.
@@ -490,8 +512,12 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
     All of it runs on a's residue window mod p^N, N the least absolute
     precision of a: x and e are integer polynomials in a, so e is
     certified to exactly N at every entry (residues.Window), unless x
-    vanishes mod p and e is the exact zero (_refine_form).  a^2 is
-    formed once, for the defect and as x.  The defect's compactness is
+    vanishes mod p and e is the exact zero (_refine_form).  The defect
+    a^2 - a is formed once, as one fused product, to test ||a^2 - a|| < 1
+    and as the refinement's first defect when x = a: refining a^2 instead
+    would form (a^2)^2 - a^2 again, and both reach the same fixed point
+    mod p^N, the one idempotent of Z/p^N[a] that lifts a mod p.  The
+    defect's compactness is
     read off a's shift at the shift's own precision.  A structured tail
     raises Undecidable: its defect is a sum of two tails.
     """
@@ -504,15 +530,15 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
         raise Undecidable(f"expression has no closed structured form: {exc}") from exc
     if not (nf.shift * nf.shift - nf.shift).is_zero:
         raise PreconditionFailed("defect a^2 - a is not certified compact")
-    x = w.mul(w)
-    if not x.sub(w).norm() < ValuationBound.one():
+    x, defect = w, w.defect()
+    if not defect.norm() < ValuationBound.one():
         p = nf.prime
         b = w.power(p ** _frobenius_cap(w))
         y, period = b.power(p), 1
         while not y.sub(b).norm() < ValuationBound.one():
             y, period = y.power(p), period + 1
-        x = b.power(p**period - 1)
-    e, _ = _refine_form(x, target)
+        x, defect = b.power(p**period - 1), None
+    e, _ = _refine_form(x, target, defect)
     if not (e.shift - nf.shift).is_zero:
         raise CertificationFailed(target, "lifted idempotent does not agree with a modulo compacts")
     return e.to_operator()

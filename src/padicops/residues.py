@@ -22,6 +22,17 @@ the least depth among its operands.
 The arithmetic mirrors ``NormalForm``'s (``mul`` with an exact int
 coefficient and an addend, ``defect``, ``norm``, ``vanishes_to``), so a
 routine written against one runs on the other.
+
+Products pack rows (Kronecker substitution; Dumas, Fousse and Salvy,
+"Simultaneous modular reduction and Kronecker substitution for small
+finite fields", 2011): a row of n entries becomes one int with entry j in
+bits [W j, W (j + 1)), so one product of a small int by a packed row
+makes n entry products, and a sum of such terms adds slot by slot.  That
+is exact as long as no slot overflows or goes negative: every term is
+made nonnegative, and W is wide enough for the largest sum a slot can
+hold, (|c| n + T + 1) M^2 for an n x n product with coefficient c and T
+addends, M the largest modulus among the operands.  Each slot is then
+read off and reduced mod p^N once.
 """
 
 from __future__ import annotations
@@ -113,18 +124,48 @@ class Window:
     def mul(self, other: "Window", c: int = 1,
             addend: list[tuple[int, "Window"]] = ()) -> "Window":
         """c * self * other + the sum of k * F over the addend's pairs, for
-        exact ints c and k, as NormalForm.mul, on one window.  Each output
-        row is formed and reduced once."""
+        exact ints c and k, as NormalForm.mul, on one window.
+
+        Each row of other, and of each F, is packed into one int, entry j
+        in the slot of bits [W j, W (j + 1)).  Row i of the result is then
+        c sum_k a_ik P_k + sum_t k'_t Q_ti + B, with P_k row k of other,
+        Q_ti row i of F_t, k' = k mod p^depth, and B = 0 when c >= 0 or
+        else |c| n M^2 in every slot: n + T + 1 products of an int by a
+        packed row, T the number of addends.  M is the largest modulus
+        among the operands, so every entry is below M and p^depth divides
+        M^2.  Then each slot holds a sum in [0, (|c| n + T + 1) M^2), below
+        2^W, so no carry or borrow crosses into the next, and it is the
+        entry of the plain triple loop plus B's slot, a multiple of
+        p^depth.  Each slot is read off and reduced once, so the result is
+        that of the plain triple loop, bit for bit, for every n."""
         depth = min(self.depth, other.depth, *(f.depth for _, f in addend))
         mod = self.prime**depth
-        cols = list(zip(*other.rows))
+        n = len(self.rows)
+        top = max(self.modulus, other.modulus, *(f.modulus for _, f in addend))
+        width = ((abs(c) * n + len(addend) + 1) * top * top).bit_length()
+        mask = (1 << width) - 1
+        slots = range(0, width * n, width)
+        bias = sum([1 << s for s in slots]) * n * top * top * -c if c < 0 else 0
+        packed: dict[Window, list[int]] = {}
+
+        def pack(w: Window) -> list[int]:
+            if w not in packed:
+                packed[w] = []
+                for row in w.rows:
+                    acc = 0
+                    for x in reversed(row):
+                        acc = acc << width | x
+                    packed[w].append(acc)
+            return packed[w]
+
+        cols = pack(other)
+        terms = [(k % mod, pack(f)) for k, f in addend]
         rows = []
         for i, row in enumerate(self.rows):
-            base = [0] * len(cols)  # row i of the addend
-            for k, f in addend:
-                base = [x + k * y for x, y in zip(base, f.rows[i])]
-            rows.append([(c * sum(map(_times, row, col)) + b) % mod
-                         for col, b in zip(cols, base)])
+            acc = c * sum(map(_times, row, cols)) + bias
+            for k, q in terms:
+                acc += k * q[i]
+            rows.append([(acc >> s & mask) % mod for s in slots])
         shift = c * self.shift * other.shift + sum(k * f.shift for k, f in addend)
         return Window(self.prime, depth, self.index, rows, shift % mod)
 

@@ -174,6 +174,16 @@ def _minor_rank(op: Operator, size: int, prime: int, threshold: int) -> int:
     return 0
 
 
+def _idempotent_to_its_digits(e: Operator, target: int) -> bool:
+    """Whether e.e agrees with e to d, the least absolute precision among
+    e's entries and shift: the depth e's own digits claim (the target for
+    exact data, such as an exact zero)."""
+    nf = normalize(e)
+    tops = [x.absolute_precision for x in (nf.shift, *nf.head.values())]
+    d = min((top for top in tops if top is not None), default=target)
+    return op_agree(Product([e, e]), e, d)
+
+
 def _sparse_noise(rng: random.Random, size: int, scale: int,
                   prime: int, precision: int) -> dict[tuple[int, int], Padic]:
     out = {}
@@ -379,6 +389,8 @@ def _c07_idempotent_refinement(cfg: ExperimentConfig) -> tuple[bool, str]:
         refined = idempotent_refine(a, target)
         if not op_agree(Product([refined, refined]), refined, target):
             return False, f"refinement output not idempotent (trial {trial})"
+        if not _idempotent_to_its_digits(refined, target):
+            return False, f"refinement output not idempotent to its certified depth (trial {trial})"
         if not op_norm(a - refined) < ValuationBound.one():
             return False, f"refinement strayed too far (trial {trial})"
     # per-coordinate scalar oracle on a diagonal instance
@@ -548,6 +560,8 @@ def _c11_idempotent_lifting(cfg: ExperimentConfig) -> tuple[bool, str]:
         lifted = idempotent_lift(a, target=target)
         if not op_agree(Product([lifted, lifted]), lifted, target):
             return False, f"lift not idempotent (trial {trial})"
+        if not _idempotent_to_its_digits(lifted, target):
+            return False, f"lift not idempotent to its certified depth (trial {trial})"
         if not is_compact(lifted - a):
             return False, f"lift defect not compact (trial {trial})"
         if rows is None:

@@ -214,6 +214,71 @@ def test_refine_operator_products(monkeypatch):
     assert len(calls[Window]) <= 16 and not calls[NormalForm]
 
 
+def _count_window_products(monkeypatch, fn, *args):
+    """fn(*args) and the number of Window.mul calls it made."""
+    calls = []
+
+    def counted(self, other, *rest, _mul=Window.mul, **kwargs):
+        calls.append(1)
+        return _mul(self, other, *rest, **kwargs)
+
+    monkeypatch.setattr(Window, "mul", counted)
+    out = fn(*args)
+    monkeypatch.undo()
+    return out, len(calls)
+
+
+def test_window_products_per_answer(monkeypatch):
+    """At depth 40 and target 30.  Refine: the defect, then four steps of
+    two products, the defect's valuation running 3, 7, 15, 31, 63; the
+    fourth defect already vanishes mod 3^40.  Lift: its fused defect
+    a^2 - a is the refinement's first defect, and the valuations 2, 5,
+    11, 23, 47 take four steps to the fixed point mod 3^40 (refining a^2
+    took 12 products: a^2, its defect and five steps).  Equivalence:
+    Newton-Schulz starts from 2 - u, one product fewer than from 1 (16)."""
+    rng = random.Random(0)
+    a = _int_operator(_near_idempotent(rng, 5, 3))
+    e, count = _count_window_products(monkeypatch, idempotent_refine, a)
+    assert count == 9 and op_agree(Product([e, e]), e, 40)
+    a = _int_operator(_near_idempotent(rng, 8, 2))
+    e, count = _count_window_products(monkeypatch, idempotent_lift, a)
+    assert count == 9 and op_agree(Product([e, e]), e, 40)
+    u, u_inv = _unimodular(rng, 4)
+    d = [[int(i == j and i < 2) for j in range(4)] for i in range(4)]
+    e = _int_matmul(_int_matmul(u, d), u_inv)
+    near = [row[:] for row in e]
+    near[0][1] += 9
+    near[2][3] += 18
+    f = idempotent_refine(_int_operator(near))
+    w, count = _count_window_products(monkeypatch, idempotent_equivalence, _int_operator(e), f)
+    assert count == 15
+    assert op_agree(Product([w.u, _int_operator(e), w.u_inv]), f, 30)
+
+
+def test_an_idempotent_window_refines_in_no_steps(monkeypatch):
+    """A window already idempotent mod p^N is its own fixed point: the
+    one product is its defect."""
+    p = 3
+    e = rank_one(p, [1, 2, 0], [1, 0, 5])
+    (w,) = Window.read([normalize(e)])
+    (out, defects), count = _count_window_products(monkeypatch, _refine_form, w, 30)
+    assert defects == [] and count == 1
+    assert out.head == w.form().head
+
+
+def test_refinement_runs_to_the_depth_it_certifies():
+    """A 5 x 5 near-idempotent read at precision 100, target 30: e is
+    certified to 100, so e^2 - e must vanish mod 3^100.  Stopping at the
+    target left it at 3^-63."""
+    p = 3
+    rows = _near_idempotent(random.Random(3), 5, 3)
+    a = FiniteMatrix(p, {(i, j): Padic.from_int(v, p, 100)
+                         for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+    (w,) = Window.read([normalize(idempotent_refine(a, 30))])
+    assert w.depth == 100
+    assert w.defect().norm() == ValuationBound.zero()
+
+
 def test_refine_step_makes_one_sum_outside_its_fused_products(monkeypatch):
     """On normal forms, a step is two fused products and no sum of its
     own: the update e + d(1 - 2e) is one fused product.  With the step
@@ -797,14 +862,12 @@ def _vanishing_depth(rows, shift, p, depth):
 def test_residue_path_holds_on_the_precision_ball(p, n, routine, target, rng):
     """Refine, lift and equiv on integral inputs whose entries carry
     uneven absolute precision, certified zeros among them.  Every output
-    entry is certified to exactly N, the least input precision.  For a
-    random point of the input ball, the exact idempotent (or u^-1),
-    iterated in plain ints mod p^K with K above every input precision,
-    agrees with the output mod p^min(N, v), v >= target the valuation of
-    the output's own defect e^2 - e: refinement stops at the target, so
-    past v an output digit is a digit of the computed iterate, which the
-    ball fixes, not of the limit.  The inverse iteration runs to N, so
-    there 1 - u u^-1 vanishes mod p^N and u^-1 agrees mod p^N."""
+    entry is certified to exactly N, the least input precision.  Both
+    iterations run to their fixed point mod p^N, so the output's own
+    defect e^2 - e (or 1 - u u^-1) vanishes mod p^N, and for a random
+    point of the input ball the exact idempotent (or u^-1), iterated in
+    plain ints mod p^K with K above every input precision, agrees with
+    the output mod p^N."""
     e = _idempotent_rows(rng, p, n)
     tops = [[rng.randint(target, target + 8) for _ in range(n)] for _ in range(n)]
     K = target + 20
@@ -860,13 +923,12 @@ def test_residue_path_holds_on_the_precision_ball(p, n, routine, target, rng):
         ident = [[int(r == c) for c in range(n)] for r in range(n)]
         gap = [[x - y for x, y in zip(r, q)] for r, q in zip(_int_matmul(u, inv), ident)]
         v = _vanishing_depth(gap, inv_shift - 1, p, depth)
-        assert v == depth
     else:
         ((rows, shift),) = got
         gap = [[x - y for x, y in zip(r, q)] for r, q in zip(_int_matmul(rows, rows), rows)]
         v = _vanishing_depth(gap, shift**2 - shift, p, depth)
-    assert v >= target
-    m = p ** min(depth, v)
+    assert v == depth >= target
+    m = p**depth
     for (rows, shift), (want_rows, want_shift) in zip(got, want):
         assert [[x % m for x in row] for row in rows] == [[x % m for x in row] for row in want_rows]
         assert shift % m == want_shift % m

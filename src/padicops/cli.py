@@ -29,7 +29,7 @@ from .io import (exponent_str, file_header, mahler_from_obj, mahler_to_obj,
 from .mahler import mahler_eval, mahler_expand
 from .operators import normalize, op_norm, truncate
 from .scale import scale_minor_probe, willis_scale_finite
-from .scalars import ValuationBound, precision_of
+from .scalars import ValuationBound
 from .verify import run_all
 
 _PRECONDITION_ERRORS = (PreconditionFailed, CertificationFailed, NonIntegral,
@@ -163,8 +163,10 @@ def _cmd_calculus_teich(args) -> int:
 
 def _cmd_calculus_fz(args) -> int:
     depth = _at_least("--depth", args.depth, 0)
-    a = _read_operator(args.infile)
-    z = scalar_from_text(args.z, a.prime, precision_of(a))
+    obj = _read_json(args.infile)
+    p, prec, _ = file_header(obj)
+    a = operator_from_obj(obj)
+    z = scalar_from_text(args.z, p, prec)
     result, error = binomial_series(a, z, depth)
     _emit({"result": operator_to_obj(result),
            "error_exponent": exponent_str(error)})

@@ -129,26 +129,11 @@ def _assemble(prime: int, terms: dict, tail: "_Tail | None", addend) -> "NormalF
                 raise StructureError("sum of two structured tails has no normal form")
             tail = (form.tail.map(k.__mul__) if scalar else form.tail if k == 1
                     else form.tail.map(partial(_times, k)))
-        if scalar:
-            # k * x joins as the product term (k, x)
-            _put(terms, None, _product_term(k, form.shift))
-            for key, x in form.head.items():
-                _put(terms, key, _product_term(k, x))
-            continue
-        _put(terms, None, _linear_term(k, form.shift))
-        jk, uk = _split(k, prime)
+        # a scalar k joins k * x as the product term (k, x)
+        term = partial(_product_term if scalar else _linear_term, k)
+        _put(terms, None, term(form.shift))
         for key, x in form.head.items():
-            val = x.valuation
-            if val is None:
-                _put(terms, key, _linear_term(k, x))
-                continue
-            val += jk
-            term = val, x.unit * uk, val + x.precision
-            lst = terms.get(key)
-            if lst is None:
-                terms[key] = [term]
-            else:
-                lst.append(term)
+            _put(terms, key, term(x))
     shift = _round(prime, terms.pop(None, []))
     return NormalForm(prime, shift, tail, _nonzero((key, _round(prime, lst))
                                                    for key, lst in terms.items()))
@@ -191,16 +176,9 @@ class NormalForm:
                     yield d, j
 
     def values(self) -> Iterator[Padic]:
-        """The entry at each of positions(), in that order.  Where no
-        shift or tail meets a position, that is the head value itself."""
-        if self.tail is not None:
-            for i, j in self.positions():
-                yield self.entry(i, j)
-        elif self.shift.is_zero:
-            yield from self.head.values()
-        else:
-            for (i, j), v in self.head.items():
-                yield v + self.shift if i == j else v
+        """The entry at each of positions(), in that order."""
+        for i, j in self.positions():
+            yield self.entry(i, j)
 
     def column(self, j: int) -> PadicVector:
         return self.apply(PadicVector.basis(self.prime, j, precision_of(self)))
@@ -248,11 +226,10 @@ class NormalForm:
             addend: list[tuple[int, "NormalForm"]] = ()) -> "NormalForm":
         """c * self * other + the sum of k * F over the addend's pairs
         (k, F), for an exact int c != 0 and k as in combine: the contract
-        C <- alpha A B + beta C of level-3 BLAS.  The terms of each output
-        position, the addend's among them, are gathered as int triples in
-        the order they are first reached and summed once by _round.  Each
-        head entry's valuation, unit and precision are read once, and c
-        is folded into the triples of self."""
+        C <- alpha A B + beta C of level-3 BLAS.  Each term v * w is formed
+        by _product_term, with c folded in as an exact coefficient, and
+        filed by _put under its position; the terms of each position, the
+        addend's among them, are summed once by _round."""
         a, b = self, other
         p = a.prime
         tail: _Tail | None = None
@@ -268,55 +245,13 @@ class NormalForm:
             tail = tail.map(partial(_times, c))
         jc, uc = _split(c, p)
         terms: dict = {}
-        # the head of a by column k, as (i, val, unit, top) scaled by c; a
-        # certified zero is (d, 0, d) and an exact zero adds nothing
-        acols: dict[int, list[tuple[int, int, int, int]]] = {}
+        # the head of a by column k, as (i, v)
+        acols: dict[int, list[tuple[int, Padic]]] = {}
         for (i, k), v in a.head.items():
-            val = v.valuation
-            if val is not None:
-                val += jc
-                row = i, val, v.unit * uc, val + v.precision
-            elif v.precision is not None:
-                val = v.precision + jc
-                row = i, val, 0, val
-            else:
-                continue
-            col = acols.get(k)
-            if col is None:
-                acols[k] = [row]
-            else:
-                col.append(row)
-        # the head of b by column j, as (k, val, unit, top) where a meets k
-        bcols: dict[int, list[tuple[int, int, int, int]]] = {}
+            acols.setdefault(k, []).append((i, v))
         for (k, j), w in b.head.items():
-            if k in acols:
-                val = w.valuation
-                if val is not None:
-                    row = k, val, w.unit, val + w.precision
-                elif w.precision is not None:
-                    row = k, w.precision, 0, w.precision
-                else:
-                    continue
-                col = bcols.get(j)
-                if col is None:
-                    bcols[j] = [row]
-                else:
-                    col.append(row)
-        for j, col in bcols.items():
-            cells: dict[int, list[tuple[int, int, int]]] = {}
-            for k, vb, ub, tb in col:
-                for i, va, ua, ta in acols[k]:
-                    top = ta + vb
-                    if tb + va < top:
-                        top = tb + va
-                    term = va + vb, ua * ub, top
-                    lst = cells.get(i)
-                    if lst is None:
-                        cells[i] = [term]
-                    else:
-                        lst.append(term)
-            for i, lst in cells.items():
-                terms[i, j] = lst
+            for i, v in acols.get(k, ()):
+                _put(terms, (i, j), _product_term(v, w, jc, uc))
         if not a.shift.is_zero:
             for key, w in b.head.items():
                 _put(terms, key, _product_term(a.shift, w, jc, uc))
@@ -329,11 +264,8 @@ class NormalForm:
                 if d is not None:
                     _put(terms, (d, j), _product_term(a.tail.coeff_at(k), w, jc, uc))
         if b.tail is not None and a.head:
-            arows: dict[int, list[tuple[int, Padic]]] = {}
-            for (i, k), v in a.head.items():
-                arows.setdefault(k, []).append((i, v))
             relevant: set[int] = set(b.tail.coeff)
-            for k in arows:
+            for k in acols:
                 j = b.tail.preimage(k)
                 if j is not None:
                     relevant.add(j)
@@ -342,7 +274,7 @@ class NormalForm:
                 if d is None:
                     continue
                 w = b.tail.coeff_at(j)
-                for i, v in arows.get(d, ()):
+                for i, v in acols.get(d, ()):
                     _put(terms, (i, j), _product_term(v, w, jc, uc))
         _put(terms, None, _product_term(a.shift, b.shift, jc, uc))
         return _assemble(p, terms, tail, addend)

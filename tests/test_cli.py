@@ -209,6 +209,17 @@ def test_calculus_fz_depth_and_error(capsys, opfile):
     assert json.loads(out)["error_exponent"] == "1"
 
 
+def test_calculus_fz_reads_z_at_the_file_precision(capsys, tmp_path):
+    # an operator with no nonzero scalar carries no precision of its own,
+    # so only the header can say that a 60-digit z fits
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"p": 3, "precision": 80, "kind": "finite", "entries": []}))
+    code, out, err = run(capsys, "calculus", "fz", "--in", str(path),
+                         "--z", "3^1*" + "1" * 60, "--depth", "4")
+    assert code == 0, err
+    assert json.loads(out)["result"]["precision"] == 80
+
+
 def test_calculus_teich_trace(capsys, opfile, tmp_path):
     path = opfile(diag(5, [7, 5]))
     tracefile = tmp_path / "trace.tsv"

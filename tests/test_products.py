@@ -56,13 +56,17 @@ def test_cancelled_partial_sum_of_forms_keeps_its_bound():
     assert entry.absolute_precision == 10
 
 
-def test_diagonal_product_makes_one_scalar_product_per_entry(monkeypatch):
+@pytest.mark.parametrize("dense, n, rounds, terms", [(False, 12, 12 + 1, 12), (True, 6, 6 * 6 + 1, 6**3)],
+                         ids=["diagonal", "dense"])
+def test_diagonal_product_makes_one_scalar_product_per_entry(monkeypatch, dense, n, rounds, terms):
     # each entry of a product of diagonals has one term; a loop over all
-    # row/column pairs would make n^2 of them.  The terms are int triples,
-    # the shifts' product among them, so no scalar product is made.
-    p, n = 3, 12
-    a = normalize(FiniteMatrix(p, {(i, i): Padic.from_int(i + 1, p) for i in range(n)}))
-    b = normalize(FiniteMatrix(p, {(i, i): Padic.from_int(2 * i + 1, p) for i in range(n)}))
+    # row/column pairs would make n^2 of them.  A dense n x n head has n
+    # terms an entry.  The terms are int triples, the shifts' product
+    # among them, so no scalar product is made.
+    p = 3
+    cells = [(i, k) for i in range(n) for k in range(n) if dense or i == k]
+    a = normalize(FiniteMatrix(p, {(i, k): Padic.from_int(i + k + 1, p) for i, k in cells}))
+    b = normalize(FiniteMatrix(p, {(k, j): Padic.from_int(2 * k + j + 1, p) for k, j in cells}))
     seen = {"round": 0, "terms": 0, "mul": 0}
     rnd, mul = operators._round, Padic.__mul__
 
@@ -78,9 +82,9 @@ def test_diagonal_product_makes_one_scalar_product_per_entry(monkeypatch):
     monkeypatch.setattr(operators, "_round", counting_round)
     monkeypatch.setattr(Padic, "__mul__", counting_mul)
     c = a.mul(b)
-    # n entries and the shift, a sum of no term
-    assert seen == {"round": n + 1, "terms": n, "mul": 0}
-    assert c.head == {(i, i): Padic.from_int((i + 1) * (2 * i + 1), p) for i in range(n)}
+    # the head's entries and the shift, a sum of no term
+    assert seen == {"round": rounds, "terms": terms, "mul": 0}
+    assert {key: _triple(v) for key, v in c.head.items()} == _want(p, _entry_terms(a, b, n))
 
 
 # -- property: NormalForm.mul and apply against a plain-int oracle -------------------

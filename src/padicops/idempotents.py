@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable
 
-from .errors import (CertificationFailed, NoConvergence, PreconditionFailed,
-                     StructureError, Undecidable)
+from .errors import (CertificationFailed, NoConvergence, PrecisionExhausted,
+                     PreconditionFailed, StructureError, Undecidable)
 from .io import exponent_str
 from .linalg import reduce_columns
 from .operators import (FiniteMatrix, IndexMap, NormalForm, Operator,
-                        Product, Sum, _applier, _nonzero, normalize)
+                        Product, Sum, _applier, normalize)
 from .polynomials import IntPolynomial
 from .residues import Window
 from .scalars import Padic, ValuationBound, precision_of
@@ -328,20 +328,40 @@ def matrix_rank(entries: dict[tuple[int, int], Padic]) -> int:
     return sum(col is not None for col in reduced)
 
 
-def finite_rank_reduce(f: Operator, target: int = 30) -> int:
+def finite_rank_reduce(f: Operator) -> int:
     """K0 integer of a finite-rank idempotent: its rank over Q_p."""
-    return _form_rank(normalize(f), target)
+    return _form_rank(normalize(f))
 
 
-def _form_rank(nf: NormalForm, target: int) -> int:
-    """finite_rank_reduce on a normal form: the rank of its refined head."""
+def _form_rank(nf: NormalForm) -> int:
+    """finite_rank_reduce on a normal form: the trace of its head a, as an
+    idempotent's rank over Q_p is its trace (Hattori, Stallings).  With
+    ||a|| = p^s >= 1 and v(d) > 2s, d = a^2 - a, refinement reaches an
+    idempotent e with ||e - a|| <= ||d|| ||a||, so rank e = trace a mod
+    p^(v(d) - s).  On w = p^s a mod p^N, certified zeros included, the rank
+    is the one r in [0, n] with p^s r = trace w mod p^(min(v(p^2s d), N) - 2s)."""
     if not nf.shift.is_zero:
         raise PreconditionFailed("operator has an identity component; not finite rank")
     if nf.tail is not None and not nf.tail.default.is_zero:
         raise PreconditionFailed("structured tail with nonzero default; not finite rank")
-    head = _nonzero((pos, nf.entry(*pos)) for pos in nf.positions())
-    e, _ = _refine_form(NormalForm(nf.prime, Padic.zero(nf.prime), None, head), target)
-    return matrix_rank(e.head)
+    p = nf.prime
+    a = NormalForm(p, Padic.zero(p), None, {pos: nf.entry(*pos) for pos in nf.positions()})
+    norm_a = a.norm()
+    if norm_a < ValuationBound.one():
+        return 0
+    s = -norm_a.exponent
+    (w,) = Window.read([a], s)
+    gap = w.mul(w, addend=[(-p**s, w)]).norm()  # of p^2s d
+    if not gap < ValuationBound(4 * s):
+        raise PreconditionFailed(f"defect valuation {gap.exponent - 2 * s} must exceed {2 * s}")
+    k = (w.depth if gap.is_zero else gap.exponent) - 3 * s
+    trace = sum(row[i] for i, row in enumerate(w.rows))
+    ranks = [r for r in range(len(w.index) + 1) if (p**s * r - trace) % p ** max(k + s, 0) == 0]
+    if len(ranks) > 1:
+        raise PrecisionExhausted(f"the trace is known mod p^{k}: ranks {ranks} all match")
+    if not ranks:
+        raise CertificationFailed(k, "no rank matches the trace")
+    return ranks[0]
 
 
 # -- sum-ring generators --------------------------------------------------
@@ -436,7 +456,7 @@ def k0_trivialize(e: Operator, target: int = 30, prefix: int = 16) -> dict:
         }
     nff, nfg = _split_forms(e, nfe, target)
     g = nfg.to_operator()
-    rank = _form_rank(nff, target)
+    rank = _form_rank(nff)
     gens = sum_ring_generators(p)
     moves = tuple(_applier(op) for op in (gens.first_to_all, gens.all_to_first,
                                            gens.up, gens.down))

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicops import idempotents, linalg, operators
-from padicops.errors import (NoConvergence, NonIntegral, PreconditionFailed,
-                             Undecidable)
-from padicops.idempotents import (_frobenius_cap, _newton_schulz_inverse,
+from padicops.config import ExperimentConfig
+from padicops.errors import (NoConvergence, NonIntegral, PrecisionExhausted,
+                             PreconditionFailed, Undecidable)
+from padicops.idempotents import (_form_rank, _frobenius_cap, _newton_schulz_inverse,
                                   _refine, _refine_form, cantor_pair,
                                   cantor_unpair, column_projection,
                                   finite_rank_reduce,
@@ -23,8 +24,9 @@ from padicops.operators import (Diagonal, FiniteMatrix, Identity, IndexMap,
 from padicops.polynomials import IntPolynomial
 from padicops.residues import Window
 from padicops.scalars import Padic, ValuationBound, teichmuller
-from padicops.verify import _fitting_idempotent_mod_p
+from padicops.verify import _c12_rank_invariance, _fitting_idempotent_mod_p
 from padicops.vectors import PadicVector
+from test_products import forms
 
 
 def fm(p, table):
@@ -563,6 +565,128 @@ def test_finite_rank_reduce():
     assert finite_rank_reduce(fm(p, {(0, 0): 1, (0, 1): 27})) == 1
     with pytest.raises(PreconditionFailed):
         finite_rank_reduce(Identity(p))
+    # d = diag(20, 0, 0): the trace 7 is known mod 2^2, and 3 is the one
+    # rank in [0, 3] it allows, although 2^2 <= 3
+    assert finite_rank_reduce(diag(2, [5, 1, 1])) == 3
+    # one more 1 and the trace 8 allows 0 and 4 (refinement sends 5 to 1
+    # and answered 4)
+    with pytest.raises(PrecisionExhausted, match=r"ranks \[0, 4\]"):
+        finite_rank_reduce(diag(2, [5, 1, 1, 1]))
+    # ||a|| = 3^2: v(d) = 5 > 2s = 4, so k = 5 - 2 = 3 and the trace
+    # 2 + 3^5 is 2 mod 3^3
+    a = fm(p, {(0, 0): 1, (0, 1): Fraction(1, 9), (2, 2): 3**5, (3, 3): 1})
+    assert finite_rank_reduce(a) == 2
+    # refinement's precondition v(d) > 2s: v(d) = 0 at s = 0, and at s = 1
+    # [[1, 1/2], [0, 8]] has d = [[0, 4], [0, 56]], so v(d) = 2
+    with pytest.raises(PreconditionFailed):
+        finite_rank_reduce(diag(3, [2]))
+    with pytest.raises(PreconditionFailed, match="valuation 2 must exceed 2"):
+        finite_rank_reduce(fm(2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 1): 8}))
+    assert finite_rank_reduce(fm(2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 1): 16})) == 1
+    # a diagonal zero certified to depth bounds the window, so the trace 4
+    # is known mod 2^depth (the refined head dropped the zero and answered
+    # 4 at depth 2 from 40 digits it did not have)
+    def four_ones_and_a_zero(depth):
+        head = {(i, i): Padic.one(2) for i in range(4)}
+        return NormalForm(2, Padic.zero(2), None, {**head, (4, 4): Padic.zero(2, depth)})
+
+    with pytest.raises(PrecisionExhausted):
+        _form_rank(four_ones_and_a_zero(2))
+    assert _form_rank(four_ones_and_a_zero(3)) == 4
+
+
+def test_rank_neither_refines_nor_eliminates(monkeypatch):
+    """The K0 rank is a trace on one residue window: c12 and a trivialize
+    transcript with non-integral columns run with the refinement loop
+    and the column reduction refusing, except for the one reduction of
+    the split's column projection."""
+    reduce_columns = linalg.reduce_columns
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rank path refined or eliminated")
+
+    monkeypatch.setattr(idempotents, "_refine", refuse)
+    monkeypatch.setattr(linalg, "reduce_columns", refuse)
+    monkeypatch.setattr(idempotents, "reduce_columns", refuse)
+    assert _c12_rank_invariance(ExperimentConfig()) == (
+        True, "50 conjugated projections, ranks recovered exactly")
+    calls = []
+
+    def split_only(columns):
+        calls.append(1)
+        return reduce_columns(columns)
+
+    monkeypatch.setattr(idempotents, "reduce_columns", split_only)
+    e = fm(3, {(0, 0): Fraction(1, 3), (0, 1): Fraction(2, 3),
+               (1, 0): Fraction(1, 3), (1, 1): Fraction(2, 3), (2, 2): 1})
+    assert k0_trivialize(e)["classes"] == {"finite_rank": 1, "contractive": 0}
+    assert len(calls) == 1
+
+
+def _fraction_rank(rows):
+    """The rank over Q of a matrix of Fractions, by plain elimination."""
+    rows, rank = [row[:] for row in rows], 0
+    for c in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _scaled(x, k):
+    """p^k x, built directly: a certified zero's bound moves by k too."""
+    if x.is_zero:
+        return Padic.zero(x.prime, x.precision + k)
+    return Padic(x.prime, x.valuation + k, x.unit, x.precision)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rank_matches_a_fraction_rank_oracle(data):
+    """finite_rank_reduce on conjugated projections g [[1, X], [0, 0]] g^-1
+    of norm p^s > 1, g unimodular and X a block with a denominator p^s, plus
+    noise from the forms strategy scaled past valuation 3s: then
+    v(d) > 2s, refinement's precondition.  Let q be the least noise
+    valuation or absolute precision of an entry, so the trace is known
+    mod p^(q - 2s) at least.  The rank equals the oracle's, and is
+    refused only where p^(q - 2s) <= n leaves several ranks possible."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(2, 5))
+    r = data.draw(st.integers(1, n - 1))
+    s = data.draw(st.integers(1, 3))
+    units = st.integers(1, p**3).filter(lambda u: u % p)
+    block = [[Fraction(data.draw(units), p ** data.draw(st.integers(0, s)))
+              for _ in range(n - r)] for _ in range(r)]
+    block[0][0] = Fraction(data.draw(units), p**s)
+    rows = [[Fraction(int(i == j)) for j in range(r)] + block[i] if i < r else [Fraction(0)] * n
+            for i in range(n)]
+    g, g_inv = _unimodular(data.draw(st.randoms(use_true_random=False)), n)
+    rows = _int_matmul(_int_matmul(g, rows), g_inv)
+    prec = data.draw(st.integers(4 * s + 1, 4 * s + 6))
+    noise = {pos: _scaled(v, 3 * s + 6) for pos, v in data.draw(forms(p, n, False, False)).head.items()}
+    head = {}
+    for i in range(n):
+        for j in range(n):
+            v = Padic.from_fraction(rows[i][j], p, prec)
+            if (i, j) in noise:
+                v = v + noise[(i, j)]
+            if not v.is_exact_zero:
+                head[(i, j)] = v
+    q = min([x.absolute_precision for x in head.values()]
+            + [x.precision if x.is_zero else x.valuation for x in noise.values()])
+    want = _fraction_rank(rows)
+    assert want == r
+    for call in (lambda: finite_rank_reduce(FiniteMatrix(p, head)),
+                 lambda: _form_rank(NormalForm(p, Padic.zero(p), None, head))):
+        try:
+            assert call() == want
+        except PrecisionExhausted:
+            assert p ** (q - 2 * s) <= n
 
 
 # -- sum ring ------------------------------------------------------------------

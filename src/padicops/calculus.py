@@ -2,86 +2,98 @@
 
 An operator A is a normal contraction when every binom(A, n) has norm at
 most 1, that is when each falling product A(A-1)...(A-(n-1)) = n! binom(A, n)
-has norm at most p^(-v_p(n!)).  One walk forms those products and checks
-that bound on each one it forms, so every routine here certifies exactly
-the terms it uses; contractive diagonals satisfy it for all n.  On top of
-that walk sit evaluation of a coefficient sequence at A (a sum of divided
-binomial powers), the geometric-style series in binom(A-1, n), and the
-limit of indicator polynomials along A, A^p, A^{p^2}, ...
+vanishes mod p^(v_p(n!)).  One walk forms them on A's residue window
+(residues.Window) and checks that bound on each, so every routine here
+certifies exactly the terms it uses; contractive diagonals satisfy it for
+all n.  On top of that walk sit evaluation of a coefficient sequence at A
+(a sum of divided falling products), the geometric-style series in
+binom(A-1, n), and the limit of indicator polynomials along A, A^p, ...
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, count, islice, repeat, takewhile
+from functools import partial
+from itertools import accumulate, chain, count, islice, repeat, takewhile
 from math import factorial
 from operator import mul
 from typing import Iterable, Iterator
 
-from .errors import (CertificationFailed, PreconditionFailed, StructureError,
-                     Undecidable)
+from .errors import CertificationFailed, PrecisionExhausted, PreconditionFailed
 from .idempotents import _frobenius_cap, _refine_form
 from .io import exponent_str
 from .mahler import MahlerFunction
 from .operators import Diagonal, NormalForm, Operator, normalize
 from .residues import Window
-from .scalars import Padic, ValuationBound, factorial_valuation, precision_of
+from .scalars import Padic, ValuationBound, _linear_term, _split, factorial_valuation, precision_of
 
 
-def _check_product(n: int, product: NormalForm) -> ValuationBound:
-    """The norm of the falling product n! binom(A, n), or
-    CertificationFailed(n) when it exceeds p^(-v_p(n!)), that is when
-    ||binom(A, n)|| > 1."""
+def _contraction_window(a: Operator, *operands) -> Window:
+    """A's residue window mod p^N, or PreconditionFailed for a structured
+    tail and CertificationFailed(1) for ||A|| > 1.  An exact A reads at
+    precision_of(A, *operands), as a constant written for them would."""
+    nf = normalize(a)
+    if nf.tail is not None:
+        raise PreconditionFailed("a structured tail has no finite window")
+    if nf.norm() > ValuationBound.one():
+        raise CertificationFailed(1, f"step 1: norm exponent {exponent_str(nf.norm())}, need at least 0")
+    (w,) = Window.read([nf], exact=precision_of(nf, *operands))
+    return w
+
+
+def _check_product(n: int, product: Window) -> ValuationBound:
+    """The norm of the falling product n! binom(A, n) once it vanishes
+    mod p^(v_p(n!)), that is ||binom(A, n)|| <= 1: CertificationFailed(n)
+    when it does not, PrecisionExhausted when v_p(n!) is past N."""
+    required = factorial_valuation(n, product.prime)
+    if required > product.depth:
+        raise PrecisionExhausted(f"step {n}: v_p(n!) = {required} is past the depth {product.depth} of A")
     achieved = product.norm()
-    required = ValuationBound(factorial_valuation(n, product.prime))
-    if achieved > required:
+    if not product.vanishes_to(required):
         raise CertificationFailed(
-            n, f"step {n}: norm exponent {exponent_str(achieved)}, "
-               f"need at least {required.exponent}")
+            n, f"step {n}: norm exponent {exponent_str(achieved)}, need at least {required}")
     return achieved
 
 
-def _falling_products(nf_a: NormalForm, prec: int) -> Iterator[tuple[NormalForm, ValuationBound]]:
-    """A(A-1)...(A-(n-1)) = n! binom(A, n) and its norm for n = 0, 1, 2,
-    ..., the one loop that forms the binomial terms, each as the fused
-    product F.A - (n-1) F of the one before.  Each is checked by
-    _check_product; a product with no closed structured form raises
-    Undecidable."""
-    p = nf_a.prime
-    product = NormalForm.constant(p, Padic.one(p, prec))
+def _falling_products(w: Window) -> Iterator[tuple[Window, ValuationBound]]:
+    """A(A-1)...(A-(n-1)) = n! binom(A, n) on A's window w and its norm for
+    n = 0, 1, 2, ..., each the fused product F.w - (n-1) F of the one
+    before, checked by _check_product."""
+    product = w.constant(1)
     yield product, ValuationBound.one()
     for n in count(1):
-        try:
-            product = product.mul(nf_a, addend=[(1 - n, product)])
-        except StructureError as exc:
-            raise Undecidable(f"step {n}: {exc}") from exc
+        product = product.mul(w, addend=[(1 - n, product)])
         yield product, _check_product(n, product)
 
 
 def certify_normal_contraction(a: Operator, depth: int) -> list[tuple[int, ValuationBound]]:
-    """Check ||A(A-1)...(A-(n-1))|| <= p^(-v_p(n!)), that is
-    ||binom(A, n)|| <= 1, for every n <= depth.
-
-    Returns the rows (n, norm of the falling product).  A failing n
-    raises CertificationFailed(n); a product with no closed structured
-    form raises Undecidable.
-    """
-    nf = normalize(a)
-    products = islice(_falling_products(nf, precision_of(nf)), 1, depth + 1)
+    """The rows (n, norm of A(A-1)...(A-(n-1))) for n = 1..depth, each
+    checked: ||binom(A, n)|| <= 1, else CertificationFailed(n).  See
+    _contraction_window and _check_product for the other refusals."""
+    products = islice(_falling_products(_contraction_window(a)), 1, depth + 1)
     return [(n, norm) for n, (_, norm) in enumerate(products, 1)]
 
 
-def _binomial_walk(nf_a: NormalForm, coefficients: Iterable[Padic], prec: int) -> NormalForm:
-    """Sum of c_n * binom(A, n), forming and checking the falling products
-    only up to the last coefficient.  Only an exact zero c_n is skipped:
-    a certified one adds its bound."""
-    p = nf_a.prime
-    acc = NormalForm.constant(p, Padic.zero(p))
+def _binomial_sum(w: Window, coefficients: Iterable) -> NormalForm:
+    """Sum of c_n * binom(A, n) on A's window w, each c_n a term (val, unit,
+    top) as scalars._round sums them, or None for an exact zero.  With
+    n! = p^j u, binom(A, n) = u^-1 F_n / p^j is known mod p^(N - j), of
+    valuation b, so c_n binom(A, n) is known to min(val + N - j, top + b),
+    and the sum to the least of these, at which it is written back once."""
+    p, depth, terms = w.prime, None, []
     # coefficients first: zip stops there without forming one more product
-    for n, (c, (product, _)) in enumerate(zip(coefficients, _falling_products(nf_a, prec))):
-        if not c.is_exact_zero:
-            term = product.divide_entries(Padic.from_int(factorial(n), p, prec))
-            acc = NormalForm.combine([(1, acc), (c, term)])
-    return acc
+    for n, (c, (product, _)) in enumerate(zip(coefficients, _falling_products(w))):
+        if c is None:
+            continue
+        val, unit, top = c
+        j, u = _split(factorial(n), p)
+        binom = product.divide(j)
+        b = binom.norm().exponent  # None: binom(A, n) vanishes mod p^(N - j)
+        known = val + binom.depth if b is None else min(val + binom.depth, top + b)
+        depth = known if depth is None else min(depth, known)
+        terms.append((p**val * unit * pow(u, -1, binom.modulus), binom))
+    if depth is None:
+        return NormalForm.constant(p, Padic.zero(p))
+    return Window.combine(terms, depth).form()
 
 
 def _contractive_diagonal(a: Operator) -> bool:
@@ -101,8 +113,7 @@ def functional_calculus(a: Operator, fn: MahlerFunction) -> tuple[Operator, Valu
     """
     if not (fn.tail_bound.is_zero or _contractive_diagonal(a)):
         raise PreconditionFailed("a nonzero tail bound needs a contractive diagonal")
-    nf_a = normalize(a)
-    acc = _binomial_walk(nf_a, fn.coefficients, precision_of(nf_a, fn))
+    acc = _binomial_sum(_contraction_window(a, fn), (_linear_term(1, c) for c in fn.coefficients))
     return acc.to_operator(), fn.tail_bound
 
 
@@ -116,13 +127,11 @@ def binomial_series(a: Operator, z: Padic, depth: int) -> tuple[Operator, Valuat
     """
     if z.norm > ValuationBound(1):
         raise PreconditionFailed("series parameter needs norm <= 1/p")
-    p = a.prime
-    prec = precision_of(a, z)
-    nf_a = normalize(a)
-    _check_product(1, nf_a)
-    nf = nf_a.sub(NormalForm.constant(p, Padic.one(p, prec)))
-    powers = accumulate(repeat(z, depth), mul, initial=Padic.one(p, prec))
-    acc = _binomial_walk(nf, takewhile(lambda zpow: not zpow.is_exact_zero, powers), prec)
+    w = _contraction_window(a, z)
+    powers = map(partial(_linear_term, 1), islice(accumulate(repeat(z), mul), depth))
+    # z^0 binom(A - 1, 0) = 1, known to N on the window
+    terms = chain([(0, 1, w.depth)], takewhile(lambda term: term is not None, powers))
+    acc = _binomial_sum(w.sub(w.constant(1)), terms)
     return acc.to_operator(), _series_error(z, depth, _contractive_diagonal(a))
 
 
@@ -183,13 +192,8 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
     per x_k (phase 1, its ||x_k^2 - x_k||) and one per refinement step
     (phase 2, k = 1, 2, ..., the defect after step k).
     """
-    p = a.prime
-    nf = normalize(a)
-    if nf.tail is not None:
-        raise PreconditionFailed("a structured tail has no finite window to bound phase 1")
-    _check_product(1, nf)
-    (b,) = Window.read([nf])
-    one = b.constant(1)
+    b = _contraction_window(a)
+    p, one = b.prime, b.constant(1)
     cap = _frobenius_cap(b)
     trace: list[list] = []
     for k in range(cap + 1):

@@ -336,10 +336,10 @@ def finite_rank_reduce(f: Operator) -> int:
 def _form_rank(nf: NormalForm) -> int:
     """finite_rank_reduce on a normal form: the trace of its head a, as an
     idempotent's rank over Q_p is its trace (Hattori, Stallings).  With
-    ||a|| = p^s >= 1 and v(d) > 2s, d = a^2 - a, refinement reaches an
-    idempotent e with ||e - a|| <= ||d|| ||a||, so rank e = trace a mod
-    p^(v(d) - s).  On w = p^s a mod p^N, certified zeros included, the rank
-    is the one r in [0, n] with p^s r = trace w mod p^(min(v(p^2s d), N) - 2s)."""
+    ||a|| = p^s >= 1 and v(d) > 2s, d = a^2 - a, each eigenvalue l of a has
+    |l(l - 1)| <= ||d|| < 1, so the e refinement reaches has rank e = trace
+    a mod p^v(d).  On w = p^s a mod p^N, certified zeros included, the rank
+    is the one r in [0, n] with p^s r = trace w mod p^(min(v(p^2s d), N) - s)."""
     if not nf.shift.is_zero:
         raise PreconditionFailed("operator has an identity component; not finite rank")
     if nf.tail is not None and not nf.tail.default.is_zero:
@@ -354,7 +354,7 @@ def _form_rank(nf: NormalForm) -> int:
     gap = w.mul(w, addend=[(-p**s, w)]).norm()  # of p^2s d
     if not gap < ValuationBound(4 * s):
         raise PreconditionFailed(f"defect valuation {gap.exponent - 2 * s} must exceed {2 * s}")
-    k = (w.depth if gap.is_zero else gap.exponent) - 3 * s
+    k = (w.depth if gap.is_zero else gap.exponent) - 2 * s
     trace = sum(row[i] for i, row in enumerate(w.rows))
     ranks = [r for r in range(len(w.index) + 1) if (p**s * r - trace) % p ** max(k + s, 0) == 0]
     if len(ranks) > 1:

@@ -15,13 +15,14 @@ P is 1-Lipschitz on the unit ball, since P(a + h) - P(a) is a sum of
 words each holding an h.  So every integer polynomial in windows of norm
 at most 1, computed on any representatives mod p^N, is known mod p^N at
 every entry, zeros included, and ``Window.form`` writes it back certified
-to exactly N.  Refinement, the Frobenius powers of a lift and the
-Newton-Schulz inverse are such polynomials.  A product or sum is known to
-the least depth among its operands.
+to exactly N.  Refinement, the Frobenius powers of a lift, the
+Newton-Schulz inverse and the binomial calculus's falling products are
+such polynomials.  A product or sum is known to the least depth among
+its operands.
 
 The arithmetic mirrors ``NormalForm``'s (``mul`` with an exact int
-coefficient and an addend, ``defect``, ``norm``, ``vanishes_to``), so a
-routine written against one runs on the other.
+coefficient and an addend, ``combine``, ``defect``, ``norm``,
+``vanishes_to``), so a routine written against one runs on the other.
 
 Products pack rows (Kronecker substitution; Dumas, Fousse and Salvy,
 "Simultaneous modular reduction and Kronecker substitution for small
@@ -58,12 +59,12 @@ class Window:
         self.index, self.rows, self.shift = index, rows, shift
 
     @classmethod
-    def read(cls, forms: list[NormalForm], scale: int = 0) -> list["Window"]:
+    def read(cls, forms: list[NormalForm], scale: int = 0, exact: int = DEFAULT_PRECISION) -> list["Window"]:
         """p^scale times each form, on one window and at one depth: the
         window is the sorted set of row and column indices in the forms'
         heads, and N the least absolute precision, plus scale, over every
         entry and shift of the forms.
-        Exact data alone reads at DEFAULT_PRECISION.  A structured tail
+        Exact data alone reads at depth exact.  A structured tail
         raises StructureError, an entry of p^scale * form outside Z_p
         NonIntegral."""
         p, depth, seen = forms[0].prime, None, set()
@@ -78,14 +79,14 @@ class Window:
                     raise NonIntegral("a residue window needs integral entries")
                 depth = top + scale if depth is None else min(depth, top + scale)
             seen.update(chain.from_iterable(nf.head))
-        depth = DEFAULT_PRECISION if depth is None else depth
+        depth = exact if depth is None else depth
         mod = p**depth
         index = tuple(sorted(seen))
         at = {k: pos for pos, k in enumerate(index)}
         size = len(index)
 
         def residue(x: Padic) -> int:
-            return 0 if x.is_zero else x.unit * p ** (x.valuation + scale) % mod
+            return 0 if x.is_zero else x.unit * pow(p, x.valuation + scale, mod) % mod
 
         out = []
         for nf in forms:
@@ -168,6 +169,16 @@ class Window:
             rows.append([(acc >> s & mask) % mod for s in slots])
         shift = c * self.shift * other.shift + sum(k * f.shift for k, f in addend)
         return Window(self.prime, depth, self.index, rows, shift % mod)
+
+    @staticmethod
+    def combine(terms: list[tuple[int, "Window"]], depth: int) -> "Window":
+        """The sum of k * W over the pairs (k, W), exact ints k, mod p^depth:
+        certified when no W.depth + v_p(k) is below depth."""
+        ks, ws = zip(*terms)
+        mod = ws[0].prime**depth
+        rows = [[sum(map(_times, ks, col)) % mod for col in zip(*row)] for row in zip(*(w.rows for w in ws))]
+        shift = sum(map(_times, ks, (w.shift for w in ws))) % mod
+        return Window(ws[0].prime, depth, ws[0].index, rows, shift)
 
     def sub(self, other: "Window") -> "Window":
         depth = min(self.depth, other.depth)

@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padicops.calculus import (binomial_series, certify_normal_contraction,
                                functional_calculus, teichmuller_idempotent)
-from padicops.errors import (CertificationFailed, PreconditionFailed,
-                             Undecidable)
+from padicops.errors import (CertificationFailed, PrecisionExhausted,
+                             PreconditionFailed)
 from padicops.idempotents import sum_ring_generators
 from padicops.mahler import MahlerFunction, mahler_expand
-from padicops.operators import (Diagonal, FiniteMatrix, Identity, Product,
+from padicops.operators import (Diagonal, FiniteMatrix, Identity, Product, Sum,
                                 normalize, op_agree, weighted_shift_matrix)
 from padicops.scalars import (Padic, ValuationBound, binomial_padic,
-                              factorial_valuation)
+                              factorial_valuation, precision_of)
+from test_products import HUGE, forms
 
 
 def diag(p, values):
@@ -49,10 +53,16 @@ def test_certificate_frozen_exponents():
 
 
 def test_certification_failure_reports_depth():
+    # ||A|| <= 1 is the walk's first step, checked even where no product
+    # is formed: at depth 0, and for a constant or an empty function
     bad = FiniteMatrix(3, {(0, 0): Padic.one(3) / Padic.from_int(3, 3)})
-    with pytest.raises(CertificationFailed) as info:
-        certify_normal_contraction(bad, 3)
-    assert info.value.depth == 1
+    for call in (lambda: certify_normal_contraction(bad, 3),
+                 lambda: certify_normal_contraction(bad, 0),
+                 lambda: functional_calculus(bad, MahlerFunction(3, (Padic.one(3),), ValuationBound.zero())),
+                 lambda: functional_calculus(bad, MahlerFunction(3, (), ValuationBound.zero()))):
+        with pytest.raises(CertificationFailed) as info:
+            call()
+        assert info.value.depth == 1
 
 
 def one_hot(p, n):
@@ -242,13 +252,29 @@ def test_certificate_transfers_to_a_minus_one():
     assert certified > 30
 
 
-def test_certificate_undecidable_on_structured_tails():
-    # a product of two structured tails has no closed form, so depth 2 is
-    # undecidable rather than an internal error
+def test_certificate_refuses_structured_tails():
+    # a structured tail has no residue window, so the walk refuses it at
+    # every depth, as teich does, before it forms any product
     up = sum_ring_generators(3).up
-    assert len(certify_normal_contraction(up, 1)) == 1
-    with pytest.raises(Undecidable):
-        certify_normal_contraction(up, 3)
+    for depth in range(4):
+        with pytest.raises(PreconditionFailed, match="structured tail"):
+            certify_normal_contraction(up, depth)
+    with pytest.raises(PreconditionFailed, match="structured tail"):
+        functional_calculus(up, one_hot(3, 1))
+    with pytest.raises(PreconditionFailed, match="structured tail"):
+        binomial_series(up, Padic.from_int(3, 3), 2)
+
+
+def test_certificate_refuses_a_depth_past_the_window():
+    # diag(1, 3) at p = 2: every falling product from n = 4 on is 0, but
+    # the window holds it only mod 2^40, and v_2(n!) = n - s_2(n) first
+    # passes 40 at n = 44; the form walk printed inf rows there
+    a = diag(2, [1, 3])
+    rows = certify_normal_contraction(a, 43)
+    assert len(rows) == 43 and all(norm.is_zero for _, norm in rows[3:])
+    with pytest.raises(PrecisionExhausted, match="step 44"):
+        certify_normal_contraction(a, 50)
+    assert factorial_valuation(43, 2) <= 40 < factorial_valuation(44, 2)
 
 
 def test_teichmuller_idempotent_diagonal():
@@ -487,3 +513,115 @@ def test_certified_zero_coefficient_keeps_its_bound():
     result, error = functional_calculus(a, fn)
     assert error.is_zero
     assert normalize(result).shift == Padic.one(p, 6)
+
+
+# -- property: the walk on A's window against plain ints on a lift ------------
+
+
+def _integral(x):
+    """p^5 x, so that the forms strategy's valuations, from -5 on, are
+    integral; a certified zero's bound moves by 5 too."""
+    if x.is_zero:
+        return x if x.precision is None else Padic.zero(x.prime, x.precision + 5)
+    return Padic(x.prime, x.valuation + 5, x.unit, x.precision)
+
+
+def _lift(rng, x, depth):
+    """A random point of the ball of x mod p^depth: x's digits, then random
+    digits past its absolute precision; an exact zero stays 0."""
+    p, top = x.prime, x.absolute_precision
+    if top is None:
+        return 0
+    base = 0 if x.is_zero or x.valuation >= depth else x.unit * p**x.valuation
+    return (base + (p**top * rng.randrange(p ** (depth - top)) if top < depth else 0)) % p**depth
+
+
+def _int_binomials(rows, count, p, depth):
+    """binom(X, n) mod p^depth for n < count of an integer matrix X known
+    mod p^depth past every digit asked of it: F_n(X) / p^j times the
+    inverse of u, n! = p^j u, and the first n where F_n(X) does not vanish
+    mod p^j, where binom(X, n) is not integral (None: no such n)."""
+    size = len(rows)
+    product = [[int(i == j) for j in range(size)] for i in range(size)]
+    out = []
+    for n in range(count):
+        if n:
+            product = [[sum(product[i][k] * (rows[k][j] - (n - 1) * (k == j)) for k in range(size))
+                        for j in range(size)] for i in range(size)]
+        j = factorial_valuation(n, p)
+        if any(x % p**j for row in product for x in row):
+            return out, n
+        inverse = pow(factorial(n) // p**j, -1, p**depth)
+        out.append([[x // p**j * inverse for x in row] for row in product])
+    return out, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_binomial_sums_hold_on_the_precision_ball(data):
+    """functional_calculus and binomial_series on integral tail-free forms
+    with uneven precision and a shift that may be a certified zero, and
+    random integral coefficients, certified zeros among them.  For a random lift of every scalar, the plain-int sum of
+    c_n binom(lift, n) agrees with every entry of the answer mod the depth
+    it is certified to, and that depth is one N for all of them.  A
+    refusal must be one the lift shows: a binom(A, n) that is not
+    integral, or v_p(n!) or no digit left past the least input depth.
+
+    Draws whose every scalar has one of the strategy's huge valuations are
+    left out: their window depth N is about 10^6, and a window product on
+    ints of 10^6 digits takes seconds."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 3))
+    drawn = data.draw(forms(p, n, data.draw(st.booleans()), False))
+    a = Sum([FiniteMatrix(p, {k: _integral(v) for k, v in drawn.head.items()}),
+             Diagonal(p, {}, _integral(drawn.shift))])
+    # the ball is that of the form the library reads: a public operator
+    # keeps a certified zero in its shift, not in its head (ROADMAP item 2)
+    nf = normalize(a)
+    tops = [x.absolute_precision for x in [nf.shift, *nf.head.values()]]
+    assume(min(filter(None, tops), default=0) < HUGE)
+    rng = data.draw(st.randoms(use_true_random=False))
+    K = 100  # past every depth an answer is certified to
+    series = data.draw(st.booleans())
+    if series:
+        units = st.integers(1, p**3).filter(lambda u: u % p)
+        z = data.draw(st.one_of(st.just(Padic.zero(p)), st.integers(1, 30).map(lambda d: Padic.zero(p, d)),
+                                st.builds(lambda v, u: Padic.from_int(u * p**v, p, 30), st.integers(1, 3), units)))
+        length = data.draw(st.integers(0, 4))
+        lifted = _lift(rng, z, K)
+        coeffs = [1] + ([] if z.is_exact_zero else [lifted**k for k in range(1, length + 1)])
+        call, operand = lambda: binomial_series(a, z, length), z
+    else:
+        drawn_coeffs = data.draw(st.lists(st.builds(lambda v, u, prec: Padic.from_int(u * p**v, p, prec),
+                                                    st.integers(0, 3), st.integers(0, p**4),
+                                                    st.integers(1, 40)), min_size=1, max_size=5))
+        coeffs = [_lift(rng, c, K) for c in drawn_coeffs]
+        fn = MahlerFunction(p, tuple(drawn_coeffs), ValuationBound.zero())
+        call, operand = lambda: functional_calculus(a, fn), fn
+    # an exact A reads at the precision of the constants of its operands
+    depth = min(filter(None, tops), default=precision_of(a, operand))
+    shift = _lift(rng, nf.shift, K) - series
+    rows = [[shift if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), x in nf.head.items():
+        rows[i][j] += _lift(rng, x, K)
+    binoms, failed = _int_binomials(rows, len(coeffs), p, K)
+    scalars, _ = _int_binomials([[shift]], len(coeffs), p, K)
+    try:
+        out, _ = call()
+    except CertificationFailed as exc:
+        assert failed == exc.depth
+        return
+    except PrecisionExhausted:
+        assert depth <= factorial_valuation(len(coeffs) - 1, p)
+        return
+    assert failed is None
+    got = normalize(out)
+    values = [(got.entry(i, j), sum(c * b[i][j] for c, b in zip(coeffs, binoms)))
+              for i in range(n) for j in range(n)]
+    values.append((got.shift, sum(c * b[0][0] for c, b in zip(coeffs, scalars))))
+    certified = {x.absolute_precision for x, _ in values} - {None}
+    assert len(certified) <= 1
+    for x, want in values:
+        # a certified zero the public operator dropped reads as exact
+        top = x.absolute_precision or min(certified, default=K)
+        assert (want - (0 if x.is_zero else x.unit * p**x.valuation)) % p**top == 0

@@ -10,6 +10,7 @@ from padicops.cli import _build_parser, main
 from padicops.io import operator_from_obj, operator_to_obj, scalar_to_text
 from padicops.operators import (Diagonal, FiniteMatrix, Identity, NormalForm,
                                 Sum, op_agree)
+from padicops.residues import Window
 from padicops.scalars import Padic
 
 
@@ -131,6 +132,16 @@ def test_calculus_certify_tsv(capsys, opfile):
                    "1\t0\n2\t3\n3\t3\n4\t3\n5\t4\n6\t4\n")
 
 
+def test_calculus_certify_runs_out_of_digits(capsys, opfile):
+    # diag(1, 3) at p = 2 and precision 40: v_2(44!) = 41 is past the
+    # window's 40 digits, so step 44 can be neither certified nor refused
+    path = opfile(diag(2, [1, 3]))
+    code, out, err = run(capsys, "calculus", "certify", "--in", path, "--depth", "50")
+    assert code == 3 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "PrecisionExhausted" and "step 44" in report["message"]
+
+
 def test_calculus_apply(capsys, opfile, tmp_path):
     fnfile = tmp_path / "fn.json"
     fnfile.write_text(json.dumps({
@@ -155,19 +166,23 @@ def test_calculus_apply(capsys, opfile, tmp_path):
 def test_calculus_apply_and_fz_form_each_product_once(capsys, opfile, tmp_path, monkeypatch):
     # the walk certifies the terms it sums, so neither leaf runs a separate
     # certificate: apply forms binom(A, n) for n = 1..M, fz binom(A - 1, n)
-    # for n = 1..depth, one product each
+    # for n = 1..depth, one window product each, and no form product
     def refused(*args):
         raise AssertionError("certify_normal_contraction called")
 
+    def no_form_product(*args, **kwargs):
+        raise AssertionError("NormalForm.mul called")
+
     calls = []
-    mul = NormalForm.mul
+    mul = Window.mul
 
     def counted(self, other, *args, **kwargs):
         calls.append(1)
         return mul(self, other, *args, **kwargs)
 
+    monkeypatch.setattr(NormalForm, "mul", no_form_product)
+    monkeypatch.setattr(Window, "mul", counted)
     monkeypatch.setattr(cli, "certify_normal_contraction", refused)
-    monkeypatch.setattr(NormalForm, "mul", counted)
     fnfile = tmp_path / "fn.json"
     fnfile.write_text(json.dumps({"p": 5, "precision": 40, "tail_exponent": None,
                                   "coefficients": ["0", "5^0*1", "5^0*2", "0", "0"]}))

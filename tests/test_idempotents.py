@@ -572,8 +572,8 @@ def test_finite_rank_reduce():
     # and answered 4)
     with pytest.raises(PrecisionExhausted, match=r"ranks \[0, 4\]"):
         finite_rank_reduce(diag(2, [5, 1, 1, 1]))
-    # ||a|| = 3^2: v(d) = 5 > 2s = 4, so k = 5 - 2 = 3 and the trace
-    # 2 + 3^5 is 2 mod 3^3
+    # ||a|| = 3^2: v(d) = 5 > 2s = 4, so k = v(d) = 5 and the trace
+    # 2 + 3^5 is 2 mod 3^5
     a = fm(p, {(0, 0): 1, (0, 1): Fraction(1, 9), (2, 2): 3**5, (3, 3): 1})
     assert finite_rank_reduce(a) == 2
     # refinement's precondition v(d) > 2s: v(d) = 0 at s = 0, and at s = 1
@@ -583,6 +583,10 @@ def test_finite_rank_reduce():
     with pytest.raises(PreconditionFailed, match="valuation 2 must exceed 2"):
         finite_rank_reduce(fm(2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 1): 8}))
     assert finite_rank_reduce(fm(2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 1): 16})) == 1
+    # with I_3 beside it the trace 20 is known mod 2^v(d) = 2^3, which
+    # leaves 4 alone; mod 2^(v(d) - s) = 2^2 it allowed 0 and 4
+    a = fm(2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 1): 16, (2, 2): 1, (3, 3): 1, (4, 4): 1})
+    assert finite_rank_reduce(a) == 4
     # a diagonal zero certified to depth bounds the window, so the trace 4
     # is known mod 2^depth (the refined head dropped the zero and answered
     # 4 at depth 2 from 40 digits it did not have)
@@ -652,9 +656,10 @@ def test_rank_matches_a_fraction_rank_oracle(data):
     of norm p^s > 1, g unimodular and X a block with a denominator p^s, plus
     noise from the forms strategy scaled past valuation 3s: then
     v(d) > 2s, refinement's precondition.  Let q be the least noise
-    valuation or absolute precision of an entry, so the trace is known
-    mod p^(q - 2s) at least.  The rank equals the oracle's, and is
-    refused only where p^(q - 2s) <= n leaves several ranks possible."""
+    valuation or absolute precision of an entry, so v(d) >= q - s and the
+    trace is known mod p^(q - s) at least.  The rank equals the oracle's,
+    and is refused only where p^(q - s) <= n leaves several ranks
+    possible."""
     p = data.draw(st.sampled_from([2, 3, 5]))
     n = data.draw(st.integers(2, 5))
     r = data.draw(st.integers(1, n - 1))
@@ -686,7 +691,7 @@ def test_rank_matches_a_fraction_rank_oracle(data):
         try:
             assert call() == want
         except PrecisionExhausted:
-            assert p ** (q - 2 * s) <= n
+            assert p ** (q - s) <= n
 
 
 # -- sum ring ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import CertificationFailed, PrecisionExhausted, PreconditionFailed
 from .idempotents import _frobenius_cap, _refine_form
 from .io import exponent_str
 from .mahler import MahlerFunction
-from .operators import Diagonal, NormalForm, Operator, normalize
+from .operators import Diagonal, FiniteMatrix, Operator, normalize
 from .residues import Window
 from .scalars import Padic, ValuationBound, _linear_term, _split, factorial_valuation, precision_of
 
@@ -36,8 +36,7 @@ def _contraction_window(a: Operator, *operands) -> Window:
         raise PreconditionFailed("a structured tail has no finite window")
     if nf.norm() > ValuationBound.one():
         raise CertificationFailed(1, f"step 1: norm exponent {exponent_str(nf.norm())}, need at least 0")
-    (w,) = Window.read([nf], exact=precision_of(nf, *operands))
-    return w
+    return Window.read([nf], exact=precision_of(nf, *operands))[0]
 
 
 def _check_product(n: int, product: Window) -> ValuationBound:
@@ -49,8 +48,7 @@ def _check_product(n: int, product: Window) -> ValuationBound:
         raise PrecisionExhausted(f"step {n}: v_p(n!) = {required} is past the depth {product.depth} of A")
     achieved = product.norm()
     if not product.vanishes_to(required):
-        raise CertificationFailed(
-            n, f"step {n}: norm exponent {exponent_str(achieved)}, need at least {required}")
+        raise CertificationFailed(n, f"step {n}: norm exponent {exponent_str(achieved)}, need at least {required}")
     return achieved
 
 
@@ -73,7 +71,7 @@ def certify_normal_contraction(a: Operator, depth: int) -> list[tuple[int, Valua
     return [(n, norm) for n, (_, norm) in enumerate(products, 1)]
 
 
-def _binomial_sum(w: Window, coefficients: Iterable) -> NormalForm:
+def _binomial_sum(w: Window, coefficients: Iterable) -> Operator:
     """Sum of c_n * binom(A, n) on A's window w, each c_n a term (val, unit,
     top) as scalars._round sums them, or None for an exact zero.  With
     n! = p^j u, binom(A, n) = u^-1 F_n / p^j is known mod p^(N - j), of
@@ -92,8 +90,10 @@ def _binomial_sum(w: Window, coefficients: Iterable) -> NormalForm:
         depth = known if depth is None else min(depth, known)
         terms.append((p**val * unit * pow(u, -1, binom.modulus), binom))
     if depth is None:
-        return NormalForm.constant(p, Padic.zero(p))
-    return Window.combine(terms, depth).form()
+        return FiniteMatrix(p, {})
+    acc = Window.combine(terms, depth).form()
+    # a sum that vanishes to its depth is O(p^depth) I: the public operator drops zeros
+    return Diagonal(p, {}, acc.shift) if acc.norm().is_zero else acc.to_operator()
 
 
 def _contractive_diagonal(a: Operator) -> bool:
@@ -114,7 +114,7 @@ def functional_calculus(a: Operator, fn: MahlerFunction) -> tuple[Operator, Valu
     if not (fn.tail_bound.is_zero or _contractive_diagonal(a)):
         raise PreconditionFailed("a nonzero tail bound needs a contractive diagonal")
     acc = _binomial_sum(_contraction_window(a, fn), (_linear_term(1, c) for c in fn.coefficients))
-    return acc.to_operator(), fn.tail_bound
+    return acc, fn.tail_bound
 
 
 def binomial_series(a: Operator, z: Padic, depth: int) -> tuple[Operator, ValuationBound]:
@@ -132,7 +132,7 @@ def binomial_series(a: Operator, z: Padic, depth: int) -> tuple[Operator, Valuat
     # z^0 binom(A - 1, 0) = 1, known to N on the window
     terms = chain([(0, 1, w.depth)], takewhile(lambda term: term is not None, powers))
     acc = _binomial_sum(w.sub(w.constant(1)), terms)
-    return acc.to_operator(), _series_error(z, depth, _contractive_diagonal(a))
+    return acc, _series_error(z, depth, _contractive_diagonal(a))
 
 
 def _series_error(z: Padic, depth: int, structural: bool) -> ValuationBound:

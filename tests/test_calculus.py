@@ -515,6 +515,20 @@ def test_certified_zero_coefficient_keeps_its_bound():
     assert normalize(result).shift == Padic.one(p, 6)
 
 
+def test_a_sum_that_vanishes_keeps_its_depth():
+    # binom(A, 2) at A = 1 + O(3) is A(A - 1)/2, which vanishes mod 3 but
+    # not exactly: the answer is O(3) I, where the public operator once
+    # dropped every certified zero and read as exact 0
+    p = 3
+    a = FiniteMatrix(p, {(0, 0): Padic.from_int(1, p, 1)})
+    result, _ = functional_calculus(a, one_hot(p, 2))
+    nf = normalize(result)
+    assert nf.shift.is_zero and nf.shift.absolute_precision == 1
+    assert not nf.vanishes_to(2)
+    series, _ = binomial_series(a, Padic.from_int(3, p, 1), 1)
+    assert normalize(series).entry(0, 0).absolute_precision == 1
+
+
 # -- property: the walk on A's window against plain ints on a lift ------------
 
 

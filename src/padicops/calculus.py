@@ -167,8 +167,9 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
     idempotent mod p: ||x_k^2 - x_k|| < 1.  Phase 2 refines that x_k by
     e <- 3e^2 - 2e^3 as idempotent_refine does, which doubles the known
     digits a step where x_k itself gains one digit per k.  The refined
-    e is certified as refinement certifies: idempotent at the target
-    depth and at distance < 1 from x_k.
+    e is certified as refinement certifies: idempotent to the window's
+    depth, and at distance < 1 from x_k, as each step is a multiple of
+    a defect of norm < 1.
 
     Both phases run on A's residue window mod p^N, N the least absolute
     precision of A: x_k and e are integer polynomials in A, so e is

@@ -63,12 +63,11 @@ def idempotent_refine(a: Operator, target: int = 30) -> Operator:
     Requires ||a^2 - a|| < 1 / ||a||^2.  Iterates refinement_polynomial(2),
     e <- 3e^2 - 2e^3 = e + d(1 - 2e) with d = e^2 - e: two products a
     step, and the defect squares, so k steps reach the order of
-    refinement_polynomial(2^k).  The output e is checked to satisfy
-    ||a - e|| < min(1/||a||, 1).  When ||a|| <= 1 and a has no tail, e is
-    computed on residues mod p^N, N the least absolute precision of a,
-    every entry of e is certified to exactly N, and e^2 = e mod p^N (see
-    _refine_form).  Otherwise refinement stops once the step and the new
-    defect vanish below p^(-target).
+    refinement_polynomial(2^k).  Each step is a multiple of d, so
+    ||a - e|| < min(1/||a||, 1).  e is computed on the residue window of
+    p^s a, ||a|| = p^s (s = 0 when ||a|| <= 1), and certified to the
+    depth that window leaves (_refine); a structured tail has no window
+    and raises StructureError.
     """
     e, _ = _refine_form(normalize(a), target)
     return e.to_operator()
@@ -76,102 +75,68 @@ def idempotent_refine(a: Operator, target: int = 30) -> Operator:
 
 def _refine_form(a: NormalForm | Window, target: int,
                  defect: Window | None = None) -> tuple[NormalForm, list]:
-    """idempotent_refine on a normal form or a residue window.  Also
-    returns the defect e^2 - e after each step, as forms or windows: what
-    _refine ran on.  A caller that holds the defect of a window a passes
-    it, so it is not formed again.
-
-    Anything of norm < 1 refines to the zero idempotent, exactly: an
-    idempotent e of norm < 1 is 0, since e = e^n -> 0.  A tail-free
-    form of norm 1 refines on its residue window mod p^N: each iterate is
-    an integer polynomial in a, so e is known mod p^N at every entry
-    (residues.Window).  There the loop runs to its fixed point mod p^N,
-    e idempotent mod p^N, which is the depth the window certifies, so
-    N < target ends in NoConvergence.  Any other form, ||a|| > 1 or a
-    structured tail, refines on normal forms with a bound per entry and
-    stops at the target (_refine).
+    """idempotent_refine on a normal form or a residue window, and the
+    windows _refine ran on.  A caller that holds the defect of a window a
+    passes it, so it is not formed again.  Anything of norm < 1 refines
+    to the zero idempotent, exactly: an idempotent e of norm < 1 is 0,
+    since e = e^n -> 0.  A form of norm p^s >= 1 is read as the window of
+    p^s a and written back divided by p^s; a window has s = 0.
     """
     norm_a = a.norm()
     if norm_a < ValuationBound.one():
         # covers a = 0
         return NormalForm.constant(a.prime, Padic.zero(a.prime)), []
-    if isinstance(a, NormalForm) and a.tail is None and norm_a <= ValuationBound.one():
-        (a,) = Window.read([a])
-    e, defects = _refine(a, norm_a, target, defect)
-    return (e.form() if isinstance(e, Window) else e), defects
+    s = -norm_a.exponent
+    if isinstance(a, NormalForm):
+        (a,) = Window.read([a], s)
+    e, defects = _refine(a, s, target, defect)
+    return e.form(s), defects
 
 
-def _refine(a: NormalForm | Window, norm_a: ValuationBound, target: int,
-            defect: NormalForm | Window | None = None) -> tuple:
-    """The refinement of a NormalForm or a residue Window a of norm
-    norm_a >= 1, from its defect a^2 - a (formed here unless given), and
-    the defect after each step.
+def _refine(w: Window, s: int, target: int,
+            defect: Window | None = None) -> tuple[Window, list[Window]]:
+    """The refinement E of the window w = p^s a of depth M, ||a|| = p^s,
+    from D = w.w - p^s w = p^2s d, d = a^2 - a (formed here unless
+    given), and D after each step.  A step is E' = E + d(p^s - 2E), p^s
+    times e + d(1 - 2e): one divide and two fused products.  d = D / p^2s
+    is integral, as v(d) > 2s and a step sends d to d^2(4d - 3), and each
+    step costs 2s digits: every lift's d and E' agree with the window's
+    mod p^(M - 2s).
 
-    A step is two fused products, each entry rounded once:
-    e' = d.e.(-2) + d + e and d' = e'.e' - e'.  A step sends d to
-    d^2(4d - 3), so the defect's valuation, at least 1 by the
-    precondition, at least doubles a step.
-
-    On a window of depth N the loop stops at its fixed point mod p^N: at
-    the first defect that vanishes mod p^N, where every later step
-    d(1 - 2e) returns e unchanged.  So e is idempotent mod p^N, exactly
-    what Window.form certifies, and (N - 1).bit_length() steps reach it;
-    a window with N < target raises NoConvergence before any step.  This
-    takes at most the steps of the target rule below when N <= 2 target,
-    and the steps the certificate needs when N is larger.
-
-    On normal forms the loop stops once the step and the new defect
-    vanish to the target.  The step is never formed: its norm is at most
-    ||d|| max(1, ||e||), so it vanishes to the target once d does, past
-    it by the valuation of e when ||e|| > 1.  target.bit_length() + 1
-    steps take the defect, and the step that follows it, past the
-    target.  More steps would not help, so NoConvergence after them
-    means the digits ran out.
+    The loop stops at the first D that vanishes mod p^M, M the depth of
+    E.  The steps to come are multiples of a lift's d, of valuation at
+    least M - 2s, and at least 2v after a step, v = v(D) - 2s of the last
+    defect, shared by every lift.  So E is returned at depth
+    C = min(M, max(M - 2s, 2v)), and e = E / p^s is certified to C - s:
+    to N, the least absolute precision of a, when s = 0.  v(D) >= 2^k
+    after k steps, so at most (M - 1).bit_length() steps are taken.
+    NoConvergence when N, before any step, or C - s, after the last, is
+    below the target.
     """
+    ps = w.prime**s
     if defect is None:
-        defect = a.defect()
-    gap = defect.norm()
-    limit = ValuationBound(-2 * norm_a.exponent)
-    if not gap < limit:
+        defect = w.mul(w, addend=[(-ps, w)])
+    gap = defect.norm()  # of p^2s d
+    if not gap < ValuationBound(4 * s):
         raise PreconditionFailed(
-            f"defect norm exponent {exponent_str(gap)} must exceed "
-            f"{limit.exponent} (norm of a: exponent {norm_a.exponent})")
-    window = isinstance(a, Window)
-    if window and a.depth < target:
-        raise NoConvergence(0, f"the window certifies {a.depth} digits, fewer than the target")
-    steps = (a.depth - 1).bit_length() if window else target.bit_length() + 1
-    e, defects, settled = a, [], False
-    while True:
-        fixed = defect.vanishes_to(a.depth) if window else settled and defect.vanishes_to(target)
-        if fixed:
-            _check_refinement_distance(a, e, norm_a)
-            return e, defects
-        if len(defects) == steps:
-            raise NoConvergence(steps, "refinement steps never met the target depth")
-        if not window:
-            settled = _step_vanishes(defect, e, target)
-        e = defect.mul(e, -2, addend=[(1, defect), (1, e)])
-        defect = e.defect()
+            f"defect norm exponent {gap.exponent - 2 * s} must exceed "
+            f"{2 * s} (norm of a: exponent {-s})")
+    if w.depth - s < target:
+        raise NoConvergence(0, f"the window certifies {w.depth - s} digits, fewer than the target")
+    e, defects, v = w, [], 0
+    while not defect.vanishes_to(e.depth):
+        if s:
+            v = defect.norm().exponent - 2 * s
+        d = defect.divide(2 * s)
+        e = d.mul(e, -2, addend=[(ps, d), (1, e)])
+        defect = e.mul(e, addend=[(-ps, e)])
         defects.append(defect)
-
-
-def _step_vanishes(defect: NormalForm, e: NormalForm, target: int) -> bool:
-    """Whether the step d(1 - 2e) of a refinement vanishes to the target:
-    each of its entries is a sum of terms of valuation at least that of
-    an entry of d plus min(0, v), with p^-v the norm of e."""
-    if not defect.vanishes_to(target):
-        return False
-    v = e.norm().exponent
-    return v is None or v >= 0 or defect.vanishes_to(target - v)
-
-
-def _check_refinement_distance(a: NormalForm | Window, e: NormalForm | Window,
-                               norm_a: ValuationBound) -> None:
-    dist = a.sub(e).norm()
-    # min(1/||a||, 1) with ||a|| >= 1 on this path
-    if not dist < ValuationBound(-norm_a.exponent):
-        raise CertificationFailed(
-            0, f"refined idempotent too far from input: exponent {exponent_str(dist)}")
+    depth = min(e.depth, max(e.depth - 2 * s, 2 * v))
+    if depth - s < target:
+        raise NoConvergence(len(defects), f"the window certifies {depth - s} digits, fewer than the target")
+    if depth < e.depth:
+        e = Window.combine([(1, e)], depth)
+    return e, defects
 
 
 # -- equivalence ---------------------------------------------------------
@@ -268,9 +233,13 @@ def column_projection(vectors: list[PadicVector], ambient_idempotent: Operator,
         image_gap = apply(v) - v
         if not all(x.vanishes_to(target) for x in image_gap.entries.values()):
             raise PreconditionFailed("basis vector is not fixed by the ambient idempotent")
+    return FiniteMatrix(ambient_idempotent.prime, _projection_head(vectors))
+
+
+def _projection_head(vectors: list[PadicVector]) -> dict[tuple[int, int], Padic]:
+    """The entries of column_projection, from one column reduction."""
     reduced = reduce_columns([v.entries for v in vectors])
-    entries = {(i, row): v for row, col in filter(None, reduced) for i, v in col.items()}
-    return FiniteMatrix(ambient_idempotent.prime, entries)
+    return {(i, row): v for row, col in filter(None, reduced) for i, v in col.items()}
 
 
 @dataclass(frozen=True)
@@ -282,24 +251,25 @@ class SplitResult:
 def idempotent_split(e: Operator, target: int = 30) -> SplitResult:
     """Split an idempotent as e = f + g with f finite-rank carrying all
     the non-integral columns and g a contractive idempotent, fg = gf = 0."""
-    nff, nfg = _split_forms(e, normalize(e), target)
+    nff, nfg = _split_forms(normalize(e), target)
     return SplitResult(nff.to_operator(), nfg.to_operator())
 
 
-def _split_forms(e: Operator, nfe: NormalForm, target: int) -> tuple[NormalForm, NormalForm]:
+def _split_forms(nfe: NormalForm, target: int) -> tuple[NormalForm, NormalForm]:
     """idempotent_split on e's normal form nfe, returning the forms of f
     and g.  f projects e onto the span of its columns 0..n, n the last
     column holding a non-integral entry; column n is nonzero, as e's
-    shift is integral."""
+    shift is integral.  That e fixes the columns is the defect check."""
+    p = nfe.prime
     if not nfe.defect().vanishes_to(target):
         raise PreconditionFailed("input is not idempotent at the target depth")
     exceptional = [j for (_, j), v in nfe.head.items() if not v.is_integral]
     if exceptional:
         columns = [nfe.column(j) for j in range(max(exceptional) + 1)]
-        nff = normalize(column_projection(columns, e, target)).mul(nfe)
+        nff = NormalForm(p, Padic.zero(p), None, _projection_head(columns)).mul(nfe)
         nfg = nfe.sub(nff)
     else:
-        nff, nfg = NormalForm.constant(e.prime, Padic.zero(e.prime)), nfe
+        nff, nfg = NormalForm.constant(p, Padic.zero(p)), nfe
     checks = {
         "f idempotent": nff.defect(),
         "g idempotent": nfg.defect(),
@@ -454,7 +424,7 @@ def k0_trivialize(e: Operator, target: int = 30, prefix: int = 16) -> dict:
             "zero_input": True,
             "classes": {"finite_rank": 0, "contractive": 0},
         }
-    nff, nfg = _split_forms(e, nfe, target)
+    nff, nfg = _split_forms(nfe, target)
     g = nfg.to_operator()
     rank = _form_rank(nff)
     gens = sum_ring_generators(p)
@@ -537,9 +507,9 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
     and as the refinement's first defect when x = a: refining a^2 instead
     would form (a^2)^2 - a^2 again, and both reach the same fixed point
     mod p^N, the one idempotent of Z/p^N[a] that lifts a mod p.  The
-    defect's compactness is
-    read off a's shift at the shift's own precision.  A structured tail
-    raises Undecidable: its defect is a sum of two tails.
+    defect's compactness is read off a's shift at the shift's own
+    precision.  A structured tail raises Undecidable: its defect is a
+    sum of two tails.
     """
     try:
         nf = normalize(a)

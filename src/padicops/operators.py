@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 from .errors import NonIntegral, StructureError, Undecidable
 from .scalars import (DEFAULT_PRECISION, Padic, ValuationBound, _linear_term,
-                      _product_term, _round, _split, norm_max, precision_of)
+                      _product_term, _round, norm_max, precision_of)
 from .vectors import PadicVector
 
 Dest = Callable[[int], "int | None"]
@@ -222,14 +222,13 @@ class NormalForm:
     def scale(self, c: Padic) -> "NormalForm":
         return NormalForm.combine([(c, self)])
 
-    def mul(self, other: "NormalForm", c: int = 1,
+    def mul(self, other: "NormalForm",
             addend: list[tuple[int, "NormalForm"]] = ()) -> "NormalForm":
-        """c * self * other + the sum of k * F over the addend's pairs
-        (k, F), for an exact int c != 0 and k as in combine: the contract
-        C <- alpha A B + beta C of level-3 BLAS.  Each term v * w is formed
-        by _product_term, with c folded in as an exact coefficient, and
-        filed by _put under its position; the terms of each position, the
-        addend's among them, are summed once by _round."""
+        """self * other + the sum of k * F over the addend's pairs (k, F),
+        k as in combine: the contract C <- A B + beta C of level-3 BLAS.
+        Each term v * w is formed by _product_term and filed by _put under
+        its position; the terms of each position, the addend's among them,
+        are summed once by _round."""
         a, b = self, other
         p = a.prime
         tail: _Tail | None = None
@@ -241,9 +240,6 @@ class NormalForm:
             tail = b.tail.map(lambda v: v * a.shift)
         elif a.tail is not None and not b.shift.is_zero:
             tail = a.tail.map(lambda v: v * b.shift)
-        if tail is not None and c != 1:
-            tail = tail.map(partial(_times, c))
-        jc, uc = _split(c, p)
         terms: dict = {}
         # the head of a by column k, as (i, v)
         acols: dict[int, list[tuple[int, Padic]]] = {}
@@ -251,18 +247,18 @@ class NormalForm:
             acols.setdefault(k, []).append((i, v))
         for (k, j), w in b.head.items():
             for i, v in acols.get(k, ()):
-                _put(terms, (i, j), _product_term(v, w, jc, uc))
+                _put(terms, (i, j), _product_term(v, w))
         if not a.shift.is_zero:
             for key, w in b.head.items():
-                _put(terms, key, _product_term(a.shift, w, jc, uc))
+                _put(terms, key, _product_term(a.shift, w))
         if not b.shift.is_zero:
             for key, v in a.head.items():
-                _put(terms, key, _product_term(v, b.shift, jc, uc))
+                _put(terms, key, _product_term(v, b.shift))
         if a.tail is not None and b.head:
             for (k, j), w in b.head.items():
                 d = a.tail.dest(k)
                 if d is not None:
-                    _put(terms, (d, j), _product_term(a.tail.coeff_at(k), w, jc, uc))
+                    _put(terms, (d, j), _product_term(a.tail.coeff_at(k), w))
         if b.tail is not None and a.head:
             relevant: set[int] = set(b.tail.coeff)
             for k in acols:
@@ -275,8 +271,8 @@ class NormalForm:
                     continue
                 w = b.tail.coeff_at(j)
                 for i, v in acols.get(d, ()):
-                    _put(terms, (i, j), _product_term(v, w, jc, uc))
-        _put(terms, None, _product_term(a.shift, b.shift, jc, uc))
+                    _put(terms, (i, j), _product_term(v, w))
+        _put(terms, None, _product_term(a.shift, b.shift))
         return _assemble(p, terms, tail, addend)
 
     def defect(self) -> "NormalForm":

@@ -20,9 +20,9 @@ Newton-Schulz inverse and the binomial calculus's falling products are
 such polynomials.  A product or sum is known to the least depth among
 its operands.
 
-The arithmetic mirrors ``NormalForm``'s (``mul`` with an exact int
-coefficient and an addend, ``combine``, ``defect``, ``norm``,
-``vanishes_to``), so a routine written against one runs on the other.
+The arithmetic follows ``NormalForm``'s where they share an operation
+(``mul`` with an addend, ``combine``, ``defect``, ``norm``,
+``vanishes_to``); ``Window.mul`` also scales its product by an exact int.
 
 Products pack rows (Kronecker substitution; Dumas, Fousse and Salvy,
 "Simultaneous modular reduction and Kronecker substitution for small
@@ -98,15 +98,15 @@ class Window:
             out.append(cls(p, depth, index, rows, shift))
         return out
 
-    def form(self) -> NormalForm:
-        """The normal form with every window entry in its head, zeros
-        included, and every entry and the shift certified to exactly
-        depth."""
+    def form(self, scale: int = 0) -> NormalForm:
+        """The normal form of p^-scale times the window, undoing read's
+        scale: every window entry in its head, zeros included, and every
+        entry and the shift certified to exactly depth - scale."""
         p, depth, shift = self.prime, self.depth, self.shift
-        zero = Padic.zero(p, depth)
+        zero = Padic.zero(p, depth - scale)
 
         def certified(x: int) -> Padic:
-            return Padic.from_unit(p, 0, x, depth) if x % self.modulus else zero
+            return Padic.from_unit(p, -scale, x, depth) if x % self.modulus else zero
 
         index = self.index
         head = {(index[i], index[j]): certified(x - shift if i == j else x)
@@ -204,6 +204,8 @@ class Window:
 
     def divide(self, k: int) -> "Window":
         """self / p^k for a window that vanishes to k: known to depth - k."""
+        if not k:
+            return self
         q = self.prime**k
         return Window(self.prime, self.depth - k, self.index,
                       [[x // q for x in row] for row in self.rows], self.shift // q)

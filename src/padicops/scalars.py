@@ -71,18 +71,16 @@ def _split(k: int, p: int) -> tuple[int, int]:
 # (v1 + v2, u1 * u2, min(t1 + v2, t2 + v1)), so O(p^a) * O(p^b) = O(p^(a+b)).
 
 
-def _product_term(v: "Padic", w: "Padic", jc: int = 0, uc: int = 1):
-    """The term p^jc * uc * v * w: the exact coefficient p^jc * uc adds
-    jc to the valuation and to the absolute precision, so it costs no
-    digit."""
+def _product_term(v: "Padic", w: "Padic"):
+    """The term v * w."""
     vv, wv = v.valuation, w.valuation
     if vv is not None and wv is not None:
-        val = vv + wv + jc
-        return val, v.unit * w.unit * uc, val + min(v.precision, w.precision)
+        val = vv + wv
+        return val, v.unit * w.unit, val + min(v.precision, w.precision)
     # a zero factor (d, 0, d) has top = val, so the product's top is its val
     if v.precision is None and vv is None or w.precision is None and wv is None:
         return None
-    val = (v.precision if vv is None else vv) + (w.precision if wv is None else wv) + jc
+    val = (v.precision if vv is None else vv) + (w.precision if wv is None else wv)
     return val, 0, val
 
 

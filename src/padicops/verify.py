@@ -174,14 +174,17 @@ def _minor_rank(op: Operator, size: int, prime: int, threshold: int) -> int:
     return 0
 
 
-def _idempotent_to_its_digits(e: Operator, target: int) -> bool:
-    """Whether e.e agrees with e to d, the least absolute precision among
-    e's entries and shift: the depth e's own digits claim (the target for
-    exact data, such as an exact zero)."""
+def _certified_depth(e: Operator, target: int) -> int:
+    """The least absolute precision among e's entries and shift: the depth
+    e's own digits claim (the target for exact data, such as 0)."""
     nf = normalize(e)
     tops = [x.absolute_precision for x in (nf.shift, *nf.head.values())]
-    d = min((top for top in tops if top is not None), default=target)
-    return op_agree(Product([e, e]), e, d)
+    return min((top for top in tops if top is not None), default=target)
+
+
+def _idempotent_to_its_digits(e: Operator, target: int) -> bool:
+    """Whether e.e agrees with e to the depth e's digits claim."""
+    return op_agree(Product([e, e]), e, _certified_depth(e, target))
 
 
 def _sparse_noise(rng: random.Random, size: int, scale: int,
@@ -393,6 +396,23 @@ def _c07_idempotent_refinement(cfg: ExperimentConfig) -> tuple[bool, str]:
             return False, f"refinement output not idempotent to its certified depth (trial {trial})"
         if not op_norm(a - refined) < ValuationBound.one():
             return False, f"refinement strayed too far (trial {trial})"
+    # ||a|| = p: conjugates of [[1, u/p], [0, 0]] (+) diag(1, 0, 0) plus
+    # noise of valuation >= 4, so v(d) >= 3 > 2; each agrees with a
+    # Fraction refinement of its exact rows to its certified depth
+    for trial in range(20):
+        u = [[Fraction(c) for c in row] for row in _unimodular(rng, 5)]
+        rows = [[Fraction(int(i == j and i in (0, 2))) for j in range(5)] for i in range(5)]
+        rows[0][1] = Fraction(rng.choice([c for c in range(1, p * p) if c % p]), p)
+        rows = _mat_mul_frac(_mat_mul_frac(u, rows), _fraction_inverse(u))
+        for _ in range(7):
+            rows[rng.randrange(5)][rng.randrange(5)] += rng.randrange(1, p ** 3) * p ** 4
+        a = _matrix_op(rows, p, prec)
+        refined = idempotent_refine(a, target)
+        exact = _matrix_op(_fraction_idempotent(rows, p, prec + 40), p, prec + 40)
+        if not (op_norm(a) == ValuationBound(-1) and op_agree(Product([refined, refined]), refined, target)
+                and op_norm(a - refined) < ValuationBound(1)
+                and op_agree(refined, exact, _certified_depth(refined, target))):
+            return False, f"norm-p instance {trial} fails e^2 = e, ||a - e|| < 1/p or its Fraction oracle"
     # per-coordinate scalar oracle on a diagonal instance
     d = {0: Padic.from_int(1 + p ** 3, p, prec), 1: Padic.from_int(p ** 3, p, prec)}
     refined = idempotent_refine(Diagonal(p, d), target)
@@ -401,7 +421,21 @@ def _c07_idempotent_refinement(cfg: ExperimentConfig) -> tuple[bool, str]:
           and nfr.entry(1, 1).vanishes_to(target))
     if not ok:
         return False, "diagonal instance disagrees with the scalar limits"
-    return True, "symbolic checks for m <= 6 and 100 random near-idempotents"
+    return True, ("symbolic checks for m <= 6, 100 random near-idempotents and 20 of "
+                  "norm p against a Fraction refinement")
+
+
+def _fraction_idempotent(rows: list[list[Fraction]], prime: int,
+                         depth: int) -> list[list[Fraction]]:
+    """Eight steps of e <- 3e^2 - 2e^3 from rows, whose entries have
+    p-power denominators, each entry cut mod p^depth after each step: a
+    cut grows by at most ||rows||^2 a step, and eight steps take a defect
+    of valuation 1 past 2^8."""
+    for _ in range(8):
+        sq = _mat_mul_frac(rows, rows)
+        rows = [[(3 * x - 2 * y) % prime**depth for x, y in zip(r, q)]
+                for r, q in zip(sq, _mat_mul_frac(sq, rows))]
+    return rows
 
 
 def _c08_equivalence_witnesses(cfg: ExperimentConfig) -> tuple[bool, str]:

@@ -8,8 +8,8 @@ import pytest
 from padicops import cli
 from padicops.cli import _build_parser, main
 from padicops.io import operator_from_obj, operator_to_obj, scalar_to_text
-from padicops.operators import (Diagonal, FiniteMatrix, Identity, NormalForm,
-                                Sum, op_agree)
+from padicops.operators import (Diagonal, FiniteMatrix, Identity, IndexMap,
+                                NormalForm, Sum, op_agree)
 from padicops.residues import Window
 from padicops.scalars import Padic
 
@@ -334,6 +334,28 @@ def test_idem_refine_certifies_to_the_least_precision(capsys, opfile):
     code, out, err = run(capsys, "idem", "refine", "--in", path, "--target", "30")
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "NoConvergence"
+
+
+def test_idem_refine_exit_codes_above_norm_one(capsys, opfile, monkeypatch):
+    """[[1, 1/3], [0, 0]] at precision 30: the file's header covers target
+    30, but its 1/3 is known to 29 absolute digits, so refinement ends in
+    NoConvergence, exit code 3, and target 20 is met.  A structured
+    tail, which no file kind holds, has no residue window: StructureError,
+    exit code 2."""
+    p = 3
+    a = FiniteMatrix(p, {(0, 0): Padic.one(p, 30), (0, 1): Padic.from_fraction(Fraction(1, 3), p, 30)})
+    path = opfile(a, 30)
+    code, out, err = run(capsys, "idem", "refine", "--in", path, "--target", "30")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "NoConvergence"
+    code, out, _ = run(capsys, "idem", "refine", "--in", path, "--target", "20")
+    assert code == 0
+    assert op_agree(operator_from_obj(json.loads(out)["e"]), a, 20)
+    up = IndexMap(p, lambda j: j + 1, inv=lambda i: i - 1 if i else None, infinite_domain=True)
+    monkeypatch.setattr(cli, "_read_operator", lambda path, target=None: up)
+    code, out, err = run(capsys, "idem", "refine", "--in", path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "StructureError"
 
 
 def test_idem_equiv(capsys, opfile):

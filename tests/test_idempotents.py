@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from padicops import idempotents, linalg, operators
 from padicops.config import ExperimentConfig
 from padicops.errors import (NoConvergence, NonIntegral, PrecisionExhausted,
-                             PreconditionFailed, Undecidable)
+                             PreconditionFailed, StructureError, Undecidable)
 from padicops.idempotents import (_form_rank, _frobenius_cap, _newton_schulz_inverse,
-                                  _refine, _refine_form, cantor_pair,
+                                  _refine_form, cantor_pair,
                                   cantor_unpair, column_projection,
                                   finite_rank_reduce,
                                   idempotent_equivalence, idempotent_lift,
@@ -281,91 +281,140 @@ def test_refinement_runs_to_the_depth_it_certifies():
     assert w.defect().norm() == ValuationBound.zero()
 
 
-def test_refine_step_makes_one_sum_outside_its_fused_products(monkeypatch):
-    """On normal forms, a step is two fused products and no sum of its
-    own: the update e + d(1 - 2e) is one fused product.  With the step
-    formed first, e + step was one combine a step; as two products and
-    four linear passes (scale, sub, add, sub) a step made four combines.
-    The tracked loop is called directly: _refine_form runs it only on
-    forms of norm > 1 or with a tail."""
-    counts = {"mul": 0, "combine": 0}
-    mul, combine = NormalForm.mul, NormalForm.combine
-
-    def counted_mul(self, other, *args, **kwargs):
-        counts["mul"] += 1
-        return mul(self, other, *args, **kwargs)
-
-    def counted_combine(terms):
-        counts["combine"] += 1
-        return combine(terms)
-
-    nf = normalize(_int_operator(_near_idempotent(random.Random(7), 5, 3)))
-    monkeypatch.setattr(NormalForm, "mul", counted_mul)
-    monkeypatch.setattr(NormalForm, "combine", staticmethod(counted_combine))
-    e, defects = _refine(nf, nf.norm(), 30)
-    monkeypatch.undo()
-    steps = len(defects)
-    assert steps >= 2 and e.defect().vanishes_to(30)
-    # the first defect is one more product, the distance check the one sum
-    assert counts == {"mul": 2 * steps + 1, "combine": 1}
+# -- refinement above norm 1: the window of p^s a ----------------------------
 
 
-def _two_pass_refine(nf: NormalForm, target: int) -> tuple[list, int | None]:
-    """The refinement with the step d.e.(-2) + d formed, then added to e:
-    for each of its target.bit_length() + 1 updates, the fused update
-    from the same e and d beside the two-pass one; and the number of
-    updates after which the step and the new defect first vanish to the
-    target (None if they never do)."""
-    e, d = nf, nf.defect()
-    pairs, stop = [], None
-    for n in range(target.bit_length() + 1):
-        step = d.mul(e, -2, addend=[(1, d)])
-        pairs.append((d.mul(e, -2, addend=[(1, d), (1, e)]), e.add(step)))
-        e = pairs[-1][1]
-        d = e.defect()
-        if stop is None and step.vanishes_to(target) and d.vanishes_to(target):
-            stop = n + 1
-    return pairs, stop
+def _fraction_value(x: Padic) -> Fraction:
+    return Fraction(0) if x.is_zero else x.unit * Fraction(x.prime) ** x.valuation
 
 
-def _fraction_form(p: int, table: dict) -> NormalForm:
-    return normalize(FiniteMatrix(p, {k: Padic.from_fraction(v, p) for k, v in table.items()}))
-
-
-def test_fused_refine_update_matches_two_pass_reference():
-    """The update e' = d.e.(-2) + d + e, one fused product, gives the same
-    e, digits and precision of every entry, as forming the step
-    d.e.(-2) + d first and adding it to e.  The tracked refinement, called
-    directly since contractions refine on residues, never forms the step:
-    it stops where the two-pass one does when ||a|| <= 1, on 24 seeded
-    5x5 and 8x8 near-idempotents.  With ||a|| = p, d must vanish
-    one digit past the target, since ||d(1 - 2e)|| <= p ||d||: where that
-    bound is strict the refinement may take one step more, and where it
-    is attained it stops where the two-pass one does."""
+def test_a_norm_three_input_is_certified_to_its_scaled_window():
+    """[[1, 1/3], [3^4, 0]] at p = 3, precision 40, target 10: ||a|| = 3,
+    so refinement runs on the window of 3a, 40 digits deep.  Four steps
+    of 2 digits leave 32, and the last defect, d = 3^31 * unit, takes
+    min(32, max(30, 62)) = 32, so e is certified to 31 at every entry,
+    and each agrees with the Fraction idempotent of a there.  (The
+    tracked refinement claimed 39 to 44 digits, and each entry had a
+    wrong digit at some p^k, 30 <= k <= 35.)"""
     p = 3
-    rng = random.Random(12)
-    cases = [(normalize(_int_operator(_near_idempotent(rng, n, s))), [30])
-             for n in (5, 8) for s in (1, 2, 3) for _ in range(4)]
-    # e = [[1, -1/3], [0, 0]] (+) [1] and noise; every target, so that
-    # some target equals the valuation of a defect
-    e = {(0, 0): Fraction(1), (0, 1): Fraction(-1, 3), (2, 2): Fraction(1)}
-    strict = _fraction_form(p, {**e, (3, 1): Fraction(2 * 3**4), (1, 4): Fraction(3**4)})
-    attained = _fraction_form(p, {**e, (2, 1): Fraction(4 * 3**4), (0, 2): Fraction(4 * 3**4),
-                                  (1, 0): Fraction(2 * 3**5)})
-    for wide in (strict, attained):
-        assert wide.norm() == ValuationBound(-1)
-        cases.append((wide, range(2, 41)))
-    step_more = False
-    for n, (nf, targets) in enumerate(cases):
-        for target in targets:
-            pairs, stop = _two_pass_refine(nf, target)
-            assert all(fused == two_pass for fused, two_pass in pairs), (n, target)
-            e, defects = _refine(nf, nf.norm(), target)
-            steps = len(defects)
-            step_more |= steps == stop + 1
-            assert steps == stop or (nf is strict and steps == stop + 1), (n, target)
-            assert e == pairs[steps - 1][1], (n, target)
-    assert step_more  # the strict case takes it at some target
+    rows = [[Fraction(1), Fraction(1, 3)], [Fraction(81), Fraction(0)]]
+    a = FiniteMatrix(p, {(i, j): Padic.from_fraction(v, p, 40)
+                         for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+    out, defects = _refine_form(normalize(a), 10)
+    assert len(defects) == 4
+    exact = rows
+    for _ in range(6):
+        sq = _int_matmul(exact, exact)
+        exact = [[3 * x - 2 * y for x, y in zip(r, q)] for r, q in zip(sq, _int_matmul(sq, exact))]
+    sq = _int_matmul(exact, exact)
+    assert all(x == y or _vp_fraction(x - y, p) > 100 for r, q in zip(sq, exact) for x, y in zip(r, q))
+    for i in range(2):
+        for j in range(2):
+            x, y = out.entry(i, j), exact[i][j]
+            assert x.absolute_precision == 31
+            assert _fraction_value(x) == y or _vp_fraction(_fraction_value(x) - y, p) >= 31
+
+
+def _noisy_projection(data, p, n, s, prec, past):
+    """The rank r of g [[1, X], [0, 0]] g^-1 (r x r identity), of norm
+    p^s > 1, g unimodular and X a block with a denominator p^s; its rows
+    as Fractions; its head at precision prec plus noise from the forms
+    strategy scaled by p^past; and that noise."""
+    r = data.draw(st.integers(1, n - 1))
+    units = st.integers(1, p**3).filter(lambda u: u % p)
+    block = [[Fraction(data.draw(units), p ** data.draw(st.integers(0, s)))
+              for _ in range(n - r)] for _ in range(r)]
+    block[0][0] = Fraction(data.draw(units), p**s)
+    rows = [[Fraction(int(i == j)) for j in range(r)] + block[i] if i < r else [Fraction(0)] * n
+            for i in range(n)]
+    g, g_inv = _unimodular(data.draw(st.randoms(use_true_random=False)), n)
+    rows = _int_matmul(_int_matmul(g, rows), g_inv)
+    noise = {pos: _scaled(v, past) for pos, v in data.draw(forms(p, n, False, False)).head.items()}
+    head = {}
+    for i in range(n):
+        for j in range(n):
+            v = Padic.from_fraction(rows[i][j], p, prec)
+            if (i, j) in noise:
+                v = v + noise[(i, j)]
+            if not v.is_exact_zero:
+                head[(i, j)] = v
+    return r, rows, head, noise
+
+
+def _scaled_int_idempotent(rows, s, p, depth):
+    """p^s e for the idempotent e that e <- 3e^2 - 2e^3 reaches from
+    rows / p^s, in plain ints: E <- (3 p^s E^2 - 2 E^3) / p^2s, with E
+    known mod p^depth and 2s digits fewer after each of 8 steps, which
+    take a defect of valuation 1 past 2^8.  Returns E and its depth."""
+    for _ in range(8):
+        sq = _int_matmul(rows, rows)
+        rows = [[(3 * p**s * x - 2 * y) % p**depth // p ** (2 * s) for x, y in zip(r, q)]
+                for r, q in zip(sq, _int_matmul(sq, rows))]
+        depth -= 2 * s
+    return rows, depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_refine_above_norm_one_holds_on_the_precision_ball(data):
+    """_refine_form on the conjugated projections of norm p^s > 1 of
+    test_rank_matches_a_fraction_rank_oracle, plus noise past valuation
+    2s, at precision 4s + 1 to 40.  For a random lift of the input, the
+    idempotent that refinement reaches from it, in plain ints, agrees
+    with the returned form mod each entry's certified depth (the form,
+    since the public operator drops certified zeros).  NoConvergence
+    comes only where that depth, read at target 1, is below the target,
+    and PreconditionFailed only where the lift has v(d) <= 2s."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(2, 5))
+    s = data.draw(st.integers(1, 3))
+    prec = data.draw(st.integers(4 * s + 1, 40))
+    target = data.draw(st.integers(1, 30))
+    _, _, head, _ = _noisy_projection(data, p, n, s, prec, 2 * s + 6)
+    nf = NormalForm(p, Padic.zero(p), None, head)
+    assert nf.norm() == ValuationBound(-s)
+    depth = min(x.absolute_precision for x in head.values())
+    K = depth + 20 * s + 5
+    mod, rnd = p**K, data.draw(st.randoms(use_true_random=False))
+    lift = [[0] * n for _ in range(n)]  # p^s times a random lift, mod p^K
+    for (i, j), x in head.items():
+        base = 0 if x.is_zero else x.unit * pow(p, x.valuation + s, mod)
+        lift[i][j] = (base + pow(p, x.absolute_precision + s, mod) * rnd.randrange(mod)) % mod
+    sq = _int_matmul(lift, lift)
+    defect = [[x - p**s * y for x, y in zip(r, q)] for r, q in zip(sq, lift)]  # p^2s d
+    try:
+        out, _ = _refine_form(nf, target)
+    except PreconditionFailed:
+        assert _vanishing_depth(defect, 0, p, K) <= 4 * s
+        return
+    except NoConvergence:
+        try:
+            out, _ = _refine_form(nf, 1)
+        except NoConvergence:
+            return
+        assert min(x.absolute_precision for x in out.head.values()) < target
+    want, top = _scaled_int_idempotent(lift, s, p, K)
+    for i in range(n):
+        for j in range(n):
+            x = out.entry(i, j)
+            got = 0 if x.is_zero else x.unit * p ** (x.valuation + s)
+            m = p ** (top if x.absolute_precision is None else x.absolute_precision + s)
+            assert (got - want[i][j]) % m == 0, (i, j)
+
+
+def test_refine_refuses_a_tail_and_an_input_short_of_the_target():
+    """A structured tail has no residue window, so refinement raises
+    StructureError, as teich refuses one.  [[1, 1/3], [0, 0]] at
+    precision 30 knows its 1/3 to 29 absolute digits: target 30 is out
+    of reach before any step, and target 20 is met."""
+    p = 3
+    up = IndexMap(p, lambda j: j + 1, inv=lambda i: i - 1 if i else None, infinite_domain=True)
+    with pytest.raises(StructureError):
+        idempotent_refine(Sum([up, FiniteMatrix(p, {(0, 0): Padic.one(p)})]))
+    a = FiniteMatrix(p, {(0, 0): Padic.one(p, 30), (0, 1): Padic.from_fraction(Fraction(1, 3), p, 30)})
+    with pytest.raises(NoConvergence, match="certifies 29 digits"):
+        idempotent_refine(a, 30)
+    assert op_agree(idempotent_refine(a, 20), a, 20)
 
 
 def _fraction_inverse(m):
@@ -528,22 +577,30 @@ def test_split_rejects_non_idempotent():
 
 def test_split_reduces_its_columns_once(monkeypatch):
     """The projection's column reduction also finds the independent
-    columns; a second reduction of the same columns picked them first."""
-    calls = []
-    original = linalg.reduce_columns
+    columns; a second reduction of the same columns picked them first.
+    And e is normalised once: the projection is built on e's form, with
+    no second normalisation to check that e fixes its columns."""
+    calls = {"reduce": 0, "normalize": 0}
+    reduce_columns, normalize_op = linalg.reduce_columns, operators.normalize
 
-    def counted(columns):
-        calls.append(1)
-        return original(columns)
+    def counted_reduce(columns):
+        calls["reduce"] += 1
+        return reduce_columns(columns)
 
-    monkeypatch.setattr(idempotents, "reduce_columns", counted)
+    def counted_normalize(op):
+        calls["normalize"] += 1
+        return normalize_op(op)
+
+    monkeypatch.setattr(idempotents, "reduce_columns", counted_reduce)
+    monkeypatch.setattr(idempotents, "normalize", counted_normalize)
+    monkeypatch.setattr(operators, "normalize", counted_normalize)
     p = 3
     e = fm(p, {(0, 0): Fraction(1, 3), (0, 1): Fraction(2, 3),
                (1, 0): Fraction(1, 3), (1, 1): Fraction(2, 3), (2, 2): 1})
     s = idempotent_split(e)
     monkeypatch.undo()
     assert op_agree(Sum([s.f, s.g]), e, 30)
-    assert len(calls) == 1
+    assert calls == {"reduce": 1, "normalize": 1}
 
 
 # -- rank --------------------------------------------------------------------
@@ -662,26 +719,9 @@ def test_rank_matches_a_fraction_rank_oracle(data):
     possible."""
     p = data.draw(st.sampled_from([2, 3, 5]))
     n = data.draw(st.integers(2, 5))
-    r = data.draw(st.integers(1, n - 1))
     s = data.draw(st.integers(1, 3))
-    units = st.integers(1, p**3).filter(lambda u: u % p)
-    block = [[Fraction(data.draw(units), p ** data.draw(st.integers(0, s)))
-              for _ in range(n - r)] for _ in range(r)]
-    block[0][0] = Fraction(data.draw(units), p**s)
-    rows = [[Fraction(int(i == j)) for j in range(r)] + block[i] if i < r else [Fraction(0)] * n
-            for i in range(n)]
-    g, g_inv = _unimodular(data.draw(st.randoms(use_true_random=False)), n)
-    rows = _int_matmul(_int_matmul(g, rows), g_inv)
     prec = data.draw(st.integers(4 * s + 1, 4 * s + 6))
-    noise = {pos: _scaled(v, 3 * s + 6) for pos, v in data.draw(forms(p, n, False, False)).head.items()}
-    head = {}
-    for i in range(n):
-        for j in range(n):
-            v = Padic.from_fraction(rows[i][j], p, prec)
-            if (i, j) in noise:
-                v = v + noise[(i, j)]
-            if not v.is_exact_zero:
-                head[(i, j)] = v
+    r, rows, head, noise = _noisy_projection(data, p, n, s, prec, 3 * s + 6)
     q = min([x.absolute_precision for x in head.values()]
             + [x.precision if x.is_zero else x.valuation for x in noise.values()])
     want = _fraction_rank(rows)

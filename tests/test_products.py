@@ -339,19 +339,16 @@ def test_fused_mul_matches_plain_int_oracle(data):
     n = data.draw(st.integers(1, 4))
     a = data.draw(forms(p, n, data.draw(st.booleans()), False))
     b = data.draw(forms(p, n, data.draw(st.booleans()), False))
-    c = data.draw(ints(p).filter(bool))
     addend = [(data.draw(ints(p)), data.draw(forms(p, n, data.draw(st.booleans()), False)))
               for _ in range(data.draw(st.integers(0, 2)))]
-    products = {key: [(c, *pair) for pair in pairs]
-                for key, pairs in _entry_terms(a, b, n).items()}
-    shifts = [] if a.shift.is_zero or b.shift.is_zero else [(c, a.shift, b.shift)]
-    head_terms, shift_terms = _linear_terms(addend, products, shifts)
+    shifts = [] if a.shift.is_zero or b.shift.is_zero else [(a.shift, b.shift)]
+    head_terms, shift_terms = _linear_terms(addend, _entry_terms(a, b, n), shifts)
     want = _want(p, head_terms)
     if want is None:
         with pytest.raises(PrecisionExhausted):
-            a.mul(b, c, addend)
+            a.mul(b, addend)
         return
-    got = a.mul(b, c, addend)
+    got = a.mul(b, addend)
     assert {key: _triple(v) for key, v in got.head.items()} == want
     assert _triple(got.shift) == _oracle_entry(p, shift_terms)
 
@@ -376,12 +373,12 @@ def test_fused_mul_with_a_tail_is_mul_then_combine(data):
     a = data.draw(forms(p, n, data.draw(st.booleans()), where == "a"))
     b = data.draw(forms(p, n, data.draw(st.booleans()), where == "b"))
     f = data.draw(forms(p, n, data.draw(st.booleans()), where == "addend"))
-    c, k = data.draw(ints(p).filter(bool)), data.draw(ints(p))
+    k = data.draw(ints(p))
     if any(_oracle_entry(p, pairs)[1] is None for pairs in _entry_terms(a, b, n).values()):
         return
     try:
-        fused = a.mul(b, c, [(k, f)])
-        two_step = NormalForm.combine([(c, a.mul(b)), (k, f)])
+        fused = a.mul(b, [(k, f)])
+        two_step = NormalForm.combine([(1, a.mul(b)), (k, f)])
     except PrecisionExhausted:
         return
     keys = set(fused.positions()) | set(two_step.positions())

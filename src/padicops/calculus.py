@@ -73,10 +73,13 @@ def certify_normal_contraction(a: Operator, depth: int) -> list[tuple[int, Valua
 
 def _binomial_sum(w: Window, coefficients: Iterable) -> Operator:
     """Sum of c_n * binom(A, n) on A's window w, each c_n a term (val, unit,
-    top) as scalars._round sums them, or None for an exact zero.  With
-    n! = p^j u, binom(A, n) = u^-1 F_n / p^j is known mod p^(N - j), of
-    valuation b, so c_n binom(A, n) is known to min(val + N - j, top + b),
-    and the sum to the least of these, at which it is written back once."""
+    top) as scalars._round sums them, top None for an exact c_n, or None
+    for an exact zero.  binom(A, 0) = I is exact, so c_0 I is known to
+    top.  For n >= 1, with n! = p^j u, binom(A, n) = u^-1 F_n / p^j is
+    known mod p^(N - j) and has norm p^-b at most (Window.norm), so
+    c_n binom(A, n) is known to min(val + N - j, top + b).  The sum is
+    known to the least of these, or to N when no term bounds it, and is
+    written back there once."""
     p, depth, terms = w.prime, None, []
     # coefficients first: zip stops there without forming one more product
     for n, (c, (product, _)) in enumerate(zip(coefficients, _falling_products(w))):
@@ -85,13 +88,13 @@ def _binomial_sum(w: Window, coefficients: Iterable) -> Operator:
         val, unit, top = c
         j, u = _split(factorial(n), p)
         binom = product.divide(j)
-        b = binom.norm().exponent  # None: binom(A, n) vanishes mod p^(N - j)
-        known = val + binom.depth if b is None else min(val + binom.depth, top + b)
-        depth = known if depth is None else min(depth, known)
+        known = min(val + binom.depth, top + binom.norm().exponent) if n else top
+        if known is not None:
+            depth = known if depth is None else min(depth, known)
         terms.append((p**val * unit * pow(u, -1, binom.modulus), binom))
-    if depth is None:
+    if not terms:
         return FiniteMatrix(p, {})
-    acc = Window.combine(terms, depth).form()
+    acc = Window.combine(terms, w.depth if depth is None else depth).form()
     # a sum that vanishes to its depth is O(p^depth) I: the public operator drops zeros
     return Diagonal(p, {}, acc.shift) if acc.norm().is_zero else acc.to_operator()
 
@@ -129,8 +132,8 @@ def binomial_series(a: Operator, z: Padic, depth: int) -> tuple[Operator, Valuat
         raise PreconditionFailed("series parameter needs norm <= 1/p")
     w = _contraction_window(a, z)
     powers = map(partial(_linear_term, 1), islice(accumulate(repeat(z), mul), depth))
-    # z^0 binom(A - 1, 0) = 1, known to N on the window
-    terms = chain([(0, 1, w.depth)], takewhile(lambda term: term is not None, powers))
+    # z^0 binom(A - 1, 0) = 1, exact
+    terms = chain([(0, 1, None)], takewhile(lambda term: term is not None, powers))
     acc = _binomial_sum(w.sub(w.constant(1)), terms)
     return acc, _series_error(z, depth, _contractive_diagonal(a))
 

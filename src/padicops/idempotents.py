@@ -315,7 +315,7 @@ def _form_rank(nf: NormalForm) -> int:
     if nf.tail is not None and not nf.tail.default.is_zero:
         raise PreconditionFailed("structured tail with nonzero default; not finite rank")
     p = nf.prime
-    a = NormalForm(p, Padic.zero(p), None, {pos: nf.entry(*pos) for pos in nf.positions()})
+    a = NormalForm(p, Padic.zero(p), None, {pos: nf.entry(*pos) for pos in nf.head})
     norm_a = a.norm()
     if norm_a < ValuationBound.one():
         return 0
@@ -324,7 +324,7 @@ def _form_rank(nf: NormalForm) -> int:
     gap = w.mul(w, addend=[(-p**s, w)]).norm()  # of p^2s d
     if not gap < ValuationBound(4 * s):
         raise PreconditionFailed(f"defect valuation {gap.exponent - 2 * s} must exceed {2 * s}")
-    k = (w.depth if gap.is_zero else gap.exponent) - 2 * s
+    k = gap.exponent - 2 * s
     trace = sum(row[i] for i, row in enumerate(w.rows))
     ranks = [r for r in range(len(w.index) + 1) if (p**s * r - trace) % p ** max(k + s, 0) == 0]
     if len(ranks) > 1:

@@ -7,9 +7,9 @@ compactness) are answered through an internal normal form
     shift * I  +  structured tail  +  finite sparse head
 
 which is closed under every combination the pipelines construct.  The
-structured tail is an injective index map backed by callables and is
-only trusted through its explicit certificates (inverse map, infinite
-domain flag); nothing is ever decided by sampling.
+structured tail is an injective index map with one coefficient, backed
+by callables, and is only trusted through its explicit certificates
+(inverse map, infinite domain flag); nothing is ever decided by sampling.
 """
 
 from __future__ import annotations
@@ -31,22 +31,19 @@ Dest = Callable[[int], "int | None"]
 
 @dataclass
 class _Tail:
-    """Columns j -> coeff(j) * delta_{dest(j)} with finitely many
-    coefficient overrides.  dest must be injective where defined."""
+    """Columns j -> default * delta_{dest(j)}: an index map with one
+    coefficient.  dest must be injective where defined.  A coefficient
+    that differs at finitely many columns is the form's head entry
+    c_j - default at (dest(j), j), as a diagonal's entries are."""
 
     dest: Dest
     inv: Dest | None
-    coeff: dict[int, Padic]
     default: Padic
     infinite_domain: bool
 
-    def coeff_at(self, j: int) -> Padic:
-        return self.coeff.get(j, self.default)
-
     def map(self, f: Callable[[Padic], Padic]) -> "_Tail":
-        """The same index map with f applied to every coefficient."""
-        return _Tail(self.dest, self.inv, {j: f(v) for j, v in self.coeff.items()},
-                     f(self.default), self.infinite_domain)
+        """The same index map with f applied to its coefficient."""
+        return _Tail(self.dest, self.inv, f(self.default), self.infinite_domain)
 
     def preimage(self, i: int) -> int | None:
         if self.inv is None:
@@ -72,21 +69,7 @@ def _compose_tails(a: _Tail, b: _Tail) -> _Tail:
             k = a_inv(i)
             return None if k is None else b_inv(k)
 
-    keys = set(b.coeff)
-    if a.coeff:
-        if b.inv is None:
-            raise StructureError("composition needs an inverse to pull back overrides")
-        for k in a.coeff:
-            j = b.inv(k)
-            if j is not None and b.dest(j) == k:
-                keys.add(j)
-    overrides = {}
-    for j in keys:
-        d = b.dest(j)
-        if d is None or a.dest(d) is None:
-            continue
-        overrides[j] = b.coeff_at(j) * a.coeff_at(d)
-    return _Tail(dest, inv, overrides, a.default * b.default, False)
+    return _Tail(dest, inv, a.default * b.default, False)
 
 
 def _nonzero(entries) -> dict:
@@ -160,24 +143,13 @@ class NormalForm:
         if i == j and not self.shift.is_zero:
             total = total + self.shift
         if self.tail is not None and self.tail.dest(j) == i:
-            total = total + self.tail.coeff_at(j)
+            total = total + self.tail.default
         return total
 
-    def positions(self) -> Iterator[tuple[int, int]]:
-        """The positions (i, j) where an entry can differ from the shift
-        and the tail default: the head keys, then each tail override
-        (dest(j), j) outside the head.  Lazy, so a caller that stops early
-        computes no further position."""
-        yield from self.head
-        if self.tail is not None:
-            for j in self.tail.coeff:
-                d = self.tail.dest(j)
-                if d is not None and (d, j) not in self.head:
-                    yield d, j
-
     def values(self) -> Iterator[Padic]:
-        """The entry at each of positions(), in that order."""
-        for i, j in self.positions():
+        """The entry at each head position, lazily: off the head an entry
+        is the shift, the tail's one coefficient, their sum or 0."""
+        for i, j in self.head:
             yield self.entry(i, j)
 
     def column(self, j: int) -> PadicVector:
@@ -199,7 +171,7 @@ class NormalForm:
             if self.tail is not None:
                 d = self.tail.dest(j)
                 if d is not None:
-                    _put(terms, d, _product_term(self.tail.coeff_at(j), x))
+                    _put(terms, d, _product_term(self.tail.default, x))
         return PadicVector(self.prime, {i: _round(self.prime, lst) for i, lst in terms.items()})
 
     # algebra ----------------------------------------------------------
@@ -258,20 +230,13 @@ class NormalForm:
             for (k, j), w in b.head.items():
                 d = a.tail.dest(k)
                 if d is not None:
-                    _put(terms, (d, j), _product_term(a.tail.coeff_at(k), w))
+                    _put(terms, (d, j), _product_term(a.tail.default, w))
         if b.tail is not None and a.head:
-            relevant: set[int] = set(b.tail.coeff)
-            for k in acols:
+            for k, col in acols.items():
                 j = b.tail.preimage(k)
                 if j is not None:
-                    relevant.add(j)
-            for j in relevant:
-                d = b.tail.dest(j)
-                if d is None:
-                    continue
-                w = b.tail.coeff_at(j)
-                for i, v in acols.get(d, ()):
-                    _put(terms, (i, j), _product_term(v, w))
+                    for i, v in col:
+                        _put(terms, (i, j), _product_term(v, b.tail.default))
         _put(terms, None, _product_term(a.shift, b.shift))
         return _assemble(p, terms, tail, addend)
 
@@ -285,13 +250,7 @@ class NormalForm:
         if self.tail is not None:
             if self.tail.inv is None:
                 raise StructureError("adjoint of a structured tail needs an inverse certificate")
-            overrides = {}
-            for j, c in self.tail.coeff.items():
-                d = self.tail.dest(j)
-                if d is not None:
-                    overrides[d] = c
-            tail = _Tail(self.tail.inv, self.tail.dest, overrides,
-                         self.tail.default, self.tail.infinite_domain)
+            tail = _Tail(self.tail.inv, self.tail.dest, self.tail.default, self.tail.infinite_domain)
         return NormalForm(self.prime, self.shift, tail, head)
 
     def divide_entries(self, c: Padic) -> "NormalForm":
@@ -337,11 +296,8 @@ class NormalForm:
     def vanishes_to(self, depth: int) -> bool:
         if not self.shift.vanishes_to(depth):
             return False
-        if self.tail is not None:
-            if not self.tail.default.vanishes_to(depth):
-                return False
-            if any(not c.vanishes_to(depth) for c in self.tail.coeff.values()):
-                return False
+        if self.tail is not None and not self.tail.default.vanishes_to(depth):
+            return False
         return all(v.vanishes_to(depth) for v in self.values())
 
     def to_operator(self) -> "Operator":
@@ -414,7 +370,9 @@ class IndexMap(Operator):
     dest may be a finite dict or a callable on all of N returning None
     where undefined; callable-backed maps must be injective and should
     carry an inverse plus an infinite_domain certificate for exact
-    norm and compactness answers.
+    norm and compactness answers.  Its normal form keeps default_coeff
+    in the tail and each coeff[j] as the head entry coeff[j] -
+    default_coeff at (dest(j), j), known to the lesser precision.
     """
 
     prime: int
@@ -492,8 +450,12 @@ def normalize(op: Operator) -> NormalForm:
         return NormalForm.constant(p, Padic.one(p, op.precision))
     if isinstance(op, IndexMap):
         if callable(op.dest):
-            tail = _Tail(op.dest, op.inv, dict(op.coeff), op.default_coeff, op.infinite_domain)
-            return NormalForm(p, Padic.zero(p), tail, {})
+            c = op.default_coeff
+            # each exception is a head entry, as a diagonal's; only an exact zero is dropped
+            pairs = ((op.dest(j), j, v - c) for j, v in op.coeff.items())
+            head = {(i, j): v for i, j, v in pairs if i is not None and not v.is_exact_zero}
+            tail = _Tail(op.dest, op.inv, c, op.infinite_domain)
+            return NormalForm(p, Padic.zero(p), tail, head)
         head = _nonzero(((d, j), op.coeff_at(j)) for j, d in op.dest.items())
         return NormalForm(p, Padic.zero(p), None, head)
     if isinstance(op, Sum):

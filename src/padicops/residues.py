@@ -213,10 +213,10 @@ class Window:
     # exact queries --------------------------------------------------------
 
     def norm(self) -> ValuationBound:
-        """p^-v for the least valuation v of an entry or the shift; the
-        zero bound when they all vanish mod p^depth."""
+        """p^-v for the least valuation v of an entry or the shift; p^-depth
+        when they all vanish mod p^depth, the most the window knows."""
         g = gcd(self.modulus, self.shift, *chain.from_iterable(self.rows))
-        return ValuationBound.zero() if g == self.modulus else ValuationBound(_split(g, self.prime)[0])
+        return ValuationBound(self.depth if g == self.modulus else _split(g, self.prime)[0])
 
     def vanishes_to(self, depth: int) -> bool:
         """Whether every entry and the shift are certified 0 mod p^depth:

@@ -267,11 +267,12 @@ def test_certificate_refuses_structured_tails():
 
 def test_certificate_refuses_a_depth_past_the_window():
     # diag(1, 3) at p = 2: every falling product from n = 4 on is 0, but
-    # the window holds it only mod 2^40, and v_2(n!) = n - s_2(n) first
-    # passes 40 at n = 44; the form walk printed inf rows there
+    # the window holds it only mod 2^40, so its rows read 2^-40, not the
+    # zero norm (for the lift diag(1 + 2^40, 3), F_4 has exponent 41); and
+    # v_2(n!) = n - s_2(n) first passes 40 at n = 44
     a = diag(2, [1, 3])
     rows = certify_normal_contraction(a, 43)
-    assert len(rows) == 43 and all(norm.is_zero for _, norm in rows[3:])
+    assert len(rows) == 43 and all(norm == ValuationBound(40) for _, norm in rows[3:])
     with pytest.raises(PrecisionExhausted, match="step 44"):
         certify_normal_contraction(a, 50)
     assert factorial_valuation(43, 2) <= 40 < factorial_valuation(44, 2)
@@ -289,13 +290,16 @@ def test_teichmuller_idempotent_diagonal():
         assert (nf.entry(i, i) - Padic.from_int(want, p)).vanishes_to(20)
     assert op_agree(Product([e, e]), e, 20)
     # P(A) is already idempotent mod p on a diagonal, so phase 1 stops at
-    # k = 0; each refinement step then at least doubles the defect's depth
+    # k = 0; each refinement step then at least doubles the defect's depth,
+    # up to the window's depth N, the least absolute precision of A
     assert trace[0] == [1, 0, "1"]
     refine = [row for row in trace if row[0] == 2]
     assert len(refine) == len(trace) - 1 >= 2
     assert [row[1] for row in refine] == list(range(1, len(refine) + 1))
-    depths = [int(d) if d != "inf" else 10**9 for _, _, d in refine]
-    assert all(2 * d <= nxt for d, nxt in zip([1] + depths, depths))
+    n = min(x.absolute_precision for x in a.entries.values() if not x.is_exact_zero)
+    depths = [int(d) for _, _, d in refine]
+    assert depths[-1] == n
+    assert all(min(2 * d, n) <= nxt for d, nxt in zip([1] + depths, depths))
 
 
 def test_teichmuller_idempotent_jordan_block():
@@ -525,8 +529,10 @@ def test_a_sum_that_vanishes_keeps_its_depth():
     nf = normalize(result)
     assert nf.shift.is_zero and nf.shift.absolute_precision == 1
     assert not nf.vanishes_to(2)
+    # 1 + z binom(A - 1, 1): the 1 is exact and z (A - 1) is known to
+    # v(z) + 1 = 2, so the sum is 1 + O(3^2)
     series, _ = binomial_series(a, Padic.from_int(3, p, 1), 1)
-    assert normalize(series).entry(0, 0).absolute_precision == 1
+    assert normalize(series).entry(0, 0).absolute_precision == 2
 
 
 # -- property: the walk on A's window against plain ints on a lift ------------

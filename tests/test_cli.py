@@ -226,13 +226,14 @@ def test_calculus_fz_depth_and_error(capsys, opfile):
 
 def test_calculus_fz_reads_z_at_the_file_precision(capsys, tmp_path):
     # an operator with no nonzero scalar carries no precision of its own,
-    # so only the header can say that a 60-digit z fits
+    # so only the header can say that a 60-digit z fits: A reads at 80,
+    # and 1 - z + ..., its 1 exact, is known to v(z) + 80 = 81
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({"p": 3, "precision": 80, "kind": "finite", "entries": []}))
     code, out, err = run(capsys, "calculus", "fz", "--in", str(path),
                          "--z", "3^1*" + "1" * 60, "--depth", "4")
     assert code == 0, err
-    assert json.loads(out)["result"]["precision"] == 80
+    assert json.loads(out)["result"]["precision"] == 81
 
 
 def test_calculus_teich_trace(capsys, opfile, tmp_path):

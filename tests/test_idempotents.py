@@ -278,7 +278,7 @@ def test_refinement_runs_to_the_depth_it_certifies():
                          for i, row in enumerate(rows) for j, v in enumerate(row) if v})
     (w,) = Window.read([normalize(idempotent_refine(a, 30))])
     assert w.depth == 100
-    assert w.defect().norm() == ValuationBound.zero()
+    assert w.defect().norm() == ValuationBound(100)
 
 
 # -- refinement above norm 1: the window of p^s a ----------------------------

@@ -6,8 +6,9 @@ The oracle below works on plain (valuation, unit, precision) triples and
 never calls Padic arithmetic: per entry it takes the least absolute
 precision over the entry's terms and reduces their exact sum modulo
 p^that.  A term is a product of scalars and exact int coefficients.
-The walk of vanishes_to and norm over a form's positions is checked
-against a scan of every entry of a window.
+vanishes_to and norm, which walk a form's head, are checked against a
+scan of every entry of a window.  A structured tail has one coefficient;
+an index map's exceptions are head entries.
 """
 
 import pytest
@@ -16,15 +17,14 @@ from hypothesis import strategies as st
 
 from padicops import operators
 from padicops.errors import PrecisionExhausted, StructureError
-from padicops.operators import FiniteMatrix, NormalForm, _Tail, normalize
+from padicops.operators import FiniteMatrix, IndexMap, NormalForm, _Tail, normalize
 from padicops.scalars import Padic, norm_max
 from padicops.vectors import PadicVector
 
 
-def _up_tail(prime: int, coeff: dict[int, Padic], default: Padic) -> _Tail:
-    """Columns j -> coeff(j) * delta_{j+1}, with its inverse certificate."""
-    return _Tail(lambda j: j + 1, lambda i: i - 1 if i > 0 else None,
-                 coeff, default, True)
+def _up_tail(prime: int, default: Padic) -> _Tail:
+    """Columns j -> default * delta_{j+1}, with its inverse certificate."""
+    return _Tail(lambda j: j + 1, lambda i: i - 1 if i > 0 else None, default, True)
 
 
 def test_cancelled_partial_sum_keeps_its_bound():
@@ -111,15 +111,18 @@ def entries(p):
 @st.composite
 def forms(draw, p, n, with_shift, with_tail):
     """A normal form whose head lives on the n x n window.  A head entry
-    or a tail coefficient may be a certified zero."""
+    may be a certified zero.  With a tail, the head also holds exceptions
+    at (j + 1, j), where the tail puts its coefficient, as the form of an
+    index map with exceptional coefficients does."""
     cells = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                          min_size=1, max_size=n * n))
     head = {cell: draw(entries(p)) for cell in sorted(cells)}
     shift = draw(scalars(p)) if with_shift else Padic.zero(p)
     tail = None
     if with_tail:
-        coeff = draw(st.dictionaries(st.integers(0, n), entries(p), max_size=n))
-        tail = _up_tail(p, coeff, draw(scalars(p)))
+        for j, v in draw(st.dictionaries(st.integers(0, n), entries(p), max_size=n)).items():
+            head[(j + 1, j)] = v
+        tail = _up_tail(p, draw(scalars(p)))
     return NormalForm(p, shift, tail, head)
 
 
@@ -136,8 +139,9 @@ def coefficients(p):
 
 def _entry_terms(a: NormalForm, b: NormalForm, n: int):
     """Every term of every head entry of a.b, as pairs of scalars, by
-    position.  Every index pair of a window past both heads is visited."""
-    span = range(n + 2)
+    position.  Every index pair of a window past both heads is visited:
+    a head reaches (n + 1, n), and a tail moves it one row down."""
+    span = range(n + 3)
     terms: dict[tuple[int, int], list[tuple[Padic, Padic]]] = {}
 
     def add(i, j, x, y):
@@ -153,9 +157,9 @@ def _entry_terms(a: NormalForm, b: NormalForm, n: int):
             if (i, j) in a.head and not b.shift.is_zero:
                 add(i, j, a.head[(i, j)], b.shift)
             if a.tail is not None and (i - 1, j) in b.head:
-                add(i, j, a.tail.coeff_at(i - 1), b.head[(i - 1, j)])
+                add(i, j, a.tail.default, b.head[(i - 1, j)])
             if b.tail is not None and (i, j + 1) in a.head:
-                add(i, j, a.head[(i, j + 1)], b.tail.coeff_at(j))
+                add(i, j, a.head[(i, j + 1)], b.tail.default)
     return terms
 
 
@@ -261,7 +265,7 @@ def _apply_terms(a: NormalForm, x: dict[int, Padic], n: int):
             if i == j and not a.shift.is_zero:
                 terms.setdefault(i, []).append((a.shift, xj))
             if a.tail is not None and i == j + 1:
-                terms.setdefault(i, []).append((a.tail.coeff_at(j), xj))
+                terms.setdefault(i, []).append((a.tail.default, xj))
     return terms
 
 
@@ -326,10 +330,7 @@ def test_combine_matches_plain_int_oracle(data):
     if tailed_form is None or _is_exact_zero(k):
         assert got.tail is None
     else:
-        tail = tailed_form.tail
-        assert _triple(got.tail.default) == _oracle_entry(p, [(k, tail.default)])
-        assert {j: _triple(v) for j, v in got.tail.coeff.items()} == \
-            {j: _oracle_entry(p, [(k, v)]) for j, v in tail.coeff.items()}
+        assert _triple(got.tail.default) == _oracle_entry(p, [(k, tailed_form.tail.default)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -381,7 +382,7 @@ def test_fused_mul_with_a_tail_is_mul_then_combine(data):
         two_step = NormalForm.combine([(1, a.mul(b)), (k, f)])
     except PrecisionExhausted:
         return
-    keys = set(fused.positions()) | set(two_step.positions())
+    keys = set(fused.head) | set(two_step.head)
     got, want = _entries(fused, keys), _entries(two_step, keys)
     if got is None or want is None:
         return
@@ -389,14 +390,13 @@ def test_fused_mul_with_a_tail_is_mul_then_combine(data):
     assert fused.shift == two_step.shift
     assert (fused.tail is None) == (two_step.tail is None)
     if fused.tail is not None:
-        assert fused.tail.coeff == two_step.tail.coeff
         assert fused.tail.default == two_step.tail.default
 
 
 def test_two_tails_in_a_sum_have_no_normal_form():
     p = 3
     one = Padic.one(p)
-    tailed = NormalForm(p, Padic.zero(p), _up_tail(p, {}, one), {})
+    tailed = NormalForm(p, Padic.zero(p), _up_tail(p, one), {})
     with pytest.raises(StructureError):
         NormalForm.combine([(1, tailed), (2, tailed)])
     with pytest.raises(StructureError):
@@ -406,13 +406,12 @@ def test_two_tails_in_a_sum_have_no_normal_form():
     assert NormalForm.combine([(1, tailed), (0, tailed)]).tail is tailed.tail
 
 
-# -- property: the position walk of vanishes_to and norm ---------------------------
+# -- property: vanishes_to and norm against an entry scan ------------------------
 
 
 def _scan(form: NormalForm, n: int) -> list[Padic] | None:
     """entry(i, j) at every position of the (n + 2) x (n + 2) window, which
-    holds the head and every tail override, or None when an entry has no
-    certified digit."""
+    holds the head, or None when an entry has no certified digit."""
     try:
         return [form.entry(i, j) for i in range(n + 2) for j in range(n + 2)]
     except PrecisionExhausted:
@@ -421,12 +420,10 @@ def _scan(form: NormalForm, n: int) -> list[Padic] | None:
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_position_walk_matches_entry_scan(data):
+def test_norm_and_vanishes_to_match_entry_scan(data):
     p = data.draw(st.sampled_from([2, 3, 5]))
     n = data.draw(st.integers(1, 4))
     a = data.draw(forms(p, n, data.draw(st.booleans()), True))
-    # an override outside the head is a position only the tail walk reaches
-    assume(any((j + 1, j) not in a.head for j in a.tail.coeff))
     depth = data.draw(st.integers(-6, 60))
     # beyond the window every entry is the shift or the tail default
     entries = _scan(a, n)
@@ -435,10 +432,63 @@ def test_position_walk_matches_entry_scan(data):
                 and all(v.vanishes_to(depth) for v in entries))
         assert a.vanishes_to(depth) == want
     # with no shift and no tail default the norm is the window's
-    finite = NormalForm(p, Padic.zero(p), _up_tail(p, a.tail.coeff, Padic.zero(p)), a.head)
+    finite = NormalForm(p, Padic.zero(p), _up_tail(p, Padic.zero(p)), a.head)
     entries = _scan(finite, n)
     if entries is None:
         with pytest.raises(PrecisionExhausted):
             finite.norm()
     else:
         assert finite.norm() == norm_max(v.norm for v in entries)
+
+
+# -- an index map's exceptional coefficients live in the head ----------------------
+
+
+# (dest, inv) of two injective callable index maps
+MAPS = [(lambda j: j + 1, lambda i: i - 1 if i > 0 else None),
+        (lambda j: 2 * j, lambda i: i // 2 if i % 2 == 0 else None)]
+
+
+def integral_entries(p):
+    """A coefficient of an index map: an integral scalar or a certified zero."""
+    return entries(p).filter(lambda x: x.is_integral)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_index_map_exceptions_read_back_at_their_positions(data):
+    """normalize(IndexMap(callable, coeff)) has coeff_at(j) at (dest(j), j):
+    the default where j has no exception, else the exception known to the
+    lesser of its precision and the default's; and 0 elsewhere on the
+    window."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 5))
+    dest, inv = data.draw(st.sampled_from(MAPS))
+    coeff = data.draw(st.dictionaries(st.integers(0, n), integral_entries(p), max_size=n + 1))
+    op = IndexMap(p, dest, coeff, data.draw(integral_entries(p)), inv, True)
+    nf = normalize(op)
+    for j in range(n + 1):
+        for i in range(2 * n + 2):
+            got = nf.entry(i, j)
+            if i != dest(j):
+                assert got.is_exact_zero
+                continue
+            want = op.coeff_at(j)
+            if j not in coeff:
+                assert got == want
+            top = min(x.absolute_precision for x in (want, op.default_coeff))
+            assert got.absolute_precision == top
+            assert (got - want).vanishes_to(top)
+
+
+def test_a_certified_zero_exception_keeps_its_bound():
+    """An exception 1 + O(3^5) under a default 1 + O(3^80) differs from it
+    by O(3^5): the head keeps that certified zero, so the entry reads back
+    known to 5 digits, not as the default's 80."""
+    p = 3
+    dest, inv = MAPS[0]
+    op = IndexMap(p, dest, {0: Padic.from_int(1, p, 5)}, Padic.from_int(1, p, 80), inv, True)
+    nf = normalize(op)
+    assert nf.head == {(1, 0): Padic.zero(p, 5)}
+    assert nf.entry(1, 0).absolute_precision == 5
+    assert nf.entry(2, 1).absolute_precision == 80

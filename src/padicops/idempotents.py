@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable
 
 from .errors import (CertificationFailed, NoConvergence, PrecisionExhausted,
                      PreconditionFailed, StructureError, Undecidable)
@@ -116,11 +115,7 @@ def _refine(w: Window, s: int, target: int,
     ps = w.prime**s
     if defect is None:
         defect = w.mul(w, addend=[(-ps, w)])
-    gap = defect.norm()  # of p^2s d
-    if not gap < ValuationBound(4 * s):
-        raise PreconditionFailed(
-            f"defect norm exponent {gap.exponent - 2 * s} must exceed "
-            f"{2 * s} (norm of a: exponent {-s})")
+    _defect_valuation(defect, s)
     if w.depth - s < target:
         raise NoConvergence(0, f"the window certifies {w.depth - s} digits, fewer than the target")
     e, defects, v = w, [], 0
@@ -137,6 +132,14 @@ def _refine(w: Window, s: int, target: int,
     if depth < e.depth:
         e = Window.combine([(1, e)], depth)
     return e, defects
+
+
+def _defect_valuation(defect: Window, s: int) -> int:
+    """v(d) from the window p^2s d, d = a^2 - a; refinement needs v(d) > 2s."""
+    v = defect.norm().exponent - 2 * s
+    if v <= 2 * s:
+        raise PreconditionFailed(f"defect valuation {v} must exceed {2 * s}")
+    return v
 
 
 # -- equivalence ---------------------------------------------------------
@@ -321,10 +324,7 @@ def _form_rank(nf: NormalForm) -> int:
         return 0
     s = -norm_a.exponent
     (w,) = Window.read([a], s)
-    gap = w.mul(w, addend=[(-p**s, w)]).norm()  # of p^2s d
-    if not gap < ValuationBound(4 * s):
-        raise PreconditionFailed(f"defect valuation {gap.exponent - 2 * s} must exceed {2 * s}")
-    k = gap.exponent - 2 * s
+    k = _defect_valuation(w.mul(w, addend=[(-p**s, w)]), s)
     trace = sum(row[i] for i, row in enumerate(w.rows))
     ranks = [r for r in range(len(w.index) + 1) if (p**s * r - trace) % p ** max(k + s, 0) == 0]
     if len(ranks) > 1:
@@ -428,12 +428,10 @@ def k0_trivialize(e: Operator, target: int = 30, prefix: int = 16) -> dict:
     g = nfg.to_operator()
     rank = _form_rank(nff)
     gens = sum_ring_generators(p)
-    moves = tuple(_applier(op) for op in (gens.first_to_all, gens.all_to_first,
-                                           gens.up, gens.down))
-    relations = _relation_checks(p, moves, prefix)
+    relations = _relation_checks(gens, prefix, target)
     depth = max(cantor_unpair(x)[0] for x in range(prefix)) + 1
     g_inf = infinite_sum(g, depth)
-    repeat_ok = _repeat_equation_ok(g, g_inf, moves, prefix, depth, target)
+    repeat_ok = _repeat_equation_ok(g, g_inf, gens, prefix, target)
     return {
         "zero_input": False,
         "split": {
@@ -453,34 +451,51 @@ def k0_trivialize(e: Operator, target: int = 30, prefix: int = 16) -> dict:
     }
 
 
-# The appliers of first_to_all, all_to_first, up and down, in that order.
-Moves = tuple[Callable[[PadicVector], PadicVector], ...]
+def _relation_checks(gens: SumRingGenerators, prefix: int, target: int) -> dict[str, bool]:
+    """The sum-ring relations on x < prefix, read off the generators'
+    index maps, each of which must have one coefficient that agrees with
+    1 to the target.  atf.fta + up.down = 1 holds at x when exactly one
+    of its two paths is defined there and returns x."""
+    fta, atf, up, down = gens.first_to_all, gens.all_to_first, gens.up, gens.down
+    one = Padic.one(gens.prime, target)
+
+    def unit(*maps: IndexMap) -> bool:
+        return all(not m.coeff and (m.default_coeff - one).vanishes_to(target) for m in maps)
+
+    def path(x: int | None, *maps: IndexMap) -> int | None:
+        for m in maps:
+            x = None if x is None else m.dest(x)
+        return x
+
+    xs = range(prefix)
+    return {
+        "left_inverse_first": unit(fta, atf) and all(path(x, atf, fta) == x for x in xs),
+        "left_inverse_shift": unit(up, down) and all(path(x, up, down) == x for x in xs),
+        "partition_of_identity": unit(fta, atf, up, down) and all(
+            [y for y in (path(x, fta, atf), path(x, down, up)) if y is not None] == [x]
+            for x in xs),
+    }
 
 
-def _relation_checks(p: int, moves: Moves, prefix: int) -> dict[str, bool]:
-    fta, atf, up, down = moves
-    out = {"left_inverse_first": True, "left_inverse_shift": True, "partition_of_identity": True}
-    for x in range(prefix):
-        delta = PadicVector.basis(p, x)
-        if (fta(atf(delta)) - delta).entries:
-            out["left_inverse_first"] = False
-        if (down(up(delta)) - delta).entries:
-            out["left_inverse_shift"] = False
-        if (atf(fta(delta)) + up(down(delta)) - delta).entries:
-            out["partition_of_identity"] = False
-    return out
-
-
-def _repeat_equation_ok(g: Operator, g_inf: Operator, moves: Moves,
-                        prefix: int, depth: int, target: int) -> bool:
-    fta, atf, up, down = moves
+def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
+                        prefix: int, target: int) -> bool:
+    """atf.g.fta + up.g_inf.down = g_inf on x < prefix, each gap entry
+    certified zero to the target.  Only g and g_inf are applied: the
+    generators move indices by their dest maps, at the coefficient 1
+    that _relation_checks certifies."""
+    p, prec = g.prime, precision_of(g)
     apply_g, apply_inf = _applier(g), _applier(g_inf)
-    prec = precision_of(g)
+
+    def image(apply, x: int | None) -> PadicVector:
+        return PadicVector(p) if x is None else apply(PadicVector.basis(p, x, prec))
+
+    def moved(vec: PadicVector, dest) -> PadicVector:
+        return PadicVector(p, {dest(i): v for i, v in vec.entries.items()})
+
     for x in range(prefix):
-        if cantor_unpair(x)[0] >= depth:
-            continue
-        delta = PadicVector.basis(g.prime, x, prec)
-        gap = atf(apply_g(fta(delta))) + up(apply_inf(down(delta))) - apply_inf(delta)
+        gap = (moved(image(apply_g, gens.first_to_all.dest(x)), gens.all_to_first.dest)
+               + moved(image(apply_inf, gens.down.dest(x)), gens.up.dest)
+               - image(apply_inf, x))
         if any(not v.vanishes_to(target) for v in gap.entries.values()):
             return False
     return True

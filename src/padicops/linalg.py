@@ -14,7 +14,7 @@ integral, so no step enlarges the entries it touches.
 
 from __future__ import annotations
 
-from .scalars import Padic, precision_of
+from .scalars import Padic
 
 Column = dict[int, Padic]
 
@@ -89,5 +89,5 @@ def eliminate_full_pivot(rows: list[list[Padic]], prime: int) -> tuple[list[int]
             for j in range(k + 1, n):
                 work[i][j] = work[i][j] - factor * work[k][j]
     if det is None:  # the empty matrix
-        return valuations, Padic.one(prime, precision_of(rows))
+        return valuations, Padic.one(prime)
     return valuations, det if sign > 0 else -det

@@ -90,12 +90,6 @@ def _put(terms: dict, key, term) -> None:
             lst.append(term)
 
 
-def _times(k: int, x: Padic) -> Padic:
-    """k * x for an exact int k != 0."""
-    term = _linear_term(k, x)
-    return _round(x.prime, [] if term is None else [term])
-
-
 def _assemble(prime: int, terms: dict, tail: "_Tail | None", addend) -> "NormalForm":
     """The form with, at each head position, the terms gathered in terms
     plus k times the entry of F, and as shift (key None) the terms there
@@ -111,7 +105,7 @@ def _assemble(prime: int, terms: dict, tail: "_Tail | None", addend) -> "NormalF
             if tail is not None:
                 raise StructureError("sum of two structured tails has no normal form")
             tail = (form.tail.map(k.__mul__) if scalar else form.tail if k == 1
-                    else form.tail.map(partial(_times, k)))
+                    else form.tail.map(lambda v: v.scale_int(k)))
         # a scalar k joins k * x as the product term (k, x)
         term = partial(_product_term if scalar else _linear_term, k)
         _put(terms, None, term(form.shift))
@@ -156,23 +150,10 @@ class NormalForm:
         return self.apply(PadicVector.basis(self.prime, j, precision_of(self)))
 
     def apply(self, vec: PadicVector) -> PadicVector:
-        """The form times vec.  As in mul, the terms of each output entry
-        are gathered, in the order they are first reached, and summed
-        once by _round, so a partial sum that cancels keeps its bound."""
-        cols: dict[int, list[tuple[int, Padic]]] = {}
-        for (i, j), v in self.head.items():
-            cols.setdefault(j, []).append((i, v))
-        terms: dict[int, list] = {}
-        for j, x in vec.entries.items():
-            for i, v in cols.get(j, ()):
-                _put(terms, i, _product_term(v, x))
-            if not self.shift.is_zero:
-                _put(terms, j, _product_term(self.shift, x))
-            if self.tail is not None:
-                d = self.tail.dest(j)
-                if d is not None:
-                    _put(terms, d, _product_term(self.tail.default, x))
-        return PadicVector(self.prime, {i: _round(self.prime, lst) for i, lst in terms.items()})
+        """The form times vec: mul by vec's one-column form, read back."""
+        col = NormalForm(self.prime, Padic.zero(self.prime), None,
+                         {(i, 0): x for i, x in vec.entries.items()})
+        return PadicVector(self.prime, {i: v for (i, _), v in self.mul(col).head.items()})
 
     # algebra ----------------------------------------------------------
 
@@ -561,7 +542,7 @@ def nf_polynomial(nf: NormalForm, coeffs) -> NormalForm:
     return acc
 
 
-# -- benchmark constructor ----------------------------------------------
+# -- weighted shift, for criteria c04 and c05 and the tests ------------
 
 
 def weighted_shift_matrix(prime: int, size: int, precision: int = DEFAULT_PRECISION) -> FiniteMatrix:

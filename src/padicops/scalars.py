@@ -333,7 +333,9 @@ class Padic:
         return Padic.from_unit(p, self.valuation - other.valuation, unit, prec)
 
     def scale_int(self, n: int) -> "Padic":
-        return self * Padic.from_int(n, self.prime, precision_of(self))
+        """n * self for an exact int n: the term n * self, rounded."""
+        term = _linear_term(n, self) if n else None
+        return _round(self.prime, [] if term is None else [term])
 
     def cap_absolute(self, depth: int) -> "Padic":
         """Forget digits past absolute depth (used to fold in error bounds)."""

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from padicops.config import ExperimentConfig
 from padicops.errors import (NoConvergence, NonIntegral, PrecisionExhausted,
                              PreconditionFailed, StructureError, Undecidable)
 from padicops.idempotents import (_form_rank, _frobenius_cap, _newton_schulz_inverse,
-                                  _refine_form, cantor_pair,
+                                  _refine_form, _relation_checks, cantor_pair,
                                   cantor_unpair, column_projection,
                                   finite_rank_reduce,
                                   idempotent_equivalence, idempotent_lift,
@@ -841,6 +842,86 @@ def test_k0_normalizes_as_often_at_any_prefix(monkeypatch):
         assert out["contractive_part"]["repeat_equation_on_prefix"] is True
         counts[prefix] = len(calls)
     assert counts[4] == counts[16]
+
+
+def _generators_with(**maps):
+    """The sum-ring generators over 3 with some maps replaced."""
+    return dataclasses.replace(sum_ring_generators(3), **maps)
+
+
+def test_relation_checks_read_the_index_maps():
+    gens = sum_ring_generators(3)
+    assert all(_relation_checks(gens, 16, 30).values())
+
+    def one_block_off(x):
+        # down lands in block n - 2, not n - 1
+        n, i = cantor_unpair(x)
+        return cantor_pair(n - 2, i) if n >= 2 else None
+
+    bad = _generators_with(down=dataclasses.replace(gens.down, dest=one_block_off))
+    assert _relation_checks(bad, 16, 30) == {
+        "left_inverse_first": True, "left_inverse_shift": False,
+        "partition_of_identity": False}
+    # a coefficient that differs from 1 at one column is not the identity
+    odd = _generators_with(up=dataclasses.replace(gens.up, coeff={0: Padic.from_int(2, 3)}))
+    assert _relation_checks(odd, 16, 30) == {
+        "left_inverse_first": True, "left_inverse_shift": False,
+        "partition_of_identity": False}
+
+
+def test_relations_state_only_the_digits_the_coefficients_carry(monkeypatch):
+    # coefficients 1 + O(3^5) do not agree with 1 to the target 30
+    gens = sum_ring_generators(3)
+    five = Padic.from_int(1, 3, 5)
+    coarse = _generators_with(**{name: dataclasses.replace(getattr(gens, name), default_coeff=five)
+                                 for name in ("first_to_all", "all_to_first", "up", "down")})
+    monkeypatch.setattr(idempotents, "sum_ring_generators", lambda prime: coarse)
+    rel = k0_trivialize(fm(3, {(0, 0): 1}), 30)["contractive_part"]["sum_ring_relations_on_prefix"]
+    assert rel == {"left_inverse_first": False, "left_inverse_shift": False,
+                   "partition_of_identity": False}
+
+
+def test_k0_transcript_applies_only_g_and_its_spread(monkeypatch):
+    """For a finite g, trivialize applies forms at most twice per prefix
+    vector besides the split's column reads, and never a sum-ring
+    generator: no applied form has a structured tail."""
+    e = rank_one(3, [1, 9], [4, Fraction(1 - 4, 9)])
+    applied, columns = [], []
+    apply, column = NormalForm.apply, NormalForm.column
+
+    def counted_apply(self, vec):
+        applied.append(self)
+        return apply(self, vec)
+
+    def counted_column(self, j):
+        columns.append(j)
+        return column(self, j)
+
+    monkeypatch.setattr(NormalForm, "apply", counted_apply)
+    monkeypatch.setattr(NormalForm, "column", counted_column)
+    out = k0_trivialize(e, prefix=16)
+    assert out["contractive_part"]["repeat_equation_on_prefix"] is True
+    assert columns
+    assert len(applied) - len(columns) <= 2 * 16
+    assert all(nf.tail is None for nf in applied)
+
+
+def test_apply_is_one_product(monkeypatch):
+    nf = normalize(Sum([fm(3, {(0, 1): 2, (2, 0): 5}), sum_ring_generators(3).up]))
+    vec = PadicVector(3, {0: Padic.from_int(7, 3), 1: Padic.from_int(4, 3)})
+    calls = []
+    mul = NormalForm.mul
+
+    def counted(self, other, *args, **kwargs):
+        calls.append(1)
+        return mul(self, other, *args, **kwargs)
+
+    monkeypatch.setattr(NormalForm, "mul", counted)
+    out = nf.apply(vec)
+    assert len(calls) == 1
+    up = sum_ring_generators(3).up.dest
+    want = {2: 35, 0: 8, up(0): 7, up(1): 4}
+    assert {i: v.residue(40) for i, v in out.entries.items()} == want
 
 
 def test_k0_transcript_identity_component():

@@ -217,21 +217,22 @@ def test_truncate_window():
 
 
 def test_truncate_normalizes_once(monkeypatch):
-    # truncating a product multiplies once, not once per column
+    # truncating a product normalises it once, not once per column
     p, size = 3, 5
     op = Product([weighted_shift_matrix(p, 6), fm(p, {(i, j): i + 2 * j + 1
                                                       for i in range(6) for j in range(6)})])
     calls = []
-    mul = NormalForm.mul
+    original = operators.normalize
 
-    def counted(self, other, *args, **kwargs):
-        calls.append(1)
-        return mul(self, other, *args, **kwargs)
+    def counted(node):
+        calls.append(node)
+        return original(node)
 
-    monkeypatch.setattr(NormalForm, "mul", counted)
+    monkeypatch.setattr(operators, "normalize", counted)
     t = truncate(op, size)
     monkeypatch.undo()
-    assert len(calls) == 1
+    # the product, then each of its factors, once
+    assert [id(node) for node in calls] == [id(node) for node in (op, *op.factors)]
     assert t.entries == {(i, j): v for j in range(size)
                          for i, v in op_apply(op, PadicVector.basis(p, j)).entries.items()
                          if i < size}

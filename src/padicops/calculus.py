@@ -18,7 +18,7 @@ from math import factorial
 from operator import mul
 from typing import Iterable, Iterator
 
-from .errors import CertificationFailed, PrecisionExhausted, PreconditionFailed
+from .errors import CertificationFailed, NonIntegral, PrecisionExhausted, PreconditionFailed
 from .idempotents import _frobenius_cap, _refine_form
 from .io import exponent_str
 from .mahler import MahlerFunction
@@ -29,25 +29,30 @@ from .scalars import Padic, ValuationBound, _linear_term, _split, factorial_valu
 
 def _contraction_window(a: Operator, *operands) -> Window:
     """A's residue window mod p^N, or PreconditionFailed for a structured
-    tail and CertificationFailed(1) for ||A|| > 1.  An exact A reads at
+    tail and CertificationFailed(1) for ||A|| > 1: an entry of A is
+    outside Z_p exactly when a head value or the shift is, which is when
+    the read raises NonIntegral.  An exact A reads at
     precision_of(A, *operands), as a constant written for them would."""
     nf = normalize(a)
     if nf.tail is not None:
         raise PreconditionFailed("a structured tail has no finite window")
-    if nf.norm() > ValuationBound.one():
-        raise CertificationFailed(1, f"step 1: norm exponent {exponent_str(nf.norm())}, need at least 0")
-    return Window.read([nf], exact=precision_of(nf, *operands))[0]
+    try:
+        return Window.read([nf], exact=precision_of(nf, *operands))[0]
+    except NonIntegral:
+        raise CertificationFailed(1, f"step 1: norm exponent {exponent_str(nf.norm())}, need at least 0") from None
 
 
 def _check_product(n: int, product: Window) -> ValuationBound:
     """The norm of the falling product n! binom(A, n) once it vanishes
     mod p^(v_p(n!)), that is ||binom(A, n)|| <= 1: CertificationFailed(n)
-    when it does not, PrecisionExhausted when v_p(n!) is past N."""
+    when it does not, PrecisionExhausted when v_p(n!) is past N.  With
+    v_p(n!) at most N, the product vanishes to it exactly when its norm
+    exponent (Window.norm) reaches it."""
     required = factorial_valuation(n, product.prime)
     if required > product.depth:
         raise PrecisionExhausted(f"step {n}: v_p(n!) = {required} is past the depth {product.depth} of A")
     achieved = product.norm()
-    if not product.vanishes_to(required):
+    if achieved.exponent < required:
         raise CertificationFailed(n, f"step {n}: norm exponent {exponent_str(achieved)}, need at least {required}")
     return achieved
 
@@ -76,27 +81,30 @@ def _binomial_sum(w: Window, coefficients: Iterable) -> Operator:
     top) as scalars._round sums them, top None for an exact c_n, or None
     for an exact zero.  binom(A, 0) = I is exact, so c_0 I is known to
     top.  For n >= 1, with n! = p^j u, binom(A, n) = u^-1 F_n / p^j is
-    known mod p^(N - j) and has norm p^-b at most (Window.norm), so
-    c_n binom(A, n) is known to min(val + N - j, top + b).  The sum is
-    known to the least of these, or to N when no term bounds it, and is
-    written back there once."""
+    known mod p^(N - j) and has norm p^-b at most, b = e - j for the norm
+    p^-e of F_n that the walk read (Window.norm; divide lowers the depth
+    by j too), so c_n binom(A, n) is known to min(val + N - j, top + b).
+    The sum is known to the least of these, or to N when no term bounds
+    it, and is written back there once."""
     p, depth, terms = w.prime, None, []
     # coefficients first: zip stops there without forming one more product
-    for n, (c, (product, _)) in enumerate(zip(coefficients, _falling_products(w))):
+    for n, (c, (product, norm)) in enumerate(zip(coefficients, _falling_products(w))):
         if c is None:
             continue
         val, unit, top = c
         j, u = _split(factorial(n), p)
         binom = product.divide(j)
-        known = min(val + binom.depth, top + binom.norm().exponent) if n else top
+        known = min(val + binom.depth, top + norm.exponent - j) if n else top
         if known is not None:
             depth = known if depth is None else min(depth, known)
         terms.append((p**val * unit * pow(u, -1, binom.modulus), binom))
     if not terms:
         return FiniteMatrix(p, {})
-    acc = Window.combine(terms, w.depth if depth is None else depth).form()
+    acc = Window.combine(terms, w.depth if depth is None else depth)
     # a sum that vanishes to its depth is O(p^depth) I: the public operator drops zeros
-    return Diagonal(p, {}, acc.shift) if acc.norm().is_zero else acc.to_operator()
+    if acc.vanishes_to(acc.depth):
+        return Diagonal(p, {}, Padic.zero(p, acc.depth))
+    return acc.form().to_operator()
 
 
 def _contractive_diagonal(a: Operator) -> bool:

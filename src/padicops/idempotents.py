@@ -312,7 +312,8 @@ def _form_rank(nf: NormalForm) -> int:
     ||a|| = p^s >= 1 and v(d) > 2s, d = a^2 - a, each eigenvalue l of a has
     |l(l - 1)| <= ||d|| < 1, so the e refinement reaches has rank e = trace
     a mod p^v(d).  On w = p^s a mod p^N, certified zeros included, the rank
-    is the one r in [0, n] with p^s r = trace w mod p^(min(v(p^2s d), N) - s)."""
+    is the one r in [0, n] with p^s r = trace w mod p^(min(v(p^2s d), N) - s),
+    the trace summed over the diagonals of w's blocks."""
     if not nf.shift.is_zero:
         raise PreconditionFailed("operator has an identity component; not finite rank")
     if nf.tail is not None and not nf.tail.default.is_zero:
@@ -325,7 +326,7 @@ def _form_rank(nf: NormalForm) -> int:
     s = -norm_a.exponent
     (w,) = Window.read([a], s)
     k = _defect_valuation(w.mul(w, addend=[(-p**s, w)]), s)
-    trace = sum(row[i] for i, row in enumerate(w.rows))
+    trace = sum(w.rows[r][r - start] for start, stop in w.spans for r in range(start, stop))
     ranks = [r for r in range(len(w.index) + 1) if (p**s * r - trace) % p ** max(k + s, 0) == 0]
     if len(ranks) > 1:
         raise PrecisionExhausted(f"the trace is known mod p^{k}: ranks {ranks} all match")
@@ -550,8 +551,9 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
 
 
 def _frobenius_cap(w: Window) -> int:
-    """The least K with p^K >= n, n = len(w.index), the number of indices
-    that occur.  Mod p, w is s*I off its n x n block and S + N on it,
-    with S semisimple, N nilpotent and SN = NS.  So N^n = 0 and
+    """The least K with p^K >= n, n the size of w's largest block.  Mod
+    p, w is s*I off its blocks and S + N on each, with S semisimple, N
+    nilpotent and SN = NS.  So N^n = 0 on every block and
     (S + N)^(p^K) = S^(p^K) + N^(p^K) = S^(p^K) mod p."""
-    return next(k for k in count() if w.prime ** k >= len(w.index))
+    n = max([stop - start for start, stop in w.spans], default=0)
+    return next(k for k in count() if w.prime ** k >= n)

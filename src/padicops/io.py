@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import cache
 from typing import Any
 
 from .config import require_int, require_prime
@@ -18,22 +19,43 @@ from .errors import ParseError
 from .scalars import DEFAULT_PRECISION, Padic, precision_of
 
 _SCALAR_RE = re.compile(r"^(\d+)\^(-?\d+)\*([0-9.]+)$")
+# digits per int() call: the least limit the interpreter allows on the
+# digits of a str-to-int conversion (sys.set_int_max_str_digits)
+_INT_DIGITS = 640
+
+
+@cache
+def _digit_chunks(p: int) -> tuple[int, tuple[str, ...]]:
+    """p^k and the k little-endian base-p digits of each r < p^k, for
+    p < 10: k = 6 for p <= 3 and 4 otherwise, a few hundred strings a
+    prime."""
+    k = 6 if p <= 3 else 4
+    digits, table = [str(d) for d in range(p)], [""]
+    for _ in range(k):
+        # r = d + p r': the digit d, then the digits of r'
+        table = [d + rest for rest in table for d in digits]
+    return p**k, tuple(table)
 
 
 def scalar_to_text(x: Padic) -> str:
     if x.is_zero:
         return "0"
     p = x.prime
-    digits = []
     u = x.unit
+    if p < 10:
+        # k digits a step; the padding of the last chunk is trailing zeros,
+        # and the unit's top digit is not 0
+        base, table = _digit_chunks(p)
+        chunks = []
+        while u:
+            u, r = divmod(u, base)
+            chunks.append(table[r])
+        return f"{p}^{x.valuation}*{''.join(chunks).rstrip('0')}"
+    digits = []
     while u:
         u, r = divmod(u, p)
         digits.append(r)
-    if p < 10:
-        body = "".join(str(d) for d in digits)
-    else:
-        body = ".".join(str(d) for d in digits)
-    return f"{p}^{x.valuation}*{body}"
+    return f"{p}^{x.valuation}*{'.'.join(str(d) for d in digits)}"
 
 
 def scalar_from_text(text: str, prime: int, precision: int = DEFAULT_PRECISION) -> Padic:
@@ -53,17 +75,23 @@ def scalar_from_text(text: str, prime: int, precision: int = DEFAULT_PRECISION) 
     if p < 10:
         if "." in body:
             raise ParseError(f"dot-separated digits need p >= 10: {text!r}")
-        digits = [int(ch) for ch in body]
+        if max(body) >= str(p):
+            raise ParseError(f"digit out of range for base {p}: {text!r}")
+        # big-endian for int(); past int()'s digit limit, a chunk at a time
+        unit, rev = 0, body[::-1]
+        for start in range(0, len(rev), _INT_DIGITS):
+            chunk = rev[start:start + _INT_DIGITS]
+            unit = unit * p ** len(chunk) + int(chunk, p)
     else:
         parts = body.split(".")
         if not all(parts):
             raise ParseError(f"empty digit between dots: {text!r}")
         digits = [int(part) for part in parts]
-    if any(d >= p for d in digits):
-        raise ParseError(f"digit out of range for base {p}: {text!r}")
-    unit = 0
-    for d in reversed(digits):
-        unit = unit * p + d
+        if any(d >= p for d in digits):
+            raise ParseError(f"digit out of range for base {p}: {text!r}")
+        unit = 0
+        for d in reversed(digits):
+            unit = unit * p + d
     if unit == 0 or unit % p == 0:
         raise ParseError(f"unit part must be a p-adic unit: {text!r}")
     if unit >= p**precision:

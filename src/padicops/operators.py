@@ -147,7 +147,18 @@ class NormalForm:
             yield self.entry(i, j)
 
     def column(self, j: int) -> PadicVector:
-        return self.apply(PadicVector.basis(self.prime, j, precision_of(self)))
+        """Column j, read off: the entries at the head keys in column j,
+        at (j, j) when the shift is nonzero and at (dest(j), j) for a
+        tail.  It multiplies nothing, so it is apply(basis(j)) at a
+        precision no scalar of the form exceeds."""
+        rows = dict.fromkeys(i for i, k in self.head if k == j)
+        if not self.shift.is_zero:
+            rows[j] = None
+        if self.tail is not None:
+            d = self.tail.dest(j)
+            if d is not None:
+                rows[d] = None
+        return PadicVector(self.prime, {i: self.entry(i, j) for i in rows})
 
     def apply(self, vec: PadicVector) -> PadicVector:
         """The form times vec: mul by vec's one-column form, read back."""

@@ -1,13 +1,21 @@
 """Operators as integer windows modulo p^N: the flat precision model.
 
-A tail-free normal form whose entries are integral is, modulo p^N, an
-n x n block of ints and an int shift.  The block is indexed by the n
-sorted indices that occur in the head (its window), and holds every entry
-there, the shift included on its diagonal; off the window the operator
-is shift * I.  Products, sums and powers of forms read on one window are
-shift * I off it too, so the block is all they need, however far apart
-the indices.  ``Window.read`` takes N to be the least absolute precision
-over the entries and shifts it reads.
+A tail-free normal form whose entries are integral is, modulo p^N, a few
+square blocks of ints and an int shift.  The indices that occur in the
+head (its window) split into the connected components of the graph whose
+edges are the head keys (i, j), whatever their values.  Each component
+is one block, indexed by its sorted indices, holding every entry there,
+the shift included on its diagonal.  Between two blocks every entry is
+an exact zero, and off the window the operator is shift * I.  Forms read
+together share one layout, their keys all counting as edges, so each of
+them is block-diagonal plus shift * I in every lift: the input is
+exactly zero between blocks whatever the lift.  Products, sums, powers
+and refinement steps of block-diagonal matrices stay block-diagonal, so
+the blocks are all they need, however far apart the indices.  A
+diagonal with n entries is n 1 x 1 blocks, and a dense head one block
+(block orderings of the support graph: Duff, Erisman and Reid, "Direct
+Methods for Sparse Matrices", 1986).  ``Window.read`` takes N to be the
+least absolute precision over the entries and shifts it reads.
 
 Why the digits below p^N are certified: by the precision lemma of Caruso,
 Roe and Vaccon ("Tracking p-adic precision", 2014), an integer polynomial
@@ -24,16 +32,17 @@ The arithmetic follows ``NormalForm``'s where they share an operation
 (``mul`` with an addend, ``combine``, ``defect``, ``norm``,
 ``vanishes_to``); ``Window.mul`` also scales its product by an exact int.
 
-Products pack rows (Kronecker substitution; Dumas, Fousse and Salvy,
-"Simultaneous modular reduction and Kronecker substitution for small
-finite fields", 2011): a row of n entries becomes one int with entry j in
-bits [W j, W (j + 1)), so one product of a small int by a packed row
-makes n entry products, and a sum of such terms adds slot by slot.  That
-is exact as long as no slot overflows or goes negative: every term is
-made nonnegative, and W is wide enough for the largest sum a slot can
-hold, (|c| n + T + 1) M^2 for an n x n product with coefficient c and T
-addends, M the largest modulus among the operands.  Each slot is then
-read off and reduced mod p^N once.
+Products run block by block and pack rows (Kronecker substitution;
+Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
+substitution for small finite fields", 2011): a row of a block of b
+entries becomes one int with entry j in bits [W j, W (j + 1)), so one
+product of a small int by a packed row makes b entry products, and a sum
+of such terms adds slot by slot.  That is exact as long as no slot
+overflows or goes negative: every term is made nonnegative, and W is
+wide enough for the largest sum a slot can hold, (|c| n + T + 1) M^2 for
+blocks of at most n x n, coefficient c and T addends, M the largest
+modulus among the operands.  Each slot is then read off and reduced mod
+p^N once.
 """
 
 from __future__ import annotations
@@ -48,22 +57,30 @@ from .scalars import DEFAULT_PRECISION, Padic, ValuationBound, _split
 
 
 class Window:
-    """An n x n int block on the sorted indices ``index`` and an int
-    shift, both reduced mod p^depth."""
+    """Int blocks on the sorted indices of each connected component, and
+    an int shift, all reduced mod p^depth.
 
-    __slots__ = ("prime", "depth", "modulus", "index", "rows", "shift")
+    ``index`` lists the indices block by block, each block sorted, the
+    blocks in the order of their least index; ``spans`` holds the
+    (start, stop) positions of each block in ``index``.  Row r holds
+    the entries of its block's columns, so row r and column
+    index[start + j] meet at rows[r][j]."""
+
+    __slots__ = ("prime", "depth", "modulus", "index", "spans", "rows", "shift")
 
     def __init__(self, prime: int, depth: int, index: tuple[int, ...],
-                 rows: list[list[int]], shift: int):
+                 spans: tuple[tuple[int, int], ...], rows: list[list[int]], shift: int):
         self.prime, self.depth, self.modulus = prime, depth, prime**depth
-        self.index, self.rows, self.shift = index, rows, shift
+        self.index, self.spans, self.rows, self.shift = index, spans, rows, shift
 
     @classmethod
     def read(cls, forms: list[NormalForm], scale: int = 0, exact: int = DEFAULT_PRECISION) -> list["Window"]:
-        """p^scale times each form, on one window and at one depth: the
-        window is the sorted set of row and column indices in the forms'
-        heads, and N the least absolute precision, plus scale, over every
-        entry and shift of the forms.
+        """p^scale times each form, on one layout and at one depth: the
+        indices are the row and column indices in the forms' heads, split
+        into the connected components of the graph whose edges are the
+        head keys (i, j) of all the forms, whatever their values; N is
+        the least absolute precision, plus scale, over every entry and
+        shift of the forms.
         Exact data alone reads at depth exact.  A structured tail
         raises StructureError, an entry of p^scale * form outside Z_p
         NonIntegral."""
@@ -72,81 +89,112 @@ class Window:
             if nf.tail is not None:
                 raise StructureError("a structured tail has no integer window")
             for x in chain((nf.shift,), nf.head.values()):
-                top = x.absolute_precision
-                if top is None:
+                v, top = x.valuation, x.precision
+                if v is not None:
+                    if v + scale < 0:
+                        raise NonIntegral("a residue window needs integral entries")
+                    top += v
+                elif top is None:
                     continue
-                if not x.is_zero and x.valuation + scale < 0:
-                    raise NonIntegral("a residue window needs integral entries")
-                depth = top + scale if depth is None else min(depth, top + scale)
+                if depth is None or top + scale < depth:
+                    depth = top + scale
             seen.update(chain.from_iterable(nf.head))
         depth = exact if depth is None else depth
         mod = p**depth
-        index = tuple(sorted(seen))
-        at = {k: pos for pos, k in enumerate(index)}
-        size = len(index)
-
-        def residue(x: Padic) -> int:
-            return 0 if x.is_zero else x.unit * pow(p, x.valuation + scale, mod) % mod
+        # union by size: each index maps to the one list of its component
+        block = {k: [k] for k in seen}
+        for nf in forms:
+            for i, j in nf.head:
+                a, b = block[i], block[j]
+                if a is not b:
+                    if len(a) < len(b):
+                        a, b = b, a
+                    a += b
+                    for k in b:
+                        block[k] = a
+        blocks = sorted(map(sorted, {id(b): b for b in block.values()}.values()))
+        index = tuple(chain.from_iterable(blocks))
+        spans, at, col, start = [], {}, {}, 0
+        for b in blocks:
+            spans.append((start, start + len(b)))
+            for c, k in enumerate(b):
+                at[k], col[k] = start + c, c
+            start += len(b)
+        spans = tuple(spans)
 
         out = []
         for nf in forms:
-            shift = residue(nf.shift)
-            rows = [[shift if i == j else 0 for j in range(size)] for i in range(size)]
+            rows = [[0] * (stop - start) for start, stop in spans for _ in range(start, stop)]
             for (i, j), x in nf.head.items():
-                i, j = at[i], at[j]
-                rows[i][j] = (rows[i][j] + residue(x)) % mod
-            out.append(cls(p, depth, index, rows, shift))
+                v = x.valuation
+                if v is not None:
+                    rows[at[i]][col[j]] = x.unit * pow(p, v + scale, mod) % mod
+            v = nf.shift.valuation
+            shift = 0 if v is None else nf.shift.unit * pow(p, v + scale, mod) % mod
+            if shift:
+                for start, stop in spans:
+                    for r in range(start, stop):
+                        row = rows[r]
+                        row[r - start] = (row[r - start] + shift) % mod
+            out.append(cls(p, depth, index, spans, rows, shift))
         return out
 
     def form(self, scale: int = 0) -> NormalForm:
         """The normal form of p^-scale times the window, undoing read's
-        scale: every window entry in its head, zeros included, and every
-        entry and the shift certified to exactly depth - scale."""
-        p, depth, shift = self.prime, self.depth, self.shift
+        scale: every block entry in its head, zeros included, in
+        row-major order of the indices, and every such entry and the
+        shift certified to exactly depth - scale.  An entry between two
+        blocks is an exact zero and stays out of the head."""
+        p, depth, shift, index = self.prime, self.depth, self.shift, self.index
         zero = Padic.zero(p, depth - scale)
 
         def certified(x: int) -> Padic:
             return Padic.from_unit(p, -scale, x, depth) if x % self.modulus else zero
 
-        index = self.index
-        head = {(index[i], index[j]): certified(x - shift if i == j else x)
-                for i, row in enumerate(self.rows) for j, x in enumerate(row)}
+        first = [start for start, stop in self.spans for _ in range(start, stop)]
+        order = sorted(range(len(index)), key=index.__getitem__)
+        head = {(index[r], index[k]): certified(x - shift if r == k else x)
+                for r in order for k, x in enumerate(self.rows[r], first[r])}
         return NormalForm(p, certified(shift), None, head)
 
     def constant(self, c: int) -> "Window":
-        """c * I on the same window and at the same depth."""
+        """c * I on the same layout and at the same depth."""
         c %= self.modulus
-        size = len(self.rows)
-        rows = [[c if i == j else 0 for j in range(size)] for i in range(size)]
-        return Window(self.prime, self.depth, self.index, rows, c)
+        rows = [[c if j == r else 0 for j in range(stop - start)]
+                for start, stop in self.spans for r in range(stop - start)]
+        return Window(self.prime, self.depth, self.index, self.spans, rows, c)
 
     # algebra ------------------------------------------------------------
 
     def mul(self, other: "Window", c: int = 1,
             addend: list[tuple[int, "Window"]] = ()) -> "Window":
         """c * self * other + the sum of k * F over the addend's pairs, for
-        exact ints c and k, as NormalForm.mul, on one window.
+        exact ints c and k, as NormalForm.mul, on one layout, block by
+        block.
 
         Each row of other, and of each F, is packed into one int, entry j
-        in the slot of bits [W j, W (j + 1)).  Row i of the result is then
-        c sum_k a_ik P_k + sum_t k'_t Q_ti + B, with P_k row k of other,
-        Q_ti row i of F_t, k' = k mod p^depth, and B = 0 when c >= 0 or
-        else |c| n M^2 in every slot: n + T + 1 products of an int by a
-        packed row, T the number of addends.  M is the largest modulus
-        among the operands, so every entry is below M and p^depth divides
-        M^2.  Then each slot holds a sum in [0, (|c| n + T + 1) M^2), below
-        2^W, so no carry or borrow crosses into the next, and it is the
-        entry of the plain triple loop plus B's slot, a multiple of
-        p^depth.  Each slot is read off and reduced once, so the result is
-        that of the plain triple loop, bit for bit, for every n."""
+        of its block in the slot of bits [W j, W (j + 1)).  Row i of the
+        result is then c sum_k a_ik P_k + sum_t k'_t Q_ti + B, k over the
+        block of i, with P_k row k of other, Q_ti row i of F_t,
+        k' = k mod p^depth, and B = 0 when c >= 0 or else |c| n M^2 in
+        every slot of the block, n the size of the largest block: b + T + 1
+        products of an int by a packed row, b the size of the block and T
+        the number of addends.  M is the largest modulus among the
+        operands, so every entry is below M and p^depth divides M^2.  Then
+        each slot holds a sum in [0, (|c| n + T + 1) M^2), below 2^W, so
+        no carry or borrow crosses into the next, and it is the entry of
+        the plain triple loop plus B's slot, a multiple of p^depth.  Each
+        slot is read off and reduced once, so the result is that of the
+        plain triple loop on the block-diagonal matrix, bit for bit."""
         depth = min(self.depth, other.depth, *(f.depth for _, f in addend))
         mod = self.prime**depth
-        n = len(self.rows)
+        spans = self.spans
+        # the size of the largest block: with one block, every row
+        n = len(self.rows) if len(spans) == 1 else max([b - a for a, b in spans], default=0)
         top = max(self.modulus, other.modulus, *(f.modulus for _, f in addend))
         width = ((abs(c) * n + len(addend) + 1) * top * top).bit_length()
         mask = (1 << width) - 1
-        slots = range(0, width * n, width)
-        bias = sum([1 << s for s in slots]) * n * top * top * -c if c < 0 else 0
+        fill = n * top * top * -c if c < 0 else 0
         packed: dict[Window, list[int]] = {}
 
         def pack(w: Window) -> list[int]:
@@ -162,13 +210,17 @@ class Window:
         cols = pack(other)
         terms = [(k % mod, pack(f)) for k, f in addend]
         rows = []
-        for i, row in enumerate(self.rows):
-            acc = c * sum(map(_times, row, cols)) + bias
-            for k, q in terms:
-                acc += k * q[i]
-            rows.append([(acc >> s & mask) % mod for s in slots])
+        for start, stop in spans:
+            slots = range(0, width * (stop - start), width)
+            bias = sum([1 << s for s in slots]) * fill if fill else 0
+            block = cols[start:stop]
+            for i, row in enumerate(self.rows[start:stop], start):
+                acc = c * sum(map(_times, row, block)) + bias
+                for k, q in terms:
+                    acc += k * q[i]
+                rows.append([(acc >> s & mask) % mod for s in slots])
         shift = c * self.shift * other.shift + sum(k * f.shift for k, f in addend)
-        return Window(self.prime, depth, self.index, rows, shift % mod)
+        return Window(self.prime, depth, self.index, self.spans, rows, shift % mod)
 
     @staticmethod
     def combine(terms: list[tuple[int, "Window"]], depth: int) -> "Window":
@@ -178,14 +230,14 @@ class Window:
         mod = ws[0].prime**depth
         rows = [[sum(map(_times, ks, col)) % mod for col in zip(*row)] for row in zip(*(w.rows for w in ws))]
         shift = sum(map(_times, ks, (w.shift for w in ws))) % mod
-        return Window(ws[0].prime, depth, ws[0].index, rows, shift)
+        return Window(ws[0].prime, depth, ws[0].index, ws[0].spans, rows, shift)
 
     def sub(self, other: "Window") -> "Window":
         depth = min(self.depth, other.depth)
         mod = self.prime**depth
         rows = [[(x - y) % mod for x, y in zip(row, orow)]
                 for row, orow in zip(self.rows, other.rows)]
-        return Window(self.prime, depth, self.index, rows, (self.shift - other.shift) % mod)
+        return Window(self.prime, depth, self.index, self.spans, rows, (self.shift - other.shift) % mod)
 
     def defect(self) -> "Window":
         """self.self - self: zero when self is idempotent."""
@@ -207,7 +259,7 @@ class Window:
         if not k:
             return self
         q = self.prime**k
-        return Window(self.prime, self.depth - k, self.index,
+        return Window(self.prime, self.depth - k, self.index, self.spans,
                       [[x // q for x in row] for row in self.rows], self.shift // q)
 
     # exact queries --------------------------------------------------------

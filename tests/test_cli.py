@@ -266,6 +266,29 @@ def test_calculus_teich_trace(capsys, opfile, tmp_path):
     assert report["error"] == "CertificationFailed" and report["depth"] == 1
 
 
+def test_calculus_teich_multiplies_one_by_one_blocks(capsys, opfile, monkeypatch):
+    """The leaf as the benchmark runs it, --depth 2, on a 12-entry
+    diagonal at p = 5: two falling products, one defect and the products
+    of phase 1 and of refinement, 17 in all, each on twelve 1 x 1 blocks."""
+    p = 5
+    values = [7, 5, 3, 25, 1, 2, 10, 4, 6, 50, 8, 9]
+    path = opfile(Diagonal(p, {i: Padic.from_int(v, p) for i, v in enumerate(values)}))
+    spans = []
+
+    def mul(self, other, *args, _mul=Window.mul, **kwargs):
+        spans.append(self.spans)
+        return _mul(self, other, *args, **kwargs)
+
+    monkeypatch.setattr(Window, "mul", mul)
+    code, out, _ = run(capsys, "calculus", "teich-idem", "--in", path, "--depth", "2")
+    assert code == 0
+    assert len(spans) == 17
+    assert set(spans) == {tuple((i, i + 1) for i in range(12))}
+    e = operator_from_obj(json.loads(out)["e"])
+    nilpotent = {i: Padic.zero(p) for i, v in enumerate(values) if v % p}
+    assert op_agree(e, Diagonal(p, nilpotent, Padic.one(p)), 30)
+
+
 def test_calculus_teich_jordan_block(capsys, opfile, tmp_path):
     # a Jordan block needs a second evaluation, P(A^3), before refining
     path = opfile(FiniteMatrix(3, {(0, 0): Padic.one(3), (0, 1): Padic.one(3),

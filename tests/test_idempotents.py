@@ -1195,10 +1195,13 @@ def test_refine_certifies_to_the_least_input_precision():
     exactly 25 at target 20, zeros and shift included, and target 30 is
     out of reach.  (The tracked path answered target 30 here: each
     defect entry that vanished to 25 was dropped from the head and then
-    read as an exact zero, hole A of ROADMAP item 2.)"""
+    read as an exact zero, hole A of ROADMAP item 2.)  The input is
+    diagonal, so its two entries are two 1 x 1 blocks: the answer holds
+    those two, and its cross positions are exact zeros, as they are in
+    every lift of the input."""
     p = 3
     e, _ = _refine_form(_two_pieces(p, 25), 20)
-    assert len(e.head) == 4
+    assert list(e.head) == [(0, 0), (1, 1)]
     assert {x.absolute_precision for x in [e.shift, *e.head.values()]} == {25}
     assert e.head[(0, 0)].residue(25) == 1
     with pytest.raises(NoConvergence):
@@ -1254,8 +1257,9 @@ def test_window_reads_and_writes_at_the_least_precision():
 def test_far_indices_read_as_a_small_window(monkeypatch):
     """A window holds only the indices that occur in the heads, so one
     entry at a far index refines and lifts on a 1 x 1 block, and a
-    diagonal with two far entries on a 2 x 2 one: off the window every
-    form is its shift times I."""
+    diagonal with two far entries on two of them: off the window every
+    form is its shift times I, and between blocks every entry is an
+    exact zero, absent from the head."""
     p, far = 3, 10**4
     sizes = []
 
@@ -1276,8 +1280,8 @@ def test_far_indices_read_as_a_small_window(monkeypatch):
     monkeypatch.undo()
     assert sizes == [1, 1, 2]
     (w,) = Window.read([normalize(d)])
-    assert (w.index, w.rows, w.shift) == ((far, 2 * far), [[4, 0], [0, 3]], 1)
-    assert w.form().head[(2 * far, far)] == Padic.zero(p, 40)
+    assert (w.index, w.spans, w.rows, w.shift) == ((far, 2 * far), ((0, 1), (1, 2)), [[4], [3]], 1)
+    assert list(w.form().head) == [(far, far), (2 * far, 2 * far)]
 
 
 def test_equivalence_of_non_integral_idempotents():

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicops.errors import ParseError
@@ -29,6 +29,42 @@ def test_scalar_text_round_trip(p, n):
         return
     x = Padic.from_int(n, p)
     assert scalar_from_text(scalar_to_text(x), p) == x
+
+
+def _digit_loop_text(x):
+    """scalar_to_text as a digit loop: one divmod per base-p digit."""
+    digits = []
+    u = x.unit
+    while u:
+        u, r = divmod(u, x.prime)
+        digits.append(r)
+    sep = "" if x.prime < 10 else "."
+    return f"{x.prime}^{x.valuation}*{sep.join(str(d) for d in digits)}"
+
+
+def _digit_loop_unit(body, p):
+    """The unit that scalar_from_text reads from a body, by a digit loop."""
+    digits = [int(d) for d in (body if p < 10 else body.split("."))]
+    unit = 0
+    for d in reversed(digits):
+        unit = unit * p + d
+    return unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(-5, 5),
+       st.one_of(st.integers(1, 60), st.integers(600, 1500)), st.data())
+def test_scalar_text_is_the_digit_loop(p, val, precision, data):
+    """Chunked digits out and int() in give the digit loops' text and
+    unit, from one digit to past int()'s limit on str-to-int digits."""
+    unit = data.draw(st.one_of(st.integers(1, p**precision - 1), st.just(p**precision - 1),
+                               st.sampled_from([1, p + 1, p**(precision // 2) + 1]))
+                     .filter(lambda u: 0 < u < p**precision and u % p))
+    x = Padic(p, val, unit, precision)
+    text = scalar_to_text(x)
+    assert text == _digit_loop_text(x)
+    assert _digit_loop_unit(text.split("*")[1], p) == unit
+    assert scalar_from_text(text, p, precision) == x
 
 
 def test_scalar_parse_rejects_garbage():

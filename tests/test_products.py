@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from padicops import operators
 from padicops.errors import PrecisionExhausted, StructureError
 from padicops.operators import FiniteMatrix, IndexMap, NormalForm, _Tail, normalize
-from padicops.scalars import Padic, norm_max
+from padicops.scalars import Padic, norm_max, precision_of
 from padicops.vectors import PadicVector
 
 
@@ -283,6 +283,26 @@ def test_apply_matches_plain_int_oracle(data):
         return
     got = {i: _triple(v) for i, v in a.apply(PadicVector(p, x)).entries.items()}
     assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_column_is_apply_of_a_basis_vector(data):
+    """A column read off the form equals the form applied to the basis
+    vector at precision_of(form), in value and precision, shift, tail
+    and certified zeros included; where that product has no digit, the
+    read has none either."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(forms(p, n, data.draw(st.booleans()), data.draw(st.booleans())))
+    for j in range(n + 2):
+        try:
+            want = a.apply(PadicVector.basis(p, j, precision_of(a)))
+        except PrecisionExhausted:
+            with pytest.raises(PrecisionExhausted):
+                a.column(j)
+            continue
+        assert a.column(j) == want
 
 
 # -- property: combine and fused mul against the same oracle ---------------------

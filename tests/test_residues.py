@@ -1,13 +1,18 @@
-"""Residue windows: the packed-row product against a plain-int triple loop.
+"""Residue windows: the packed-row product against a plain-int triple
+loop, and the block layout that Window.read finds.
 
 The reference below never calls padicops arithmetic: it multiplies the
-windows' rows as lists of Python ints and reduces mod p^depth at the end.
+windows as dense block-diagonal matrices of Python ints and reduces mod
+p^depth at the end.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicops.idempotents import _frobenius_cap
+from padicops.operators import Diagonal, FiniteMatrix, NormalForm, normalize
 from padicops.residues import Window
+from padicops.scalars import Padic
 
 
 def _entry(rng, mod):
@@ -16,29 +21,54 @@ def _entry(rng, mod):
     return rng.choice([0, mod - 1, mod - 1, rng.randrange(mod)])
 
 
-def _window(rng, p, n, depth):
+def _spans(sizes):
+    """The spans of blocks of the given sizes, laid out in order."""
+    spans, start = [], 0
+    for size in sizes:
+        spans.append((start, start + size))
+        start += size
+    return tuple(spans)
+
+
+def _window(rng, p, spans, depth):
     mod = p**depth
-    rows = [[_entry(rng, mod) for _ in range(n)] for _ in range(n)]
-    return Window(p, depth, tuple(range(n)), rows, _entry(rng, mod))
+    rows = [[_entry(rng, mod) for _ in range(stop - start)]
+            for start, stop in spans for _ in range(start, stop)]
+    return Window(p, depth, tuple(range(len(rows))), spans, rows, _entry(rng, mod))
+
+
+def _dense(w):
+    """The window's blocks as one n x n matrix, 0 between blocks."""
+    n = len(w.rows)
+    out = [[0] * n for _ in range(n)]
+    for start, stop in w.spans:
+        for i in range(start, stop):
+            out[i][start:stop] = w.rows[i]
+    return out
 
 
 def _plain_mul(a, b, c, addend, p):
-    """c a b + sum k F on int rows, reduced once mod p^depth, depth the
-    least among the operands."""
+    """c a b + sum k F on the dense int matrices, reduced once mod
+    p^depth, depth the least among the operands: the block rows, the
+    shift, the depth, and whether every entry between blocks is 0."""
     depth = min([a.depth, b.depth] + [f.depth for _, f in addend])
     mod = p**depth
     n = len(a.rows)
-    rows = []
+    da, db = _dense(a), _dense(b)
+    dense = []
     for i in range(n):
         row = []
         for j in range(n):
-            x = c * sum(a.rows[i][k] * b.rows[k][j] for k in range(n))
+            x = c * sum(da[i][k] * db[k][j] for k in range(n))
             for k, f in addend:
-                x += k * f.rows[i][j]
+                x += k * _dense(f)[i][j]
             row.append(x % mod)
-        rows.append(row)
+        dense.append(row)
+    rows = [dense[i][start:stop] for start, stop in a.spans for i in range(start, stop)]
+    blocks = sum(sum(dense[i][start:stop]) for start, stop in a.spans for i in range(start, stop))
+    between = sum(map(sum, dense)) - blocks
     shift = c * a.shift * b.shift + sum(k * f.shift for k, f in addend)
-    return rows, shift % mod, depth
+    return rows, shift % mod, depth, between == 0
 
 
 def _coefficient(rng, mod):
@@ -47,20 +77,25 @@ def _coefficient(rng, mod):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 3, 5]), st.integers(min_value=0, max_value=13),
+@given(st.sampled_from([2, 3, 5]),
+       st.one_of(st.integers(min_value=0, max_value=13).map(lambda n: [n] if n else []),
+                 st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5)),
        st.lists(st.integers(min_value=1, max_value=100), min_size=5, max_size=5),
        st.integers(min_value=0, max_value=3), st.randoms(use_true_random=False))
-def test_packed_product_is_the_plain_triple_loop(p, n, depths, terms, rng):
-    """Operands of unequal depth, entries at 0 and p^N - 1, coefficients
+def test_packed_product_is_the_plain_triple_loop(p, sizes, depths, terms, rng):
+    """One block of up to 13 x 13, or blocks from 1 x 1 to 6 x 6;
+    operands of unequal depth, entries at 0 and p^N - 1, coefficients
     negative or past p^N, and 0-3 addends: rows, shift and depth are
-    those of the plain loop."""
-    a, b, *fs = [_window(rng, p, n, d) for d in depths[:2 + terms]]
+    those of the plain loop on the block-diagonal matrices, which is 0
+    between blocks."""
+    spans = _spans(sizes)
+    a, b, *fs = [_window(rng, p, spans, d) for d in depths[:2 + terms]]
     mod = p ** min(depths[:2 + terms])
     c = _coefficient(rng, mod)
     addend = [(_coefficient(rng, mod), f) for f in fs]
     out = a.mul(b, c, addend)
-    assert (out.rows, out.shift, out.depth) == _plain_mul(a, b, c, addend, p)
-    assert out.index == a.index
+    assert (out.rows, out.shift, out.depth, True) == _plain_mul(a, b, c, addend, p)
+    assert (out.index, out.spans) == (a.index, a.spans)
 
 
 def test_packed_product_reads_operands_of_different_depths():
@@ -68,8 +103,8 @@ def test_packed_product_reads_operands_of_different_depths():
     u by the window of e: w's entries past p^(N - 2) are dropped."""
     p, n = 3, 3
     top = p**10
-    u = Window(p, 8, (0, 1, 2), [[p**8 - 1] * n for _ in range(n)], 1)
-    w = Window(p, 10, (0, 1, 2), [[top - 1] * n for _ in range(n)], top - 1)
+    u = Window(p, 8, (0, 1, 2), ((0, 3),), [[p**8 - 1] * n for _ in range(n)], 1)
+    w = Window(p, 10, (0, 1, 2), ((0, 3),), [[top - 1] * n for _ in range(n)], top - 1)
     out = u.mul(w)
     assert out.depth == 8
     assert (out.rows, out.shift) == _plain_mul(u, w, 1, [], p)[:2]
@@ -77,6 +112,66 @@ def test_packed_product_reads_operands_of_different_depths():
 
 
 def test_product_of_empty_windows():
-    w = Window(3, 40, (), [], 7)
+    w = Window(3, 40, (), (), [], 7)
     out = w.mul(w, -1, [(1, w)])
     assert (out.rows, out.shift, out.depth) == ([], (-49 + 7) % 3**40, 40)
+
+
+# -- the block layout ------------------------------------------------------
+
+
+def test_a_diagonal_reads_as_one_by_one_blocks():
+    """n diagonal entries are n components: n 1 x 1 blocks, written back
+    with no entry between them."""
+    p, n = 3, 12
+    d = Diagonal(p, {5 * i: Padic.from_int(i + 2, p, 40) for i in range(n)}, Padic.one(p, 40))
+    (w,) = Window.read([normalize(d)])
+    assert w.spans == _spans([1] * n)
+    assert w.index == tuple(5 * i for i in range(n))
+    assert (w.rows, w.shift) == ([[i + 2] for i in range(n)], 1)
+    assert sorted(w.form().head) == [(5 * i, 5 * i) for i in range(n)]
+
+
+def test_blocks_are_the_components_of_the_head_keys():
+    """(0, 3) and (3, 1) join 0, 1 and 3; 2 is alone.  Blocks come in the
+    order of their least index, each sorted, and form() writes the head
+    row-major although the blocks interleave."""
+    p = 3
+    head = {(3, 1): Padic.from_int(2, p), (0, 3): Padic.from_int(4, p), (2, 2): Padic.from_int(5, p)}
+    (w,) = Window.read([NormalForm(p, Padic.zero(p), None, head)])
+    assert (w.index, w.spans) == ((0, 1, 3, 2), ((0, 3), (3, 4)))
+    assert w.rows == [[0, 0, 4], [0, 0, 0], [0, 2, 0], [5]]
+    assert list(w.form().head) == [(0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 3),
+                                   (2, 2), (3, 0), (3, 1), (3, 3)]
+
+
+def test_a_certified_zero_head_key_joins_its_indices():
+    """A head key counts whatever its value: a zero certified to 30
+    digits at (0, 1) makes one 2 x 2 block of two diagonal entries, and
+    the keys of all the forms read together are the edges."""
+    p = 3
+    diag = {(0, 0): Padic.from_int(1, p), (1, 1): Padic.from_int(2, p)}
+    (w,) = Window.read([NormalForm(p, Padic.zero(p), None, diag)])
+    assert w.spans == ((0, 1), (1, 2))
+    joined = {**diag, (0, 1): Padic.zero(p, 30)}
+    (w,) = Window.read([NormalForm(p, Padic.zero(p), None, joined)])
+    assert (w.spans, w.rows, w.depth) == (((0, 2),), [[1, 0], [0, 2]], 30)
+    other = NormalForm(p, Padic.zero(p), None, {(1, 0): Padic.from_int(7, p)})
+    a, b = Window.read([NormalForm(p, Padic.zero(p), None, diag), other])
+    assert a.spans == b.spans == ((0, 2),)
+    assert (a.rows, b.rows) == ([[1, 0], [0, 2]], [[0, 0], [7, 0]])
+
+
+def test_frobenius_cap_counts_the_largest_block():
+    """N^n = 0 on each block, n its size: a window of 1 x 1 blocks needs
+    no Frobenius step, and a 2 x 2 Jordan block beside ten 1 x 1 blocks
+    one at p = 3, where all twelve indices on one block would need 3."""
+    p = 3
+    d = Diagonal(p, {i: Padic.from_int(i + 1, p) for i in range(12)})
+    (w,) = Window.read([normalize(d)])
+    assert _frobenius_cap(w) == 0
+    entries = {(i, i): Padic.from_int(i + 1, p) for i in range(12)}
+    entries[(10, 11)] = Padic.one(p)
+    (w,) = Window.read([normalize(FiniteMatrix(p, entries))])
+    assert w.spans == _spans([1] * 10 + [2])
+    assert _frobenius_cap(w) == 1

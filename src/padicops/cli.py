@@ -1,9 +1,17 @@
 """Command-line front end.
 
-Plain values print as single lines, structured results as JSON, traces
-as TSV with a header row.  Exit codes: 0 success, 1 failed verify
-suite, 2 precondition or certification failure, 3 an iteration that ran
-out of steps or digits, 4 parse or input error.
+Plain values print as single lines, structured results as JSON with an
+indent of 2, traces as TSV with a header row.  Exit codes: 0 success, 1
+failed verify suite, 2 precondition or certification failure, 3 an
+iteration that ran out of steps or digits, 4 parse or input error.
+
+A call costs what its leaf's arithmetic costs.  When the first two words
+of argv name a leaf, ``main`` parses the rest with that leaf's own
+parser, which gives the namespace the whole parser tree would; anything
+else, ``--help`` and malformed argv included, goes through the tree.
+JSON is laid out by ``_json``, which writes the bytes of
+``json.dumps(obj, indent=2)`` without the pure-Python encoder that an
+indent selects.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .calculus import (binomial_series, certify_normal_contraction,
@@ -42,13 +51,42 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _json(obj: Any, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for dicts with str keys,
+    lists, tuples and scalars.  Strings are escaped by the C encoder's
+    encode_basestring_ascii and containers laid out here: an indent makes
+    json.dumps fall back to its pure-Python encoder.  pad is a newline
+    and the indent of the current level."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + ",".join([f"{inner}{_quote(k)}: {_json(v, inner)}"
+                               for k, v in obj.items()]) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + ",".join([inner + _json(x, inner) for x in obj]) + pad + "]"
+    return json.dumps(obj)  # a scalar's text has no layout
+
+
+def _emit(obj: Any, file=None) -> None:
+    """Print obj as JSON with an indent of 2, to stdout by default."""
+    print(_json(obj), file=file)
+
+
 def _report(exc: BaseException) -> None:
     obj: dict[str, Any] = {"error": type(exc).__name__, "message": str(exc)}
     for key in ("depth", "iterations"):
         value = getattr(exc, key, None)
         if value is not None:
             obj[key] = value
-    print(json.dumps(obj, indent=2), file=sys.stderr)
+    _emit(obj, sys.stderr)
 
 
 def _read_json(path: str) -> Any:
@@ -58,10 +96,6 @@ def _read_json(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _emit(obj: Any) -> None:
-    print(json.dumps(obj, indent=2))
 
 
 def _at_least(flag: str, value: int, low: int) -> int:
@@ -280,9 +314,10 @@ def _cmd_verify_all(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argparse tree, built once per process: parsing leaves it as it
-    was, and building it costs more than a small leaf's work."""
+def _build_parser() -> tuple[_Parser, dict[tuple[str, str], _Parser]]:
+    """The argparse tree and its leaf table {(group, name): the leaf's
+    parser}, built once per process: parsing leaves them as they were,
+    and building them costs more than a small leaf's work."""
     # Input files declare their own p and precision, so only the leaves
     # that make certified checks take a target, and only verify all
     # takes p, precision and seed.
@@ -296,61 +331,66 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="padicops")
     groups = parser.add_subparsers(dest="group", required=True)
+    actions: dict[str, Any] = {}
+    leaves: dict[tuple[str, str], _Parser] = {}
 
     def leaf(group, name, handler, parents, options=None):
+        if group not in actions:
+            actions[group] = groups.add_parser(group).add_subparsers(dest="action", required=True)
         # no abbreviations: --p must not silently mean trivialize's --prefix
-        sub = group.add_parser(name, parents=parents, allow_abbrev=False)
+        sub = actions[group].add_parser(name, parents=parents, allow_abbrev=False)
         sub.set_defaults(handler=handler)
         for flag, kwargs in (options or {}).items():
             sub.add_argument(flag, **kwargs)
-        return sub
+        leaves[(group, name)] = sub
 
-    mahler = groups.add_parser("mahler").add_subparsers(dest="action", required=True)
-    leaf(mahler, "expand", _cmd_mahler_expand, [reads_file])
-    leaf(mahler, "eval", _cmd_mahler_eval, [reads_file],
+    leaf("mahler", "expand", _cmd_mahler_expand, [reads_file])
+    leaf("mahler", "eval", _cmd_mahler_eval, [reads_file],
          {"--x": dict(required=True, help="scalar text, e.g. 3^0*12")})
 
-    calculus = groups.add_parser("calculus").add_subparsers(dest="action", required=True)
-    leaf(calculus, "certify", _cmd_calculus_certify, [reads_file],
+    leaf("calculus", "certify", _cmd_calculus_certify, [reads_file],
          {"--depth": dict(type=int, required=True)})
-    leaf(calculus, "apply", _cmd_calculus_apply, [reads_file],
+    leaf("calculus", "apply", _cmd_calculus_apply, [reads_file],
          {"--fn": dict(required=True, metavar="FILE")})
-    leaf(calculus, "teich-idem", _cmd_calculus_teich, certifies,
+    leaf("calculus", "teich-idem", _cmd_calculus_teich, certifies,
          {"--depth": dict(type=int, default=1),
             "--trace": dict(default=None, metavar="FILE", help="write TSV trace")})
-    leaf(calculus, "fz", _cmd_calculus_fz, [reads_file],
+    leaf("calculus", "fz", _cmd_calculus_fz, [reads_file],
          {"--z": dict(required=True, help="scalar text for the base point"),
             "--depth": dict(type=int, default=12)})
 
-    idem = groups.add_parser("idem").add_subparsers(dest="action", required=True)
-    leaf(idem, "refine", _cmd_idem_refine, certifies)
-    leaf(idem, "equiv", _cmd_idem_equiv, certifies,
+    leaf("idem", "refine", _cmd_idem_refine, certifies)
+    leaf("idem", "equiv", _cmd_idem_equiv, certifies,
          {"--in2": dict(dest="in2", required=True, metavar="FILE")})
-    leaf(idem, "split", _cmd_idem_split, certifies)
-    leaf(idem, "lift", _cmd_idem_lift, certifies)
-    leaf(idem, "trivialize", _cmd_idem_trivialize, certifies,
+    leaf("idem", "split", _cmd_idem_split, certifies)
+    leaf("idem", "lift", _cmd_idem_lift, certifies)
+    leaf("idem", "trivialize", _cmd_idem_trivialize, certifies,
          {"--prefix": dict(type=int, default=16)})
-    leaf(idem, "sumring", _cmd_idem_sumring, [reads_file],
+    leaf("idem", "sumring", _cmd_idem_sumring, [reads_file],
          {"--depth": dict(type=int, required=True)})
 
-    scale = groups.add_parser("scale").add_subparsers(dest="action", required=True)
-    leaf(scale, "finite", _cmd_scale_finite, [reads_file],
+    leaf("scale", "finite", _cmd_scale_finite, [reads_file],
          {"--dim": dict(type=int, default=None)})
-    leaf(scale, "probe", _cmd_scale_probe, [reads_file],
+    leaf("scale", "probe", _cmd_scale_probe, [reads_file],
          {"--bounds": dict(required=True, help="comma-separated sizes")})
 
-    verify = groups.add_parser("verify").add_subparsers(dest="action", required=True)
-    leaf(verify, "all", _cmd_verify_all, [targeted],
+    leaf("verify", "all", _cmd_verify_all, [targeted],
          {"--p": dict(type=int, default=None, help="prime"),
             "--precision": dict(type=int, default=None),
             "--seed": dict(type=int, default=None)})
 
-    return parser
+    return parser, leaves
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        tree, leaves = _build_parser()
+        sub = leaves.get(tuple(argv[:2]))
+        if sub is None or "-h" in argv or "--help" in argv:
+            args = tree.parse_args(argv)
+        else:
+            args = sub.parse_args(argv[2:], argparse.Namespace(group=argv[0], action=argv[1]))
         return args.handler(args)
     except ParseError as exc:
         _report(exc)

@@ -481,22 +481,33 @@ def _relation_checks(gens: SumRingGenerators, prefix: int, target: int) -> dict[
 def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
                         prefix: int, target: int) -> bool:
     """atf.g.fta + up.g_inf.down = g_inf on x < prefix, each gap entry
-    certified zero to the target.  Only g and g_inf are applied: the
+    certified zero to the target.  Only g and g_inf are read: the
     generators move indices by their dest maps, at the coefficient 1
-    that _relation_checks certifies."""
-    p, prec = g.prime, precision_of(g)
-    apply_g, apply_inf = _applier(g), _applier(g_inf)
+    that _relation_checks certifies.  Column x of an operator with a
+    normal form is read off it (NormalForm.column); only one without,
+    the lazy spread of a g with a shift or a tail, is applied to a basis
+    vector."""
+    p = g.prime
 
-    def image(apply, x: int | None) -> PadicVector:
-        return PadicVector(p) if x is None else apply(PadicVector.basis(p, x, prec))
+    def reader(op: Operator):
+        try:
+            return normalize(op).column
+        except StructureError:
+            apply, prec = _applier(op), precision_of(g)
+            return lambda x: apply(PadicVector.basis(p, x, prec))
+
+    column_g, column_inf = reader(g), reader(g_inf)
+
+    def image(column, x: int | None) -> PadicVector:
+        return PadicVector(p) if x is None else column(x)
 
     def moved(vec: PadicVector, dest) -> PadicVector:
         return PadicVector(p, {dest(i): v for i, v in vec.entries.items()})
 
     for x in range(prefix):
-        gap = (moved(image(apply_g, gens.first_to_all.dest(x)), gens.all_to_first.dest)
-               + moved(image(apply_inf, gens.down.dest(x)), gens.up.dest)
-               - image(apply_inf, x))
+        gap = (moved(image(column_g, gens.first_to_all.dest(x)), gens.all_to_first.dest)
+               + moved(image(column_inf, gens.down.dest(x)), gens.up.dest)
+               - image(column_inf, x))
         if any(not v.vanishes_to(target) for v in gap.entries.values()):
             return False
     return True

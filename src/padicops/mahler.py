@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NonIntegral
-from .scalars import Padic, ValuationBound, binomial_padic, norm_max
+from .scalars import Padic, ValuationBound, norm_max, precision_of
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,28 @@ def mahler_expand(samples: Sequence[Padic], tail_bound: ValuationBound | None = 
 
 
 def mahler_eval(fn: MahlerFunction, x: Padic) -> Padic:
+    """The sum of T_n binom(x, n).  One walk forms the falling products
+    x(x-1)...(x-n+1), one scalar product per n, each rounded as
+    scalars.binomial_padic rounds it, so binom(x, n) is the walk's
+    product divided by n!, the value binomial_padic gives."""
     if not x.is_integral:
         raise NonIntegral("evaluation points must lie in Z_p")
-    total = Padic.zero(fn.prime)
+    p, width = fn.prime, precision_of(x)
+    total = Padic.zero(p)
+    falling, factorial = Padic.one(p, width), 1
     for n, t in enumerate(fn.coefficients):
+        if n:
+            falling = falling * (x - Padic.from_int(n - 1, p, width))
+            factorial *= n
         if t.is_exact_zero:
             continue
         # binom(x, 0) is 1 exactly, whatever the precision of x, and
         # binom(x, n) lies in Z_p, so a certified zero O(p^N) adds O(p^N)
-        total = total + (t if n == 0 or t.is_zero else t * binomial_padic(x, n))
+        if n == 0 or t.is_zero:
+            total = total + t
+        else:
+            binom = falling / Padic.from_int(factorial, p, width) if n >= 2 else falling
+            total = total + t * binom
     if not fn.tail_bound.is_zero:
         # unseen coefficients contribute at most the tail bound
         total = total.cap_absolute(fn.tail_bound.exponent)

@@ -42,7 +42,8 @@ overflows or goes negative: every term is made nonnegative, and W is
 wide enough for the largest sum a slot can hold, (|c| n + T + 1) M^2 for
 blocks of at most n x n, coefficient c and T addends, M the largest
 modulus among the operands.  Each slot is then read off and reduced mod
-p^N once.
+p^N once.  A 1 x 1 block has nothing to pack and is multiplied directly,
+so a diagonal window costs per entry, not per packed row.
 """
 
 from __future__ import annotations
@@ -185,7 +186,12 @@ class Window:
         no carry or borrow crosses into the next, and it is the entry of
         the plain triple loop plus B's slot, a multiple of p^depth.  Each
         slot is read off and reduced once, so the result is that of the
-        plain triple loop on the block-diagonal matrix, bit for bit."""
+        plain triple loop on the block-diagonal matrix, bit for bit.
+
+        A block of one index has nothing to pack: its entry
+        c a b + sum_t k'_t f_t is formed from the ints and reduced once,
+        the same residue.  Rows are packed only when some block has two
+        indices or more."""
         depth = min(self.depth, other.depth, *(f.depth for _, f in addend))
         mod = self.prime**depth
         spans = self.spans
@@ -207,16 +213,24 @@ class Window:
                     packed[w].append(acc)
             return packed[w]
 
-        cols = pack(other)
-        terms = [(k % mod, pack(f)) for k, f in addend]
+        terms = [(k % mod, f) for k, f in addend]
+        cols = packs = None
         rows = []
         for start, stop in spans:
+            if stop - start == 1:  # one index: nothing to pack
+                acc = c * self.rows[start][0] * other.rows[start][0]
+                for k, f in terms:
+                    acc += k * f.rows[start][0]
+                rows.append([acc % mod])
+                continue
+            if cols is None:
+                cols, packs = pack(other), [(k, pack(f)) for k, f in terms]
             slots = range(0, width * (stop - start), width)
             bias = sum([1 << s for s in slots]) * fill if fill else 0
             block = cols[start:stop]
             for i, row in enumerate(self.rows[start:stop], start):
                 acc = c * sum(map(_times, row, block)) + bias
-                for k, q in terms:
+                for k, q in packs:
                     acc += k * q[i]
                 rows.append([(acc >> s & mask) % mod for s in slots])
         shift = c * self.shift * other.shift + sum(k * f.shift for k, f in addend)

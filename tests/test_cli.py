@@ -4,9 +4,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicops import cli
 from padicops.cli import _build_parser, main
+from padicops.errors import PreconditionFailed
 from padicops.io import operator_from_obj, operator_to_obj, scalar_to_text
 from padicops.operators import (Diagonal, FiniteMatrix, Identity, IndexMap,
                                 NormalForm, Sum, op_agree)
@@ -551,6 +554,154 @@ def test_parser_is_built_once_and_reused(capsys, opfile):
     for argv, answer in zip(calls, reused):
         _build_parser.cache_clear()
         assert run(capsys, *argv)[:2] == answer
+
+
+# -- the front end: leaf dispatch and the JSON writer -------------------------
+
+
+class _Parsed(Exception):
+    """Stops main once it has parsed argv, before any handler runs."""
+
+
+def _parse_in_main(monkeypatch, argv, table=None):
+    """(the parser main asked, the namespace it got) for argv; table,
+    when given, replaces the leaf table, so {} forces the tree route."""
+    original = cli._Parser.parse_args
+    seen = []
+
+    def spy(self, args=None, namespace=None):
+        seen.append(self)
+        seen.append(original(self, args, namespace))
+        raise _Parsed
+
+    with monkeypatch.context() as m:
+        m.setattr(cli._Parser, "parse_args", spy)
+        if table is not None:
+            tree = _build_parser()[0]
+            m.setattr(cli, "_build_parser", lambda: (tree, table))
+        with pytest.raises(_Parsed):
+            main(argv)
+    return seen[0], seen[1]
+
+
+# argv that parse, one or more per leaf, optional flags included
+LEAF_ARGVS = [[*leaf, "--in", "a.json", *required] for leaf, required in FILE_LEAVES.items()] + [
+    ["verify", "all"], ["verify", "all", "--p", "5", "--precision", "80", "--seed", "7"],
+    ["idem", "refine", "--target", "20", "--config", "c.json", "--in", "a.json"],
+    ["calculus", "teich-idem", "--in", "a.json", "--depth", "3", "--trace", "t.tsv"],
+    ["calculus", "fz", "--in", "a.json", "--z", "3^1*2", "--depth", "-1"],
+    ["idem", "trivialize", "--in=a.json", "--prefix", "4"],
+]
+# argv that fail to parse: by both routes the same ParseError text
+MALFORMED_ARGVS = [
+    [], ["calculus"], ["calculus", "nope"], ["nope", "apply"],
+    ["calculus", "apply"], ["calculus", "apply", "--in", "a.json"],
+    ["calculus", "certify", "--in", "a.json", "--depth", "x"],
+    ["idem", "trivialize", "--in", "a.json", "--pre", "3"],
+    ["idem", "trivialize", "--in", "a.json", "--p", "3"],
+    ["scale", "finite", "--in", "a.json", "extra"],
+    ["mahler", "eval", "--in", "a.json", "--x"],
+    ["verify", "all", "--seed"], ["verify", "all", "--in", "a.json"],
+    ["idem", "refine", "--in", "a.json", "--target"],
+    ["idem", "split", "--", "--in", "a.json"], ["idem", "split", "--in", "a.json", "--"],
+    ["calculus", "certify", "--in", "a.json", "--depth", "--"],
+]
+
+
+def test_each_leaf_parses_by_its_own_parser_as_through_the_tree(monkeypatch):
+    """main parses a leaf's argv with the leaf's parser alone, and hands
+    the handler the namespace the tree gives: group, action, handler
+    and every option value."""
+    tree, leaves = _build_parser()
+    assert set(leaves) == set(FILE_LEAVES) | {("verify", "all")}
+    assert {tuple(argv[:2]) for argv in LEAF_ARGVS} == set(leaves)
+    for argv in LEAF_ARGVS:
+        parser, direct = _parse_in_main(monkeypatch, argv)
+        assert parser is leaves[tuple(argv[:2])], argv
+        parser, routed = _parse_in_main(monkeypatch, argv, table={})
+        assert parser is tree, argv
+        assert vars(direct) == vars(routed), argv
+        assert direct.handler.__name__.startswith("_cmd_")
+
+
+def test_help_and_other_argv_go_through_the_tree(monkeypatch):
+    tree = _build_parser()[0]
+    for argv in (["calculus", "apply", "--in", "a.json", "--help"], ["scale", "finite", "-h"],
+                 ["scale"], ["-h"], ["scale", "nope", "--in", "a.json"]):
+        asked = []
+
+        def refuse(self, args=None, namespace=None):
+            asked.append(self)
+            raise _Parsed
+
+        with monkeypatch.context() as m:
+            m.setattr(cli._Parser, "parse_args", refuse)
+            with pytest.raises(_Parsed):
+                main(argv)
+        assert asked == [tree], argv
+
+
+def test_malformed_argv_reads_the_same_by_both_routes(capsys, monkeypatch):
+    tree = _build_parser()[0]
+    for argv in MALFORMED_ARGVS:
+        direct = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", lambda: (tree, {}))
+            routed = run(capsys, *argv)
+        assert direct == routed, argv
+        code, out, err = direct
+        assert (code, out) == (4, ""), argv
+        assert json.loads(err)["error"] == "ParseError"
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, opfile):
+    third = Padic.one(3) / Padic.from_int(3, 3)
+    path = opfile(Diagonal(3, {0: third, 1: Padic.from_int(3, 3), 2: Padic.one(3)}))
+    monkeypatch.setattr(sys, "argv", ["padicops", "scale", "finite", "--in", path])
+    assert main() == 0
+    assert capsys.readouterr().out == "p^1\n"
+    monkeypatch.setattr(sys, "argv", ["padicops", "scale", "finite"])
+    assert main(None) == 4
+    assert "--in" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_cache_clear_rebuilds_the_leaf_table(monkeypatch):
+    argv = ["idem", "split", "--in", "a.json"]
+    tree, leaves = _build_parser()
+    try:
+        _build_parser.cache_clear()
+        new_tree, new_leaves = _build_parser()
+        assert new_tree is not tree and set(new_leaves) == set(leaves)
+        assert all(new_leaves[key] is not leaves[key] for key in leaves)
+        assert _parse_in_main(monkeypatch, argv)[0] is new_leaves[("idem", "split")]
+    finally:
+        _build_parser.cache_clear()
+
+
+_TEXT = st.one_of(st.text(), st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7fé€\u2028😀 a'))
+_JSON = st.recursive(
+    st.one_of(_TEXT, st.integers(), st.integers(min_value=-2**80, max_value=2**80),
+              st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_json_writer_is_json_dumps_with_indent_2(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2)
+
+
+def test_emit_and_report_print_json_with_indent_2(capsys):
+    obj = {"e": {"p": 3, "entries": [[0, 1, "3^-1*2"]], "kind": "finite"}, "ok": True,
+           "none": None, "empty": [], "nested": {}, "text": 'é"\n'}
+    cli._emit(obj)
+    cli._report(PreconditionFailed('a "quoted" reason\n'))
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(obj, indent=2) + "\n"
+    assert captured.err == json.dumps({"error": "PreconditionFailed",
+                                       "message": 'a "quoted" reason\n'}, indent=2) + "\n"
 
 
 def test_config_file_pickup(capsys, opfile, tmp_path):

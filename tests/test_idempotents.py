@@ -906,6 +906,63 @@ def test_k0_transcript_applies_only_g_and_its_spread(monkeypatch):
     assert all(nf.tail is None for nf in applied)
 
 
+def _spread_depth(prefix):
+    """The spread depth k0_trivialize takes for a prefix."""
+    return max(cantor_unpair(x)[0] for x in range(prefix)) + 1
+
+
+def _counted_appliers(monkeypatch):
+    """The operators the repeat check builds an applier for."""
+    built = []
+    original = idempotents._applier
+
+    def counted(op):
+        built.append(op)
+        return original(op)
+
+    monkeypatch.setattr(idempotents, "_applier", counted)
+    return built
+
+
+def test_repeat_check_reads_columns_and_applies_only_a_lazy_spread(monkeypatch):
+    """A finite g and its spread are read column by column; a g with a
+    shift has a normal form, but its lazy spread has none and is the
+    one operator applied to basis vectors."""
+    gens, prefix = sum_ring_generators(3), 16
+    finite = fm(3, {(0, 0): 3, (1, 0): 9, (1, 1): 6})
+    shifted = Diagonal(3, {0: Padic.from_int(3, 3), 2: Padic.from_int(9, 3)}, Padic.from_int(9, 3))
+    for g, applied in ((finite, 0), (shifted, 1)):
+        built = _counted_appliers(monkeypatch)
+        spread = infinite_sum(g, _spread_depth(prefix))
+        assert idempotents._repeat_equation_ok(g, spread, gens, prefix, 30) is True
+        assert built == [spread] * applied
+        monkeypatch.undo()
+
+
+def test_repeat_check_refuses_a_spread_with_one_entry_moved(monkeypatch):
+    """Moving one entry of the spread to another row breaks the repeat
+    equation, on the column path and on the apply path alike."""
+    gens, prefix = sum_ring_generators(3), 16
+    depth = _spread_depth(prefix)
+    # column path: a finite g, the entry at (x, x) of block 1 moved down
+    finite = fm(3, {(0, 0): 3, (1, 0): 9, (1, 1): 6})
+    entries = dict(infinite_sum(finite, depth).entries)
+    x = cantor_pair(1, 0)
+    entries[(x + 100, x)] = entries.pop((x, x))
+    built = _counted_appliers(monkeypatch)
+    assert idempotents._repeat_equation_ok(finite, FiniteMatrix(3, entries), gens, prefix, 30) is False
+    assert built == []
+    monkeypatch.undo()
+    # apply path: a g with a shift, its entry at (0, 0) moved to (1, 0)
+    shifted = Diagonal(3, {0: Padic.from_int(3, 3)}, Padic.from_int(9, 3))
+    three, spread = Padic.from_int(3, 3), infinite_sum(shifted, depth)
+    assert idempotents._repeat_equation_ok(shifted, spread, gens, prefix, 30) is True
+    moved = Sum([spread, FiniteMatrix(3, {(0, 0): -three, (1, 0): three})])
+    built = _counted_appliers(monkeypatch)
+    assert idempotents._repeat_equation_ok(shifted, moved, gens, prefix, 30) is False
+    assert built == [moved]
+
+
 def test_apply_is_one_product(monkeypatch):
     nf = normalize(Sum([fm(3, {(0, 1): 2, (2, 0): 5}), sum_ring_generators(3).up]))
     vec = PadicVector(3, {0: Padic.from_int(7, 3), 1: Padic.from_int(4, 3)})

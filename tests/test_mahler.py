@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicops.errors import NonIntegral
+from padicops.errors import NonIntegral, PrecisionExhausted
 from padicops.mahler import MahlerFunction, mahler_eval, mahler_expand, mahler_sup_norm
-from padicops.scalars import Padic, ValuationBound
+from padicops.scalars import Padic, ValuationBound, binomial_padic
 
 
 def samples_of(f, p, count):
@@ -106,3 +108,45 @@ def test_eval_keeps_certified_zero_coefficient_bound():
     # an exact zero coefficient adds nothing
     exact = MahlerFunction(3, (one, Padic.zero(3)), ValuationBound.zero())
     assert mahler_eval(exact, one) == one
+
+
+def _eval_term_by_term(fn, x):
+    """The sum of T_n binom(x, n), each binomial formed afresh."""
+    total = Padic.zero(fn.prime)
+    for n, t in enumerate(fn.coefficients):
+        if not t.is_exact_zero:
+            total = total + (t if n == 0 or t.is_zero else t * binomial_padic(x, n))
+    if not fn.tail_bound.is_zero:
+        total = total.cap_absolute(fn.tail_bound.exponent)
+    return total
+
+
+def _scalars(p):
+    """Exact and finite-precision scalars of Z_p, certified zeros included."""
+    exact = st.tuples(st.integers(0, p**12), st.integers(0, 4)).map(
+        lambda t: Padic.from_int(t[0] * p ** t[1], p))
+    finite = st.tuples(st.integers(0, p**12), st.integers(0, 4), st.integers(1, 60)).map(
+        lambda t: Padic.from_int(t[0] * p ** t[1], p, t[2]))
+    zero = st.integers(1, 40).map(lambda n: Padic.zero(p, n))
+    return st.one_of(exact, finite, zero, st.just(Padic.zero(p)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(_scalars(p), max_size=12), _scalars(p),
+                        st.one_of(st.none(), st.integers(0, 50)))))
+def test_eval_walk_rounds_as_each_binomial(case):
+    """One falling-product walk gives the value and the precision of
+    summing binomial_padic(x, n) term by term, or the same refusal."""
+    p, coefficients, x, tail = case
+    fn = MahlerFunction(p, tuple(coefficients),
+                        ValuationBound.zero() if tail is None else ValuationBound(tail))
+
+    def outcome(evaluate):
+        try:
+            y = evaluate(fn, x)
+        except PrecisionExhausted as exc:  # a tail bound that leaves no digit
+            return str(exc)
+        return y.valuation, y.unit, y.precision
+
+    assert outcome(mahler_eval) == outcome(_eval_term_by_term)

@@ -6,7 +6,9 @@ windows as dense block-diagonal matrices of Python ints and reduces mod
 p^depth at the end.
 """
 
-from hypothesis import given, settings
+import random
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicops.idempotents import _frobenius_cap
@@ -79,19 +81,28 @@ def _coefficient(rng, mod):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([2, 3, 5]),
        st.one_of(st.integers(min_value=0, max_value=13).map(lambda n: [n] if n else []),
-                 st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5)),
+                 st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5),
+                 # 1 x 1 blocks, multiplied unpacked, beside packed ones
+                 st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=3)
+                 .flatmap(lambda big: st.permutations(big + [1, 1, 1]))),
        st.lists(st.integers(min_value=1, max_value=100), min_size=5, max_size=5),
-       st.integers(min_value=0, max_value=3), st.randoms(use_true_random=False))
-def test_packed_product_is_the_plain_triple_loop(p, sizes, depths, terms, rng):
-    """One block of up to 13 x 13, or blocks from 1 x 1 to 6 x 6;
-    operands of unequal depth, entries at 0 and p^N - 1, coefficients
-    negative or past p^N, and 0-3 addends: rows, shift and depth are
-    those of the plain loop on the block-diagonal matrices, which is 0
-    between blocks."""
+       st.integers(min_value=0, max_value=3), st.booleans(),
+       st.randoms(use_true_random=False))
+@example(3, [1, 4, 1, 1, 3], [40, 38, 12, 25, 40], 3, True, random.Random(0))
+@example(5, [1] * 12, [40, 40, 39, 41, 40], 1, True, random.Random(1))
+def test_packed_product_is_the_plain_triple_loop(p, sizes, depths, terms, negative, rng):
+    """One block of up to 13 x 13, blocks from 1 x 1 to 6 x 6, or 1 x 1
+    blocks beside larger ones; operands of unequal depth, entries at 0
+    and p^N - 1, coefficients past p^N, c < 0 when negative, and 0-3
+    addends, their depths drawn apart from the factors': rows, shift
+    and depth are those of the plain loop on the block-diagonal
+    matrices, which is 0 between blocks."""
     spans = _spans(sizes)
     a, b, *fs = [_window(rng, p, spans, d) for d in depths[:2 + terms]]
     mod = p ** min(depths[:2 + terms])
     c = _coefficient(rng, mod)
+    if negative:
+        c = -1 - abs(c)
     addend = [(_coefficient(rng, mod), f) for f in fs]
     out = a.mul(b, c, addend)
     assert (out.rows, out.shift, out.depth, True) == _plain_mul(a, b, c, addend, p)

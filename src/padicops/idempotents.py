@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import (CertificationFailed, NoConvergence, PrecisionExhausted,
+from .errors import (CertificationFailed, NoConvergence, NonIntegral, PrecisionExhausted,
                      PreconditionFailed, StructureError, Undecidable)
 from .io import exponent_str
 from .linalg import reduce_columns
@@ -79,17 +79,55 @@ def _refine_form(a: NormalForm | Window, target: int,
     passes it, so it is not formed again.  Anything of norm < 1 refines
     to the zero idempotent, exactly: an idempotent e of norm < 1 is 0,
     since e = e^n -> 0.  A form of norm p^s >= 1 is read as the window of
-    p^s a and written back divided by p^s; a window has s = 0.
+    p^s a (_unit_window) and written back divided by p^s; a window has
+    s = 0.
     """
-    norm_a = a.norm()
-    if norm_a < ValuationBound.one():
+    if isinstance(a, NormalForm):
+        read = _unit_window(a)
+    else:
+        read = None if a.norm() < ValuationBound.one() else (a, 0)
+    if read is None:
         # covers a = 0
         return NormalForm.constant(a.prime, Padic.zero(a.prime)), []
-    s = -norm_a.exponent
-    if isinstance(a, NormalForm):
-        (a,) = Window.read([a], s)
-    e, defects = _refine(a, s, target, defect)
+    w, s = read
+    e, defects = _refine(w, s, target, defect)
     return e.form(s), defects
+
+
+def _unit_window(a: NormalForm) -> tuple[Window, int] | None:
+    """(w, s), w the window of p^s a for ||a|| = p^s >= 1, or None when
+    ||a|| < 1.  a is read at the least s >= 0 that makes its values
+    integral (Window.read_integral), and the window's norm, one gcd,
+    tells ||a|| < 1 from ||a|| >= 1 (_form_norm).  In the second case
+    ||a|| = p^s: a value of valuation -s < 0 is an entry, the shift, or
+    a diagonal value whose shift cancels it and so has its valuation,
+    and no entry has a smaller one.  A tail has no window: its form's
+    norm decides, as before windows were read first, and refinement
+    refuses it (StructureError) unless that norm is below 1."""
+    try:
+        (w,), s = Window.read_integral([a])
+    except StructureError:
+        if a.norm() < ValuationBound.one():
+            return None
+        raise
+    if _form_norm(a, w, s) < ValuationBound.one():
+        return None
+    return w, s
+
+
+def _form_norm(nf: NormalForm, w: Window, s: int) -> ValuationBound:
+    """||nf|| from w, the window of p^s nf: p^(s - k) for the norm p^-k of w,
+    one gcd.  That holds when some entry of w is nonzero and every value
+    of the forms w was read with is known to a positive absolute
+    precision N (s < w.depth = N + s), as then the largest entry of nf,
+    of valuation below N, is read with its valuation.  Otherwise (every
+    entry of w zero, or N <= 0) NormalForm.norm gives it, and refuses
+    as it does."""
+    if s < w.depth:
+        k = w.norm().exponent
+        if k < w.depth:
+            return ValuationBound(k - s)
+    return nf.norm()
 
 
 def _refine(w: Window, s: int, target: int,
@@ -160,7 +198,8 @@ def idempotent_equivalence(e: Operator, f: Operator,
 
     Everything past normalising runs on residue windows of p^s e and
     p^s f, p^s the least power making both integral (s = 0 when they
-    are): u, the iteration and the three final checks, that u^-1 is a
+    are), ||e|| included, which is read off the window of p^s e
+    (_form_norm): u, the iteration and the three final checks, that u^-1 is a
     right and a left inverse and that u e u^-1 = f at the target depth.
     p^2s (1 - u) = p^s (e + f) - 2 p^s f p^s e is integral, so u and
     u^-1 are integer polynomials in those windows and are certified to
@@ -170,13 +209,17 @@ def idempotent_equivalence(e: Operator, f: Operator,
     """
     p = e.prime
     nfe, nff = normalize(e), normalize(f)
-    norm_e = nfe.norm()
+    try:
+        (we, wf), s = Window.read_integral([nfe, nff])
+    except StructureError:
+        # a tail has no window: e's norm refuses first, as before
+        if nfe.norm().is_zero:
+            raise PreconditionFailed("e must be a nonzero idempotent") from None
+        raise
+    norm_e = _form_norm(nfe, we, s)
     if norm_e.is_zero:
         raise PreconditionFailed("e must be a nonzero idempotent")
-    s = max([0] + [-x.valuation for nf in (nfe, nff)
-                   for x in (nf.shift, *nf.head.values()) if not x.is_zero])
     ps = p**s
-    we, wf = Window.read([nfe, nff], s)
     for name, x in (("e", we), ("f", wf)):
         # p^2s (x^2 - x) = (p^s x)^2 - p^s (p^s x)
         if not x.mul(x, addend=[(-ps, x)]).vanishes_to(target + 2 * s):
@@ -320,11 +363,10 @@ def _form_rank(nf: NormalForm) -> int:
         raise PreconditionFailed("structured tail with nonzero default; not finite rank")
     p = nf.prime
     a = NormalForm(p, Padic.zero(p), None, {pos: nf.entry(*pos) for pos in nf.head})
-    norm_a = a.norm()
-    if norm_a < ValuationBound.one():
+    read = _unit_window(a)
+    if read is None:
         return 0
-    s = -norm_a.exponent
-    (w,) = Window.read([a], s)
+    w, s = read
     k = _defect_valuation(w.mul(w, addend=[(-p**s, w)]), s)
     trace = sum(w.rows[r][r - start] for start, stop in w.spans for r in range(start, stop))
     ranks = [r for r in range(len(w.index) + 1) if (p**s * r - trace) % p ** max(k + s, 0) == 0]
@@ -393,6 +435,11 @@ def infinite_sum(a: Operator, depth: int) -> Operator:
         nf = normalize(a)
     except StructureError as exc:
         raise Undecidable(f"expression has no closed structured form: {exc}") from exc
+    return _spread(a, nf, depth)
+
+
+def _spread(a: Operator, nf: NormalForm, depth: int) -> Operator:
+    """infinite_sum on a and its normal form nf."""
     if not nf.norm() <= ValuationBound.one():
         raise PreconditionFailed("spreading requires norm <= 1")
     if nf.tail is None and nf.shift.is_zero:
@@ -427,12 +474,14 @@ def k0_trivialize(e: Operator, target: int = 30, prefix: int = 16) -> dict:
         }
     nff, nfg = _split_forms(nfe, target)
     g = nfg.to_operator()
+    # g is normalised once: the spread and the repeat check share its form
+    form_g = normalize(g)
     rank = _form_rank(nff)
     gens = sum_ring_generators(p)
     relations = _relation_checks(gens, prefix, target)
     depth = max(cantor_unpair(x)[0] for x in range(prefix)) + 1
-    g_inf = infinite_sum(g, depth)
-    repeat_ok = _repeat_equation_ok(g, g_inf, gens, prefix, target)
+    g_inf = _spread(g, form_g, depth)
+    repeat_ok = _repeat_equation_ok(g, g_inf, gens, prefix, target, form_g)
     return {
         "zero_input": False,
         "split": {
@@ -479,13 +528,14 @@ def _relation_checks(gens: SumRingGenerators, prefix: int, target: int) -> dict[
 
 
 def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
-                        prefix: int, target: int) -> bool:
+                        prefix: int, target: int, form_g: NormalForm | None = None) -> bool:
     """atf.g.fta + up.g_inf.down = g_inf on x < prefix, each gap entry
     certified zero to the target.  Only g and g_inf are read: the
     generators move indices by their dest maps, at the coefficient 1
     that _relation_checks certifies.  Column x of an operator with a
-    normal form is read off it (NormalForm.column); only one without,
-    the lazy spread of a g with a shift or a tail, is applied to a basis
+    normal form is read off it (NormalForm.column), off form_g for g
+    when the caller holds normalize(g); only one without, the lazy
+    spread of a g with a shift or a tail, is applied to a basis
     vector."""
     p = g.prime
 
@@ -496,7 +546,8 @@ def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
             apply, prec = _applier(op), precision_of(g)
             return lambda x: apply(PadicVector.basis(p, x, prec))
 
-    column_g, column_inf = reader(g), reader(g_inf)
+    column_g = reader(g) if form_g is None else form_g.column
+    column_inf = reader(g_inf)
 
     def image(column, x: int | None) -> PadicVector:
         return PadicVector(p) if x is None else column(x)
@@ -540,9 +591,7 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
     """
     try:
         nf = normalize(a)
-        if not nf.norm() <= ValuationBound.one():
-            raise PreconditionFailed("lift input must be a contraction")
-        (w,) = Window.read([nf])
+        w = _contraction_window(nf)
     except StructureError as exc:
         raise Undecidable(f"expression has no closed structured form: {exc}") from exc
     if not (nf.shift * nf.shift - nf.shift).is_zero:
@@ -559,6 +608,23 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
     if not (e.shift - nf.shift).is_zero:
         raise CertificationFailed(target, "lifted idempotent does not agree with a modulo compacts")
     return e.to_operator()
+
+
+def _contraction_window(nf: NormalForm) -> Window:
+    """The window of nf mod p^N, or PreconditionFailed when ||nf|| > 1.
+    For a tail-free form that is when the read raises NonIntegral, as in
+    calculus._contraction_window: an entry outside Z_p is a head value
+    or the shift outside it.  Then, and for a tail, NormalForm.norm
+    decides, and refuses as it does; the read of a tail raises
+    StructureError."""
+    if nf.tail is None:
+        try:
+            return Window.read([nf])[0]
+        except NonIntegral:
+            pass
+    if not nf.norm() <= ValuationBound.one():
+        raise PreconditionFailed("lift input must be a contraction")
+    return Window.read([nf])[0]
 
 
 def _frobenius_cap(w: Window) -> int:

@@ -15,7 +15,11 @@ the blocks are all they need, however far apart the indices.  A
 diagonal with n entries is n 1 x 1 blocks, and a dense head one block
 (block orderings of the support graph: Duff, Erisman and Reid, "Direct
 Methods for Sparse Matrices", 1986).  ``Window.read`` takes N to be the
-least absolute precision over the entries and shifts it reads.
+least absolute precision over the entries and shifts it reads, and
+reads p^s times the forms for a scale s it is given;
+``Window.read_integral`` finds the least s >= 0 that makes them
+integral itself, so a form of norm p^s is read without forming its
+norm entry by entry: the window's norm, one gcd, gives it.
 
 Why the digits below p^N are certified: by the precision lemma of Caruso,
 Roe and Vaccon ("Tracking p-adic precision", 2014), an integer polynomial
@@ -43,11 +47,17 @@ wide enough for the largest sum a slot can hold, (|c| n + T + 1) M^2 for
 blocks of at most n x n, coefficient c and T addends, M the largest
 modulus among the operands.  Each slot is then read off and reduced mod
 p^N once.  A 1 x 1 block has nothing to pack and is multiplied directly,
-so a diagonal window costs per entry, not per packed row.
+so a diagonal window costs per entry, not per packed row.  W is rounded
+up to whole bytes, and W, the slot offsets and the bias that keeps
+slots nonnegative for c < 0 are worked out once per shape (the blocks,
+M, c and T) and cached; a window keeps its packed rows per width, so
+one packed for a product is not packed again for the next at that
+width.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from math import gcd
 from operator import mul as _times
@@ -65,14 +75,17 @@ class Window:
     blocks in the order of their least index; ``spans`` holds the
     (start, stop) positions of each block in ``index``.  Row r holds
     the entries of its block's columns, so row r and column
-    index[start + j] meet at rows[r][j]."""
+    index[start + j] meet at rows[r][j].  ``packed`` keeps the rows
+    packed for a product, by slot width (``mul``); a window's rows are
+    not changed once it is made."""
 
-    __slots__ = ("prime", "depth", "modulus", "index", "spans", "rows", "shift")
+    __slots__ = ("prime", "depth", "modulus", "index", "spans", "rows", "shift", "packed")
 
     def __init__(self, prime: int, depth: int, index: tuple[int, ...],
                  spans: tuple[tuple[int, int], ...], rows: list[list[int]], shift: int):
         self.prime, self.depth, self.modulus = prime, depth, prime**depth
         self.index, self.spans, self.rows, self.shift = index, spans, rows, shift
+        self.packed = None
 
     @classmethod
     def read(cls, forms: list[NormalForm], scale: int = 0, exact: int = DEFAULT_PRECISION) -> list["Window"]:
@@ -126,12 +139,18 @@ class Window:
         out = []
         for nf in forms:
             rows = [[0] * (stop - start) for start, stop in spans for _ in range(start, stop)]
+            # p^(v + scale) is formed only when it is not 1
             for (i, j), x in nf.head.items():
                 v = x.valuation
                 if v is not None:
-                    rows[at[i]][col[j]] = x.unit * pow(p, v + scale, mod) % mod
+                    v += scale
+                    rows[at[i]][col[j]] = x.unit * pow(p, v, mod) % mod if v else x.unit % mod
             v = nf.shift.valuation
-            shift = 0 if v is None else nf.shift.unit * pow(p, v + scale, mod) % mod
+            if v is None:
+                shift = 0
+            else:
+                v += scale
+                shift = nf.shift.unit * pow(p, v, mod) % mod if v else nf.shift.unit % mod
             if shift:
                 for start, stop in spans:
                     for r in range(start, stop):
@@ -140,21 +159,36 @@ class Window:
             out.append(cls(p, depth, index, spans, rows, shift))
         return out
 
+    @classmethod
+    def read_integral(cls, forms: list[NormalForm]) -> tuple[list["Window"], int]:
+        """read at the least scale s >= 0 that makes every head value and
+        shift of the forms integral, found from their valuations, and s."""
+        low = min([0] + [x.valuation for nf in forms for x in chain((nf.shift,), nf.head.values())
+                         if x.valuation is not None])
+        return cls.read(forms, -low), -low
+
     def form(self, scale: int = 0) -> NormalForm:
         """The normal form of p^-scale times the window, undoing read's
         scale: every block entry in its head, zeros included, in
         row-major order of the indices, and every such entry and the
         shift certified to exactly depth - scale.  An entry between two
-        blocks is an exact zero and stays out of the head."""
-        p, depth, shift, index = self.prime, self.depth, self.shift, self.index
+        blocks is an exact zero and stays out of the head.  Entries are
+        reduced mod p^depth, so a unit is its own digits: it is made by
+        one constructor call, as Padic.from_unit would make it."""
+        p, depth, shift, index, mod = self.prime, self.depth, self.shift, self.index, self.modulus
         zero = Padic.zero(p, depth - scale)
 
         def certified(x: int) -> Padic:
-            return Padic.from_unit(p, -scale, x, depth) if x % self.modulus else zero
+            if x % p:
+                return Padic(p, -scale, x, depth)
+            if not x:
+                return zero
+            j, u = _split(x, p)
+            return Padic(p, j - scale, u, depth - j)
 
         first = [start for start, stop in self.spans for _ in range(start, stop)]
         order = sorted(range(len(index)), key=index.__getitem__)
-        head = {(index[r], index[k]): certified(x - shift if r == k else x)
+        head = {(index[r], index[k]): certified((x - shift) % mod if r == k else x)
                 for r in order for k, x in enumerate(self.rows[r], first[r])}
         return NormalForm(p, certified(shift), None, head)
 
@@ -188,53 +222,59 @@ class Window:
         slot is read off and reduced once, so the result is that of the
         plain triple loop on the block-diagonal matrix, bit for bit.
 
+        W is rounded up to whole bytes, so products whose bounds differ by
+        a bit or two share a width, and a window packed for one of them
+        is not packed again for the next (``packed``).  W, the slots and
+        B depend on the layout, M, c and T alone and are worked out once
+        per such shape (_product_plan).
+
         A block of one index has nothing to pack: its entry
         c a b + sum_t k'_t f_t is formed from the ints and reduced once,
         the same residue.  Rows are packed only when some block has two
         indices or more."""
-        depth = min(self.depth, other.depth, *(f.depth for _, f in addend))
-        mod = self.prime**depth
-        spans = self.spans
-        # the size of the largest block: with one block, every row
-        n = len(self.rows) if len(spans) == 1 else max([b - a for a, b in spans], default=0)
-        top = max(self.modulus, other.modulus, *(f.modulus for _, f in addend))
-        width = ((abs(c) * n + len(addend) + 1) * top * top).bit_length()
-        mask = (1 << width) - 1
-        fill = n * top * top * -c if c < 0 else 0
-        packed: dict[Window, list[int]] = {}
-
-        def pack(w: Window) -> list[int]:
-            if w not in packed:
-                packed[w] = []
-                for row in w.rows:
-                    acc = 0
-                    for x in reversed(row):
-                        acc = acc << width | x
-                    packed[w].append(acc)
-            return packed[w]
-
+        depth, mod, top = self.depth, self.modulus, self.modulus
+        for w in (other, *[f for _, f in addend]):
+            if w.depth < depth:
+                depth, mod = w.depth, w.modulus
+            if w.modulus > top:
+                top = w.modulus
+        width, mask, plan = _product_plan(self.spans, top, c, len(addend))
         terms = [(k % mod, f) for k, f in addend]
+        mine, theirs = self.rows, other.rows
         cols = packs = None
         rows = []
-        for start, stop in spans:
-            if stop - start == 1:  # one index: nothing to pack
-                acc = c * self.rows[start][0] * other.rows[start][0]
+        for start, stop, slots, bias in plan:
+            if slots is None:  # one index: nothing to pack
+                acc = c * mine[start][0] * theirs[start][0]
                 for k, f in terms:
                     acc += k * f.rows[start][0]
                 rows.append([acc % mod])
                 continue
             if cols is None:
-                cols, packs = pack(other), [(k, pack(f)) for k, f in terms]
-            slots = range(0, width * (stop - start), width)
-            bias = sum([1 << s for s in slots]) * fill if fill else 0
+                cols, packs = other._packed(width), [(k, f._packed(width)) for k, f in terms]
             block = cols[start:stop]
-            for i, row in enumerate(self.rows[start:stop], start):
-                acc = c * sum(map(_times, row, block)) + bias
+            for i in range(start, stop):
+                acc = c * sum(map(_times, mine[i], block)) + bias
                 for k, q in packs:
                     acc += k * q[i]
                 rows.append([(acc >> s & mask) % mod for s in slots])
         shift = c * self.shift * other.shift + sum(k * f.shift for k, f in addend)
         return Window(self.prime, depth, self.index, self.spans, rows, shift % mod)
+
+    def _packed(self, width: int) -> list[int]:
+        """Each row as one int, entry j in the slot of bits [W j, W (j + 1)),
+        W = width: packed once per width and kept."""
+        if self.packed is None:
+            self.packed = {}
+        rows = self.packed.get(width)
+        if rows is None:
+            rows = self.packed[width] = []
+            for row in self.rows:
+                acc = 0
+                for x in reversed(row):
+                    acc = acc << width | x
+                rows.append(acc)
+        return rows
 
     @staticmethod
     def combine(terms: list[tuple[int, "Window"]], depth: int) -> "Window":
@@ -286,10 +326,33 @@ class Window:
 
     def vanishes_to(self, depth: int) -> bool:
         """Whether every entry and the shift are certified 0 mod p^depth:
-        never past the window's own depth."""
+        never past the window's own depth.  One gcd, as in norm."""
         if depth > self.depth:
             return False
         if depth <= 0:
             return True
         m = self.prime**depth
-        return self.shift % m == 0 and all(x % m == 0 for row in self.rows for x in row)
+        return gcd(m, self.shift, *chain.from_iterable(self.rows)) == m
+
+
+@lru_cache(maxsize=256)
+def _product_plan(spans: tuple[tuple[int, int], ...], top: int, c: int,
+                  terms: int) -> tuple[int, int, tuple]:
+    """The set-up of Window.mul on a layout, for the largest modulus top,
+    the coefficient c and the number of addends terms: the slot width W,
+    wide enough for (|c| n + terms + 1) top^2 and rounded up to whole
+    bytes, n the size of the largest block; its mask; and per block
+    (start, stop, slot offsets, B), B the bias that keeps a slot
+    nonnegative when c < 0 (Window.mul), the offsets None for a block
+    of one index."""
+    n = max([stop - start for start, stop in spans], default=0)
+    width = -(-((abs(c) * n + terms + 1) * top * top).bit_length() // 8) * 8
+    fill = n * top * top * -c if c < 0 else 0
+    plan = []
+    for start, stop in spans:
+        if stop - start == 1:
+            plan.append((start, stop, None, 0))
+            continue
+        slots = range(0, width * (stop - start), width)
+        plan.append((start, stop, slots, sum([1 << s for s in slots]) * fill))
+    return width, (1 << width) - 1, tuple(plan)

@@ -285,6 +285,98 @@ def test_refinement_runs_to_the_depth_it_certifies():
 # -- refinement above norm 1: the window of p^s a ----------------------------
 
 
+def _outcome(fn):
+    """fn's value, or the type and text of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # both sides are compared, whatever they raise
+        return type(exc), str(exc)
+
+
+def _window_fields(read):
+    if not isinstance(read, tuple) or not isinstance(read[0], Window):
+        return read
+    w, s = read
+    return w.depth, w.index, w.spans, w.rows, w.shift, s
+
+
+def _unit_window_by_norm(nf):
+    """The window of p^s a with s from NormalForm.norm, read at s."""
+    norm = nf.norm()
+    if norm < ValuationBound.one():
+        return None
+    s = -norm.exponent
+    return Window.read([nf], s)[0], s
+
+
+def _refine_by_norm(nf, target):
+    """_refine_form with the scale taken from NormalForm.norm."""
+    read = _unit_window_by_norm(nf)
+    if read is None:
+        return NormalForm.constant(nf.prime, Padic.zero(nf.prime))
+    w, s = read
+    return idempotents._refine(w, s, target)[0].form(s)
+
+
+def _form_fields(out):
+    if not isinstance(out, NormalForm):
+        return out
+    return out.shift, list(out.head.items())
+
+
+@st.composite
+def _tail_free_forms(draw):
+    """Tail-free forms on up to four indices: values of valuation -3 to 3
+    and relative precision 1 to 12, certified and exact zeros in the head
+    and in the shift, empty heads, and, when the shift is nonzero, a
+    diagonal head value that cancels it to some digits.  A third are
+    near-idempotents p^s [[1, x], [0, 0]] (an idempotent for every x),
+    x of valuation -s, with noise of valuation 5 to 12: they refine."""
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def unit(prec):
+        return draw(st.integers(min_value=1, max_value=p**prec - 1).filter(lambda u: u % p))
+
+    def scalar():
+        kind = draw(st.sampled_from(["value", "value", "value", "certified", "exact"]))
+        if kind == "exact":
+            return Padic.zero(p)
+        if kind == "certified":
+            return Padic.zero(p, draw(st.integers(min_value=1, max_value=12)))
+        prec = draw(st.integers(min_value=1, max_value=12))
+        return Padic(p, draw(st.integers(min_value=-3, max_value=3)), unit(prec), prec)
+
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        s, prec = draw(st.integers(min_value=0, max_value=3)), draw(st.sampled_from([20, 40]))
+        head = {(0, 0): Padic.one(p, prec), (0, 1): Padic(p, -s, unit(prec), prec)}
+        for key in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=3)):
+            noise = Padic(p, draw(st.integers(min_value=5, max_value=12)), unit(prec), prec)
+            head[key] = head.get(key, Padic.zero(p)) + noise
+        return NormalForm(p, Padic.zero(p), None, head)
+    n = draw(st.integers(min_value=0, max_value=4))
+    keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=n * n))
+    head = {key: scalar() for key in keys}
+    shift = scalar() if draw(st.booleans()) else Padic.zero(p)
+    if shift.valuation is not None and draw(st.booleans()):
+        i, prec = draw(st.integers(0, 3)), draw(st.integers(min_value=1, max_value=12))
+        head[(i, i)] = Padic(p, shift.valuation, -shift.unit % p**prec, prec)
+    return NormalForm(p, shift, None, head)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tail_free_forms(), st.sampled_from([1, 3, 10]))
+def test_the_scale_read_is_the_read_at_the_norm(nf, target):
+    """The window and s that _unit_window reads (at the least integral
+    scale, then divided by p^k for the window's norm p^-k) are
+    Window.read([nf], s) with s from NormalForm.norm, or None for a norm
+    below 1; _refine_form returns the same form, or the same refusal,
+    as refining that window."""
+    want = _outcome(lambda: _unit_window_by_norm(nf))
+    assert _window_fields(_outcome(lambda: idempotents._unit_window(nf))) == _window_fields(want)
+    want = _outcome(lambda: _refine_by_norm(nf, target))
+    assert _form_fields(_outcome(lambda: _refine_form(nf, target)[0])) == _form_fields(want)
+
+
 def _fraction_value(x: Padic) -> Fraction:
     return Fraction(0) if x.is_zero else x.unit * Fraction(x.prime) ** x.valuation
 
@@ -493,6 +585,26 @@ def test_equivalence_preconditions():
     # distance 1 is out of reach
     with pytest.raises(PreconditionFailed):
         idempotent_equivalence(e, fm(3, {(1, 1): 1}))
+
+
+def test_the_form_decides_a_norm_its_window_cannot_read():
+    """A zero e reads as a window whose entries all vanish, and a tail has
+    no window: there the form's norm decides, in the order it did before
+    the window was read first.  A zero e, with or without a tail, is
+    refused as zero; a tail of norm below 1 refines to the zero
+    idempotent, and a tail of norm 1 raises StructureError."""
+    p = 3
+    e = fm(p, {(0, 0): 1})
+    up = IndexMap(p, lambda j: j + 1, inv=lambda i: i - 1 if i else None, infinite_domain=True)
+    zero_up = dataclasses.replace(up, default_coeff=Padic.zero(p))
+    for zero in (FiniteMatrix(p, {}), zero_up):
+        with pytest.raises(PreconditionFailed, match="e must be a nonzero idempotent"):
+            idempotent_equivalence(zero, e)
+    with pytest.raises(StructureError):
+        idempotent_equivalence(up, e)
+    assert idempotent_refine(ScalarMul(Padic.from_int(3, p), up)).entries == {}
+    with pytest.raises(StructureError):
+        idempotent_refine(up)
 
 
 # -- projections and splitting ----------------------------------------------
@@ -842,6 +954,30 @@ def test_k0_normalizes_as_often_at_any_prefix(monkeypatch):
         assert out["contractive_part"]["repeat_equation_on_prefix"] is True
         counts[prefix] = len(calls)
     assert counts[4] == counts[16]
+
+
+def test_k0_trivialize_normalizes_g_once(monkeypatch):
+    """One trivialize answer normalises the input, the split's g once
+    (the spread and the repeat check share its form) and the spread:
+    normalising g in infinite_sum and again in the repeat check made
+    four calls."""
+    e = rank_one(3, [1, 9], [4, Fraction(1 - 4, 9)])
+    calls = []
+    original = operators.normalize
+
+    def counted(node):
+        calls.append(node)
+        return original(node)
+
+    monkeypatch.setattr(operators, "normalize", counted)
+    monkeypatch.setattr(idempotents, "normalize", counted)
+    out = k0_trivialize(e)
+    monkeypatch.undo()
+    g = idempotent_split(e).g
+    assert len(calls) == 3 and calls[0] is e
+    assert calls[1] == g
+    assert calls[2] == infinite_sum(g, out["contractive_part"]["spread_depth"])
+    assert out["contractive_part"]["repeat_equation_on_prefix"] is True
 
 
 def _generators_with(**maps):

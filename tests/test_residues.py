@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from padicops.idempotents import _frobenius_cap
 from padicops.operators import Diagonal, FiniteMatrix, NormalForm, normalize
-from padicops.residues import Window
+from padicops.residues import Window, _product_plan
 from padicops.scalars import Padic
 
 
@@ -120,6 +120,47 @@ def test_packed_product_reads_operands_of_different_depths():
     assert out.depth == 8
     assert (out.rows, out.shift) == _plain_mul(u, w, 1, [], p)[:2]
     assert u.mul(w, -2, [(-1, w), (5, u)]).rows == _plain_mul(u, w, -2, [(-1, w), (5, u)], p)[0]
+
+
+def test_one_pair_multiplied_as_the_shape_changes():
+    """One pair of windows, at depths 40 and 33, multiplied in sequence
+    with c of both signs and 0 to 3 addends at depths 40, 29 and 35, on
+    a 5 x 5, a 1 x 1 and a 3 x 3 block: the set-up (_product_plan) and
+    the slot width change from call to call, so other's packed rows are
+    reused at a width it was packed at and packed afresh at another.
+    Every result is the plain loop's, and every width is whole bytes."""
+    rng, p = random.Random(7), 3
+    spans = _spans([5, 1, 3])
+    a, b = _window(rng, p, spans, 40), _window(rng, p, spans, 33)
+    fs = [_window(rng, p, spans, d) for d in (40, 29, 35)]
+    reused, fresh = set(), set()
+    # widths 136, 144 and 152 bits
+    for c, t in [(1, 0), (1, 1), (-2, 2), (1000, 1), (1, 1), (-1, 3), (-10**5, 0),
+                 (1000, 2), (-2, 2), (1, 3), (-10**5, 3)]:
+        addend = [(_coefficient(rng, p**29), f) for f in fs[:t]]
+        width = _product_plan(spans, p**40, c, t)[0]
+        assert width % 8 == 0
+        before = dict(b.packed or {})
+        out = a.mul(b, c, addend)
+        assert (out.rows, out.shift, out.depth, True) == _plain_mul(a, b, c, addend, p)
+        if width in before:
+            assert b.packed[width] is before[width]
+            reused.add(width)
+        else:
+            assert set(b.packed) == set(before) | {width}
+            fresh.add(width)
+    assert reused == fresh == {136, 144, 152}
+
+
+def test_a_refinement_step_and_its_defect_share_a_width():
+    """At n = 5 and depth 40 a step E' = d.E (-2) + p^s d + E needs 131
+    bits a slot and the defect E'.E' - p^s E' 130; rounded to bytes both
+    are 136, so the E' packed for its defect is not packed again as the
+    next step's factor."""
+    spans, top = ((0, 5),), 3**40
+    assert ((2 * 5 + 2 + 1) * top * top).bit_length() == 131
+    assert ((5 + 1 + 1) * top * top).bit_length() == 130
+    assert _product_plan(spans, top, -2, 2)[0] == _product_plan(spans, top, 1, 1)[0] == 136
 
 
 def test_product_of_empty_windows():

@@ -528,26 +528,24 @@ def _relation_checks(gens: SumRingGenerators, prefix: int, target: int) -> dict[
 
 
 def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
-                        prefix: int, target: int, form_g: NormalForm | None = None) -> bool:
+                        prefix: int, target: int, form_g: NormalForm) -> bool:
     """atf.g.fta + up.g_inf.down = g_inf on x < prefix, each gap entry
     certified zero to the target.  Only g and g_inf are read: the
     generators move indices by their dest maps, at the coefficient 1
-    that _relation_checks certifies.  Column x of an operator with a
-    normal form is read off it (NormalForm.column), off form_g for g
-    when the caller holds normalize(g); only one without, the lazy
-    spread of a g with a shift or a tail, is applied to a basis
-    vector."""
+    that _relation_checks certifies.  Column x of g is read off form_g,
+    its normal form (NormalForm.column), and so is that of g_inf when
+    it has one; only a g_inf without, the lazy spread of a g with a
+    shift or a tail, is applied to a basis vector."""
     p = g.prime
 
-    def reader(op: Operator):
-        try:
-            return normalize(op).column
-        except StructureError:
-            apply, prec = _applier(op), precision_of(g)
-            return lambda x: apply(PadicVector.basis(p, x, prec))
+    column_g = form_g.column
+    try:
+        column_inf = normalize(g_inf).column
+    except StructureError:
+        apply, prec = _applier(g_inf), precision_of(g)
 
-    column_g = reader(g) if form_g is None else form_g.column
-    column_inf = reader(g_inf)
+        def column_inf(x: int) -> PadicVector:
+            return apply(PadicVector.basis(p, x, prec))
 
     def image(column, x: int | None) -> PadicVector:
         return PadicVector(p) if x is None else column(x)

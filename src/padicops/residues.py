@@ -172,25 +172,14 @@ class Window:
         scale: every block entry in its head, zeros included, in
         row-major order of the indices, and every such entry and the
         shift certified to exactly depth - scale.  An entry between two
-        blocks is an exact zero and stays out of the head.  Entries are
-        reduced mod p^depth, so a unit is its own digits: it is made by
-        one constructor call, as Padic.from_unit would make it."""
+        blocks is an exact zero and stays out of the head."""
         p, depth, shift, index, mod = self.prime, self.depth, self.shift, self.index, self.modulus
-        zero = Padic.zero(p, depth - scale)
-
-        def certified(x: int) -> Padic:
-            if x % p:
-                return Padic(p, -scale, x, depth)
-            if not x:
-                return zero
-            j, u = _split(x, p)
-            return Padic(p, j - scale, u, depth - j)
-
+        certified = Padic.from_unit
         first = [start for start, stop in self.spans for _ in range(start, stop)]
         order = sorted(range(len(index)), key=index.__getitem__)
-        head = {(index[r], index[k]): certified((x - shift) % mod if r == k else x)
+        head = {(index[r], index[k]): certified(p, -scale, x - shift if r == k else x, depth, mod)
                 for r in order for k, x in enumerate(self.rows[r], first[r])}
-        return NormalForm(p, certified(shift), None, head)
+        return NormalForm(p, certified(p, -scale, shift, depth, mod), None, head)
 
     def constant(self, c: int) -> "Window":
         """c * I on the same layout and at the same depth."""

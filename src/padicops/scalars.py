@@ -204,21 +204,24 @@ class Padic:
         return cls(prime, None, None, certified)
 
     @classmethod
-    def from_unit(cls, prime: int, valuation: int, unit: int, precision: int) -> "Padic":
+    def from_unit(cls, prime: int, valuation: int, unit: int, precision: int,
+                  modulus: int | None = None) -> "Padic":
+        """p^valuation * unit to the relative precision given, its digits
+        reduced and a p-power factor of unit moved into the valuation.
+        ``modulus`` is prime**precision, for a caller that holds it."""
         if precision <= 0:
             raise PrecisionExhausted("no significant digits left")
-        mod = prime**precision
-        unit %= mod
+        unit %= prime**precision if modulus is None else modulus
+        if unit % prime:
+            return cls(prime, valuation, unit, precision)
         if unit == 0:
             # all stored digits cancelled; vanishing certified to here
             return cls.zero(prime, valuation + precision)
+        # caller passed a non-unit; renormalize, precision shrinks
         shift, u = _split(unit, prime)
-        if shift:
-            # caller passed a non-unit; renormalize, precision shrinks
-            if shift >= precision:
-                return cls.zero(prime, valuation + precision)
-            return cls(prime, valuation + shift, u, precision - shift)
-        return cls(prime, valuation, unit, precision)
+        if shift >= precision:
+            return cls.zero(prime, valuation + precision)
+        return cls(prime, valuation + shift, u, precision - shift)
 
     @classmethod
     def from_int(cls, n: int, prime: int, precision: int = DEFAULT_PRECISION) -> "Padic":

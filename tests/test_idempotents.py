@@ -1070,7 +1070,7 @@ def test_repeat_check_reads_columns_and_applies_only_a_lazy_spread(monkeypatch):
     for g, applied in ((finite, 0), (shifted, 1)):
         built = _counted_appliers(monkeypatch)
         spread = infinite_sum(g, _spread_depth(prefix))
-        assert idempotents._repeat_equation_ok(g, spread, gens, prefix, 30) is True
+        assert idempotents._repeat_equation_ok(g, spread, gens, prefix, 30, normalize(g)) is True
         assert built == [spread] * applied
         monkeypatch.undo()
 
@@ -1086,16 +1086,17 @@ def test_repeat_check_refuses_a_spread_with_one_entry_moved(monkeypatch):
     x = cantor_pair(1, 0)
     entries[(x + 100, x)] = entries.pop((x, x))
     built = _counted_appliers(monkeypatch)
-    assert idempotents._repeat_equation_ok(finite, FiniteMatrix(3, entries), gens, prefix, 30) is False
+    assert idempotents._repeat_equation_ok(finite, FiniteMatrix(3, entries), gens, prefix, 30,
+                                           normalize(finite)) is False
     assert built == []
     monkeypatch.undo()
     # apply path: a g with a shift, its entry at (0, 0) moved to (1, 0)
     shifted = Diagonal(3, {0: Padic.from_int(3, 3)}, Padic.from_int(9, 3))
     three, spread = Padic.from_int(3, 3), infinite_sum(shifted, depth)
-    assert idempotents._repeat_equation_ok(shifted, spread, gens, prefix, 30) is True
+    assert idempotents._repeat_equation_ok(shifted, spread, gens, prefix, 30, normalize(shifted)) is True
     moved = Sum([spread, FiniteMatrix(3, {(0, 0): -three, (1, 0): three})])
     built = _counted_appliers(monkeypatch)
-    assert idempotents._repeat_equation_ok(shifted, moved, gens, prefix, 30) is False
+    assert idempotents._repeat_equation_ok(shifted, moved, gens, prefix, 30, normalize(shifted)) is False
     assert built == [moved]
 
 

@@ -163,6 +163,37 @@ def test_a_refinement_step_and_its_defect_share_a_width():
     assert _product_plan(spans, top, -2, 2)[0] == _product_plan(spans, top, 1, 1)[0] == 136
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+       st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=3),
+       st.randoms(use_true_random=False))
+def test_form_writes_each_entry_reduced_and_certified(p, sizes, depth, scale, rng):
+    """Each block entry of form(scale), a diagonal one less the shift
+    (often below zero), is p^-scale times its residue mod p^depth: a
+    unit below p^precision after its p-power factor, or a zero
+    certified to depth - scale, which scale < depth keeps positive."""
+    scale = min(scale, depth - 1)
+    spans = _spans(sizes)
+    w = _window(rng, p, spans, depth)
+    mod = p**depth
+
+    def certified(x):
+        x %= mod
+        if not x:
+            return Padic.zero(p, depth - scale)
+        j = 0
+        while x % p == 0:
+            x //= p
+            j += 1
+        return Padic(p, j - scale, x, depth - j)
+
+    nf = w.form(scale)
+    assert nf.shift == certified(w.shift)
+    expected = {(w.index[r], w.index[start + k]): certified(x - w.shift if start + k == r else x)
+                for start, stop in spans for r in range(start, stop) for k, x in enumerate(w.rows[r])}
+    assert nf.head == expected
+
+
 def test_product_of_empty_windows():
     w = Window(3, 40, (), (), [], 7)
     out = w.mul(w, -1, [(1, w)])

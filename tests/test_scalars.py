@@ -24,6 +24,37 @@ def test_from_int_normalizes_valuation():
     assert Padic.from_int(-9, 3).valuation == 2
 
 
+def _from_unit_oracle(p, v, u, n):
+    """p^v * u to n digits, by plain ints: u reduced mod p^n, then its
+    p-power factor moved into the valuation."""
+    r = u % p**n
+    if r == 0:
+        return Padic.zero(p, v + n)
+    j = 0
+    while r % p == 0:
+        r //= p
+        j += 1
+    return Padic(p, v + j, r, n - j)
+
+
+@given(primes, st.integers(min_value=-3, max_value=3),
+       st.one_of(small_ints, st.integers(min_value=1, max_value=10**6).map(lambda k: k * 3**8)),
+       st.integers(min_value=1, max_value=20))
+def test_from_unit_reduces_and_splits_off_p(p, v, u, n):
+    """from_unit is the plain-int rule for any int, with or without the
+    modulus handed in, and a nonzero result keeps 0 < unit < p^precision.
+    A zero certified to no positive depth is refused."""
+    if u % p**n == 0 and v + n <= 0:
+        for modulus in (None, p**n):
+            with pytest.raises(PrecisionExhausted):
+                Padic.from_unit(p, v, u, n, modulus)
+        return
+    x = _from_unit_oracle(p, v, u, n)
+    assert Padic.from_unit(p, v, u, n) == Padic.from_unit(p, v, u, n, p**n) == x
+    if x.unit is not None:
+        assert 0 < x.unit < p**x.precision and x.unit % p
+
+
 def test_certified_zero_bookkeeping():
     x = Padic.from_int(7, 5, 10)
     z = x - x

@@ -117,7 +117,7 @@ def _cmd_mahler_expand(args) -> int:
     samples = [scalar_from_text(t, p, prec) for t in texts]
     bound = None if tail is None else ValuationBound(tail)
     fn = mahler_expand(samples, bound, prime=p)
-    _emit(mahler_to_obj(fn, p))
+    _emit(mahler_to_obj(fn, p, prec))
     return 0
 
 
@@ -134,13 +134,15 @@ def _cmd_mahler_eval(args) -> int:
 
 
 def _read_operator(path: str, target: int | None = None):
-    """The operator in a file whose precision must cover the target of
-    a certified check when one is given."""
+    """The operator in a file and the file's header precision, which
+    must cover the target of a certified check when one is given.  An
+    answer that holds no nonzero scalar is written at the header
+    precision of its inputs (the largest, for two)."""
     obj = _read_json(path)
     _, prec, _ = file_header(obj)
     if target is not None and prec < target:
         raise ParseError(f"{path}: precision {prec} is below the target valuation {target}")
-    return operator_from_obj(obj)
+    return operator_from_obj(obj), prec
 
 
 def _same_prime(first, second) -> None:
@@ -165,18 +167,19 @@ def _target(args) -> int:
 
 def _cmd_calculus_certify(args) -> int:
     depth = _at_least("--depth", args.depth, 0)
-    a = _read_operator(args.infile)
+    a, _ = _read_operator(args.infile)
     rows = [[n, exponent_str(bound)] for n, bound in certify_normal_contraction(a, depth)]
     sys.stdout.write(tsv_table(["n", "norm_exponent"], rows))
     return 0
 
 
 def _cmd_calculus_apply(args) -> int:
-    a = _read_operator(args.infile)
-    fn = mahler_from_obj(_read_json(args.fn))
+    a, prec = _read_operator(args.infile)
+    obj = _read_json(args.fn)
+    fn = mahler_from_obj(obj)
     _same_prime(a, fn)
     result, error = functional_calculus(a, fn)
-    _emit({"result": operator_to_obj(result),
+    _emit({"result": operator_to_obj(result, fallback=max(prec, obj["precision"])),
            "error_exponent": exponent_str(error)})
     return 0
 
@@ -184,14 +187,14 @@ def _cmd_calculus_apply(args) -> int:
 def _cmd_calculus_teich(args) -> int:
     target = _target(args)
     depth = _at_least("--depth", args.depth, 0)
-    a = _read_operator(args.infile, target)
+    a, prec = _read_operator(args.infile, target)
     # --depth only gates: teich checks ||A|| <= 1 itself (ROADMAP item 8)
     certify_normal_contraction(a, depth)
     e, trace = teichmuller_idempotent(a, target=target)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(tsv_table(["phase", "k", "defect_exponent"], trace))
-    _emit({"e": operator_to_obj(e), "iterations": len(trace)})
+    _emit({"e": operator_to_obj(e, fallback=prec), "iterations": len(trace)})
     return 0
 
 
@@ -202,7 +205,7 @@ def _cmd_calculus_fz(args) -> int:
     a = operator_from_obj(obj)
     z = scalar_from_text(args.z, p, prec)
     result, error = binomial_series(a, z, depth)
-    _emit({"result": operator_to_obj(result),
+    _emit({"result": operator_to_obj(result, fallback=prec),
            "error_exponent": exponent_str(error)})
     return 0
 
@@ -212,56 +215,57 @@ def _cmd_calculus_fz(args) -> int:
 
 def _cmd_idem_refine(args) -> int:
     target = _target(args)
-    a = _read_operator(args.infile, target)
+    a, prec = _read_operator(args.infile, target)
     e = idempotent_refine(a, target)
     distance = op_norm(a - e)
-    _emit({"e": operator_to_obj(e),
+    _emit({"e": operator_to_obj(e, fallback=prec),
            "distance_exponent": exponent_str(distance)})
     return 0
 
 
 def _cmd_idem_equiv(args) -> int:
     target = _target(args)
-    e = _read_operator(args.infile, target)
-    f = _read_operator(args.in2, target)
+    e, prec_e = _read_operator(args.infile, target)
+    f, prec_f = _read_operator(args.in2, target)
     _same_prime(e, f)
     witness = idempotent_equivalence(e, f, target)
-    _emit({"u": operator_to_obj(witness.u),
-           "u_inv": operator_to_obj(witness.u_inv)})
+    prec = max(prec_e, prec_f)
+    _emit({"u": operator_to_obj(witness.u, fallback=prec),
+           "u_inv": operator_to_obj(witness.u_inv, fallback=prec)})
     return 0
 
 
 def _cmd_idem_split(args) -> int:
     target = _target(args)
-    e = _read_operator(args.infile, target)
+    e, prec = _read_operator(args.infile, target)
     split = idempotent_split(e, target)
-    _emit({"f": operator_to_obj(split.f),
-           "g": operator_to_obj(split.g)})
+    _emit({"f": operator_to_obj(split.f, fallback=prec),
+           "g": operator_to_obj(split.g, fallback=prec)})
     return 0
 
 
 def _cmd_idem_lift(args) -> int:
     target = _target(args)
-    a = _read_operator(args.infile, target)
+    a, prec = _read_operator(args.infile, target)
     e = idempotent_lift(a, target=target)
-    _emit({"e": operator_to_obj(e)})
+    _emit({"e": operator_to_obj(e, fallback=prec)})
     return 0
 
 
 def _cmd_idem_trivialize(args) -> int:
     target = _target(args)
     prefix = _at_least("--prefix", args.prefix, 1)
-    e = _read_operator(args.infile, target)
+    e, _ = _read_operator(args.infile, target)
     _emit(k0_trivialize(e, target, prefix))
     return 0
 
 
 def _cmd_idem_sumring(args) -> int:
     depth = _at_least("--depth", args.depth, 0)
-    a = _read_operator(args.infile)
+    a, prec = _read_operator(args.infile)
     _finite_support(a, "its spread is a lazy tree with no file form")
     spread = infinite_sum(a, depth)
-    _emit(operator_to_obj(spread))
+    _emit(operator_to_obj(spread, fallback=prec))
     return 0
 
 
@@ -277,14 +281,14 @@ def _finite_dim(a) -> int:
 
 
 def _cmd_scale_finite(args) -> int:
-    a = _read_operator(args.infile)
+    a, _ = _read_operator(args.infile)
     dim = _at_least("--dim", args.dim, 0) if args.dim is not None else _finite_dim(a)
     print(willis_scale_finite(truncate(a, dim), dim))
     return 0
 
 
 def _cmd_scale_probe(args) -> int:
-    a = _read_operator(args.infile)
+    a, _ = _read_operator(args.infile)
     try:
         bounds = [int(part) for part in args.bounds.split(",") if part]
     except ValueError as exc:

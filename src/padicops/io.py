@@ -136,10 +136,14 @@ def _node_to_obj(op) -> dict[str, Any]:
     raise ParseError(f"cannot serialize operator of type {type(op).__name__}")
 
 
-def operator_to_obj(op, precision: int | None = None) -> dict[str, Any]:
+def operator_to_obj(op, precision: int | None = None,
+                    fallback: int = DEFAULT_PRECISION) -> dict[str, Any]:
     """The file form of op.  The header precision defaults to the
-    precision op carries."""
-    obj = {"p": op.prime, "precision": precision if precision is not None else precision_of(op)}
+    precision op carries, and to fallback when op holds no nonzero
+    scalar."""
+    if precision is None:
+        precision = precision_of(op, default=fallback)
+    obj = {"p": op.prime, "precision": precision}
     obj.update(_node_to_obj(op))
     return obj
 
@@ -211,11 +215,12 @@ def operator_from_json(text: str):
 # -- Mahler expansions -------------------------------------------------
 
 
-def mahler_to_obj(fn, prime: int) -> dict[str, Any]:
-    """The file form of fn, with the precision fn carries in its header."""
+def mahler_to_obj(fn, prime: int, fallback: int = DEFAULT_PRECISION) -> dict[str, Any]:
+    """The file form of fn, with the precision fn carries in its header,
+    or fallback when fn holds no nonzero scalar."""
     return {
         "p": prime,
-        "precision": precision_of(fn),
+        "precision": precision_of(fn, default=fallback),
         "kind": "mahler",
         "coefficients": [scalar_to_text(c) for c in fn.coefficients],
         "tail_exponent": fn.tail_bound.exponent,

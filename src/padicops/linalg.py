@@ -10,11 +10,14 @@ integral, so no step enlarges the entries it touches.
 - ``eliminate_full_pivot`` searches the whole remaining block for the
   pivot.  Its pivot valuations are the Smith invariants, and their
   signed product is the determinant.
+
+Each update x - f * y is one ``scalars.add_product`` of x, -f and y, so
+it is rounded once, not once for the product and again for the sum.
 """
 
 from __future__ import annotations
 
-from .scalars import Padic
+from .scalars import Padic, add_product
 
 Column = dict[int, Padic]
 
@@ -39,13 +42,14 @@ def reduce_columns(columns: list[Column]) -> list[tuple[int, Column] | None]:
         for j in range(len(cols)):
             if j == k or row not in cols[j]:
                 continue
-            factor = cols[j][row]
+            col = cols[j]
+            factor = -col[row]
             for i, v in cols[k].items():
-                cur = cols[j].get(i, zero) - factor * v
+                cur = add_product(col.get(i, zero), factor, v)
                 if cur.is_zero:
-                    cols[j].pop(i, None)
+                    col.pop(i, None)
                 else:
-                    cols[j][i] = cur
+                    col[i] = cur
     return out
 
 
@@ -65,10 +69,11 @@ def eliminate_full_pivot(rows: list[list[Padic]], prime: int) -> tuple[list[int]
     for k in range(n):
         best = None
         for i in range(k, n):
+            row = work[i]
             for j in range(k, n):
-                v = work[i][j]
-                if not v.is_zero and (best is None or v.valuation < best[0]):
-                    best = (v.valuation, i, j)
+                val = row[j].valuation
+                if val is not None and (best is None or val < best[0]):
+                    best = (val, i, j)
         if best is None:
             return valuations, Padic.zero(prime)
         _, pi, pj = best
@@ -82,12 +87,14 @@ def eliminate_full_pivot(rows: list[list[Padic]], prime: int) -> tuple[list[int]
         pivot = work[k][k]
         valuations.append(pivot.valuation)
         det = pivot if det is None else det * pivot
+        negated, pivot_row = -pivot, work[k]
         for i in range(k + 1, n):
-            if work[i][k].is_zero:
+            row = work[i]
+            if row[k].is_zero:
                 continue
-            factor = work[i][k] / pivot
+            factor = row[k] / negated  # -(row[k] / pivot)
             for j in range(k + 1, n):
-                work[i][j] = work[i][j] - factor * work[k][j]
+                row[j] = add_product(row[j], factor, pivot_row[j])
     if det is None:  # the empty matrix
         return valuations, Padic.one(prime)
     return valuations, det if sign > 0 else -det

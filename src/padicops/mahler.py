@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NonIntegral
-from .scalars import Padic, ValuationBound, norm_max, precision_of
+from .scalars import Padic, ValuationBound, add_product, norm_max, precision_of
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def mahler_eval(fn: MahlerFunction, x: Padic) -> Padic:
             total = total + t
         else:
             binom = falling / Padic.from_int(factorial, p, width) if n >= 2 else falling
-            total = total + t * binom
+            total = add_product(total, t, binom)
     if not fn.tail_bound.is_zero:
         # unseen coefficients contribute at most the tail bound
         total = total.cap_absolute(fn.tail_bound.exponent)

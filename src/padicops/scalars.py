@@ -19,7 +19,7 @@ from .errors import DivisionByZero, NonIntegral, PrecisionExhausted
 DEFAULT_PRECISION = 40
 
 
-def precision_of(*operands) -> int:
+def precision_of(*operands, default: int = DEFAULT_PRECISION) -> int:
     """The working precision of a computation on the operands.
 
     This is the largest relative precision of a nonzero scalar among
@@ -27,8 +27,8 @@ def precision_of(*operands) -> int:
     normal forms, vectors and Mahler functions (dataclasses, walked
     field by field), dicts, lists and tuples.  An ``Identity`` holds no
     scalar but a ``precision`` field, and stands for 1 at it.  Operands
-    holding only exact zeros are exact data and get
-    ``DEFAULT_PRECISION``.
+    holding no nonzero scalar get ``default``: exact data have no
+    precision of their own.
 
     A sum, product or quotient of such scalars carries at most this many
     relative digits, so multiplying it by a constant written at this
@@ -50,7 +50,7 @@ def precision_of(*operands) -> int:
                 best = max(best, x.precision)
             else:
                 stack.extend(getattr(x, name) for name in x.__dataclass_fields__)
-    return best or DEFAULT_PRECISION
+    return best or default
 
 
 def _split(k: int, p: int) -> tuple[int, int]:
@@ -125,6 +125,16 @@ def _round(p: int, terms: list[tuple[int, int, int]]) -> "Padic":
     return Padic.from_unit(p, base, total, window)
 
 
+def add_product(x: "Padic", c: "Padic", y: "Padic") -> "Padic":
+    """x + c * y, rounded once: the terms x and c * y summed by _round,
+    so the product is not rounded on its own first.  Its value and
+    precision are those of x + (c * y)."""
+    if not x.prime == c.prime == y.prime:
+        raise ValueError(f"mixed primes {x.prime}, {c.prime} and {y.prime}")
+    return _round(x.prime, [t for t in (_linear_term(1, x), _product_term(c, y))
+                            if t is not None])
+
+
 @dataclass(frozen=True, slots=True)
 class ValuationBound:
     """The exact norm value p^(-exponent).
@@ -177,7 +187,7 @@ def norm_max(bounds) -> ValuationBound:
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Padic:
     """One p-adic scalar.
 
@@ -194,6 +204,17 @@ class Padic:
     valuation: int | None
     unit: int | None
     precision: int | None
+
+    def __init__(self, prime: int, valuation: int | None, unit: int | None,
+                 precision: int | None) -> None:
+        # A frozen dataclass's own __init__ stores each field through
+        # object.__setattr__, a generic lookup that costs more than the
+        # rest of making a scalar; the slot descriptors' setters store
+        # directly, and every Padic the library makes passes here.
+        _set_prime(self, prime)
+        _set_valuation(self, valuation)
+        _set_unit(self, unit)
+        _set_precision(self, precision)
 
     # -- constructors -------------------------------------------------
 
@@ -355,6 +376,10 @@ class Padic:
         from .io import scalar_to_text
 
         return scalar_to_text(self)
+
+
+_set_prime, _set_valuation, _set_unit, _set_precision = (
+    Padic.__dict__[name].__set__ for name in ("prime", "valuation", "unit", "precision"))
 
 
 # -- combinatorial helpers --------------------------------------------

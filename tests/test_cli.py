@@ -379,7 +379,7 @@ def test_idem_refine_exit_codes_above_norm_one(capsys, opfile, monkeypatch):
     assert code == 0
     assert op_agree(operator_from_obj(json.loads(out)["e"]), a, 20)
     up = IndexMap(p, lambda j: j + 1, inv=lambda i: i - 1 if i else None, infinite_domain=True)
-    monkeypatch.setattr(cli, "_read_operator", lambda path, target=None: up)
+    monkeypatch.setattr(cli, "_read_operator", lambda path, target=None: (up, 30))
     code, out, err = run(capsys, "idem", "refine", "--in", path)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "StructureError"
@@ -410,6 +410,35 @@ def test_idem_split(capsys, opfile):
     f = operator_from_obj(obj["f"])
     g = operator_from_obj(obj["g"])
     assert op_agree(f + g, e, 30)
+
+
+def test_an_empty_answer_takes_its_input_header(capsys, tmp_path):
+    """An answer that holds no nonzero scalar is written at the header
+    precision of its input file (the larger of two), not at the
+    library's default of 40, as an answer that holds one is."""
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    empty = write("empty.json", {"p": 3, "precision": 80, "kind": "finite", "entries": []})
+    one = write("one.json", {"p": 3, "precision": 80, "kind": "finite", "entries": [[0, 0, "3^0*1"]]})
+    for leaf, keys in ((("idem", "refine"), ("e",)), (("idem", "split"), ("f", "g")),
+                       (("idem", "lift"), ("e",))):
+        for path in (empty, one):
+            code, out, _ = run(capsys, *leaf, "--in", path, "--target", "60")
+            obj = json.loads(out)
+            assert code == 0 and [obj[k]["precision"] for k in keys] == [80] * len(keys)
+    code, out, _ = run(capsys, "idem", "sumring", "--in", empty, "--depth", "2")
+    assert code == 0 and json.loads(out)["precision"] == 80
+    fn = write("fn.json", {"p": 3, "precision": 70, "kind": "mahler", "coefficients": [],
+                           "tail_exponent": None})
+    code, out, _ = run(capsys, "calculus", "apply", "--in", empty, "--fn", fn)
+    assert code == 0 and json.loads(out)["result"]["precision"] == 80
+    samples = write("samples.json", {"p": 3, "precision": 80, "samples": ["0", "0"]})
+    code, out, _ = run(capsys, "mahler", "expand", "--in", samples)
+    assert code == 0 and json.loads(out) == {
+        "p": 3, "precision": 80, "kind": "mahler", "coefficients": [], "tail_exponent": None}
 
 
 def test_idem_lift(capsys, opfile):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import operator
 import random
@@ -232,3 +234,30 @@ def test_teichmuller_matches_iterated_pth_power():
 def test_default_precision_is_forty():
     assert DEFAULT_PRECISION == 40
     assert Padic.from_int(1, 3).precision == 40
+
+
+def test_padic_is_a_frozen_slots_value():
+    """Padic makes its fields through its own __init__, and stays a
+    frozen slots dataclass: values are shared, so none can be changed,
+    and equality, hash, repr, replace and deepcopy go by the fields."""
+    x = Padic(3, 1, 5, 40)
+    assert dataclasses.is_dataclass(x) and not hasattr(x, "__dict__")
+    assert [f.name for f in dataclasses.fields(Padic)] == ["prime", "valuation", "unit", "precision"]
+    for name, value in (("prime", 5), ("valuation", 0), ("unit", 7), ("precision", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del x.unit
+    assert x == Padic(prime=3, valuation=1, unit=5, precision=40)
+    assert hash(x) == hash(Padic(3, 1, 5, 40))
+    assert x != Padic(3, 1, 5, 39) and x != Padic(3, 1, 7, 40)
+    assert len({x, Padic(3, 1, 5, 40), Padic.zero(3), Padic.zero(3, 4)}) == 3
+    assert repr(x) == "Padic(prime=3, valuation=1, unit=5, precision=40)"
+    assert repr(Padic.zero(3, 4)) == "Padic(prime=3, valuation=None, unit=None, precision=4)"
+    assert dataclasses.replace(x, unit=7) == Padic(3, 1, 7, 40)
+    assert x.unit == 5
+    for v in (x, Padic.zero(3, 4), Padic.zero(3)):
+        back = copy.deepcopy(v)
+        assert back == v and back.unit == v.unit and back.precision == v.precision
+    with pytest.raises(TypeError):
+        Padic(3, 1, 5)

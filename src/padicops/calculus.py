@@ -32,12 +32,14 @@ def _contraction_window(a: Operator, *operands) -> Window:
     tail and CertificationFailed(1) for ||A|| > 1: an entry of A is
     outside Z_p exactly when a head value or the shift is, which is when
     the read raises NonIntegral.  An exact A reads at
-    precision_of(A, *operands), as a constant written for them would."""
+    precision_of(A, *operands), as a constant written for them would;
+    read uses it only when A holds no nonzero scalar, so it is
+    precision_of(*operands), and A is not walked for it."""
     nf = normalize(a)
     if nf.tail is not None:
         raise PreconditionFailed("a structured tail has no finite window")
     try:
-        return Window.read([nf], exact=precision_of(nf, *operands))[0]
+        return Window.read([nf], exact=precision_of(*operands))[0]
     except NonIntegral:
         raise CertificationFailed(1, f"step 1: norm exponent {exponent_str(nf.norm())}, need at least 0") from None
 
@@ -59,13 +61,14 @@ def _check_product(n: int, product: Window) -> ValuationBound:
 
 def _falling_products(w: Window) -> Iterator[tuple[Window, ValuationBound]]:
     """A(A-1)...(A-(n-1)) = n! binom(A, n) on A's window w and its norm for
-    n = 0, 1, 2, ..., each the fused product F.w - (n-1) F of the one
-    before, checked by _check_product."""
-    product = w.constant(1)
-    yield product, ValuationBound.one()
+    n = 0, 1, 2, ..., checked by _check_product: F_0 = 1, F_1 = w itself
+    (1.w + 0.1 would repeat its residues), then F_n = F_(n-1).w -
+    (n-1) F_(n-1) as one fused product, so F_n costs n - 1 products."""
+    yield w.constant(1), ValuationBound.one()
+    product = w
     for n in count(1):
-        product = product.mul(w, addend=[(1 - n, product)])
         yield product, _check_product(n, product)
+        product = product.mul(w, addend=[(-n, product)])
 
 
 def certify_normal_contraction(a: Operator, depth: int) -> list[tuple[int, ValuationBound]]:
@@ -82,10 +85,16 @@ def _binomial_sum(w: Window, coefficients: Iterable) -> Operator:
     for an exact zero.  binom(A, 0) = I is exact, so c_0 I is known to
     top.  For n >= 1, with n! = p^j u, binom(A, n) = u^-1 F_n / p^j is
     known mod p^(N - j) and has norm p^-b at most, b = e - j for the norm
-    p^-e of F_n that the walk read (Window.norm; divide lowers the depth
-    by j too), so c_n binom(A, n) is known to min(val + N - j, top + b).
-    The sum is known to the least of these, or to N when no term bounds
-    it, and is written back there once."""
+    p^-e of F_n that the walk read (Window.norm), so c_n binom(A, n) is
+    known to min(val + N - j, top + b).  The sum is known to the least
+    of these, D, or to N when no term bounds it.
+
+    It divides once: with k_n = p^val unit u^-1 (u^-1 mod p^N), j_n = j
+    and J the largest j_n, it returns S / p^J for S = sum k_n p^(J - j_n)
+    F_n mod p^(D + J).  The walk checked that p^(j_n) divides F_n, so
+    that is sum k_n (F_n / p^(j_n)) mod p^D, the digits of dividing each
+    F_n first; u^-1 mod p^N, not p^(N - j), moves a term by a multiple
+    of p^(val + N - j), past D."""
     p, depth, terms = w.prime, None, []
     # coefficients first: zip stops there without forming one more product
     for n, (c, (product, norm)) in enumerate(zip(coefficients, _falling_products(w))):
@@ -93,14 +102,15 @@ def _binomial_sum(w: Window, coefficients: Iterable) -> Operator:
             continue
         val, unit, top = c
         j, u = _split(factorial(n), p)
-        binom = product.divide(j)
-        known = min(val + binom.depth, top + norm.exponent - j) if n else top
+        known = min(val + w.depth - j, top + norm.exponent - j) if n else top
         if known is not None:
             depth = known if depth is None else min(depth, known)
-        terms.append((p**val * unit * pow(u, -1, binom.modulus), binom))
+        terms.append((j, p**val * unit * pow(u, -1, w.modulus), product))
     if not terms:
         return FiniteMatrix(p, {})
-    acc = Window.combine(terms, w.depth if depth is None else depth)
+    depth = w.depth if depth is None else depth
+    j_max = terms[-1][0]  # v_p(n!) does not fall as n grows
+    acc = Window.combine([(k * p**(j_max - j), f) for j, k, f in terms], depth + j_max).divide(j_max)
     # a sum that vanishes to its depth is O(p^depth) I: the public operator drops zeros
     if acc.vanishes_to(acc.depth):
         return Diagonal(p, {}, Padic.zero(p, acc.depth))

@@ -3,7 +3,8 @@
 Plain values print as single lines, structured results as JSON with an
 indent of 2, traces as TSV with a header row.  Exit codes: 0 success, 1
 failed verify suite, 2 precondition or certification failure, 3 an
-iteration that ran out of steps or digits, 4 parse or input error.
+iteration that ran out of steps or digits, 4 parse or input error (an
+input or config file that is not UTF-8 included).
 
 A call costs what its leaf's arithmetic costs.  When the first two words
 of argv name a leaf, ``main`` parses the rest with that leaf's own
@@ -51,6 +52,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+# the text of a list item that is laid out on one line, by its exact type
+_ROW_ITEM = {int: int.__repr__, str: _quote}
+
+
 def _json(obj: Any, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2), byte for byte, for dicts with str keys,
     lists, tuples and scalars.  Strings are escaped by the C encoder's
@@ -71,7 +76,10 @@ def _json(obj: Any, pad: str = "\n") -> str:
         if not obj:
             return "[]"
         inner = pad + "  "
-        return "[" + ",".join([inner + _json(x, inner) for x in obj]) + pad + "]"
+        try:  # every item an int or a str, as in an entries row: one join
+            return "[" + inner + ("," + inner).join([_ROW_ITEM[type(x)](x) for x in obj]) + pad + "]"
+        except KeyError:  # a container, a bool, a float or None among them
+            return "[" + ",".join([inner + _json(x, inner) for x in obj]) + pad + "]"
     return json.dumps(obj)  # a scalar's text has no layout
 
 
@@ -90,10 +98,11 @@ def _report(exc: BaseException) -> None:
 
 
 def _read_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 

@@ -82,8 +82,8 @@ def load_config(path: str | None = None, **overrides) -> ExperimentConfig:
     data: dict = {}
     if path:
         try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"config file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParseError(f"config file {path}: expected a JSON object")

@@ -16,7 +16,7 @@ from typing import Any
 
 from .config import require_int, require_prime
 from .errors import ParseError
-from .scalars import DEFAULT_PRECISION, Padic, precision_of
+from .scalars import DEFAULT_PRECISION, Padic
 
 _SCALAR_RE = re.compile(r"^(\d+)\^(-?\d+)\*([0-9.]+)$")
 # digits per int() call: the least limit the interpreter allows on the
@@ -102,19 +102,30 @@ def scalar_from_text(text: str, prime: int, precision: int = DEFAULT_PRECISION) 
 # -- operator files ----------------------------------------------------
 
 
-def _node_to_obj(op) -> dict[str, Any]:
+def _text(x: Padic, tops: list[int]) -> str:
+    """scalar_to_text(x), adding the precision of a nonzero x to tops."""
+    if x.valuation is not None:
+        tops.append(x.precision)
+    return scalar_to_text(x)
+
+
+def _node_to_obj(op, tops: list[int]) -> dict[str, Any]:
+    """The file form of op without its header.  tops gets the precision
+    of each Identity and of each nonzero scalar written, which are the
+    values precision_of(op) takes the largest of."""
     from . import operators as ops
 
     if isinstance(op, ops.FiniteMatrix):
         entries = sorted(op.entries.items())
-        return {"kind": "finite", "entries": [[i, j, scalar_to_text(v)] for (i, j), v in entries]}
+        return {"kind": "finite", "entries": [[i, j, _text(v, tops)] for (i, j), v in entries]}
     if isinstance(op, ops.Diagonal):
         return {
             "kind": "diagonal",
-            "entries": [[i, scalar_to_text(v)] for i, v in sorted(op.entries.items())],
-            "default": scalar_to_text(op.default),
+            "entries": [[i, _text(v, tops)] for i, v in sorted(op.entries.items())],
+            "default": _text(op.default, tops),
         }
     if isinstance(op, ops.Identity):
+        tops.append(op.precision)
         return {"kind": "identity"}
     if isinstance(op, ops.IndexMap):
         if callable(op.dest):
@@ -122,29 +133,31 @@ def _node_to_obj(op) -> dict[str, Any]:
         return {
             "kind": "indexmap",
             "dest": [[j, d] for j, d in sorted(op.dest.items())],
-            "coeff": [[j, scalar_to_text(v)] for j, v in sorted(op.coeff.items())],
-            "default_coeff": scalar_to_text(op.default_coeff),
+            "coeff": [[j, _text(v, tops)] for j, v in sorted(op.coeff.items())],
+            "default_coeff": _text(op.default_coeff, tops),
         }
     if isinstance(op, ops.Sum):
-        return {"kind": "sum", "terms": [_node_to_obj(t) for t in op.terms]}
+        return {"kind": "sum", "terms": [_node_to_obj(t, tops) for t in op.terms]}
     if isinstance(op, ops.Product):
-        return {"kind": "product", "factors": [_node_to_obj(f) for f in op.factors]}
+        return {"kind": "product", "factors": [_node_to_obj(f, tops) for f in op.factors]}
     if isinstance(op, ops.ScalarMul):
-        return {"kind": "scalar", "scalar": scalar_to_text(op.scalar), "operand": _node_to_obj(op.operand)}
+        return {"kind": "scalar", "scalar": _text(op.scalar, tops), "operand": _node_to_obj(op.operand, tops)}
     if isinstance(op, ops.Adjoint):
-        return {"kind": "adjoint", "operand": _node_to_obj(op.operand)}
+        return {"kind": "adjoint", "operand": _node_to_obj(op.operand, tops)}
     raise ParseError(f"cannot serialize operator of type {type(op).__name__}")
 
 
 def operator_to_obj(op, precision: int | None = None,
                     fallback: int = DEFAULT_PRECISION) -> dict[str, Any]:
     """The file form of op.  The header precision defaults to the
-    precision op carries, and to fallback when op holds no nonzero
+    precision op carries, precision_of(op) as _node_to_obj reads it off
+    the scalars it writes, and to fallback when op holds no nonzero
     scalar."""
-    if precision is None:
-        precision = precision_of(op, default=fallback)
+    tops: list[int] = []
     obj = {"p": op.prime, "precision": precision}
-    obj.update(_node_to_obj(op))
+    obj.update(_node_to_obj(op, tops))
+    if precision is None:
+        obj["precision"] = max(tops, default=0) or fallback
     return obj
 
 
@@ -217,12 +230,15 @@ def operator_from_json(text: str):
 
 def mahler_to_obj(fn, prime: int, fallback: int = DEFAULT_PRECISION) -> dict[str, Any]:
     """The file form of fn, with the precision fn carries in its header,
-    or fallback when fn holds no nonzero scalar."""
+    read off the coefficients as they are written, or fallback when fn
+    holds no nonzero scalar."""
+    tops: list[int] = []
+    coefficients = [_text(c, tops) for c in fn.coefficients]
     return {
         "p": prime,
-        "precision": precision_of(fn, default=fallback),
+        "precision": max(tops, default=0) or fallback,
         "kind": "mahler",
-        "coefficients": [scalar_to_text(c) for c in fn.coefficients],
+        "coefficients": coefficients,
         "tail_exponent": fn.tail_bound.exponent,
     }
 

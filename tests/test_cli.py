@@ -135,6 +135,44 @@ def test_calculus_certify_tsv(capsys, opfile):
                    "1\t0\n2\t3\n3\t3\n4\t3\n5\t4\n6\t4\n")
 
 
+def test_calculus_certify_makes_one_product_per_step_past_the_first(capsys, opfile, monkeypatch):
+    """certify --depth D forms F_2, ..., F_D by one window product each:
+    F_1 is A's window itself, so D - 1 products for D >= 1, none for 0."""
+    calls = []
+
+    def mul(self, other, *args, _mul=Window.mul, **kwargs):
+        calls.append(1)
+        return _mul(self, other, *args, **kwargs)
+
+    monkeypatch.setattr(Window, "mul", mul)
+    # a diagonal and 1 + e_01 at p = 5, whose walk holds to n = 4
+    for a in (diag(3, [28, 27]), FiniteMatrix(5, {(0, 0): Padic.one(5), (0, 1): Padic.one(5),
+                                                 (1, 1): Padic.one(5)})):
+        path = opfile(a)
+        for depth in range(5):
+            calls.clear()
+            code, out, _ = run(capsys, "calculus", "certify", "--in", path, "--depth", str(depth))
+            assert code == 0 and len(out.splitlines()) == depth + 1
+            assert len(calls) == max(depth - 1, 0), depth
+
+
+def test_undecodable_input_files_exit_4(capsys, tmp_path, opfile):
+    """A --in or --fn file that is not UTF-8 is a parse error that names
+    the file, not a traceback."""
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b'{"p": 3, "precision": 40, "kind": "identity"}\xff')
+    fnfile = tmp_path / "fn.json"
+    fnfile.write_text(json.dumps({"p": 3, "precision": 40, "coefficients": ["0"],
+                                  "tail_exponent": None}))
+    for argv in (("calculus", "certify", "--in", str(raw), "--depth", "1"),
+                 ("calculus", "apply", "--in", str(raw), "--fn", str(fnfile)),
+                 ("calculus", "apply", "--in", opfile(Identity(3)), "--fn", str(raw))):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == "", argv
+        report = json.loads(err)
+        assert report["error"] == "ParseError" and str(raw) in report["message"]
+
+
 def test_calculus_certify_runs_out_of_digits(capsys, opfile):
     # diag(1, 3) at p = 2 and precision 40: v_2(44!) = 41 is past the
     # window's 40 digits, so step 44 can be neither certified nor refused
@@ -169,7 +207,8 @@ def test_calculus_apply(capsys, opfile, tmp_path):
 def test_calculus_apply_and_fz_form_each_product_once(capsys, opfile, tmp_path, monkeypatch):
     # the walk certifies the terms it sums, so neither leaf runs a separate
     # certificate: apply forms binom(A, n) for n = 1..M, fz binom(A - 1, n)
-    # for n = 1..depth, one window product each, and no form product
+    # for n = 1..depth, and no form product.  F_1 is the window itself, so
+    # each makes one window product for n = 2..M
     def refused(*args):
         raise AssertionError("certify_normal_contraction called")
 
@@ -193,13 +232,13 @@ def test_calculus_apply_and_fz_form_each_product_once(capsys, opfile, tmp_path, 
     block = opfile(FiniteMatrix(5, {(0, 0): Padic.one(5), (0, 1): Padic.one(5),
                                     (1, 1): Padic.one(5)}))
     code, out, _ = run(capsys, "calculus", "apply", "--in", block, "--fn", str(fnfile))
-    assert code == 0 and len(calls) == 4
+    assert code == 0 and len(calls) == 3
     assert op_agree(operator_from_obj(json.loads(out)["result"]),
                     FiniteMatrix(5, {(0, 0): Padic.one(5), (0, 1): Padic.from_int(2, 5),
                                      (1, 1): Padic.one(5)}), 30)
     calls.clear()
     code, _, _ = run(capsys, "calculus", "fz", "--in", block, "--z", "5^1*1", "--depth", "4")
-    assert code == 0 and len(calls) == 4
+    assert code == 0 and len(calls) == 3
     # one more term is binom(A, 5), which the walk refuses where it forms it
     code, _, err = run(capsys, "calculus", "fz", "--in", block, "--z", "5^1*1", "--depth", "5")
     assert code == 2
@@ -271,8 +310,9 @@ def test_calculus_teich_trace(capsys, opfile, tmp_path):
 
 def test_calculus_teich_multiplies_one_by_one_blocks(capsys, opfile, monkeypatch):
     """The leaf as the benchmark runs it, --depth 2, on a 12-entry
-    diagonal at p = 5: two falling products, one defect and the products
-    of phase 1 and of refinement, 17 in all, each on twelve 1 x 1 blocks."""
+    diagonal at p = 5: one falling product (F_1 is A's window), one
+    defect and the products of phase 1 and of refinement, 16 in all, each
+    on twelve 1 x 1 blocks."""
     p = 5
     values = [7, 5, 3, 25, 1, 2, 10, 4, 6, 50, 8, 9]
     path = opfile(Diagonal(p, {i: Padic.from_int(v, p) for i, v in enumerate(values)}))
@@ -285,7 +325,7 @@ def test_calculus_teich_multiplies_one_by_one_blocks(capsys, opfile, monkeypatch
     monkeypatch.setattr(Window, "mul", mul)
     code, out, _ = run(capsys, "calculus", "teich-idem", "--in", path, "--depth", "2")
     assert code == 0
-    assert len(spans) == 17
+    assert len(spans) == 16
     assert set(spans) == {tuple((i, i + 1) for i in range(12))}
     e = operator_from_obj(json.loads(out)["e"])
     nilpotent = {i: Padic.zero(p) for i, v in enumerate(values) if v % p}
@@ -750,6 +790,22 @@ def test_config_file_pickup(capsys, opfile, tmp_path):
     code, _, err = run(capsys, "idem", "refine", "--in", path, "--config", str(goodcfg))
     assert code == 4
     assert "below the target valuation 50" in json.loads(err)["message"]
+
+
+def test_an_undecodable_config_file_exits_4(capsys, opfile, tmp_path):
+    """A --config file is read as UTF-8, whatever the locale, and one
+    that is not UTF-8 is a parse error that names the file."""
+    path = opfile(near_idempotent(40))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"target_valuation": 20, "pr\u00e9cision": 40}', encoding="utf-8")
+    code, _, err = run(capsys, "idem", "refine", "--in", path, "--config", str(cfg))
+    assert code == 4 and "pr\u00e9cision" in json.loads(err)["message"]
+    cfg.write_bytes(b'{"target_valuation": 20}\xff')
+    for argv in (("idem", "refine", "--in", path), ("verify", "all")):
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 4 and out == "", argv
+        report = json.loads(err)
+        assert report["error"] == "ParseError" and str(cfg) in report["message"]
 
 
 def test_file_precision_must_cover_the_target(capsys, opfile):

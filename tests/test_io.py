@@ -11,7 +11,8 @@ from padicops.io import (exponent_str, file_header, mahler_from_obj,
 from padicops.mahler import mahler_expand
 from padicops.operators import (Adjoint, Diagonal, FiniteMatrix, Identity,
                                 IndexMap, Product, ScalarMul, Sum, op_agree)
-from padicops.scalars import Padic, ValuationBound
+from padicops.mahler import MahlerFunction
+from padicops.scalars import Padic, ValuationBound, precision_of
 
 
 def test_scalar_text_examples():
@@ -113,6 +114,43 @@ def test_operator_json_header_and_errors():
         operator_from_json(json.dumps({"p": 3, "precision": 40, "kind": "mystery"}))
     with pytest.raises(ParseError):
         operator_from_json(json.dumps({"p": 3, "precision": 40, "kind": "sum"}))
+
+
+def test_header_precision_is_precision_of():
+    """The writer reads the header precision off the scalars it writes;
+    for every node kind that is precision_of(op, default=fallback), the
+    fallback included when op holds no nonzero scalar."""
+    p = 3
+    x20, x30, x80 = (Padic.from_int(2, p, k) for k in (20, 30, 80))
+    finite = FiniteMatrix(p, {(0, 1): x20, (2, 2): x30})
+    ops = [
+        finite,
+        FiniteMatrix(p, {}),
+        Diagonal(p, {0: x20, 1: Padic.zero(p, 60)}, Padic.zero(p, 90)),
+        Diagonal(p, {0: Padic.zero(p), 1: Padic.zero(p, 50)}),
+        Diagonal(p, {0: Padic.zero(p)}, x30),
+        Identity(p, 80),
+        Identity(p, 12),
+        IndexMap(p, {0: 3, 1: 0}, {0: x20, 1: Padic.zero(p, 70)}, x30),
+        IndexMap(p, {0: 3}, {}, Padic.zero(p, 30)),
+        Sum([finite, Identity(p, 80)]),
+        Sum([FiniteMatrix(p, {}), Diagonal(p, {0: Padic.zero(p, 9)})]),
+        Product([Identity(p, 12), Adjoint(finite)]),
+        ScalarMul(x80, Identity(p, 12)),
+        ScalarMul(Padic.zero(p, 99), finite),
+        ScalarMul(Padic.zero(p), FiniteMatrix(p, {})),
+        Adjoint(Diagonal(p, {}, x80)),
+        Adjoint(FiniteMatrix(p, {})),
+    ]
+    for op in ops:
+        for fallback in (40, 80, 7):
+            obj = operator_to_obj(op, fallback=fallback)
+            assert obj["precision"] == precision_of(op, default=fallback), (op, fallback)
+            assert operator_to_obj(op, 55, fallback)["precision"] == 55
+    for coefficients in ((), (Padic.zero(p),), (Padic.zero(p, 60), x20), (x30, Padic.zero(p), x80)):
+        fn = MahlerFunction(p, coefficients, ValuationBound.zero())
+        for fallback in (40, 80):
+            assert mahler_to_obj(fn, p, fallback)["precision"] == precision_of(fn, default=fallback)
 
 
 def test_file_header_takes_only_json_integers():

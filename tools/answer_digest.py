@@ -2,6 +2,7 @@
 
     python3 tools/answer_digest.py            # seeds 1-6
     python3 tools/answer_digest.py --seeds 1
+    python3 tools/answer_digest.py | diff tools/answer_digest.txt -
 
 Run from the root of a source checkout; padicops is imported from src/.
 For each workload of bench/workloads.py and each seed it builds the task
@@ -10,7 +11,10 @@ it to the task's oracle.  It prints one line per workload and task kind:
 the number of answers, how many failed (raised or were refused by the
 oracle), the least oracle margin, and a SHA-256 of repr(answer) over the
 answers in pool order, seeds in order.  Two checkouts whose lines agree
-gave byte-identical answers.  The exit code is 1 when an answer failed.
+gave byte-identical answers.  tools/answer_digest.txt holds the seeds
+1-6 table of the current answers, and CI compares a run with it; a
+change that alters answers on purpose updates it.  The exit code is 1
+when an answer failed.
 Standard library only.
 """
 

@@ -45,15 +45,13 @@ from .verify import run_all
 _PRECONDITION_ERRORS = (PreconditionFailed, CertificationFailed, NonIntegral,
                         DivisionByZero, Undecidable, StructureError)
 _BUDGET_ERRORS = (NoConvergence, PrecisionExhausted)
+# _json's text of a list item that is laid out on one line, by exact type
+_ROW_ITEM = {int: int.__repr__, str: _quote}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are parse errors, not exit 2
         raise ParseError(message)
-
-
-# the text of a list item that is laid out on one line, by its exact type
-_ROW_ITEM = {int: int.__repr__, str: _quote}
 
 
 def _json(obj: Any, pad: str = "\n") -> str:

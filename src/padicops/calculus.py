@@ -211,8 +211,13 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
     ||e - f|| <= ||e - f||^3, and ||e - f|| < 1 forces e = f.
 
     Returns e and a trace of rows [phase, k, defect norm exponent]: one
-    per x_k (phase 1, its ||x_k^2 - x_k||) and one per refinement step
-    (phase 2, k = 1, 2, ..., the defect after step k).
+    per x_k (phase 1, its ||x_k^2 - x_k||, formed) and one per
+    refinement step (phase 2, k = 1, 2, ..., the defect after step k).
+    The last phase-2 defect is derived, not formed, whenever an
+    identity settles it: a step sends the defect d to d^2(4d - 3), so
+    once twice the valuation of the defect it steps from reaches N, the
+    next vanishes mod p^N, and its row prints N, the exponent
+    Window.norm reads off a window that vanishes (_refine).
     """
     b = _contraction_window(a)
     p, one = b.prime, b.constant(1)
@@ -223,10 +228,10 @@ def teichmuller_idempotent(a: Operator, target: int = 30) -> tuple[Operator, lis
             b = b.power(p)
         x = one.sub(b.power(p - 1))
         defect = x.defect()
-        gap = defect.norm()
-        trace.append([1, k, exponent_str(gap)])
-        if gap < ValuationBound.one():
-            e, defects = _refine_form(x, target, defect)
-            trace += [[2, i, exponent_str(d.norm())] for i, d in enumerate(defects, 1)]
+        gap = defect.norm().exponent
+        trace.append([1, k, str(gap)])
+        if gap > 0:
+            e, valuations = _refine_form(x, target, (defect, gap))
+            trace += [[2, i, str(v)] for i, v in enumerate(valuations, 1)]
             return e.to_operator(), trace
     raise PreconditionFailed(f"A mod p has an eigenvalue outside F_p (k = 0..{cap})")

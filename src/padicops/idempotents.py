@@ -73,12 +73,13 @@ def idempotent_refine(a: Operator, target: int = 30) -> Operator:
 
 
 def _refine_form(a: NormalForm | Window, target: int,
-                 defect: Window | None = None) -> tuple[NormalForm, list]:
+                 defect: tuple[Window, int] | None = None) -> tuple[NormalForm, list[int]]:
     """idempotent_refine on a normal form or a residue window, and the
-    windows _refine ran on.  A caller that holds the defect of a window a
-    passes it, so it is not formed again.  Anything of norm < 1 refines
-    to the zero idempotent, exactly: an idempotent e of norm < 1 is 0,
-    since e = e^n -> 0.  A form of norm p^s >= 1 is read as the window of
+    valuations of the defects _refine reached.  A caller that holds the
+    defect of a window a and its valuation passes both, so neither is
+    formed or read again.  Anything of norm < 1 refines to the zero
+    idempotent, exactly: an idempotent e of norm < 1 is 0, since
+    e = e^n -> 0.  A form of norm p^s >= 1 is read as the window of
     p^s a (_unit_window) and written back divided by p^s; a window has
     s = 0.
     """
@@ -90,8 +91,8 @@ def _refine_form(a: NormalForm | Window, target: int,
         # covers a = 0
         return NormalForm.constant(a.prime, Padic.zero(a.prime)), []
     w, s = read
-    e, defects = _refine(w, s, target, defect)
-    return e.form(s), defects
+    e, valuations = _refine(w, s, target, defect)
+    return e.form(s), valuations
 
 
 def _unit_window(a: NormalForm) -> tuple[Window, int] | None:
@@ -131,50 +132,63 @@ def _form_norm(nf: NormalForm, w: Window, s: int) -> ValuationBound:
 
 
 def _refine(w: Window, s: int, target: int,
-            defect: Window | None = None) -> tuple[Window, list[Window]]:
+            defect: tuple[Window, int] | None = None) -> tuple[Window, list[int]]:
     """The refinement E of the window w = p^s a of depth M, ||a|| = p^s,
     from D = w.w - p^s w = p^2s d, d = a^2 - a (formed here unless
-    given), and D after each step.  A step is E' = E + d(p^s - 2E), p^s
-    times e + d(1 - 2e): one divide and two fused products.  d = D / p^2s
-    is integral, as v(d) > 2s and a step sends d to d^2(4d - 3), and each
-    step costs 2s digits: every lift's d and E' agree with the window's
-    mod p^(M - 2s).
+    given with its valuation), and the valuation of D after each step.
+    A step is E' = E + d(p^s - 2E), p^s times e + d(1 - 2e): one divide
+    and two fused products.  d = D / p^2s is integral, as v(d) > 2s and
+    a step sends d to d^2(4d - 3), and each step costs 2s digits: every
+    lift's d and E' agree with the window's mod p^(M - 2s).  Each D's
+    valuation is read once, by one gcd (Window.norm).
 
     The loop stops at the first D that vanishes mod p^M, M the depth of
-    E.  The steps to come are multiples of a lift's d, of valuation at
-    least M - 2s, and at least 2v after a step, v = v(D) - 2s of the last
-    defect, shared by every lift.  So E is returned at depth
-    C = min(M, max(M - 2s, 2v)), and e = E / p^s is certified to C - s:
-    to N, the least absolute precision of a, when s = 0.  v(D) >= 2^k
-    after k steps, so at most (M - 1).bit_length() steps are taken.
-    NoConvergence when N, before any step, or C - s, after the last, is
-    below the target.
+    E.  That D is formed only when no identity settles it: as
+    D' = p^2s d^2 (4d - 3), a step sends v(D) to at least 2 v(D) - 2s,
+    so once that reaches the depth of E', the step is taken and D' is
+    known to vanish there without being formed.  Its valuation is
+    recorded as that depth, which is what Window.norm reads off a
+    formed D' that vanishes.  The steps to come are multiples of a
+    lift's d, of valuation at least M - 2s, and at least 2v after a
+    step, v = v(D) - 2s of the last defect stepped from, shared by
+    every lift.  So E is returned at depth C = min(M, max(M - 2s, 2v)),
+    and e = E / p^s is certified to C - s: to N, the least absolute
+    precision of a, when s = 0.  v(D) >= 2^j after j steps, so at most
+    (M - 1).bit_length() steps are taken.  NoConvergence when N, before
+    any step, or C - s, after the last, is below the target.
     """
     ps = w.prime**s
     if defect is None:
         defect = w.mul(w, addend=[(-ps, w)])
-    _defect_valuation(defect, s)
+        k = defect.norm().exponent
+    else:
+        defect, k = defect
+    _defect_valuation(k, s)
     if w.depth - s < target:
         raise NoConvergence(0, f"the window certifies {w.depth - s} digits, fewer than the target")
-    e, defects, v = w, [], 0
-    while not defect.vanishes_to(e.depth):
-        if s:
-            v = defect.norm().exponent - 2 * s
+    e, valuations, v = w, [], 0
+    while k < e.depth:
+        v = k - 2 * s
         d = defect.divide(2 * s)
         e = d.mul(e, -2, addend=[(ps, d), (1, e)])
+        if 2 * k - 2 * s >= e.depth:
+            # D' = p^2s d^2 (4d - 3) vanishes mod p^depth(E')
+            valuations.append(e.depth)
+            break
         defect = e.mul(e, addend=[(-ps, e)])
-        defects.append(defect)
+        k = defect.norm().exponent
+        valuations.append(k)
     depth = min(e.depth, max(e.depth - 2 * s, 2 * v))
     if depth - s < target:
-        raise NoConvergence(len(defects), f"the window certifies {depth - s} digits, fewer than the target")
+        raise NoConvergence(len(valuations), f"the window certifies {depth - s} digits, fewer than the target")
     if depth < e.depth:
         e = Window.combine([(1, e)], depth)
-    return e, defects
+    return e, valuations
 
 
-def _defect_valuation(defect: Window, s: int) -> int:
-    """v(d) from the window p^2s d, d = a^2 - a; refinement needs v(d) > 2s."""
-    v = defect.norm().exponent - 2 * s
+def _defect_valuation(k: int, s: int) -> int:
+    """v(d) from k = v(p^2s d), d = a^2 - a; refinement needs v(d) > 2s."""
+    v = k - 2 * s
     if v <= 2 * s:
         raise PreconditionFailed(f"defect valuation {v} must exceed {2 * s}")
     return v
@@ -196,16 +210,32 @@ def idempotent_equivalence(e: Operator, f: Operator,
     Newton-Schulz iteration, which converges because the distance bound
     makes 1 - u a contraction.
 
-    Everything past normalising runs on residue windows of p^s e and
-    p^s f, p^s the least power making both integral (s = 0 when they
-    are), ||e|| included, which is read off the window of p^s e
-    (_form_norm): u, the iteration and the three final checks, that u^-1 is a
-    right and a left inverse and that u e u^-1 = f at the target depth.
-    p^2s (1 - u) = p^s (e + f) - 2 p^s f p^s e is integral, so u and
-    u^-1 are integer polynomials in those windows and are certified to
-    exactly N - s at every entry, N the least absolute precision of e
-    and f (residues.Window).  The iteration runs to that depth, so
-    u u^-1 = 1 mod p^(N - s), past the target.
+    Everything past normalising runs on residue windows E = p^s e and
+    F = p^s f, p^s the least power making both integral (s = 0 when they
+    are), ||e|| included, which is read off E (_form_norm).
+    p^2s (1 - u) = p^s (E + F) - 2 F E is integral, so u and u^-1 are
+    integer polynomials in E and F and are certified to exactly N - s
+    at every entry, N the least absolute precision of e and f
+    (residues.Window).
+
+    The certificates, each at the target depth:
+    - e^2 = e and f^2 = f are formed: D_e = E^2 - p^s E = p^2s (e^2 - e)
+      must vanish mod p^(target + 2s), and likewise D_f; each one
+      product and one gcd.
+    - u u^-1 = 1 and u^-1 u = 1 are derived, to N - s
+      (_newton_schulz_inverse): u u^-1 - 1 = -r^2 for the last residual
+      r the iteration formed, and u^-1 is a polynomial in u, so
+      u^-1 u = u u^-1.  The idempotency checks need N - s >= target.
+    - u e u^-1 = f is derived when it can be, and formed otherwise.
+      From u = 1 - f - e + 2fe,
+      ue - fu = (2f - 1)(e^2 - e) - (f^2 - f)(2e - 1),
+      so p^s (u e u^-1 - f) = p^s (ue - fu) u^-1 + F (u u^-1 - 1)
+      = ((2F - p^s) D_e - D_f (2E - p^s)) u^-1 / p^2s - F r^2,
+      every factor but the defects integral: it vanishes mod
+      p^min(v(D_e) - 2s, v(D_f) - 2s, N - s).  When that reaches
+      target + s, the bound certifies it, which always happens at s = 0;
+      otherwise the two products u E u^-1 - F are formed and must vanish
+      to target + s, as before.
     """
     p = e.prime
     nfe, nff = normalize(e), normalize(f)
@@ -220,10 +250,13 @@ def idempotent_equivalence(e: Operator, f: Operator,
     if norm_e.is_zero:
         raise PreconditionFailed("e must be a nonzero idempotent")
     ps = p**s
+    defects = []
     for name, x in (("e", we), ("f", wf)):
         # p^2s (x^2 - x) = (p^s x)^2 - p^s (p^s x)
-        if not x.mul(x, addend=[(-ps, x)]).vanishes_to(target + 2 * s):
+        k = x.mul(x, addend=[(-ps, x)]).norm().exponent
+        if k < target + 2 * s:
             raise PreconditionFailed(f"{name} is not idempotent at the target depth")
+        defects.append(k)
     dist = we.sub(wf).norm()  # of p^s (e - f)
     if not dist < ValuationBound(s - norm_e.exponent):
         raise PreconditionFailed(
@@ -233,32 +266,38 @@ def idempotent_equivalence(e: Operator, f: Operator,
         raise PreconditionFailed("1 - u fails to be a contraction; inputs are not close enough")
     one = we.constant(1)
     u = one.sub(w.divide(2 * s))
-    inv, residual = _newton_schulz_inverse(u)
-    for gap in (residual, inv.mul(u, addend=[(-1, one)])):
-        if not gap.vanishes_to(target):
-            raise CertificationFailed(target, "inverse verification failed")
-    # p^s (u e u^-1 - f)
-    if not u.mul(we).mul(inv, addend=[(-1, wf)]).vanishes_to(target + s):
-        raise CertificationFailed(target, "conjugation does not carry e to f at the target depth")
+    inv, depth = _newton_schulz_inverse(u)
+    if depth < target:
+        raise CertificationFailed(target, "inverse verification failed")
+    # p^s (u e u^-1 - f), formed only when the defects do not bound it
+    if min(*defects, u.depth + 2 * s) - 2 * s < target + s:
+        if not u.mul(we).mul(inv, addend=[(-1, wf)]).vanishes_to(target + s):
+            raise CertificationFailed(target, "conjugation does not carry e to f at the target depth")
     return EquivalenceWitness(u.form().to_operator(), inv.form().to_operator())
 
 
-def _newton_schulz_inverse(u: Window) -> tuple[Window, Window]:
-    """Right inverse x of u, for ||1 - u|| < 1, and its residual r = 1 - u x.
-    From x = 2 - u, the first iterate after 1, and r = 1 - u x, the
-    fused products x' = x.r + x and r = -u.x' + 1 square the residual at
-    each step, so bit_length(N) - 1 further steps make it vanish mod p^N,
-    N the depth of u: x is then the inverse to every digit the window
-    certifies."""
-    one = u.constant(1)
+def _newton_schulz_inverse(u: Window) -> tuple[Window, int]:
+    """The inverse x of u, for ||1 - u|| < 1, and the depth to which
+    u x = x u = 1 is certified: N, the depth of u, once the loop ends.
+    From x = 2 - u, the first iterate after 1, each step forms the
+    residual r = 1 - u x, reads its valuation (one gcd) and, unless r
+    vanishes mod p^N, updates x' = x.r + x: two fused products.  Then
+    1 - u x' = r - (1 - r) r = r^2 exactly, so once 2 v(r) >= N the
+    update ends the loop, and neither 1 - u x' nor the left gap
+    x' u - 1 is formed: x' is a polynomial in u, so x' u - 1 =
+    u x' - 1 = -r^2 too.  v(1 - u) >= 1 makes v(r) >= 2 at the start
+    and the residual squares each step, so bit_length(N) steps end
+    the loop."""
+    one, n = u.constant(1), u.depth
     x = u.constant(2).sub(u)
-    residual = u.mul(x, -1, addend=[(1, one)])
-    for _ in range(u.depth.bit_length() - 1):
-        if residual.vanishes_to(u.depth):
-            break
-        x = x.mul(residual, addend=[(1, x)])
+    for _ in range(n.bit_length()):
         residual = u.mul(x, -1, addend=[(1, one)])
-    return x, residual
+        v = residual.norm().exponent
+        if v < n:
+            x = x.mul(residual, addend=[(1, x)])
+        if 2 * v >= n:
+            return x, n
+    return x, 2 * v
 
 
 # -- column projections and splitting ------------------------------------
@@ -367,7 +406,7 @@ def _form_rank(nf: NormalForm) -> int:
     if read is None:
         return 0
     w, s = read
-    k = _defect_valuation(w.mul(w, addend=[(-p**s, w)]), s)
+    k = _defect_valuation(w.mul(w, addend=[(-p**s, w)]).norm().exponent, s)
     trace = sum(w.rows[r][r - start] for start, stop in w.spans for r in range(start, stop))
     ranks = [r for r in range(len(w.index) + 1) if (p**s * r - trace) % p ** max(k + s, 0) == 0]
     if len(ranks) > 1:
@@ -594,15 +633,16 @@ def idempotent_lift(a: Operator, target: int = 30, budget: int = 64) -> Operator
         raise Undecidable(f"expression has no closed structured form: {exc}") from exc
     if not (nf.shift * nf.shift - nf.shift).is_zero:
         raise PreconditionFailed("defect a^2 - a is not certified compact")
-    x, defect = w, w.defect()
-    if not defect.norm() < ValuationBound.one():
+    defect = w.defect()
+    x, known = w, (defect, defect.norm().exponent)
+    if known[1] <= 0:
         p = nf.prime
         b = w.power(p ** _frobenius_cap(w))
         y, period = b.power(p), 1
         while not y.sub(b).norm() < ValuationBound.one():
             y, period = y.power(p), period + 1
-        x, defect = b.power(p**period - 1), None
-    e, _ = _refine_form(x, target, defect)
+        x, known = b.power(p**period - 1), None
+    e, _ = _refine_form(x, target, known)
     if not (e.shift - nf.shift).is_zero:
         raise CertificationFailed(target, "lifted idempotent does not agree with a modulo compacts")
     return e.to_operator()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from functools import cache
+from functools import cache, lru_cache
 from typing import Any
 
 from .config import require_int, require_prime
@@ -35,6 +35,13 @@ def _digit_chunks(p: int) -> tuple[int, tuple[str, ...]]:
         # r = d + p r': the digit d, then the digits of r'
         table = [d + rest for rest in table for d in digits]
     return p**k, tuple(table)
+
+
+@lru_cache(maxsize=64)
+def _unit_bound(p: int, precision: int) -> int:
+    """p^precision, which a file's units stay below: formed once per
+    prime and precision, not once per scalar."""
+    return p**precision
 
 
 def scalar_to_text(x: Padic) -> str:
@@ -73,15 +80,18 @@ def scalar_from_text(text: str, prime: int, precision: int = DEFAULT_PRECISION) 
     val = int(m.group(2))
     body = m.group(3)
     if p < 10:
-        if "." in body:
-            raise ParseError(f"dot-separated digits need p >= 10: {text!r}")
-        if max(body) >= str(p):
-            raise ParseError(f"digit out of range for base {p}: {text!r}")
-        # big-endian for int(); past int()'s digit limit, a chunk at a time
+        # big-endian for int(); past int()'s digit limit, a chunk at a time.
+        # Of the characters the pattern admits, int() refuses a dot and a
+        # digit >= p, so its ValueError is one of those two errors
         unit, rev = 0, body[::-1]
-        for start in range(0, len(rev), _INT_DIGITS):
-            chunk = rev[start:start + _INT_DIGITS]
-            unit = unit * p ** len(chunk) + int(chunk, p)
+        try:
+            for start in range(0, len(rev), _INT_DIGITS):
+                chunk = rev[start:start + _INT_DIGITS]
+                unit = unit * p ** len(chunk) + int(chunk, p)
+        except ValueError:
+            if "." in body:
+                raise ParseError(f"dot-separated digits need p >= 10: {text!r}") from None
+            raise ParseError(f"digit out of range for base {p}: {text!r}") from None
     else:
         parts = body.split(".")
         if not all(parts):
@@ -94,7 +104,7 @@ def scalar_from_text(text: str, prime: int, precision: int = DEFAULT_PRECISION) 
             unit = unit * p + d
     if unit == 0 or unit % p == 0:
         raise ParseError(f"unit part must be a p-adic unit: {text!r}")
-    if unit >= p**precision:
+    if unit >= _unit_bound(p, precision):
         raise ParseError(f"unit exceeds the file precision window: {text!r}")
     return Padic(prime, val, unit, precision)
 

@@ -12,7 +12,7 @@ from padicops.cli import _build_parser, main
 from padicops.errors import PreconditionFailed
 from padicops.io import operator_from_obj, operator_to_obj, scalar_to_text
 from padicops.operators import (Diagonal, FiniteMatrix, Identity, IndexMap,
-                                NormalForm, Sum, op_agree)
+                                NormalForm, Product, Sum, op_agree)
 from padicops.residues import Window
 from padicops.scalars import Padic
 
@@ -310,9 +310,13 @@ def test_calculus_teich_trace(capsys, opfile, tmp_path):
 
 def test_calculus_teich_multiplies_one_by_one_blocks(capsys, opfile, monkeypatch):
     """The leaf as the benchmark runs it, --depth 2, on a 12-entry
-    diagonal at p = 5: one falling product (F_1 is A's window), one
-    defect and the products of phase 1 and of refinement, 16 in all, each
-    on twelve 1 x 1 blocks."""
+    diagonal at p = 5: one falling product (F_1 is A's window), phase 1's
+    A^2 and A^4 and the defect of x = 1 - A^4, and six refinement steps,
+    the defect's valuation running 1, 2, 4, 8, 16, 32, each step one
+    product and each defect after it one more, but the sixth, which
+    vanishes mod 5^40 as 2 * 32 >= 40 and a step sends d to
+    d^2(4d - 3), is not formed: 15 in all (16 before), each on twelve
+    1 x 1 blocks."""
     p = 5
     values = [7, 5, 3, 25, 1, 2, 10, 4, 6, 50, 8, 9]
     path = opfile(Diagonal(p, {i: Padic.from_int(v, p) for i, v in enumerate(values)}))
@@ -325,11 +329,12 @@ def test_calculus_teich_multiplies_one_by_one_blocks(capsys, opfile, monkeypatch
     monkeypatch.setattr(Window, "mul", mul)
     code, out, _ = run(capsys, "calculus", "teich-idem", "--in", path, "--depth", "2")
     assert code == 0
-    assert len(spans) == 16
+    assert len(spans) == 15
     assert set(spans) == {tuple((i, i + 1) for i in range(12))}
     e = operator_from_obj(json.loads(out)["e"])
     nilpotent = {i: Padic.zero(p) for i, v in enumerate(values) if v % p}
     assert op_agree(e, Diagonal(p, nilpotent, Padic.one(p)), 30)
+    assert op_agree(Product([e, e]), e, 40)
 
 
 def test_calculus_teich_jordan_block(capsys, opfile, tmp_path):

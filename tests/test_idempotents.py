@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from padicops import idempotents, linalg, operators
 from padicops.config import ExperimentConfig
-from padicops.errors import (NoConvergence, NonIntegral, PrecisionExhausted,
-                             PreconditionFailed, StructureError, Undecidable)
+from padicops.errors import (CertificationFailed, NoConvergence, NonIntegral,
+                             PrecisionExhausted, PreconditionFailed, StructureError,
+                             Undecidable)
 from padicops.idempotents import (_form_rank, _frobenius_cap, _newton_schulz_inverse,
                                   _refine_form, _relation_checks, cantor_pair,
                                   cantor_unpair, column_projection,
@@ -234,18 +235,25 @@ def _count_window_products(monkeypatch, fn, *args):
 def test_window_products_per_answer(monkeypatch):
     """At depth 40 and target 30.  Refine: the defect, then four steps of
     two products, the defect's valuation running 3, 7, 15, 31, 63; the
-    fourth defect already vanishes mod 3^40.  Lift: its fused defect
-    a^2 - a is the refinement's first defect, and the valuations 2, 5,
-    11, 23, 47 take four steps to the fixed point mod 3^40 (refining a^2
-    took 12 products: a^2, its defect and five steps).  Equivalence:
-    Newton-Schulz starts from 2 - u, one product fewer than from 1 (16)."""
+    fourth defect is not formed, as 2 * 31 >= 40 and a step sends d to
+    d^2(4d - 3).  Lift: its fused defect a^2 - a is the refinement's
+    first defect, and the valuations 2, 5, 11, 23, 47 take four steps
+    to the fixed point mod 3^40, the fourth defect again derived from
+    2 * 23 >= 40 (refining a^2 took 12 products: a^2, its defect and
+    five steps).  Equivalence: the two idempotency defects, 1 - u, and
+    Newton-Schulz from 2 - u, its residual's valuation running 4, 8, 16,
+    32: four residuals and four updates, the last residual and the left
+    gap x u - 1, both -r^2, not formed, and u e u^-1 - f bounded by the
+    defects rather than formed (15 before).  The identities the counts
+    leave out are recomputed here: e^2 = e, u u^-1 = u^-1 u = 1 and
+    u e u^-1 = f."""
     rng = random.Random(0)
     a = _int_operator(_near_idempotent(rng, 5, 3))
     e, count = _count_window_products(monkeypatch, idempotent_refine, a)
-    assert count == 9 and op_agree(Product([e, e]), e, 40)
+    assert count == 8 and op_agree(Product([e, e]), e, 40)
     a = _int_operator(_near_idempotent(rng, 8, 2))
     e, count = _count_window_products(monkeypatch, idempotent_lift, a)
-    assert count == 9 and op_agree(Product([e, e]), e, 40)
+    assert count == 8 and op_agree(Product([e, e]), e, 40)
     u, u_inv = _unimodular(rng, 4)
     d = [[int(i == j and i < 2) for j in range(4)] for i in range(4)]
     e = _int_matmul(_int_matmul(u, d), u_inv)
@@ -254,7 +262,9 @@ def test_window_products_per_answer(monkeypatch):
     near[2][3] += 18
     f = idempotent_refine(_int_operator(near))
     w, count = _count_window_products(monkeypatch, idempotent_equivalence, _int_operator(e), f)
-    assert count == 15
+    assert count == 11
+    assert op_agree(Product([w.u, w.u_inv]), Identity(3), 40)
+    assert op_agree(Product([w.u_inv, w.u]), Identity(3), 40)
     assert op_agree(Product([w.u, _int_operator(e), w.u_inv]), f, 30)
 
 
@@ -547,8 +557,10 @@ def test_newton_schulz_inverse_at_the_contraction_edge(depth):
     (window,) = Window.read([NormalForm(p, Padic.zero(p), None, head)])
     u = window.constant(1).sub(window)
     assert u.depth == depth
-    x, residual = _newton_schulz_inverse(u)
-    assert residual.vanishes_to(u.depth)
+    x, certified = _newton_schulz_inverse(u)
+    assert certified == u.depth
+    # the residual 1 - u x that the loop no longer forms
+    assert u.mul(x, -1, addend=[(1, u.constant(1))]).vanishes_to(u.depth)
     exact_u = [[Fraction(int(i == j) - p * m[i][j]) for j in range(n)] for i in range(n)]
     exact_inv = _fraction_inverse(exact_u)
     x_mat = [[Fraction(v) for v in row] for row in _residues(x.form().to_operator(), n, depth, p)]
@@ -1311,7 +1323,9 @@ def test_residue_path_holds_on_the_precision_ball(p, n, routine, target, rng):
     defect e^2 - e (or 1 - u u^-1) vanishes mod p^N, and for a random
     point of the input ball the exact idempotent (or u^-1), iterated in
     plain ints mod p^K with K above every input precision, agrees with
-    the output mod p^N."""
+    the output mod p^N.  The equivalence derives u^-1 u = 1 and
+    u e u^-1 = f instead of forming them, so both are recomputed here,
+    mod p^N in plain ints."""
     e = _idempotent_rows(rng, p, n)
     tops = [[rng.randint(target, target + 8) for _ in range(n)] for _ in range(n)]
     K = target + 20
@@ -1367,6 +1381,10 @@ def test_residue_path_holds_on_the_precision_ball(p, n, routine, target, rng):
         ident = [[int(r == c) for c in range(n)] for r in range(n)]
         gap = [[x - y for x, y in zip(r, q)] for r, q in zip(_int_matmul(u, inv), ident)]
         v = _vanishing_depth(gap, inv_shift - 1, p, depth)
+        # er and fr: the random point of the input ball drawn above
+        m = p**depth
+        assert _int_matmul(inv, u, m) == _int_matmul(ident, ident, m)
+        assert _int_matmul(_int_matmul(u, er), inv, m) == _int_matmul(fr, ident, m)
     else:
         ((rows, shift),) = got
         gap = [[x - y for x, y in zip(r, q)] for r, q in zip(_int_matmul(rows, rows), rows)]
@@ -1376,6 +1394,108 @@ def test_residue_path_holds_on_the_precision_ball(p, n, routine, target, rng):
     for (rows, shift), (want_rows, want_shift) in zip(got, want):
         assert [[x % m for x in row] for row in rows] == [[x % m for x in row] for row in want_rows]
         assert shift % m == want_shift % m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equivalence_above_norm_one_holds_on_the_precision_ball(data):
+    """idempotent_equivalence on a pair of norm p^s > 1: e = l (e0 + h)
+    and f = l f0, f0 = g e0 g^-1, with e0 the conjugated projection of
+    _noisy_projection and h its noise, g = 1 + p^(2s+1) E_ij and
+    l = 1 + p^c.  Then e^2 - e and f^2 - f have valuation c - s exactly,
+    so the defects bound p^s (u e u^-1 - f) by p^(c - 2s), and the
+    conjugation is derived when c >= target + 2s and formed when
+    target + s <= c < target + 2s (the idempotency checks need
+    c >= target + s).  On both sides the answer holds: p^s (ue - fu) =
+    p^s (l^2 - l)(f0 - e0 - 2l f0 h) + (2F - p^s)(e^2 - e - (l^2 - l) e0)
+    vanishes to target + s.  u and u^-1 are certified to exactly N - s,
+    N the least absolute precision of e and f; for a random lift of the
+    input, the exact u and its inverse, in plain ints, agree with them
+    there, u u^-1 = u^-1 u = 1 mod p^(N - s), and
+    p^s (u e u^-1 - f) = 0 mod p^(target + s).  A third side reads the
+    pair at N < target + 2s: the bound falls short, and the formed
+    product, known only mod p^(N - s), refuses as it always did."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(2, 4))
+    s = data.draw(st.integers(1, 2))
+    target = data.draw(st.integers(4, 12))
+    side = data.draw(st.sampled_from(["derived", "formed", "refused"]))
+    if side == "derived":
+        c = target + 2 * s + data.draw(st.integers(0, 3))
+    else:
+        c = target + s + data.draw(st.integers(0, s - 1))
+    if side == "refused":
+        prec = target + 2 * s + data.draw(st.integers(0, s - 1))
+    else:
+        prec = c + 3 * s + data.draw(st.integers(1, 5))
+    # the noise has valuation at least past - 5: above c and target + 2s
+    past = max(c + 1, target + 2 * s) + 5 + data.draw(st.integers(0, 3))
+    _, rows, _, noise = _noisy_projection(data, p, n, s, prec, past)
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    t = 2 * s + 1
+    g = [[Fraction(int(r == k) + p**t * ((r, k) == (i, j))) for k in range(n)] for r in range(n)]
+    g_inv = [[Fraction(int(r == k) - p**t * ((r, k) == (i, j))) for k in range(n)] for r in range(n)]
+    lam = 1 + p**c
+    heads = [{}, {}]
+    for which, table in enumerate((rows, _int_matmul(_int_matmul(g, rows), g_inv))):
+        for r in range(n):
+            for k in range(n):
+                v = Padic.from_fraction(lam * table[r][k], p, prec)
+                if which == 0 and (r, k) in noise:
+                    v = v + Padic.from_fraction(Fraction(lam), p, prec) * noise[(r, k)]
+                if not v.is_exact_zero:
+                    heads[which][(r, k)] = v
+    ops = [FiniteMatrix(p, head) for head in heads]
+    forms = [normalize(op) for op in ops]
+    depth = min(x.absolute_precision for nf in forms for x in nf.head.values()) - s
+    assert (depth >= target + s) == (side != "refused")
+
+    formed = []
+    mul = Window.mul
+
+    def spied(self, other, *args, **kwargs):
+        # u E is the only window product with no addend
+        formed.append(not args and not kwargs.get("addend"))
+        return mul(self, other, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Window, "mul", spied)
+        if side == "refused":
+            with pytest.raises(CertificationFailed, match="conjugation does not carry e to f"):
+                idempotent_equivalence(*ops, target)
+            assert any(formed)
+            return
+        witness = idempotent_equivalence(*ops, target)
+    assert any(formed) == (side == "formed")
+    (u, _), (inv, _) = (_certified_window(normalize(op), n, depth, True)
+                        for op in (witness.u, witness.u_inv))
+
+    K = depth + 2 * s + 20
+    mod, rnd = p**K, data.draw(st.randoms(use_true_random=False))
+
+    def scaled_lift(nf):
+        # p^s times a random lift of nf, mod p^K
+        out = [[0] * n for _ in range(n)]
+        for (r, k), x in nf.head.items():
+            base = 0 if x.is_zero else x.unit * pow(p, x.valuation + s, mod)
+            out[r][k] = (base + pow(p, x.absolute_precision + s, mod) * rnd.randrange(mod)) % mod
+        return out
+
+    big_e, big_f = (scaled_lift(nf) for nf in forms)
+    fe = _int_matmul(big_f, big_e)
+    w = [[p**s * (x + y) - 2 * z for x, y, z in zip(re, rf, rz)]
+         for re, rf, rz in zip(big_e, big_f, fe)]  # p^2s (1 - u)
+    assert all(x % p ** (2 * s) == 0 for row in w for x in row)
+    top = p ** (K - 2 * s)
+    exact_u = [[(int(r == k) - w[r][k] // p ** (2 * s)) % top for k in range(n)] for r in range(n)]
+    exact_inv, _ = _int_inverse(exact_u, 1, top)
+    m = p**depth
+    for got, want in ((u, exact_u), (inv, exact_inv)):
+        assert [[x % m for x in row] for row in got] == [[x % m for x in row] for row in want]
+    ident = [[int(r == k) for k in range(n)] for r in range(n)]
+    assert _int_matmul(u, inv, m) == _int_matmul(inv, u, m) == ident
+    q = p ** (target + s)
+    assert _int_matmul(_int_matmul(u, big_e), inv, q) == [[x % q for x in row] for row in big_f]
 
 
 def _two_pieces(p, top00):

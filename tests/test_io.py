@@ -78,6 +78,21 @@ def test_scalar_parse_rejects_garbage():
         scalar_from_text("3^0*" + "1" * 45, 3)  # wider than the window
 
 
+@pytest.mark.parametrize("body, message", [
+    ("9", "digit out of range for base 3"),
+    ("1.2", "dot-separated digits need p >= 10"),
+    ("12.9", "dot-separated digits need p >= 10"),
+    ("1" * 700 + "5", "digit out of range for base 3"),
+    ("1" * 700 + ".1", "dot-separated digits need p >= 10"),
+    ("01", "unit part must be a p-adic unit"),
+])
+def test_scalar_parse_names_the_bad_digit(body, message):
+    """At p < 10 a dot is reported before a digit out of range, in the
+    first int() chunk or past it."""
+    with pytest.raises(ParseError, match=message):
+        scalar_from_text(f"3^0*{body}", 3, 1000)
+
+
 def test_scalar_parse_accepts_whitespace_and_zero():
     assert scalar_from_text(" 0 ", 7).is_zero
     assert scalar_from_text("7^-1*3", 7).valuation == -1

@@ -15,8 +15,12 @@ the median of its rounds.  For each task kind the table prints, per side, the me
 of its tasks' times and the kind's share of the pool (the sum of its
 tasks' times over the sum of all tasks' times), then the ratio B / A of
 the medians; the last row is the whole pool.  Times are wall clock, not
-scaled to a reference host as bench/run.py scales them.  The exit code
-is 1 when an answer failed its oracle.  Standard library only.
+scaled to a reference host as bench/run.py scales them.  A second table
+prints, per kind and per side, the Window.mul and NormalForm.mul calls
+per answer (the mean over the kind's tasks): the checking pass counts
+them by wrapping the two methods of that side's classes, and the timed
+rounds run unwrapped.  The exit code is 1 when an answer failed its
+oracle.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from pathlib import Path
 
 # the modules a checkout brings: its library and its benchmark's helpers
 BENCH_MODULES = ("workloads", "oracle", "intmath", "run")
+# the products counted per answer: (module, class), each class's mul
+PRODUCTS = (("padicops.residues", "Window"), ("padicops.operators", "NormalForm"))
 
 
 def _owned(name: str) -> bool:
@@ -60,15 +66,36 @@ class Side:
         sys.modules.update(self.modules)
 
     def check(self) -> int:
-        """Answer every task once and hand it to its oracle; the failures."""
+        """Answer every task once and hand it to its oracle; the failures.
+        Each answer's calls of the PRODUCTS' mul go to self.products, one
+        tuple per task, counted by wrapping the methods for this pass
+        only (the oracles call no padicops)."""
         self.enter()
-        failed = 0
-        for task in self.tasks:
-            try:
-                task.check(task.run())
-            except Exception as exc:
-                failed += 1
-                print(f"{self.checkout} {task.kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        classes = [getattr(self.modules[module], name) for module, name in PRODUCTS]
+        originals = [cls.__dict__["mul"] for cls in classes]
+        tally = [0] * len(classes)
+
+        def counted(k, mul):
+            def wrapper(*args, **kwargs):
+                tally[k] += 1
+                return mul(*args, **kwargs)
+            return wrapper
+
+        for k, (cls, mul) in enumerate(zip(classes, originals)):
+            cls.mul = counted(k, mul)
+        failed, self.products = 0, []
+        try:
+            for task in self.tasks:
+                tally[:] = [0] * len(classes)
+                try:
+                    task.check(task.run())
+                except Exception as exc:
+                    failed += 1
+                    print(f"{self.checkout} {task.kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                self.products.append(tuple(tally))
+        finally:
+            for cls, mul in zip(classes, originals):
+                cls.mul = mul
         return failed
 
     def answer(self, i: int) -> float:
@@ -87,6 +114,15 @@ def kinds(side: Side, times: list[list[float]]) -> dict[str, list[float]]:
     for task, took in zip(side.tasks, times):
         out.setdefault(task.kind, []).append(statistics.median(took))
     return out
+
+
+def products(side: Side) -> dict[str, list[float]]:
+    """{kind: the mean calls of each PRODUCTS' mul per answer}, in pool order."""
+    out: dict[str, list[tuple[int, ...]]] = {}
+    for task, counts in zip(side.tasks, side.products):
+        out.setdefault(task.kind, []).append(counts)
+    out["pool"] = side.products
+    return {kind: [statistics.fmean(c) for c in zip(*rows)] for kind, rows in out.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,6 +160,13 @@ def main(argv: list[str] | None = None) -> int:
               f" {mb:8.3f} {sum(tb) / total_b:7.1%} {mb / ma:6.3f}")
     print(f"{'pool':26s} {sum(map(len, a.values())):5d} {total_a * 1e3:8.3f} {1:7.1%}"
           f" {total_b * 1e3:8.3f} {1:7.1%} {total_b / total_a:6.3f}")
+    print()
+    print("products per answer")
+    names = [name for _, name in PRODUCTS]
+    print(f"{'kind':26s} " + " ".join(f"{side + ' ' + name:>13s}" for side in "AB" for name in names))
+    pa, pb = (products(side) for side in sides)
+    for kind, counts in pa.items():
+        print(f"{kind:26s} " + " ".join(f"{x:13.2f}" for x in (*counts, *pb[kind])))
     return 1 if failed else 0
 
 

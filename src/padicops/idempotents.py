@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
+from typing import Callable
 
 from .errors import (CertificationFailed, NoConvergence, NonIntegral, PrecisionExhausted,
                      PreconditionFailed, StructureError, Undecidable)
@@ -544,26 +545,23 @@ def _relation_checks(gens: SumRingGenerators, prefix: int, target: int) -> dict[
     """The sum-ring relations on x < prefix, read off the generators'
     index maps, each of which must have one coefficient that agrees with
     1 to the target.  atf.fta + up.down = 1 holds at x when exactly one
-    of its two paths is defined there and returns x."""
+    of its two paths is defined there and returns x.  Each coefficient
+    is tested once, and each dest is evaluated once at each x."""
     fta, atf, up, down = gens.first_to_all, gens.all_to_first, gens.up, gens.down
     one = Padic.one(gens.prime, target)
-
-    def unit(*maps: IndexMap) -> bool:
-        return all(not m.coeff and (m.default_coeff - one).vanishes_to(target) for m in maps)
-
-    def path(x: int | None, *maps: IndexMap) -> int | None:
-        for m in maps:
-            x = None if x is None else m.dest(x)
-        return x
-
-    xs = range(prefix)
-    return {
-        "left_inverse_first": unit(fta, atf) and all(path(x, atf, fta) == x for x in xs),
-        "left_inverse_shift": unit(up, down) and all(path(x, up, down) == x for x in xs),
-        "partition_of_identity": unit(fta, atf, up, down) and all(
-            [y for y in (path(x, fta, atf), path(x, down, up)) if y is not None] == [x]
-            for x in xs),
-    }
+    fta_one, atf_one, up_one, down_one = (
+        not m.coeff and (m.default_coeff - one).vanishes_to(target) for m in (fta, atf, up, down))
+    first, shift = fta_one and atf_one, up_one and down_one
+    partition = first and shift
+    for x in range(prefix):
+        f, a, u, d = fta.dest(x), atf.dest(x), up.dest(x), down.dest(x)
+        first = first and a is not None and fta.dest(a) == x
+        shift = shift and u is not None and down.dest(u) == x
+        if partition:
+            paths = (None if f is None else atf.dest(f), None if d is None else up.dest(d))
+            partition = [y for y in paths if y is not None] == [x]
+    return {"left_inverse_first": first, "left_inverse_shift": shift,
+            "partition_of_identity": partition}
 
 
 def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
@@ -571,34 +569,57 @@ def _repeat_equation_ok(g: Operator, g_inf: Operator, gens: SumRingGenerators,
     """atf.g.fta + up.g_inf.down = g_inf on x < prefix, each gap entry
     certified zero to the target.  Only g and g_inf are read: the
     generators move indices by their dest maps, at the coefficient 1
-    that _relation_checks certifies.  Column x of g is read off form_g,
-    its normal form (NormalForm.column), and so is that of g_inf when
-    it has one; only a g_inf without, the lazy spread of a g with a
-    shift or a tail, is applied to a basis vector."""
-    p = g.prime
+    that _relation_checks certifies.  Columns are {row: entry} dicts of
+    nonzero entries: read off a per-column index of the head for a form
+    with no shift and no tail, off NormalForm.column for another form,
+    and, for a g_inf with no normal form (the lazy spread of a g with a
+    shift or a tail), off its applier at a basis vector.
 
-    column_g = form_g.column
+    The gap is summed as PadicVector sums it, so the answer is the one
+    those sums give: a sum that is zero, certified or exact, is dropped
+    before the next term is added, and only a nonzero gap entry must
+    vanish to the target (hole A, ROADMAP item 2)."""
+    p = g.prime
+    column_g = _columns(form_g)
     try:
-        column_inf = normalize(g_inf).column
+        column_inf = _columns(normalize(g_inf))
     except StructureError:
         apply, prec = _applier(g_inf), precision_of(g)
 
-        def column_inf(x: int) -> PadicVector:
-            return apply(PadicVector.basis(p, x, prec))
+        def column_inf(x: int) -> dict[int, Padic]:
+            return apply(PadicVector.basis(p, x, prec)).entries
 
-    def image(column, x: int | None) -> PadicVector:
-        return PadicVector(p) if x is None else column(x)
-
-    def moved(vec: PadicVector, dest) -> PadicVector:
-        return PadicVector(p, {dest(i): v for i, v in vec.entries.items()})
-
+    fta, atf, up, down = (gens.first_to_all.dest, gens.all_to_first.dest,
+                          gens.up.dest, gens.down.dest)
     for x in range(prefix):
-        gap = (moved(image(column_g, gens.first_to_all.dest(x)), gens.all_to_first.dest)
-               + moved(image(column_inf, gens.down.dest(x)), gens.up.dest)
-               - image(column_inf, x))
-        if any(not v.vanishes_to(target) for v in gap.entries.values()):
+        j = fta(x)
+        gap = {} if j is None else {atf(i): v for i, v in column_g(j).items()}
+        j = down(x)
+        if j is not None:
+            for i, v in column_inf(j).items():
+                k = up(i)
+                w = gap.get(k)
+                gap[k] = v if w is None else w + v
+        for i, v in column_inf(x).items():
+            w = gap.get(i)
+            # -v in place of v: the sign does not change what vanishes
+            gap[i] = v if w is None or w.is_zero else w - v
+        if any(not v.is_zero and not v.vanishes_to(target) for v in gap.values()):
             return False
     return True
+
+
+def _columns(nf: NormalForm) -> Callable[[int], dict[int, Padic]]:
+    """Column j of nf as a {row: entry} dict of its nonzero entries.
+    With no shift and no tail a column is its head entries, indexed by
+    column once; otherwise it is NormalForm.column's."""
+    if not (nf.shift.is_zero and nf.tail is None):
+        return lambda j: nf.column(j).entries
+    index: dict[int, dict[int, Padic]] = {}
+    for (i, j), v in nf.head.items():
+        if not v.is_zero:
+            index.setdefault(j, {})[i] = v
+    return lambda j: index.get(j, {})
 
 
 # -- lifting modulo compacts ----------------------------------------------

@@ -436,7 +436,9 @@ def normalize(op: Operator) -> NormalForm:
     if isinstance(op, FiniteMatrix):
         return NormalForm(p, Padic.zero(p), None, dict(op.entries))
     if isinstance(op, Diagonal):
-        head = _nonzero(((i, i), v - op.default) for i, v in op.entries.items())
+        c, exact = op.default, op.default.is_exact_zero
+        # v - 0 is v: _round returns one term's value and precision
+        head = _nonzero(((i, i), v if exact else v - c) for i, v in op.entries.items())
         return NormalForm(p, op.default, None, head)
     if isinstance(op, Identity):
         return NormalForm.constant(p, Padic.one(p, op.precision))

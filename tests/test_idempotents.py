@@ -26,7 +26,7 @@ from padicops.operators import (Diagonal, FiniteMatrix, Identity, IndexMap,
 from padicops.polynomials import IntPolynomial
 from padicops.residues import Window
 from padicops.scalars import Padic, ValuationBound, teichmuller
-from padicops.verify import _c12_rank_invariance, _fitting_idempotent_mod_p
+from padicops.verify import _c12_rank_invariance, _fitting_idempotent_mod_p, _pieced_idempotent
 from padicops.vectors import PadicVector
 from test_products import forms
 
@@ -405,17 +405,52 @@ def test_a_norm_three_input_is_certified_to_its_scaled_window():
                          for i, row in enumerate(rows) for j, v in enumerate(row) if v})
     out, defects = _refine_form(normalize(a), 10)
     assert len(defects) == 4
+    exact = _fraction_idempotent(rows, p)
+    for i in range(2):
+        for j in range(2):
+            x, y = out.entry(i, j), exact[i][j]
+            assert x.absolute_precision == 31
+            assert _fraction_value(x) == y or _vp_fraction(_fraction_value(x) - y, p) >= 31
+
+
+def _fraction_idempotent(rows, p):
+    """Six steps of e <- 3e^2 - 2e^3 on Fractions from rows, checked to
+    be idempotent beyond p^100."""
     exact = rows
     for _ in range(6):
         sq = _int_matmul(exact, exact)
         exact = [[3 * x - 2 * y for x, y in zip(r, q)] for r, q in zip(sq, _int_matmul(sq, exact))]
     sq = _int_matmul(exact, exact)
     assert all(x == y or _vp_fraction(x - y, p) > 100 for r, q in zip(sq, exact) for x, y in zip(r, q))
+    return exact
+
+
+def test_refinement_above_norm_one_steps_past_a_defect_not_known_to_vanish():
+    """[[1, 1/9], [3^7, 0]] at p = 3, precision 20: ||a|| = 9, s = 2,
+    and the window of 9a is 20 digits deep, with v(D) = 9.  The first
+    step leaves E' 16 digits deep, so 2v(D) - 2s = 14 < 16 <= 2v(D) - s
+    = 16: D' = p^2s d^2 (4d - 3) is not known to vanish mod p^16, and
+    refinement forms it (v(D') = 15) and takes a second step.  e is then
+    certified to 10 at every entry, and each agrees with the Fraction
+    idempotent of a there.  Stopping once 2v(D) - s reached the depth
+    of E' returned one step, certified to 10 too, with a wrong digit at
+    p^9 in entry (0, 1)."""
+    p = 3
+    rows = [[Fraction(1), Fraction(1, 9)], [Fraction(3**7), Fraction(0)]]
+    a = FiniteMatrix(p, {(i, j): Padic.from_fraction(v, p, 20)
+                         for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+    w, s = idempotents._unit_window(normalize(a))
+    k = w.mul(w, addend=[(-p**s, w)]).norm().exponent
+    assert (w.depth, s, k) == (20, 2, 9)
+    assert 2 * k - 2 * s < w.depth - 2 * s <= 2 * k - s
+    out, defects = _refine_form(normalize(a), 10)
+    assert defects == [15, 12]
+    exact = _fraction_idempotent(rows, p)
     for i in range(2):
         for j in range(2):
             x, y = out.entry(i, j), exact[i][j]
-            assert x.absolute_precision == 31
-            assert _fraction_value(x) == y or _vp_fraction(_fraction_value(x) - y, p) >= 31
+            assert x.absolute_precision == 10
+            assert _fraction_value(x) == y or _vp_fraction(_fraction_value(x) - y, p) >= 10
 
 
 def _noisy_projection(data, p, n, s, prec, past):
@@ -1030,28 +1065,35 @@ def test_relations_state_only_the_digits_the_coefficients_carry(monkeypatch):
 
 
 def test_k0_transcript_applies_only_g_and_its_spread(monkeypatch):
-    """For a finite g, trivialize applies forms at most twice per prefix
-    vector besides the split's column reads, and never a sum-ring
-    generator: no applied form has a structured tail."""
+    """For a finite g, no form is applied, and no form's column is read,
+    after the split: the repeat check reads g and its spread off an index
+    of their heads, and the relations read the generators' index maps.
+    Before, the repeat check read a column of each per prefix vector."""
     e = rank_one(3, [1, 9], [4, Fraction(1 - 4, 9)])
-    applied, columns = [], []
-    apply, column = NormalForm.apply, NormalForm.column
+    events = []
+    apply, column, split = NormalForm.apply, NormalForm.column, idempotents._split_forms
 
     def counted_apply(self, vec):
-        applied.append(self)
+        events.append("apply")
         return apply(self, vec)
 
     def counted_column(self, j):
-        columns.append(j)
+        events.append("column")
         return column(self, j)
+
+    def marked_split(*args):
+        out = split(*args)
+        events.append("split")
+        return out
 
     monkeypatch.setattr(NormalForm, "apply", counted_apply)
     monkeypatch.setattr(NormalForm, "column", counted_column)
+    monkeypatch.setattr(idempotents, "_split_forms", marked_split)
     out = k0_trivialize(e, prefix=16)
     assert out["contractive_part"]["repeat_equation_on_prefix"] is True
-    assert columns
-    assert len(applied) - len(columns) <= 2 * 16
-    assert all(nf.tail is None for nf in applied)
+    # the split reads the columns it projects onto, and nothing comes after it
+    assert events[-1] == "split" and events.count("split") == 1
+    assert "column" in events and "apply" not in events
 
 
 def _spread_depth(prefix):
@@ -1110,6 +1152,106 @@ def test_repeat_check_refuses_a_spread_with_one_entry_moved(monkeypatch):
     built = _counted_appliers(monkeypatch)
     assert idempotents._repeat_equation_ok(shifted, moved, gens, prefix, 30, normalize(shifted)) is False
     assert built == [moved]
+
+
+def _repeat_equation_by_vectors(g, g_inf, gens, prefix, target, form_g):
+    """The repeat check as PadicVector sums: the oracle of
+    _repeat_equation_ok, which sums the same entries on plain dicts."""
+    p = g.prime
+    column_g = form_g.column
+    try:
+        column_inf = normalize(g_inf).column
+    except StructureError:
+        apply, prec = operators._applier(g_inf), operators.precision_of(g)
+
+        def column_inf(x):
+            return apply(PadicVector.basis(p, x, prec))
+
+    def image(column, x):
+        return PadicVector(p) if x is None else column(x)
+
+    def moved(vec, dest):
+        return PadicVector(p, {dest(i): v for i, v in vec.entries.items()})
+
+    for x in range(prefix):
+        gap = (moved(image(column_g, gens.first_to_all.dest(x)), gens.all_to_first.dest)
+               + moved(image(column_inf, gens.down.dest(x)), gens.up.dest)
+               - image(column_inf, x))
+        if any(not v.vanishes_to(target) for v in gap.entries.values()):
+            return False
+    return True
+
+
+def _spread_variants(g, spread, p, target):
+    """The spread of g and spreads that break or only seem to keep the
+    repeat equation: one entry moved to another row, one entry off by
+    p^(target - 1) and by p^target, and every entry cut to 3 digits, so
+    that each gap entry cancels to a zero certified below the target.
+    The entry moved or perturbed is the one in the least column."""
+    out = [spread]
+    if isinstance(spread, FiniteMatrix) and spread.entries:
+        entries = spread.entries
+        i, j = min(entries, key=lambda key: key[::-1])
+        v = entries[(i, j)]
+        out.append(FiniteMatrix(p, {**{k: w for k, w in entries.items() if k != (i, j)},
+                                    (i + 1000, j): v}))
+        for k in (target - 1, target):
+            out.append(FiniteMatrix(p, {**entries, (i, j): v + Padic.from_int(p**k, p)}))
+        out.append(FiniteMatrix(p, {k: Padic.from_unit(p, w.valuation, w.unit, 3)
+                                    for k, w in entries.items()}))
+    else:
+        one = Padic.one(p)
+        out.append(Sum([spread, FiniteMatrix(p, {(0, 0): -one, (1, 0): one})]))
+        out.append(Sum([spread, FiniteMatrix(p, {(4, 4): Padic.from_int(p**target, p)})]))
+    return out
+
+
+def test_repeat_check_matches_its_vector_oracle():
+    """_repeat_equation_ok agrees with the PadicVector oracle on the
+    contractive parts of seeded pieced idempotents (c09's inputs), on
+    g = 0, on a g with a shift and on a g with a tail (both of which
+    have a lazy spread), and on spreads of each with an entry moved,
+    perturbed or cut short, at p = 2, 3 and 5.  The prefix reaches every
+    column of g's head in block 0.  Both answers occur on each path."""
+    prefix, target = 64, 30
+    depth = _spread_depth(prefix)
+    answers = []
+    for p in (2, 3, 5):
+        gens = sum_ring_generators(p)
+        rng = random.Random(33 + p)
+        # about one draw in twenty leaves g != 0; keep the first three
+        gs = [idempotent_split(_pieced_idempotent(rng, 8, p, 40), target).g for _ in range(60)]
+        gs = [g for g in gs if g.entries][:3] + [FiniteMatrix(p, {})]
+        assert len(gs) == 4
+        gs.append(Diagonal(p, {0: Padic.from_int(p, p), 3: Padic.from_int(1, p)}, Padic.from_int(p, p)))
+        gs.append(ScalarMul(Padic.from_int(p, p), gens.up))
+        for g in gs:
+            form_g = normalize(g)
+            for spread in _spread_variants(g, infinite_sum(g, depth), p, target):
+                want = _repeat_equation_by_vectors(g, spread, gens, prefix, target, form_g)
+                got = idempotents._repeat_equation_ok(g, spread, gens, prefix, target, form_g)
+                assert got is want, (p, g, spread)
+                answers.append((type(g), type(spread), want))
+    for path in ((FiniteMatrix, FiniteMatrix), (Diagonal, Sum), (ScalarMul, Sum)):
+        assert {want for *kinds, want in answers if tuple(kinds) == path} == {True, False}
+
+
+def test_repeat_check_drops_a_cancelled_sum_as_its_oracle_does():
+    """With up and down replaced by all_to_first and first_to_all, the
+    two moved columns meet at x = 5 = cantor_pair(0, 2), in row 0: there
+    1 + O(3^5) and -1 sum to O(3^5), which is dropped before 3^k of the
+    spread's column 5 is subtracted, as PadicVector drops it.  So the
+    gap is -3^k, and k = 10 < 30 fails where O(3^5) - 3^10 = O(3^5)
+    would have passed; k = 30 passes."""
+    gens = sum_ring_generators(3)
+    meeting = _generators_with(up=gens.all_to_first, down=gens.first_to_all)
+    minus_one, coarse_one = Padic.from_int(-1, 3, 40), Padic.from_int(1, 3, 5)
+    g = FiniteMatrix(3, {(0, 1): minus_one, (0, 2): coarse_one})
+    for k, want in ((10, False), (30, True)):
+        spread = FiniteMatrix(3, {(0, 2): minus_one, (0, 5): Padic.from_int(3**k, 3, 40)})
+        args = (g, spread, meeting, 6, 30, normalize(g))
+        assert _repeat_equation_by_vectors(*args) is want
+        assert idempotents._repeat_equation_ok(*args) is want
 
 
 def test_apply_is_one_product(monkeypatch):

@@ -44,6 +44,21 @@ def test_diagonal_entries_and_norm():
     assert op_norm(loud) == ValuationBound(-1)
 
 
+def test_diagonal_with_an_exact_zero_default_keeps_its_entries():
+    """A default that is an exact zero subtracts nothing: each head entry
+    is its diagonal value, which is what v - 0 rounds to, and a zero,
+    certified or exact, is not stored.  A certified-zero default is still
+    subtracted: it caps each entry at its depth, and drops one below it."""
+    p = 3
+    values = {0: Padic.from_int(7, p, 40), 1: Padic.from_fraction(Fraction(2, 9), p, 12),
+              2: Padic.zero(p, 6), 3: Padic.zero(p), 4: Padic(p, 6, 2, 1)}
+    head = normalize(Diagonal(p, values, Padic.zero(p))).head
+    want = {(i, i): v - Padic.zero(p) for i, v in values.items() if not v.is_zero}
+    assert head == want and all(head[(i, i)] == values[i] for i in (0, 1, 4))
+    capped = normalize(Diagonal(p, values, Padic.zero(p, 5))).head
+    assert capped[(0, 0)].absolute_precision == 5 and (1, 1) in capped and (4, 4) not in capped
+
+
 def test_identity_norm_and_entries():
     i = Identity(5)
     assert op_norm(i) == ValuationBound(0)

@@ -195,8 +195,10 @@ def _cmd_calculus_teich(args) -> int:
     target = _target(args)
     depth = _at_least("--depth", args.depth, 0)
     a, prec = _read_operator(args.infile, target)
-    # --depth only gates: teich checks ||A|| <= 1 itself (ROADMAP item 8)
-    certify_normal_contraction(a, depth)
+    # --depth only gates, and below p each n! is a unit, so ||binom(A, n)||
+    # <= 1 follows from ||A|| <= 1, which teich checks itself (ROADMAP item 8)
+    if depth >= a.prime:
+        certify_normal_contraction(a, depth)
     e, trace = teichmuller_idempotent(a, target=target)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:

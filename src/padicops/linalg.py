@@ -8,14 +8,18 @@ integral, so no step enlarges the entries it touches.
   order; each pivot is the least-valuation entry of its own column.
   Column projections and ranks read off it.
 - ``eliminate_full_pivot`` searches the whole remaining block for the
-  pivot.  Its pivot valuations are the Smith invariants, and their
-  signed product is the determinant.
+  pivot and hands the pivots out one at a time.  Their valuations are
+  the Smith invariants, nondecreasing.  The determinant takes every
+  pivot and multiplies them; the scale stops at the first integral one,
+  since no later pivot adds to it.
 
 Each update x - f * y is one ``scalars.add_product`` of x, -f and y, so
 it is rounded once, not once for the product and again for the sum.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .scalars import Padic, add_product
 
@@ -53,19 +57,23 @@ def reduce_columns(columns: list[Column]) -> list[tuple[int, Column] | None]:
     return out
 
 
-def eliminate_full_pivot(rows: list[list[Padic]], prime: int) -> tuple[list[int], Padic]:
+def eliminate_full_pivot(rows: list[list[Padic]]) -> Iterator[tuple[Padic, int]]:
     """Elimination with the pivot of least valuation in the whole
-    remaining block (ties: lowest row, then lowest column).
+    remaining block (ties: lowest row, then lowest column), one pivot at
+    a time.
 
-    Returns the pivot valuations, which are the valuations of the Smith
-    invariants in nondecreasing order (as many as the rank), and the
-    determinant.
+    Yields (pivot, sign) per pivot, sign that of the row and column
+    swaps so far, and stops when no nonzero entry remains: as many
+    pivots as the rank.  The pivot valuations are the valuations of the
+    Smith invariants, in nondecreasing order, since every multiplier is
+    integral and an update x + f * y keeps the valuation of x and y at
+    least that of the pivot.  The block below a pivot is eliminated only
+    when the next one is asked for, so a caller that stops early makes
+    no update it does not read.
     """
     work = [row[:] for row in rows]
     n = len(work)
-    det: Padic | None = None  # the product of the pivots so far
     sign = 1
-    valuations: list[int] = []
     for k in range(n):
         best = None
         for i in range(k, n):
@@ -75,7 +83,7 @@ def eliminate_full_pivot(rows: list[list[Padic]], prime: int) -> tuple[list[int]
                 if val is not None and (best is None or val < best[0]):
                     best = (val, i, j)
         if best is None:
-            return valuations, Padic.zero(prime)
+            return
         _, pi, pj = best
         if pi != k:
             work[k], work[pi] = work[pi], work[k]
@@ -85,8 +93,7 @@ def eliminate_full_pivot(rows: list[list[Padic]], prime: int) -> tuple[list[int]
                 row[k], row[pj] = row[pj], row[k]
             sign = -sign
         pivot = work[k][k]
-        valuations.append(pivot.valuation)
-        det = pivot if det is None else det * pivot
+        yield pivot, sign
         negated, pivot_row = -pivot, work[k]
         for i in range(k + 1, n):
             row = work[i]
@@ -95,6 +102,3 @@ def eliminate_full_pivot(rows: list[list[Padic]], prime: int) -> tuple[list[int]
             factor = row[k] / negated  # -(row[k] / pivot)
             for j in range(k + 1, n):
                 row[j] = add_product(row[j], factor, pivot_row[j])
-    if det is None:  # the empty matrix
-        return valuations, Padic.one(prime)
-    return valuations, det if sign > 0 else -det

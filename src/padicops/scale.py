@@ -1,9 +1,11 @@
 """Willis scale of finite p-adic matrices, plus a truncation probe.
 
 The scale is the largest norm of any square minor, floored at 1.  It is
-read off the Smith invariants, which full-pivot elimination yields in
-one O(n^3) pass, so windows of any size are answered exactly.
-Determinants come from the same elimination.
+read off the negative Smith invariants, which full-pivot elimination
+yields first, in at most one O(n^3) pass, so windows of any size are
+answered exactly.  The scale stops the walk at its first integral pivot
+and forms no product of pivots; determinants come from the same walk,
+taken to its end.
 """
 
 from __future__ import annotations
@@ -38,7 +40,16 @@ def _dense(a: FiniteMatrix, dim: int) -> list[list[Padic]]:
 
 
 def determinant(rows: list[list[Padic]], prime: int) -> Padic:
-    return eliminate_full_pivot(rows, prime)[1]
+    """The signed product of every pivot, multiplied in the order they
+    come; an exact zero when they run out before the last row."""
+    if not rows:
+        return Padic.one(prime)
+    det, sign, rank = None, 1, 0
+    for rank, (pivot, sign) in enumerate(eliminate_full_pivot(rows), 1):
+        det = pivot if det is None else det * pivot
+    if rank < len(rows):
+        return Padic.zero(prime)
+    return det if sign > 0 else -det
 
 
 def willis_scale_finite(a: FiniteMatrix, dim: int) -> ScaleValue:
@@ -46,9 +57,14 @@ def willis_scale_finite(a: FiniteMatrix, dim: int) -> ScaleValue:
 
     The largest k x k minor norm is p^-(v_1 + ... + v_k) for the Smith
     invariants v_1 <= v_2 <= ..., so the scale exponent is the sum of
-    the negative invariants, negated."""
-    valuations, _ = eliminate_full_pivot(_dense(a, dim), a.prime)
-    return ScaleValue(-sum(min(0, v) for v in valuations))
+    the negative invariants, negated.  They come first, so the walk
+    stops at the first pivot of valuation >= 0."""
+    exponent = 0
+    for pivot, _ in eliminate_full_pivot(_dense(a, dim)):
+        if pivot.valuation >= 0:
+            break
+        exponent -= pivot.valuation
+    return ScaleValue(exponent)
 
 
 def scale_transpose_check(a: FiniteMatrix, dim: int | None = None) -> bool:

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from padicops.errors import PrecisionExhausted
 from padicops.linalg import eliminate_full_pivot, reduce_columns
 from padicops.mahler import MahlerFunction, mahler_eval
+from padicops.operators import FiniteMatrix
 from padicops.scalars import Padic, ValuationBound, add_product, precision_of
+from padicops.scale import _dense, determinant, willis_scale_finite
 
 primes = st.sampled_from([2, 3, 5, 7])
 
@@ -177,9 +179,20 @@ def blocks(draw, p):
     return rows
 
 
-def _eliminated(eliminate, rows, prime):
-    valuations, det = eliminate(rows, prime)
+def _two_step_eliminated(rows, prime):
+    valuations, det = _two_step_eliminate(rows, prime)
     return valuations, _triple(det)
+
+
+def _valuations(rows):
+    """The valuations of every pivot the walk yields."""
+    return [pivot.valuation for pivot, _ in eliminate_full_pivot(rows)]
+
+
+def _walked(rows, prime):
+    """The walk's pivot valuations, and the determinant that
+    scale.determinant multiplies out of its pivots."""
+    return _valuations(rows), _triple(determinant(rows, prime))
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,8 +201,29 @@ def test_eliminate_full_pivot_matches_two_rounding_loop(data):
     """The same pivot valuations and determinant, or the same refusal."""
     p = data.draw(primes)
     rows = data.draw(blocks(p))
-    want = _outcome(_eliminated, _two_step_eliminate, rows, p)
-    assert _outcome(_eliminated, eliminate_full_pivot, rows, p) == want
+    want = _outcome(_two_step_eliminated, rows, p)
+    assert _outcome(_walked, rows, p) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pivot_valuations_never_fall_and_the_scale_stops_at_zero(data):
+    """Least-valuation pivots come in nondecreasing valuation, on the
+    block as drawn and on the window that FiniteMatrix keeps of it, so
+    the scale, which stops at the first pivot of valuation >= 0, is the
+    sum of the negative ones over the whole walk, wherever that walk
+    answers."""
+    p = data.draw(primes)
+    rows = data.draw(blocks(p))
+    n = len(rows)
+    a = FiniteMatrix(p, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
+    valuations = _outcome(_valuations, rows)
+    if valuations is not PrecisionExhausted:
+        assert valuations == sorted(valuations)
+    valuations = _outcome(_valuations, _dense(a, n))
+    if valuations is not PrecisionExhausted:
+        assert valuations == sorted(valuations)
+        assert willis_scale_finite(a, n).exponent == -sum(min(0, v) for v in valuations)
 
 
 def _columns(reduce, columns):

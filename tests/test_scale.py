@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from padicops import linalg
 from padicops.operators import Diagonal, FiniteMatrix, Identity
 from padicops.scale import (ScaleValue, determinant, scale_minor_probe,
                             scale_transpose_check, willis_scale_finite)
@@ -48,6 +49,26 @@ def test_determinant_elimination_path(rng):
         got = determinant(dense(p, rows), p)
         expect = _int_det(rows)
         assert (got - Padic.from_int(expect, p)).vanishes_to(25)
+
+
+def test_integral_window_makes_no_elimination_update(rng, monkeypatch):
+    """Every pivot of an integral window has valuation >= 0, so the scale
+    stops at the first one and updates no row; the determinant of the
+    same rows makes every update."""
+    p, n = 3, 6
+    calls = []
+
+    def counted(*args, _add_product=linalg.add_product):
+        calls.append(args)
+        return _add_product(*args)
+
+    monkeypatch.setattr(linalg, "add_product", counted)
+    rows = [[rng.randrange(-p**3, p**3 + 1) for _ in range(n)] for _ in range(n)]
+    a = fm(p, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+    assert willis_scale_finite(a, n) == ScaleValue(0)
+    assert calls == []
+    determinant(dense(p, rows), p)
+    assert calls
 
 
 def _int_det(rows):

@@ -16,10 +16,12 @@ of its tasks' times and the kind's share of the pool (the sum of its
 tasks' times over the sum of all tasks' times), then the ratio B / A of
 the medians; the last row is the whole pool.  Times are wall clock, not
 scaled to a reference host as bench/run.py scales them.  A second table
-prints, per kind and per side, the Window.mul and NormalForm.mul calls
-per answer (the mean over the kind's tasks): the checking pass counts
-them by wrapping the two methods of that side's classes, and the timed
-rounds run unwrapped.  The exit code is 1 when an answer failed its
+prints, per kind and per side, the calls per answer (the mean over the
+kind's tasks) of Window.mul and NormalForm.mul, the products, and of
+linalg's add_product and Padic.__truediv__, the elimination updates
+and the divisions (pivot divisions among them): the checking pass
+counts them by wrapping those names in that side's modules, and the
+timed rounds run unwrapped.  The exit code is 1 when an answer failed its
 oracle.  Standard library only.
 """
 
@@ -34,8 +36,12 @@ from pathlib import Path
 
 # the modules a checkout brings: its library and its benchmark's helpers
 BENCH_MODULES = ("workloads", "oracle", "intmath", "run")
-# the products counted per answer: (module, class), each class's mul
-PRODUCTS = (("padicops.residues", "Window"), ("padicops.operators", "NormalForm"))
+# the calls counted per answer: (module, class or None for the module
+# itself, attribute, column heading)
+COUNTED = (("padicops.residues", "Window", "mul", "Window.mul"),
+           ("padicops.operators", "NormalForm", "mul", "NF.mul"),
+           ("padicops.linalg", None, "add_product", "add_product"),
+           ("padicops.scalars", "Padic", "__truediv__", "Padic /"))
 
 
 def _owned(name: str) -> bool:
@@ -67,35 +73,36 @@ class Side:
 
     def check(self) -> int:
         """Answer every task once and hand it to its oracle; the failures.
-        Each answer's calls of the PRODUCTS' mul go to self.products, one
-        tuple per task, counted by wrapping the methods for this pass
+        Each answer's calls of the COUNTED names go to self.counts, one
+        tuple per task, counted by wrapping the names for this pass
         only (the oracles call no padicops)."""
         self.enter()
-        classes = [getattr(self.modules[module], name) for module, name in PRODUCTS]
-        originals = [cls.__dict__["mul"] for cls in classes]
-        tally = [0] * len(classes)
+        owners = [self.modules[module] if name is None else getattr(self.modules[module], name)
+                  for module, name, _, _ in COUNTED]
+        originals = [vars(owner)[attr] for owner, (_, _, attr, _) in zip(owners, COUNTED)]
+        tally = [0] * len(owners)
 
-        def counted(k, mul):
+        def counted(k, f):
             def wrapper(*args, **kwargs):
                 tally[k] += 1
-                return mul(*args, **kwargs)
+                return f(*args, **kwargs)
             return wrapper
 
-        for k, (cls, mul) in enumerate(zip(classes, originals)):
-            cls.mul = counted(k, mul)
-        failed, self.products = 0, []
+        for k, (owner, (_, _, attr, _), f) in enumerate(zip(owners, COUNTED, originals)):
+            setattr(owner, attr, counted(k, f))
+        failed, self.counts = 0, []
         try:
             for task in self.tasks:
-                tally[:] = [0] * len(classes)
+                tally[:] = [0] * len(owners)
                 try:
                     task.check(task.run())
                 except Exception as exc:
                     failed += 1
                     print(f"{self.checkout} {task.kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
-                self.products.append(tuple(tally))
+                self.counts.append(tuple(tally))
         finally:
-            for cls, mul in zip(classes, originals):
-                cls.mul = mul
+            for owner, (_, _, attr, _), f in zip(owners, COUNTED, originals):
+                setattr(owner, attr, f)
         return failed
 
     def answer(self, i: int) -> float:
@@ -116,12 +123,12 @@ def kinds(side: Side, times: list[list[float]]) -> dict[str, list[float]]:
     return out
 
 
-def products(side: Side) -> dict[str, list[float]]:
-    """{kind: the mean calls of each PRODUCTS' mul per answer}, in pool order."""
+def calls(side: Side) -> dict[str, list[float]]:
+    """{kind: the mean calls of each COUNTED name per answer}, in pool order."""
     out: dict[str, list[tuple[int, ...]]] = {}
-    for task, counts in zip(side.tasks, side.products):
+    for task, counts in zip(side.tasks, side.counts):
         out.setdefault(task.kind, []).append(counts)
-    out["pool"] = side.products
+    out["pool"] = side.counts
     return {kind: [statistics.fmean(c) for c in zip(*rows)] for kind, rows in out.items()}
 
 
@@ -161,12 +168,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'pool':26s} {sum(map(len, a.values())):5d} {total_a * 1e3:8.3f} {1:7.1%}"
           f" {total_b * 1e3:8.3f} {1:7.1%} {total_b / total_a:6.3f}")
     print()
-    print("products per answer")
-    names = [name for _, name in PRODUCTS]
+    print("calls per answer")
+    names = [heading for _, _, _, heading in COUNTED]
     print(f"{'kind':26s} " + " ".join(f"{side + ' ' + name:>13s}" for side in "AB" for name in names))
-    pa, pb = (products(side) for side in sides)
-    for kind, counts in pa.items():
-        print(f"{kind:26s} " + " ".join(f"{x:13.2f}" for x in (*counts, *pb[kind])))
+    ca, cb = (calls(side) for side in sides)
+    for kind, counts in ca.items():
+        print(f"{kind:26s} " + " ".join(f"{x:13.2f}" for x in (*counts, *cb[kind])))
     return 1 if failed else 0
 
 
